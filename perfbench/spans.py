@@ -36,6 +36,7 @@ class Tracer:
         self._report_seen: set | None = None
         self.watch: dict[str, list] = {}    # parent span -> per-call child counts
         self.restarts = 0                   # solver calls stopped by the rescale event
+        self.paused = False                 # while set, wrappers call through unrecorded
 
     # -- recording ---------------------------------------------------------
 
@@ -52,6 +53,8 @@ class Tracer:
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
+            if self.paused:
+                return fn(*args, **kwargs)
             before = calls[watch] if watch is not None else 0
             frame = [name, 0.0]
             stack.append(frame)
