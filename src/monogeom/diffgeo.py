@@ -1,9 +1,10 @@
 """Finite-difference curvature engine for metric samplers.
 
 A metric sampler maps a coordinate 4-vector to a symmetric 4x4 matrix.
-Curvature comes from 4th-order stencils for the first and second metric
-derivatives assembled into the curvature tensor directly (one level of
-differencing only):
+Curvature comes from 4th-order stencils of the stencil engine
+(`numdiff.derivatives`) for the first and second metric derivatives,
+assembled into the curvature tensor directly (one level of differencing
+only):
 
     R_abcd = (g_bd,ac + g_ac,bd - g_ad,bc - g_bc,ad)/2
              + g_ef (Gamma^e_ac Gamma^f_bd - Gamma^e_ad Gamma^f_bc)
@@ -12,7 +13,8 @@ Weyl and its (anti-)self-dual split are computed in an oriented
 orthonormal coframe.  Orientation convention, fixed here once: the
 coordinate order of the sampler is positively oriented, and the duality
 operator on 2-forms uses the Levi-Civita symbol with eps_0123 = +1 in
-that frame.  Richardson extrapolation pairs steps h and h/2 on every
+that frame.  Richardson extrapolation pairs steps h and h/2, sampled
+together so their common stencil points are evaluated once, on every
 tensor component before norms are taken.
 """
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numdiff import deriv1, deriv2_diag, deriv2_mixed, richardson
+from .numdiff import derivatives, richardson
 
 __all__ = [
     "CurvatureReport",
@@ -77,25 +79,10 @@ def levi_civita_symbol(n: int = 4) -> np.ndarray:
 _EPS4 = levi_civita_symbol(4)
 
 
-def _metric_derivatives(metric, x, h):
-    n = len(x)
-    g0 = metric(x)
-    dg = np.empty((n, n, n))
-    d2g = np.empty((n, n, n, n))
-    for a in range(n):
-        dg[a] = deriv1(metric, x, a, h)
-        d2g[a, a] = deriv2_diag(metric, x, a, h, f0=g0)
-    for a in range(n):
-        for b in range(a + 1, n):
-            m = deriv2_mixed(metric, x, a, b, h)
-            d2g[a, b] = m
-            d2g[b, a] = m
-    return g0, dg, d2g
-
-
-def riemann_tensors(metric, x, h):
-    """All-lower Riemann, Ricci, scalar and Weyl at x with step h."""
-    g, dg, d2g = _metric_derivatives(metric, x, h)
+def riemann_tensors(g, dg, d2g):
+    """All-lower Riemann, Ricci, scalar and Weyl from the metric g and
+    its derivatives dg[a] = g_,a and d2g[a, b] = g_,ab at one point
+    (a `numdiff.Jet` with full second derivatives)."""
     ginv = np.linalg.inv(g)
     # gamma_l[a,b,d] = (g_ab,d + g_ad,b - g_bd,a)/2, then Gamma^c_bd
     gamma_l = 0.5 * (np.einsum("dab->abd", dg) + np.einsum("bad->abd", dg)
@@ -110,17 +97,13 @@ def riemann_tensors(metric, x, h):
     riem = term + quad
     ricci = np.einsum("ac,abcd->bd", ginv, riem)
     scal = float(np.einsum("bd,bd->", ginv, ricci))
-    weyl = riem.copy()
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    weyl[a, b, c, d] -= 0.5 * (
-                        g[a, c] * ricci[b, d] - g[a, d] * ricci[b, c]
-                        - g[b, c] * ricci[a, d] + g[b, d] * ricci[a, c])
-                    weyl[a, b, c, d] += (scal / 6.0) * (
-                        g[a, c] * g[b, d] - g[a, d] * g[b, c])
-    return g, riem, ricci, scal, weyl
+    # W = R - (Ric o g)/2 + (scal/12)(g o g), o the Kulkarni-Nomizu product
+    ac, ad = g[:, None, :, None], g[:, None, None, :]
+    bc, bd = g[None, :, :, None], g[None, :, None, :]
+    weyl = riem - 0.5 * (ac * ricci[None, :, None, :] - ad * ricci[None, :, :, None]
+                         - bc * ricci[:, None, None, :] + bd * ricci[:, None, :, None])
+    weyl = weyl + (scal / 6.0) * (ac * bd - ad * bc)
+    return riem, ricci, scal, weyl
 
 
 def orthonormal_coframe(g: np.ndarray) -> np.ndarray:
@@ -164,35 +147,24 @@ def weyl_sd_asd_norms(g: np.ndarray, weyl: np.ndarray) -> tuple[float, float]:
             float(np.linalg.norm(_PROJ_ASD @ W @ _PROJ_ASD)))
 
 
-def _report_from_tensors(g, riem, ricci, scal, weyl, step):
+def curvature_report(metric, x, step: float) -> CurvatureReport:
+    """Curvature of a metric sampler at x: the tensors at steps h and
+    h/2, from one set of metric samples, are extrapolated component-wise
+    before any norm is formed."""
+    jet, jet2 = derivatives(metric, x, (step, step / 2), second="full")
+    riem, ricci, scal, weyl = (richardson(t, t2) for t, t2 in
+                               zip(riemann_tensors(*jet), riemann_tensors(*jet2)))
+    g = jet.value
     F = orthonormal_coframe(g)
-    riem_f = _frame_tensor4(riem, F)
-    ricci_f = F.T @ ricci @ F
     sd, asd = weyl_sd_asd_norms(g, weyl)
     return CurvatureReport(
-        scalar=scal,
-        ricci_norm=float(np.linalg.norm(ricci_f)),
+        scalar=float(scal),
+        ricci_norm=float(np.linalg.norm(F.T @ ricci @ F)),
         weyl_sd_norm=sd,
         weyl_asd_norm=asd,
-        riemann_norm=float(np.linalg.norm(riem_f)),
+        riemann_norm=float(np.linalg.norm(_frame_tensor4(riem, F))),
         step=step,
     )
-
-
-def curvature_report(metric, x, step: float, use_richardson: bool = True) -> CurvatureReport:
-    """Curvature of a metric sampler at x; with `use_richardson` the
-    tensors at steps h and h/2 are extrapolated component-wise before
-    any norm is formed."""
-    x = np.asarray(x, dtype=float)
-    g, riem, ricci, scal, weyl = riemann_tensors(metric, x, step)
-    if not use_richardson:
-        return _report_from_tensors(g, riem, ricci, scal, weyl, step)
-    g2, riem2, ricci2, scal2, weyl2 = riemann_tensors(metric, x, step / 2)
-    riem_r = richardson(riem, riem2)
-    ricci_r = richardson(ricci, ricci2)
-    scal_r = float(richardson(scal, scal2))
-    weyl_r = richardson(weyl, weyl2)
-    return _report_from_tensors(g2, riem_r, ricci_r, scal_r, weyl_r, step)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 from . import hyperbolic as hyp
 from .diffgeo import CurvatureReport, curvature_report, hodge_star
 from .hyperbolic import BoundaryPoint, MultiCenterPotential, PointUHS
-from .numdiff import deriv1
+from .numdiff import derivatives
 
 __all__ = [
     "MFramePoint",
@@ -155,7 +155,7 @@ def dirac_curvature_residual(conn: DiracConnection, p, h: float | None = None) -
     p = np.asarray(p, dtype=float)
     if h is None:
         h = 1e-4 * p[2]
-    dA = np.array([deriv1(conn, p, a, h) for a in range(3)])  # dA[a][b] = d_a A_b
+    dA = derivatives(conn, p, (h,))[0].d1  # dA[a][b] = d_a A_b
     curl = np.array([dA[1, 2] - dA[2, 1], dA[2, 0] - dA[0, 2], dA[0, 1] - dA[1, 0]])
     # *dV for h = delta/z^2: (*dV)_{yz} = V_x / z etc.
     grad = conn.V.gradient(p)
@@ -273,8 +273,7 @@ def default_step(p4: np.ndarray) -> float:
     return 1e-3 * float(p4[2])
 
 
-def curvature(metric, p4, step: float | None = None,
-              use_richardson: bool = True) -> CurvatureReport:
+def curvature(metric, p4, step: float | None = None) -> CurvatureReport:
     """Curvature report of a metric sampler at a point of the total
     space; step defaults to 1e-3 scaled by the height."""
     p4 = np.asarray(p4, dtype=float)
@@ -282,18 +281,13 @@ def curvature(metric, p4, step: float | None = None,
         step = default_step(p4)
         if p4[2] - 2.5 * step <= 0:
             raise ValueError("stencil would exit the upper half-space")
-    return curvature_report(metric, p4, step, use_richardson)
+    return curvature_report(metric, p4, step)
 
 
 def dOmega_residual(omega_sampler, p4, step: float = 1e-4) -> float:
     """Norm of the numerical exterior derivative of a 2-form sampler
     (2nd-order differences, so the residual scales like step^2)."""
-    p4 = np.asarray(p4, dtype=float)
-    dOm = np.empty((4, 4, 4))
-    for m in range(4):
-        e = np.zeros(4)
-        e[m] = step
-        dOm[m] = (omega_sampler(p4 + e) - omega_sampler(p4 - e)) / (2 * step)
+    dOm = derivatives(omega_sampler, p4, (step,), order=2)[0].d1
     worst = 0.0
     for a in range(4):
         for b in range(a + 1, 4):
@@ -309,7 +303,7 @@ def nijenhuis_residual(J_sampler, p4, step: float | None = None) -> float:
     if step is None:
         step = default_step(p4)
     J0 = J_sampler(p4)
-    dJ = np.array([deriv1(J_sampler, p4, m, step) for m in range(4)])
+    dJ = derivatives(J_sampler, p4, (step,))[0].d1
     # N^k_{ij} = J^l_i dJ[l][k,j] - J^l_j dJ[l][k,i] - J^k_l (dJ[i][l,j] - dJ[j][l,i])
     t1 = np.einsum("li,lkj->kij", J0, dJ)
     t2 = np.einsum("lj,lki->kij", J0, dJ)

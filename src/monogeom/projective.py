@@ -47,25 +47,6 @@ class ExtendedComplex:
             return INFINITY
         return ExtendedComplex(-1.0 / np.conj(self.value))
 
-    def reciprocal(self) -> "ExtendedComplex":
-        if self.at_infinity:
-            return ExtendedComplex(0j)
-        if self.value == 0:
-            return INFINITY
-        return ExtendedComplex(1.0 / self.value)
-
-    def mobius(self, m: np.ndarray) -> "ExtendedComplex":
-        """Apply (a v + b)/(c v + d) for a 2x2 complex matrix m."""
-        a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-        if self.at_infinity:
-            num, den = a, c
-        else:
-            num = a * self.value + b
-            den = c * self.value + d
-        if abs(den) <= 1e-300 * abs(num):
-            return INFINITY
-        return ExtendedComplex(num / den)
-
     def unit_sphere(self) -> np.ndarray:
         """Inverse stereographic image on S^2 (infinity -> north pole)."""
         if self.at_infinity:

@@ -216,11 +216,10 @@ def factor(quadratics, charges, phase: float = 0.0) -> FactorPair:
     and y = B prod (zeta - beta_i)^{l_i} with A B = prod a_i^{l_i} and
     x = y*; unique up to the U(1) phase.
 
-    |A| is first attempted from the product of |b_i - delta_i|^{l_i} and
-    verified against the reality constraint; when the verification
-    fails, |A|^2 is recomputed directly from x = y* at a sample point
-    (the two differ because b_i - delta_i is negative whenever a_i is
-    nonzero, so only its absolute value can enter a modulus).
+    Since a_i beta_i = -(b_i + delta_i) is real, (zeta - beta_i)* equals
+    -conj(beta_i) (zeta - alpha_i), and x = y* fixes the modulus
+    |A|^2 = prod (b_i + delta_i)^{l_i}, positive wherever the alphas are
+    defined (delta_i = hypot(b_i, |a_i|) > -b_i unless a_i = 0).
     """
     quadratics = list(quadratics)
     charges = [int(l) for l in charges]
@@ -228,32 +227,14 @@ def factor(quadratics, charges, phase: float = 0.0) -> FactorPair:
         raise ValueError("need one charge per quadratic")
     alphas = [qd.alpha for qd in quadratics]
     betas = [qd.beta for qd in quadratics]
-
-    def build(mod_a: float, ph: float):
-        A = mod_a * np.exp(1j * ph)
-        prod_a = np.prod([qd.a ** l for qd, l in zip(quadratics, charges)]) if quadratics else 1.0
-        B = prod_a / A
-        x = A * _poly_from_roots(alphas, charges)
-        y = B * _poly_from_roots(betas, charges)
-        return x, y
-
-    mod2 = float(np.prod([abs(qd.b - qd.delta) ** l
-                          for qd, l in zip(quadratics, charges)])) if quadratics else 1.0
-    x, y = build(math.sqrt(mod2), phase)
-    pair = FactorPair(x, y, np.exp(1j * phase), tuple(alphas), tuple(betas), tuple(charges))
-    if pair.reality_defect() > 1e-8:
-        zs = 0.37 + 0.21j
-        x1 = npoly.polyval(zs, _poly_from_roots(alphas, charges))
-        y1coef = np.prod([qd.a ** l for qd, l in zip(quadratics, charges)]) \
-            * _poly_from_roots(betas, charges)
-        y1star = npoly.polyval(zs, antipodal_conjugate(y1coef))
-        mod2 = (y1star / x1).real
-        if mod2 <= 0:
-            raise ArithmeticError("reality constraint has no solution")
-        x, y = build(math.sqrt(mod2), phase)
-        pair = FactorPair(x, y, np.exp(1j * phase), tuple(alphas), tuple(betas),
-                          tuple(charges))
-    return pair
+    # b + delta, as |a|^2 / (delta - b) when b < 0 to avoid cancellation
+    mod2 = math.prod((qd.b + qd.delta if qd.b >= 0 else abs(qd.a) ** 2 / (qd.delta - qd.b)) ** l
+                     for qd, l in zip(quadratics, charges))
+    A = math.sqrt(mod2) * np.exp(1j * phase)
+    prod_a = np.prod([qd.a ** l for qd, l in zip(quadratics, charges)]) if quadratics else 1.0
+    x = A * _poly_from_roots(alphas, charges)
+    y = (prod_a / A) * _poly_from_roots(betas, charges)
+    return FactorPair(x, y, np.exp(1j * phase), tuple(alphas), tuple(betas), tuple(charges))
 
 
 def _poly_from_roots(roots, mults) -> np.ndarray:

@@ -103,13 +103,6 @@ def sqrtm_det1(A: np.ndarray) -> np.ndarray:
     return (A + np.eye(2)) / math.sqrt(np.trace(A).real + 2.0)
 
 
-def _adj2(M: np.ndarray) -> np.ndarray:
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]])
-
-
-_EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # bidegree sections
 # ---------------------------------------------------------------------------
@@ -165,9 +158,6 @@ class BiDegreeSection:
     def chart_swap_z(self) -> "BiDegreeSection":
         """Coefficients in the chart z -> 1/z (weighted reversal)."""
         return BiDegreeSection(self.coeffs[::-1, :].copy())
-
-    def chart_swap_w(self) -> "BiDegreeSection":
-        return BiDegreeSection(self.coeffs[:, ::-1].copy())
 
     def sigma_conjugate(self) -> "BiDegreeSection":
         """Pullback under sigma composed with conjugation and chart weight.

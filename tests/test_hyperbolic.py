@@ -12,10 +12,9 @@ from scipy.optimize import brentq
 from monogeom.hyperbolic import (ORIGIN, MultiCenterPotential, OrientedGeodesic,
                                  PointUHS, busemann, dist, geodesic_point, green,
                                  green_from_distance, horospherical_height,
-                                 is_geodesically_trapped, point_at, potential,
+                                 is_geodesically_trapped, laplacian, point_at, potential,
                                  rotation_to_infinity, apply_lorentz,
                                  tangent_toward_boundary)
-from monogeom.numdiff import deriv1, deriv2_diag, richardson
 from monogeom.projective import INFINITY, ExtendedComplex
 
 
@@ -63,18 +62,6 @@ def busemann_limit_oracle(u, base, x, horizon=30.0):
     """lim_{t->inf} (t - dist(x, gamma(t))) along the ray from base to u."""
     tdir = tangent_toward_boundary(base, u)
     return horizon - dist(x, point_at(base, tdir, horizon))
-
-
-def hyperbolic_laplacian_fd(f, p, h=1e-3):
-    """Laplace-Beltrami operator z^2 (f_xx + f_yy + f_zz) - z f_z by
-    4th-order stencils with step-halving Richardson extrapolation."""
-    p = np.asarray(p, dtype=float)
-
-    def at(hh):
-        second = sum(deriv2_diag(f, p, i, hh) for i in range(3))
-        return p[2] ** 2 * second - p[2] * deriv1(f, p, 2, hh)
-
-    return richardson(at(h), at(h / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +188,7 @@ def test_green_value_at_log2():
 def test_green_is_harmonic():
     p = PointUHS(0.2, -0.4, 1.1)
     for q in (np.array([0.9, 0.3, 0.8]), np.array([-0.6, 0.1, 1.9])):
-        resid = hyperbolic_laplacian_fd(lambda a: green(p, a), q)
+        resid = laplacian(lambda a: green(p, a), q)
         assert abs(resid) < 1e-6
 
 

@@ -53,10 +53,10 @@ def test_dirac_patch_difference_is_pure_gauge():
     ds = md.dirac_curvature_residual(south, p)
     assert dn < 1e-8 and ds < 1e-8
 
-    from monogeom.numdiff import deriv1
+    from monogeom.numdiff import derivatives
     diff = lambda q: north(q) - south(q)
     h = 1e-4 * p[2]
-    dA = np.array([deriv1(diff, p, a, h) for a in range(3)])
+    dA = derivatives(diff, p, (h,))[0].d1
     curl = np.array([dA[1, 2] - dA[2, 1], dA[2, 0] - dA[0, 2], dA[0, 1] - dA[1, 0]])
     assert np.max(np.abs(curl)) < 1e-8
 

@@ -147,6 +147,28 @@ def test_factor_phase_moves_gauge_not_divisor():
     assert abs(p1.x_at(zs) / p0.x_at(zs)) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_factor_reality_over_random_lifts():
+    # the closed-form modulus makes x = y* hold to rounding on every lift
+    # (1-4 centers, charges 1-3), with no re-solve at a sample point
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for trial in range(200):
+        V = random_config(rng, int(rng.integers(1, 5)), lmax=3,
+                          mass=rng.uniform(0.1, 1.0))
+        q = untrapped_point(rng, V)
+        worst = max(worst, sp.lift_twistor_line(q, V).pair.reality_defect())
+    assert worst <= 1e-12
+
+
+def test_factor_reality_near_chart_pole():
+    # |a| << |b|: a root close to the chart pole; for b < 0 the modulus
+    # factor b + delta cancels unless it is formed as |a|^2 / (delta - b)
+    for b in (-1.0, 1.0):
+        quads = [sp.QuadraticRestriction(1e-5 * (0.6 + 0.8j), b),
+                 sp.QuadraticRestriction(0.5 + 0.2j, 0.3)]
+        assert sp.factor(quads, [1, 2]).reality_defect() < 1e-11
+
+
 def test_factor_chart_rotation_error():
     # root at the chart pole: a = 0
     quad = sp.QuadraticRestriction(0j, 1.0)
