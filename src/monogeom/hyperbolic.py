@@ -30,13 +30,11 @@ __all__ = [
     "MultiCenterPotential",
     "ORIGIN",
     "dist",
-    "cosh_dist",
     "busemann",
     "horospherical_height",
     "green",
     "green_from_distance",
     "laplacian",
-    "potential",
     "is_geodesically_trapped",
     "geodesic_point",
     "geodesic_tangent",
@@ -153,18 +151,14 @@ def apply_lorentz(L: np.ndarray, p: PointUHS) -> PointUHS:
 # distance, geodesics
 # ---------------------------------------------------------------------------
 
-def cosh_dist(p, q):
-    """cosh of the distance; accepts PointUHS or raw (..., 3) arrays."""
+def dist(p, q):
+    """Hyperbolic distance 2 asinh(|p - q| / (2 sqrt(z_p z_q))); accepts
+    PointUHS or raw (..., 3) arrays and stays accurate down to coincident
+    points, where arccosh(1 + |p - q|^2 / (2 z_p z_q)) cancels."""
     a = p.as_array() if isinstance(p, PointUHS) else np.asarray(p, dtype=float)
     b = q.as_array() if isinstance(q, PointUHS) else np.asarray(q, dtype=float)
-    d2 = np.sum((a - b) ** 2, axis=-1)
-    return 1.0 + d2 / (2.0 * a[..., 2] * b[..., 2])
-
-
-def dist(p, q):
-    """Hyperbolic distance between two points."""
-    c = cosh_dist(p, q)
-    return np.arccosh(np.maximum(c, 1.0))
+    d = np.sqrt(np.sum((a - b) ** 2, axis=-1))
+    return 2.0 * np.arcsinh(d / (2.0 * np.sqrt(a[..., 2] * b[..., 2])))
 
 
 def _geodesic_null_pair(g: OrientedGeodesic):
@@ -404,11 +398,6 @@ class MultiCenterPotential:
             dG = -2.0 * e2r / (e2r - 1.0) ** 2 / sh
             g += l * dG * dch
         return g
-
-
-def potential(V: MultiCenterPotential, x) -> float | np.ndarray:
-    """Evaluate the multi-center potential; pole error at a center."""
-    return V.value(x)
 
 
 def is_geodesically_trapped(x: PointUHS, centers: Sequence[PointUHS],

@@ -144,11 +144,6 @@ class LPatchBundle:
             raise ZeroDivisionError("transition evaluated at the chart pole")
         return np.exp(-self.s * eta / zeta)
 
-    def cocycle_defect(self, zeta: complex, eta: complex) -> float:
-        """Apply the transition followed by its inverse."""
-        t = self.transition(zeta, eta)
-        return abs(t * (1.0 / t) - 1.0)
-
 
 def l2_trivialization(curve: CurveO2k):
     """Nonvanishing holomorphic chart functions (u0, u1) trivializing the

@@ -1,14 +1,14 @@
 """Scattering along geodesics: fundamental solutions, decaying
 directions, spectral-line detection and growth experiments.
 
-The first-order system s' = M(t) s is integrated with adaptive
-Runge-Kutta stepping and a running log rescaling: whenever the solution
-norm passes a threshold the matrix is renormalized and the log of the
-factor accumulated, so exponentially dichotomic systems stay in floating
-range over long horizons.  Decaying directions at either end are
-extracted by seeding with the asymptotic eigenvector at the horizon and
-integrating toward the midpoint, which damps the seeding error
-exponentially.
+The first-order system s' = M(t) s has one propagator: a single
+adaptive DOP853 pass over the norm-tracking form Y' = M Y - r Y,
+l' = r with r = Re<Y, M Y>/<Y, Y>, so the solution is exp(l) Y with Y
+of unit norm and l its log scale; exponentially dichotomic systems stay
+in floating range over any horizon without events or restarts.
+Decaying directions at either end are extracted by seeding with the
+asymptotic eigenvector at the horizon and integrating toward the
+midpoint, which damps the seeding error exponentially.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 
 from . import hyperbolic as hyp
-from .hyperbolic import MultiCenterPotential, OrientedGeodesic, PointUHS
+from .hyperbolic import MultiCenterPotential
 
 __all__ = [
     "FieldSampler",
@@ -40,8 +40,6 @@ __all__ = [
     "abelian_growth_exponent",
     "sinh_model_integral",
 ]
-
-_RESCALE_LOG = math.log(1e6)
 
 
 class IllPosedError(ValueError):
@@ -81,21 +79,24 @@ class TrivialU1Field(FieldSampler):
 
 class AbelianField(FieldSampler):
     """Multi-center abelian background along a hyperbolic geodesic, in
-    the eigen gauge: M(t) = diag(V(gamma(t)), -V(gamma(t)))."""
+    the eigen gauge: M(t) = diag(V(gamma(t)), -V(gamma(t))).
+
+    Along gamma(t) = cosh t x0 + sinh t u, cosh of the distance to a
+    center P is c(t) = a cosh t + b sinh t with a = -<x0, P> and
+    b = -<u, P>, whose minimum over the whole geodesic is
+    sqrt(a^2 - b^2).  A geodesic whose minimum reaches 1 (up to 1e-14)
+    runs through a center, and sampling it raises PoleOnGeodesicError."""
 
     def __init__(self, V: MultiCenterPotential, x0: np.ndarray, u: np.ndarray):
         self.V = V
         self.x0 = np.asarray(x0, dtype=float)   # hyperboloid point, t = 0
         self.u = np.asarray(u, dtype=float)     # unit tangent there
-        self._centers = [hyp.embed(c) for c in V.centers]
-        self._charges = list(V.charges)
-
-    @staticmethod
-    def from_geodesic(V: MultiCenterPotential, g: OrientedGeodesic,
-                      base: PointUHS = hyp.ORIGIN) -> "AbelianField":
-        x0 = hyp.embed(hyp.geodesic_point(g, base, 0.0))
-        u = hyp.geodesic_tangent(g, base, 0.0)
-        return AbelianField(V, x0, u)
+        self._terms = []                        # (l, a, b, min c) per center
+        for P, l in zip(V.centers, V.charges):
+            P = hyp.embed(P)
+            a, b = -float(hyp.mdot(self.x0, P)), -float(hyp.mdot(self.u, P))
+            self._terms.append((l, a, b, math.sqrt(max((a - b) * (a + b), 0.0))))
+        self._through_center = any(m < 1.0 + 1e-14 for *_, m in self._terms)
 
     @staticmethod
     def from_impact(V: MultiCenterPotential, center_index: int,
@@ -110,17 +111,13 @@ class AbelianField(FieldSampler):
         x0 = math.cosh(math.asinh(impact)) * hyp.embed(p) + impact * E[0]
         return AbelianField(V, x0, E[1])
 
-    def point(self, t: float) -> np.ndarray:
-        return math.cosh(t) * self.x0 + math.sinh(t) * self.u
-
     def higgs_norm(self, t: float) -> float:
-        X = self.point(t)
+        if self._through_center:
+            raise PoleOnGeodesicError("geodesic passes through a center")
+        ch, sh = math.cosh(t), math.sinh(t)
         v = self.V.lam
-        for P, l in zip(self._centers, self._charges):
-            c = -hyp.mdot(X, P)
-            if c < 1.0 + 1e-14:
-                raise PoleOnGeodesicError("geodesic passes through a center")
-            v += l / math.expm1(2.0 * math.acosh(c))
+        for l, a, b, c_min in self._terms:   # c >= c_min; rounding must not undercut it
+            v += l / math.expm1(2.0 * math.acosh(max(a * ch + b * sh, c_min)))
         return v
 
     def ode_matrix(self, t: float) -> np.ndarray:
@@ -191,13 +188,13 @@ class PSField(FieldSampler):
 
 
 # ---------------------------------------------------------------------------
-# integration with running rescaling
+# the norm-tracking propagator
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FundamentalSolution:
     """Log-scaled path of the fundamental matrix: H(t_j) equals
-    exp(logscale_j) M_j with each stored M_j of moderate norm."""
+    exp(logscale_j) M_j, with each stored M_j of unit Frobenius norm."""
 
     ts: np.ndarray
     mats: np.ndarray        # (n, 2, 2)
@@ -225,69 +222,43 @@ class FundamentalSolution:
         return worst
 
 
-def _pack(M: np.ndarray, w: complex) -> np.ndarray:
-    out = np.empty(10)
-    out[:4] = M.real.ravel()
-    out[4:8] = M.imag.ravel()
-    out[8], out[9] = w.real, w.imag
-    return out
+def _propagate(fields: FieldSampler, Y0: np.ndarray, ts: np.ndarray, tol: float):
+    """Solution H of H' = M(t) H with H(ts[0]) = Y0, at each of `ts`, as
+    (Y, l, w) with H = exp(l) Y, |Y| = 1 (Frobenius) and w = int tr M dt.
 
+    One adaptive DOP853 pass over Y' = M Y - r Y, l' = r, w' = tr M with
+    r = Re<Y, M Y> / <Y, Y>: the r Y term removes the growth from Y and
+    l accumulates it, so H = exp(l) Y for any r and nothing overflows."""
+    n = Y0.size
 
-def _unpack(y: np.ndarray):
-    M = y[:4].reshape(2, 2) + 1j * y[4:8].reshape(2, 2)
-    return M, complex(y[8], y[9])
+    def rhs(t, y):
+        Y = y[:n].reshape(Y0.shape)
+        A = fields.ode_matrix(t)
+        AY = A @ Y
+        r = np.vdot(Y, AY).real / np.vdot(Y, Y).real
+        dy = np.empty_like(y)
+        dy[:n] = (AY - r * Y).ravel()
+        dy[n], dy[n + 1] = r, np.trace(A)
+        return dy
+
+    norm = float(np.linalg.norm(Y0))
+    y0 = np.concatenate([(Y0 / norm).ravel(), [math.log(norm), 0.0]]).astype(complex)
+    sol = solve_ivp(rhs, (ts[0], ts[-1]), y0, method="DOP853", t_eval=ts,
+                    rtol=tol, atol=tol)
+    if not sol.success:
+        raise RuntimeError(f"integration failed: {sol.message}")
+    y = sol.y.T
+    return y[:, :n].reshape((len(ts),) + Y0.shape), y[:, n].real, y[:, n + 1]
 
 
 def integrate_fundamental(fields: FieldSampler, t0: float, t1: float,
-                          tol: float = 1e-10, method: str = "DOP853",
-                          checkpoints: int = 17) -> FundamentalSolution:
-    """Fundamental matrix of s' = M(t) s with H(t0) = I, integrated with
-    relative tolerance `tol` and renormalized whenever its norm passes
-    1e6; the cumulative trace integral rides along for determinant
-    accounting."""
-
-    def rhs(t, y):
-        M, _ = _unpack(y)
-        A = fields.ode_matrix(t)
-        dM = A @ M
-        return _pack(dM, complex(np.trace(A)))
-
-    def too_big(t, y):
-        M, _ = _unpack(y)
-        return math.log(max(float(np.sum(np.abs(M))), 1e-300)) - _RESCALE_LOG
-    too_big.terminal = True
-    too_big.direction = 1.0
-
-    ts = [t0]
-    mats = [np.eye(2, dtype=complex)]
-    logs = [0.0]
-    traces = [0j]
-    grid = list(np.linspace(t0, t1, checkpoints))
-    t_cur = t0
-    M_cur = np.eye(2, dtype=complex)
-    ls_cur = 0.0
-    w_cur = 0j
-    for t_next in grid[1:]:
-        while True:
-            sol = solve_ivp(rhs, (t_cur, t_next), _pack(M_cur, 0j), method=method,
-                            rtol=tol, atol=tol, events=too_big, dense_output=False)
-            if not sol.success:
-                raise RuntimeError(f"integration failed: {sol.message}")
-            M_cur, dw = _unpack(sol.y[:, -1])
-            w_cur += dw
-            t_cur = float(sol.t[-1])
-            n = float(np.sum(np.abs(M_cur)))
-            if n > 1.0:
-                M_cur = M_cur / n
-                ls_cur += math.log(n)
-            if sol.status != 1:      # reached t_next without event
-                break
-        ts.append(t_cur)
-        mats.append(M_cur.copy())
-        logs.append(ls_cur)
-        traces.append(w_cur)
-    return FundamentalSolution(np.array(ts), np.array(mats),
-                               np.array(logs), np.array(traces))
+                          tol: float = 1e-10, checkpoints: int = 17) -> FundamentalSolution:
+    """Fundamental matrix of s' = M(t) s with H(t0) = I at `checkpoints`
+    evenly spaced times, integrated with relative tolerance `tol`; the
+    cumulative trace integral rides along for determinant accounting."""
+    ts = np.linspace(t0, t1, checkpoints)
+    mats, logs, traces = _propagate(fields, np.eye(2, dtype=complex), ts, tol)
+    return FundamentalSolution(ts, mats, logs, traces)
 
 
 def _asymptotic_seed(fields: FieldSampler, t: float, want_decaying_forward: bool,
@@ -304,39 +275,16 @@ def _asymptotic_seed(fields: FieldSampler, t: float, want_decaying_forward: bool
 
 
 def decaying_solution(fields: FieldSampler, end: int, t_horizon: float,
-                      tol: float = 1e-10, method: str = "DOP853") -> np.ndarray:
+                      tol: float = 1e-10) -> np.ndarray:
     """Unit direction at t = 0 of the solution decaying at the chosen end
     (+1 or -1), via backward integration from the horizon seeded with
-    the asymptotic eigenvector and renormalized along the way."""
+    the asymptotic eigenvector."""
     if end not in (+1, -1):
         raise ValueError("end must be +1 or -1")
     t_far = end * t_horizon
     v = _asymptotic_seed(fields, t_far, want_decaying_forward=(end == +1))
-
-    def rhs(t, y):
-        s = y[:2] + 1j * y[2:]
-        ds = fields.ode_matrix(t) @ s
-        return np.concatenate([ds.real, ds.imag])
-
-    def too_big(t, y):
-        return math.log(max(float(np.linalg.norm(y)), 1e-300)) - _RESCALE_LOG
-    too_big.terminal = True
-    too_big.direction = 1.0
-
-    t_cur = t_far
-    while True:
-        y0 = np.concatenate([v.real, v.imag])
-        sol = solve_ivp(rhs, (t_cur, 0.0), y0, method=method, rtol=tol, atol=tol,
-                        events=too_big)
-        if not sol.success:
-            raise RuntimeError(f"integration failed: {sol.message}")
-        y = sol.y[:, -1]
-        v = y[:2] + 1j * y[2:]
-        v = v / np.linalg.norm(v)
-        t_cur = float(sol.t[-1])
-        if sol.status != 1:
-            break
-    return v
+    s = _propagate(fields, v, np.array([t_far, 0.0]), tol)[0][-1]
+    return s / np.linalg.norm(s)
 
 
 @dataclass(frozen=True)
@@ -401,8 +349,7 @@ class GrowthFit:
 
 
 def abelian_growth_exponent(V: MultiCenterPotential, center_index: int,
-                            delta: float, z_samples, tol: float = 1e-10,
-                            method: str = "DOP853") -> GrowthFit:
+                            delta: float, z_samples, tol: float = 1e-10) -> GrowthFit:
     """Least-squares exponent of the fundamental-solution growth against
     the impact parameter: log ||H(z)|| fitted against log(1/|z|) over
     geodesics at impact |z| from the chosen center, each integrated over
@@ -414,7 +361,7 @@ def abelian_growth_exponent(V: MultiCenterPotential, center_index: int,
     lognorms = []
     for z in zs:
         f = AbelianField.from_impact(V, center_index, z)
-        sol = integrate_fundamental(f, -delta, delta, tol=tol, method=method)
+        sol = integrate_fundamental(f, -delta, delta, tol=tol)
         lognorms.append(sol.log_norm_final())
     xs = np.log(1.0 / np.asarray(zs))
     ys = np.asarray(lognorms)

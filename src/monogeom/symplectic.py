@@ -26,7 +26,6 @@ __all__ = [
     "omega_D_residue",
     "omega_D_contour",
     "rho_form",
-    "rho_form_chart1",
     "patch_jacobian",
     "fiber_coordinates",
     "product_symplectic_value",
@@ -212,11 +211,6 @@ def rho_form(zeta, eta, u, v1, v2, v3) -> complex:
     rows = np.array([v1, v2, v3], dtype=complex)
     rows[:, 2] = rows[:, 2] / u
     return complex(np.linalg.det(rows.T))
-
-
-def rho_form_chart1(zt, et, ut, v1, v2, v3) -> complex:
-    """Same formula written in the swapped chart coordinates."""
-    return rho_form(zt, et, ut, v1, v2, v3)
 
 
 def patch_jacobian(zeta: complex, eta: complex, u: complex) -> np.ndarray:

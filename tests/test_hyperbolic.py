@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from scipy.optimize import brentq
 from monogeom.hyperbolic import (ORIGIN, MultiCenterPotential, OrientedGeodesic,
                                  PointUHS, busemann, dist, geodesic_point, green,
                                  green_from_distance, horospherical_height,
-                                 is_geodesically_trapped, laplacian, point_at, potential,
+                                 is_geodesically_trapped, laplacian, point_at,
                                  rotation_to_infinity, apply_lorentz,
                                  tangent_toward_boundary)
 from monogeom.projective import INFINITY, ExtendedComplex
@@ -81,6 +82,41 @@ def test_dist_matches_shooting_oracle():
     got = dist(PointUHS(1, 0, 1), ORIGIN)
     assert got == pytest.approx(want, abs=1e-6)
     assert got == pytest.approx(math.acosh(1.5), abs=1e-12)
+
+
+def mp_dist(a, b):
+    """Distance of two float points, evaluated in 50 digits from the
+    arccosh form."""
+    with mpmath.workdps(50):
+        d2 = sum((mpmath.mpf(x) - mpmath.mpf(y)) ** 2 for x, y in zip(a, b))
+        return mpmath.acosh(1 + d2 / (2 * mpmath.mpf(a[2]) * mpmath.mpf(b[2])))
+
+
+def separated_pairs(seps, seed=21):
+    rng = np.random.default_rng(seed)
+    p = np.array([0.3, -0.2, 0.7]) + rng.uniform(-0.5, 0.5, (len(seps), 3))
+    step = rng.normal(size=(len(seps), 3))
+    step *= (np.asarray(seps) / np.linalg.norm(step, axis=1))[:, None]
+    return p, p + step
+
+
+def test_dist_accurate_near_coincidence():
+    # arccosh(1 + d^2 / 2zz') read exactly 0 at separation 1e-8
+    seps = [1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 1e-10, 1e-12]
+    ps, qs = separated_pairs(seps)
+    got = dist(ps, qs)
+    for p, q, g in zip(ps, qs, got):
+        want = mp_dist(p, q)
+        assert abs(g / want - 1) < 1e-14
+        assert dist(PointUHS.from_array(p), PointUHS.from_array(q)) == g
+
+
+def test_green_next_to_center():
+    p, q = separated_pairs([1e-8])
+    c = PointUHS.from_array(p[0])
+    with mpmath.workdps(50):
+        want = 1 / mpmath.expm1(2 * mp_dist(p[0], q[0]))
+    assert abs(green(c, q[0]) / want - 1) < 1e-14
 
 
 posreal = st.floats(min_value=0.1, max_value=4.0, allow_nan=False)
@@ -211,11 +247,11 @@ def test_potential_values():
     p = PointUHS(0, 0, 1)
     V = MultiCenterPotential(0.5, (p,), (1,))
     x = point_at(p, tangent(p), math.log(2.0))
-    assert potential(V, x) == pytest.approx(0.5 + 1.0 / 3.0, rel=1e-12)
+    assert V.value(x) == pytest.approx(0.5 + 1.0 / 3.0, rel=1e-12)
     V1 = MultiCenterPotential(1.0, (), ())
-    assert potential(V1, PointUHS(4.0, -2.0, 0.3)) == 1.0
+    assert V1.value(PointUHS(4.0, -2.0, 0.3)) == 1.0
     with pytest.raises(ZeroDivisionError):
-        potential(V, p)
+        V.value(p)
 
 
 def tangent(p):

@@ -158,7 +158,6 @@ def test_patch_transition_chart_errors():
 
 def test_bundle_cocycle():
     b = mt.LPatchBundle(2.0)
-    assert b.cocycle_defect(0.7 + 0.1j, 1.3 - 0.2j) < 1e-15
     assert b.transition(1.0 + 0j, 0j) == 1.0
 
 

@@ -182,7 +182,7 @@ def test_rho_chart_covariance_single_sign():
         F = sy.rho_form(z, e, u, *vs)
         Jp = sy.patch_jacobian(z, e, u)
         zt, et, ut = mt.l2_patch_transition(z, e, u)
-        Ft = sy.rho_form_chart1(zt, et, ut, *(Jp @ v for v in vs))
+        Ft = sy.rho_form(zt, et, ut, *(Jp @ v for v in vs))
         worst = max(worst, abs(Ft * z ** 4 + F) / max(abs(F), 1e-12))
     assert worst < 1e-10
 
