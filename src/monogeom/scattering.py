@@ -2,10 +2,11 @@
 directions, spectral-line detection and growth experiments.
 
 The first-order system s' = M(t) s has one propagator: a single
-adaptive DOP853 pass over the norm-tracking form Y' = M Y - r Y,
-l' = r with r = Re<Y, M Y>/<Y, Y>, so the solution is exp(l) Y with Y
-of unit norm and l its log scale; exponentially dichotomic systems stay
-in floating range over any horizon without events or restarts.
+adaptive DOP853 pass over the continuous QR factorization H = Q R of
+the fundamental matrix, with Q unitary and the logs of R's diagonal
+integrated as the two growth rates.  Exponentially dichotomic systems
+stay in floating range over any horizon without events or restarts,
+and the decaying mode is resolved as well as the growing one.
 Decaying directions at either end are extracted by seeding with the
 asymptotic eigenvector at the horizon and integrating toward the
 midpoint, which damps the seeding error exponentially.
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.special import expit
 
 from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential
@@ -85,7 +87,9 @@ class AbelianField(FieldSampler):
     center P is c(t) = a cosh t + b sinh t with a = -<x0, P> and
     b = -<u, P>, whose minimum over the whole geodesic is
     sqrt(a^2 - b^2).  A geodesic whose minimum reaches 1 (up to 1e-14)
-    runs through a center, and sampling it raises PoleOnGeodesicError."""
+    runs through a center, and sampling it anywhere raises
+    PoleOnGeodesicError, even where the sampled window stays clear of
+    the crossing."""
 
     def __init__(self, V: MultiCenterPotential, x0: np.ndarray, u: np.ndarray):
         self.V = V
@@ -188,7 +192,7 @@ class PSField(FieldSampler):
 
 
 # ---------------------------------------------------------------------------
-# the norm-tracking propagator
+# the propagator
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -222,33 +226,49 @@ class FundamentalSolution:
         return worst
 
 
-def _propagate(fields: FieldSampler, Y0: np.ndarray, ts: np.ndarray, tol: float):
-    """Solution H of H' = M(t) H with H(ts[0]) = Y0, at each of `ts`, as
-    (Y, l, w) with H = exp(l) Y, |Y| = 1 (Frobenius) and w = int tr M dt.
+def _propagate(fields: FieldSampler, Q0: np.ndarray, ts: np.ndarray, tol: float):
+    """Solution H of H' = M(t) H with H(ts[0]) = Q0, a unitary 2x2, at
+    each of `ts`, as (mats, logscales, trace integrals) with H equal to
+    exp(logscale) mat, |mat| = 1 (Frobenius), and w = int tr M dt.
 
-    One adaptive DOP853 pass over Y' = M Y - r Y, l' = r, w' = tr M with
-    r = Re<Y, M Y> / <Y, Y>: the r Y term removes the growth from Y and
-    l accumulates it, so H = exp(l) Y for any r and nothing overflows."""
-    n = Y0.size
+    One adaptive DOP853 pass over the continuous QR factorization
+    H = Q R, with Q unitary and R = exp(L) [[p, rho], [0, q]], where
+    L = log(exp(l1) + exp(l2)), p = exp(l1 - L) and q = exp(l2 - L):
+    Q' = Q S, l_i' = Re B_ii, rho' = q ((Re B_11 - Re B_22) rho + B_12
+    + conj B_21) and w' = tr M, with B = Q* M Q and S skew-Hermitian,
+    S_21 = B_21, S_ii = i Im B_ii.  Each mode's growth rate is
+    integrated on its own, so nothing overflows whichever column grows,
+    and the small singular value is resolved as well as the large one."""
 
-    def rhs(t, y):
-        Y = y[:n].reshape(Y0.shape)
-        A = fields.ode_matrix(t)
-        AY = A @ Y
-        r = np.vdot(Y, AY).real / np.vdot(Y, Y).real
-        dy = np.empty_like(y)
-        dy[:n] = (AY - r * Y).ravel()
-        dy[n], dy[n + 1] = r, np.trace(A)
-        return dy
+    def rhs(t, y):                     # scalar 2x2 algebra: no small arrays
+        q00, q01, q10, q11, l1, l2, rho, _ = y.tolist()
+        (a00, a01), (a10, a11) = fields.ode_matrix(t).tolist()
+        u0, u1 = a00 * q00 + a01 * q10, a10 * q00 + a11 * q10   # M Q, column 0
+        v0, v1 = a00 * q01 + a01 * q11, a10 * q01 + a11 * q11   # M Q, column 1
+        c0, c1 = q00.conjugate(), q10.conjugate()
+        d0, d1 = q01.conjugate(), q11.conjugate()
+        b00, b01 = c0 * u0 + c1 * u1, c0 * v0 + c1 * v1
+        b10, b11 = d0 * u0 + d1 * u1, d0 * v0 + d1 * v1
+        s00, s01, s11 = 1j * b00.imag, -b10.conjugate(), 1j * b11.imag
+        q = expit(l2.real - l1.real)
+        return np.array([q00 * s00 + q01 * b10, q00 * s01 + q01 * s11,
+                         q10 * s00 + q11 * b10, q10 * s01 + q11 * s11,
+                         b00.real, b11.real,
+                         q * ((b00.real - b11.real) * rho + b01 + b10.conjugate()),
+                         a00 + a11])
 
-    norm = float(np.linalg.norm(Y0))
-    y0 = np.concatenate([(Y0 / norm).ravel(), [math.log(norm), 0.0]]).astype(complex)
+    y0 = np.concatenate([Q0.ravel(), np.zeros(4)]).astype(complex)
     sol = solve_ivp(rhs, (ts[0], ts[-1]), y0, method="DOP853", t_eval=ts,
                     rtol=tol, atol=tol)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
     y = sol.y.T
-    return y[:, :n].reshape((len(ts),) + Y0.shape), y[:, n].real, y[:, n + 1]
+    l1, l2 = y[:, 4].real, y[:, 5].real
+    R = np.zeros((len(ts), 2, 2), dtype=complex)
+    R[:, 0, 0], R[:, 0, 1], R[:, 1, 1] = expit(l1 - l2), y[:, 6], expit(l2 - l1)
+    H = y[:, :4].reshape(-1, 2, 2) @ R
+    norms = np.linalg.norm(H, axis=(1, 2))
+    return H / norms[:, None, None], np.logaddexp(l1, l2) + np.log(norms), y[:, 7]
 
 
 def integrate_fundamental(fields: FieldSampler, t0: float, t1: float,
@@ -278,12 +298,13 @@ def decaying_solution(fields: FieldSampler, end: int, t_horizon: float,
                       tol: float = 1e-10) -> np.ndarray:
     """Unit direction at t = 0 of the solution decaying at the chosen end
     (+1 or -1), via backward integration from the horizon seeded with
-    the asymptotic eigenvector."""
+    the asymptotic eigenvector (the first column of a unitary start)."""
     if end not in (+1, -1):
         raise ValueError("end must be +1 or -1")
     t_far = end * t_horizon
     v = _asymptotic_seed(fields, t_far, want_decaying_forward=(end == +1))
-    s = _propagate(fields, v, np.array([t_far, 0.0]), tol)[0][-1]
+    Q0 = np.array([[v[0], -v[1].conjugate()], [v[1], v[0].conjugate()]])
+    s = _propagate(fields, Q0, np.array([t_far, 0.0]), tol)[0][-1][:, 0]
     return s / np.linalg.norm(s)
 
 
