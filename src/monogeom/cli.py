@@ -188,9 +188,7 @@ def _checks_spectral(cfg, rng):
     yield ("spectral.divisor-doubling", "doubled-divisor multiset identity",
            data.divisor_doubling_defect(), 0.0, 1e-9)
     other = sp.lift_twistor_line(q, V, phase=1.1)
-    drift = max(abs(a - b) for a, b in zip(
-        sorted(data.pair.alphas, key=lambda v: (v.real, v.imag)),
-        sorted(other.pair.alphas, key=lambda v: (v.real, v.imag))))
+    drift = sp.multiset_distance(data.pair.alphas, other.pair.alphas)
     yield ("spectral.phase-invariance", "divisor independent of the gauge phase",
            drift, 0.0, 1e-12)
 

@@ -6,7 +6,10 @@ adaptive DOP853 pass over the continuous QR factorization H = Q R of
 the fundamental matrix, with Q unitary and the logs of R's diagonal
 integrated as the two growth rates.  Exponentially dichotomic systems
 stay in floating range over any horizon without events or restarts,
-and the decaying mode is resolved as well as the growing one.
+and the decaying mode is resolved as well as the growing one.  The
+samplers build M(t) in closed form on Python floats and the right-hand
+side does its 2x2 algebra on Python scalars, so a solver step does no
+small-array numpy work beyond the one 2x2 array each sample returns.
 Decaying directions at either end are extracted by seeding with the
 asymptotic eigenvector at the horizon and integrating toward the
 midpoint, which damps the seeding error exponentially.
@@ -83,24 +86,27 @@ class AbelianField(FieldSampler):
     """Multi-center abelian background along a hyperbolic geodesic, in
     the eigen gauge: M(t) = diag(V(gamma(t)), -V(gamma(t))).
 
-    Along gamma(t) = cosh t x0 + sinh t u, cosh of the distance to a
-    center P is c(t) = a cosh t + b sinh t with a = -<x0, P> and
-    b = -<u, P>, whose minimum over the whole geodesic is
-    sqrt(a^2 - b^2).  A geodesic whose minimum reaches 1 (up to 1e-14)
-    runs through a center, and sampling it anywhere raises
-    PoleOnGeodesicError, even where the sampled window stays clear of
-    the crossing."""
+    Along gamma(t) = cosh t x0 + sinh t u, the distance rho(t) to a
+    center P has sinh^2 rho = s^2 + (b cosh t + a sinh t)^2, where
+    a = -<x0, P>, b = -<u, P> and s^2 = <n, n> for n = P - a x0 + b u,
+    the part of P normal to the geodesic's plane; s is sinh of the
+    closest approach.  Carrying s^2 rather than cosh rho keeps V accurate
+    at grazing impacts, where cosh rho - 1 would cancel.  A geodesic
+    whose closest approach has s below about 1.4e-7 runs through a
+    center, and sampling it anywhere raises PoleOnGeodesicError, even
+    where the sampled window stays clear of the crossing."""
 
     def __init__(self, V: MultiCenterPotential, x0: np.ndarray, u: np.ndarray):
         self.V = V
         self.x0 = np.asarray(x0, dtype=float)   # hyperboloid point, t = 0
         self.u = np.asarray(u, dtype=float)     # unit tangent there
-        self._terms = []                        # (l, a, b, min c) per center
+        self._terms = []                        # (l, a, b, s^2) per center
         for P, l in zip(V.centers, V.charges):
             P = hyp.embed(P)
             a, b = -float(hyp.mdot(self.x0, P)), -float(hyp.mdot(self.u, P))
-            self._terms.append((l, a, b, math.sqrt(max((a - b) * (a + b), 0.0))))
-        self._through_center = any(m < 1.0 + 1e-14 for *_, m in self._terms)
+            n = P - a * self.x0 + b * self.u
+            self._terms.append((l, a, b, float(hyp.mdot(n, n))))
+        self._through_center = any(s2 < 2e-14 for *_, s2 in self._terms)
 
     @staticmethod
     def from_impact(V: MultiCenterPotential, center_index: int,
@@ -120,18 +126,15 @@ class AbelianField(FieldSampler):
             raise PoleOnGeodesicError("geodesic passes through a center")
         ch, sh = math.cosh(t), math.sinh(t)
         v = self.V.lam
-        for l, a, b, c_min in self._terms:   # c >= c_min; rounding must not undercut it
-            v += l / math.expm1(2.0 * math.acosh(max(a * ch + b * sh, c_min)))
+        for l, a, b, s2 in self._terms:   # l / (e^{2 rho} - 1) from sinh^2 rho
+            w = b * ch + a * sh
+            x2 = s2 + w * w
+            v += 0.5 * l / (x2 + math.sqrt(x2 * (1.0 + x2)))
         return v
 
     def ode_matrix(self, t: float) -> np.ndarray:
         v = self.higgs_norm(t)
         return np.array([[v, 0.0], [0.0, -v]], dtype=complex)
-
-
-_PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
-          np.array([[0, -1j], [1j, 0]], dtype=complex),
-          np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 def _ps_h_over_r(r: float) -> float:
@@ -150,7 +153,13 @@ def _ps_k_over_r(r: float) -> float:
     return (1.0 / r - 2.0 / math.sinh(2.0 * r)) / r
 
 
-@dataclass
+def _read_only(v) -> np.ndarray:
+    v = np.array(v, dtype=float)
+    v.flags.writeable = False
+    return v
+
+
+@dataclass(frozen=True)
 class PSField(FieldSampler):
     """Unit-mass charge-1 Euclidean monopole (the standard closed-form
     hedgehog solution) sampled along the line x0 + t u; x0 should be the
@@ -159,36 +168,51 @@ class PSField(FieldSampler):
     The fields are smooth everywhere including the center, so lines
     through the center are admissible.  All assertions about this
     fixture rest on its rotational symmetry.
+
+    M(t) is built in closed form on Python floats: with p = x0 - center
+    + t u and r = |p|, the Higgs field is phi = h(r) p and the connection
+    a = k(r) u x p = k(r) u x (x0 - center), and M = w . sigma with
+    w = -(phi + i a)/2.  The line is held in read-only copies and cached
+    as float tuples at construction.
     """
 
     x0: np.ndarray
     u: np.ndarray
     center: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    _p0: tuple = field(init=False, repr=False, compare=False)    # x0 - center
+    _dir: tuple = field(init=False, repr=False, compare=False)   # u
+    _cross: tuple = field(init=False, repr=False, compare=False)  # u x (x0 - center)
 
     def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        self.u = self.u / np.linalg.norm(self.u)
-        self.center = np.asarray(self.center, dtype=float)
+        u = np.asarray(self.u, dtype=float)
+        x0, u, center = map(_read_only, (self.x0, u / np.linalg.norm(u), self.center))
+        (px, py, pz), (ux, uy, uz) = (x0 - center).tolist(), u.tolist()
+        cross = (uy * pz - uz * py, uz * px - ux * pz, ux * py - uy * px)
+        for name, value in (("x0", x0), ("u", u), ("center", center),
+                            ("_p0", (px, py, pz)), ("_dir", (ux, uy, uz)),
+                            ("_cross", cross)):
+            object.__setattr__(self, name, value)
 
     def point(self, t: float) -> np.ndarray:
         return self.x0 + t * self.u
 
+    def _offset(self, t: float) -> tuple[float, float, float, float]:
+        """p = x0 - center + t u by components, and r = |p|."""
+        (px, py, pz), (ux, uy, uz) = self._p0, self._dir
+        x, y, z = px + t * ux, py + t * uy, pz + t * uz
+        return x, y, z, math.sqrt(x * x + y * y + z * z)
+
     def higgs_norm(self, t: float) -> float:
-        p = self.point(t) - self.center
-        r = float(np.linalg.norm(p))
-        return 0.5 * _ps_h_over_r(r) * r if r < 0.01 else \
-            0.5 * (2.0 / math.tanh(2.0 * r) - 1.0 / r)
+        r = self._offset(t)[3]
+        return 0.5 * _ps_h_over_r(r) * r
 
     def ode_matrix(self, t: float) -> np.ndarray:
-        p = self.point(t) - self.center
-        r = float(np.linalg.norm(p))
-        phi_vec = _ps_h_over_r(r) * p
-        a_vec = _ps_k_over_r(r) * np.cross(self.u, p)
-        M = np.zeros((2, 2), dtype=complex)
-        for a in range(3):
-            M += (-0.5 * phi_vec[a]) * _PAULI[a] + (-0.5j * a_vec[a]) * _PAULI[a]
-        return M
+        x, y, z, r = self._offset(t)
+        h, k = -0.5 * _ps_h_over_r(r), -0.5 * _ps_k_over_r(r)
+        cx, cy, cz = self._cross
+        w2 = complex(h * z, k * cz)   # [[w2, w0 - i w1], [w0 + i w1, -w2]]
+        return np.array([[w2, complex(h * x + k * cy, k * cx - h * y)],
+                         [complex(h * x - k * cy, k * cx + h * y), -w2]])
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +274,8 @@ def _propagate(fields: FieldSampler, Q0: np.ndarray, ts: np.ndarray, tol: float)
         b00, b01 = c0 * u0 + c1 * u1, c0 * v0 + c1 * v1
         b10, b11 = d0 * u0 + d1 * u1, d0 * v0 + d1 * v1
         s00, s01, s11 = 1j * b00.imag, -b10.conjugate(), 1j * b11.imag
-        q = expit(l2.real - l1.real)
+        d = l1.real - l2.real
+        q = 1.0 / (1.0 + math.exp(d)) if d < 700.0 else 0.0   # expit(-d), no overflow
         return np.array([q00 * s00 + q01 * b10, q00 * s01 + q01 * s11,
                          q10 * s00 + q11 * b10, q10 * s01 + q11 * s11,
                          b00.real, b11.real,

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
+from scipy.optimize import linear_sum_assignment
 
 from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential, OrientedGeodesic, PointUHS
@@ -37,6 +38,7 @@ __all__ = [
     "lift_twistor_line",
     "genus_of_spectral_curve",
     "antipodal_conjugate",
+    "multiset_distance",
 ]
 
 
@@ -255,6 +257,19 @@ class DivisorPoint:
     geodesic: OrientedGeodesic
 
 
+def multiset_distance(a, b) -> float:
+    """Largest |a_i - b_j| over the pairs of a minimum-total-distance
+    matching of two multisets of complex numbers (0 for two empty ones,
+    inf when their sizes differ).  Unlike pairing by sorted order, no
+    rounding boundary between nearby values can mis-pair them."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.size != b.size:
+        return math.inf
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max(initial=0.0))
+
+
 @dataclass(frozen=True)
 class SpectralDataC1:
     """Point of the charge-1 moduli space over a singular configuration:
@@ -285,11 +300,7 @@ class SpectralDataC1:
         want = []
         for a, b, m in zip(self.pair.alphas, self.pair.betas, self.pair.multiplicities):
             want += [a] * m + [b] * m
-        if len(got) != len(want):
-            return float("inf")
-        got = sorted(got, key=lambda v: (round(v.real, 9), round(v.imag, 9)))
-        want = sorted(want, key=lambda v: (round(v.real, 9), round(v.imag, 9)))
-        return float(max((abs(g - w) for g, w in zip(got, want)), default=0.0))
+        return multiset_distance(got, want)
 
     def product_residual(self, n: int = 64) -> float:
         """Relative residual of x y against the restricted section on an

@@ -1,5 +1,6 @@
 """Charge-1 factorization and twistor-line lifting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -190,6 +191,26 @@ def test_lift_xy_equals_section_on_grid():
         assert data.pair.reality_defect() < 1e-10
         assert data.divisor_supports_disjoint()
         assert data.divisor_doubling_defect() < 1e-9
+
+
+def test_doubling_defect_pairs_across_rounding_boundary():
+    # two divisor roots with real parts 2.5e-10 apart; the first one's real
+    # part and its factor root's straddle the 9th-digit rounding boundary,
+    # and sorting by rounded coordinates paired each root with the other's
+    # partner (defect 1.5); an optimal matching pairs them to 2e-12
+    V = MultiCenterPotential.for_su2_charge1(
+        [PointUHS(0.3, -0.2, 1.4), PointUHS(-0.8, 0.5, 0.9)], [1, 1], mass=0.7)
+    data = sp.lift_twistor_line(PointUHS(0.6, 0.9, 1.1), V)
+    z1, z2 = complex(0.1234567895 + 1e-12, 0.5), complex(0.12345678925, 2.0)
+    pair = dataclasses.replace(data.pair, alphas=(z1 - 2e-12, z2),
+                               betas=(tau(z1), tau(z2)), multiplicities=(1, 1))
+    divisor = tuple(dataclasses.replace(d, zeta=z, multiplicity=1)
+                    for d, z in zip(data.divisor, (z1, z2)))
+    moved = dataclasses.replace(data, pair=pair, divisor=divisor)
+    assert moved.divisor_doubling_defect() == pytest.approx(2e-12, rel=1e-3)
+    assert sp.multiset_distance([z1, z2], [z2, z1 - 2e-12]) == pytest.approx(2e-12, rel=1e-3)
+    assert sp.multiset_distance([z1], [z1, z2]) == math.inf
+    assert sp.multiset_distance([], []) == 0.0
 
 
 def test_lift_divisor_geodesics_join_q_and_center():
