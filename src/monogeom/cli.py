@@ -13,18 +13,17 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import checks
 from . import moduli as md
 from . import scattering as sc
 from . import spectral as sp
 from . import symplectic as sy
-from . import twistor as tw
 from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential, PointUHS
 from .projective import INFINITY, ExtendedComplex
@@ -100,197 +99,30 @@ class RunConfig:
 # verify
 # ---------------------------------------------------------------------------
 
-def _sample_point(V: MultiCenterPotential, rng) -> np.ndarray:
-    """Sample point of the total space at moderate distance from all centers."""
-    for _ in range(256):
-        p = np.array([rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2),
-                      rng.uniform(0.5, 2.2), rng.uniform(0, 2 * math.pi)])
-        if all(hyp.dist(c, p[:3]) > 0.45 for c in V.centers):
-            return p
-    raise RuntimeError("could not find a point away from the centers")
-
-
-def _checks_hyperbolic(cfg, rng):
-    O = hyp.ORIGIN
-    yield ("hyperbolic.dist-axis", "axis-distance closed form",
-           float(hyp.dist(O, PointUHS(0, 0, math.e))), 1.0, 1e-12)
-    g = hyp.OrientedGeodesic(start=ExtendedComplex(complex(rng.normal(), rng.normal())),
-                             end=ExtendedComplex(complex(rng.normal() + 2.5, rng.normal())))
-    t = rng.uniform(-2, 2)
-    lhs = math.cosh(hyp.dist(O, hyp.geodesic_point(g, O, t)))
-    rhs = math.cosh(hyp.dist(O, hyp.geodesic_point(g, O, 0.0))) * math.cosh(t)
-    yield ("hyperbolic.pythagoras", "right-triangle cosh identity",
-           abs(lhs - rhs), 0.0, 1e-10)
-    u = ExtendedComplex(complex(rng.normal(), rng.normal()))
-    x = PointUHS(rng.normal(), rng.normal(), rng.uniform(0.5, 2.0))
-    tdir = hyp.tangent_toward_boundary(O, u)
-    t_hor = 30.0
-    gpt = hyp.point_at(O, tdir, t_hor)
-    numeric = t_hor - hyp.dist(x, gpt)
-    yield ("hyperbolic.busemann-limit", "horocycle limit vs closed form",
-           abs(numeric - hyp.busemann(u, O, x)), 0.0, 1e-6)
-    p = PointUHS(0.2, -0.4, 1.1)
-    xq = PointUHS(0.9, 0.3, 0.8)
-    lap = hyp.laplacian(lambda a: hyp.green(p, a), xq.as_array())
-    yield ("hyperbolic.green-harmonic", "Laplace-Beltrami residual of the Green kernel",
-           abs(lap), 0.0, 1e-6)
-
-
-def _checks_twistor(cfg, rng):
-    th = tw.theta01(0.37 + 0.11j, 0.37 + 0.11j)
-    yield ("twistor.theta-diagonal", "tautological form vanishes on the diagonal",
-           abs(th[0]) + abs(th[1]), 0.0, 1e-14)
-    val = tw.gamma_L_integral()
-    yield ("twistor.atiyah-integral", "area pairing of the duality projection",
-           abs(abs(val) - 4 * math.pi), 0.0, 1e-8)
-    z = complex(rng.normal(), rng.normal())
-    Jm = tw.closest_point_wirtinger(z, z)
-    printed = _printed_diagonal_jacobian(z)
-    yield ("twistor.closest-point-jacobian", "diagonal derivative matrix",
-           float(np.max(np.abs(Jm[:, [0, 1, 3]] - printed))), 0.0, 1e-8)
-    a2a4 = _a2_plus_a4(z, rng)
-    yield ("twistor.a2-plus-a4", "pullback coefficient cancellation",
-           abs(a2a4), 0.0, 1e-8)
-
-
-def _printed_diagonal_jacobian(z: complex) -> np.ndarray:
-    pre = 1.0 / (2.0 * (1 + abs(z) ** 2) ** 2)
-    zb = np.conj(z)
-    return pre * np.array([
-        [1 - zb ** 2, 1 - z ** 2, -1 + z ** 2],
-        [-1j * (1 + zb ** 2), 1j * (1 + z ** 2), -1j * (1 + z ** 2)],
-        [2 * zb, 2 * z, -2 * z],
-    ])
-
-
-def _a2_plus_a4(z: complex, rng) -> float:
-    J = tw.closest_point_wirtinger(z, z)
-    om = np.zeros((3, 3))
-    om[0, 1], om[1, 0] = (w01 := rng.normal()), -w01
-    om[0, 2], om[2, 0] = (w02 := rng.normal()), -w02
-    om[1, 2], om[2, 1] = (w12 := rng.normal()), -w12
-    dz, dzb, dw, dwb = J[:, 0], J[:, 1], J[:, 2], J[:, 3]
-    a2 = complex(dz @ om @ dwb)
-    a4 = complex(dz @ om @ dzb)
-    return abs(a2 + a4)
-
-
-def _checks_spectral(cfg, rng):
-    V = cfg.potential()
-    q = PointUHS(*cfg.spectral_point)
-    data = sp.lift_twistor_line(q, V)
-    yield ("spectral.product", "xy reconstructs the restricted section",
-           data.product_residual(), 0.0, 1e-10)
-    yield ("spectral.reality", "antipodal-conjugate pairing of the factors",
-           data.pair.reality_defect(), 0.0, 1e-10)
-    yield ("spectral.divisor-disjoint", "divisor avoids its antipodal image",
-           0.0 if data.divisor_supports_disjoint() else 1.0, 0.0, 0.5)
-    yield ("spectral.divisor-doubling", "doubled-divisor multiset identity",
-           data.divisor_doubling_defect(), 0.0, 1e-9)
-    other = sp.lift_twistor_line(q, V, phase=1.1)
-    drift = sp.multiset_distance(data.pair.alphas, other.pair.alphas)
-    yield ("spectral.phase-invariance", "divisor independent of the gauge phase",
-           drift, 0.0, 1e-12)
-
-
-def _checks_metric(cfg, rng):
-    V = cfg.potential()
-    conn = cfg.connection()
-    p4 = _sample_point(V, rng)
-    connp = conn.with_patches_for(p4[:3])
-    yield ("metric.dirac-curvature", "gauge potential curvature duality",
-           md.dirac_curvature_residual(connp, p4[:3]), 0.0, 1e-8)
-    yield ("metric.hodge-identities", "circle-bundle duality identities",
-           md.hodge_identity_residuals(V, connp, p4), 0.0, 1e-10)
-    rep = md.curvature(md.gibbons_hawking_metric(V, connp), p4)
-    yield ("metric.weyl-asd", "anti-self-duality in the bundle orientation",
-           rep.weyl_sd_norm, 0.0, 1e-4)
-    gauge = md.kahler_structure(V, conn, INFINITY)
-    rep2 = md.curvature(gauge.metric, p4)
-    yield ("metric.scalar-flat", "vanishing scalar curvature of the Kahler gauge",
-           abs(rep2.scalar), 0.0, 1e-4)
-    yield ("metric.kahler-closed", "closedness of the Kahler form",
-           md.dOmega_residual(gauge.kahler_form, p4), 0.0, 1e-6)
-    yield ("metric.integrable", "Nijenhuis tensor of the complex structure",
-           md.nijenhuis_residual(gauge.complex_structure, p4), 0.0, 1e-6)
-    V1 = MultiCenterPotential(1.0, (), ())
-    flat = md.curvature(md._lebrun_metric(V1, md.DiracConnection(V1)),
-                        np.array([0.3, -0.2, 1.1, 0.4]))
-    yield ("metric.flat-fixture", "flat sanity metric",
-           flat.riemann_norm, 0.0, 1e-5)
-
-
-def _checks_symplectic(cfg, rng):
-    k = cfg.symplectic_sheets
-    sheets = _random_sheets(k, rng)
-    z0 = 1.9 + 0.3j
-    X1 = sy.random_marked_tangent(k, z0, rng)
-    X2 = sy.random_marked_tangent(k, z0, rng)
-    r = sy.omega_D_residue(X1, X2, sheets)
-    c = sy.omega_D_contour(X1, X2, sheets, nodes=cfg.symplectic_nodes)
-    yield ("symplectic.residue-vs-contour", "dual evaluations of the pairing",
-           abs(r - c), 0.0, 1e-8)
-    yield ("symplectic.antisymmetry", "pairing antisymmetry",
-           abs(sy.omega_D_residue(X1, X1, sheets)), 0.0, 1e-12)
-
-
-def _random_sheets(k: int, rng) -> sy.SheetData:
-    etas = tuple(sy.Series(rng.normal(size=4) + 1j * rng.normal(size=4)) for _ in range(k))
-    us = tuple(sy.Series(np.concatenate([
-        [2.5 + 0j], 0.1 * (rng.normal(size=3) + 1j * rng.normal(size=3))]))
-        for _ in range(k))
-    return sy.SheetData(etas, us)
-
-
-def _checks_scattering(cfg, rng):
-    f = sc.TrivialU1Field(mass=cfg.mass if cfg.mass > 0 else 1.0)
-    sol = sc.integrate_fundamental(f, -5.0, 5.0)
-    yield ("scattering.trivial-growth", "constant-mass growth factor",
-           abs(sol.log_norm_final() - 10.0 * f.mass), 0.0, 1e-8)
-    q, cf = sc.sinh_model_integral(2.0, cfg.scatter_delta, 1e-3)
-    yield ("scattering.sinh-identity", "model-profile quadrature identity",
-           abs(q - cf), 0.0, 1e-10)
-    yield ("scattering.det-balance", "determinant-trace balance",
-           sol.det_balance_defect(), 0.0, math.log(1e3))
-
-
-_CHECK_GROUPS = {
-    "hyperbolic": _checks_hyperbolic,
-    "twistor": _checks_twistor,
-    "spectral": _checks_spectral,
-    "metric": _checks_metric,
-    "symplectic": _checks_symplectic,
-    "scattering": _checks_scattering,
-}
-
-
 def cmd_verify(cfg: RunConfig) -> int:
-    rng = np.random.default_rng(cfg.seed)
+    table = [c for c in checks.TABLE if c.id.startswith(cfg.only or "")]
+    if not table:
+        print(f"error: --only matched no check: {cfg.only}", file=sys.stderr)
+        return 2
+    setting = checks.Setting(
+        connections=(cfg.connection(),),
+        lines=((cfg.potential(), PointUHS(*cfg.spectral_point)),),
+        sheets=(cfg.symplectic_sheets,), nodes=cfg.symplectic_nodes,
+        delta=cfg.scatter_delta)
     records = []
-    groups = _CHECK_GROUPS
-    if cfg.only:
-        groups = {k: v for k, v in groups.items() if k.startswith(cfg.only)}
-        if not groups:
-            print(f"error: --only matched no check group: {cfg.only}", file=sys.stderr)
-            return 2
-    for name, gen in groups.items():
-        it = gen(cfg, rng)
-        while True:
-            t0 = time.perf_counter()
-            try:
-                check_id, anchor, measured, expected, tol = next(it)
-            except StopIteration:
-                break
-            passed = abs(measured - expected) <= tol * cfg.tol_scale
-            records.append({
-                "id": check_id,
-                "anchor": anchor,
-                "measured": float(measured),
-                "expected": float(expected),
-                "tolerance": float(tol * cfg.tol_scale),
-                "passed": bool(passed),
-                "runtime_ms": round(1000 * (time.perf_counter() - t0), 3),
-            })
+    for check in table:
+        t0 = time.perf_counter()
+        measured = checks.measure(check, cfg.seed, setting=setting)
+        tol = check.tol * cfg.tol_scale
+        records.append({
+            "id": check.id,
+            "anchor": check.anchor,
+            "measured": measured,
+            "expected": 0.0,
+            "tolerance": float(tol),
+            "passed": bool(measured <= tol),
+            "runtime_ms": round(1000 * (time.perf_counter() - t0), 3),
+        })
     ok = all(r["passed"] for r in records)
     report = {"seed": cfg.seed, "all_passed": ok, "checks": records}
     _emit_json(report, cfg.out)
@@ -422,7 +254,7 @@ def _complex_list(arr):
 def cmd_symplectic(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     k = cfg.symplectic_sheets
-    sheets = _random_sheets(k, rng)
+    sheets = checks.random_sheets(k, rng, u0=2.5)
     z0 = 1.9 + 0.3j
     X1 = sy.random_marked_tangent(k, z0, rng)
     X2 = sy.random_marked_tangent(k, z0, rng)
@@ -478,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output path (default stdout)")
     common.add_argument("--seed", type=int, help="RNG seed override")
     pv = sub.add_parser("verify", parents=[common], help="run the invariant suite")
-    pv.add_argument("--only", help="restrict to one check group (prefix match)")
+    pv.add_argument("--only", help="restrict to the checks whose id starts with this "
+                                   "(a group such as metric, or one id)")
     sub.add_parser("metric", parents=[common], help="curvature samples as CSV")
     psc = sub.add_parser("scatter", parents=[common], help="scattering experiments")
     psc.add_argument("--experiment", dest="scatter_experiment",

@@ -44,7 +44,6 @@ __all__ = [
     "mdot",
     "null_vector",
     "boundary_chart_of_null",
-    "tangent_toward",
     "tangent_toward_boundary",
     "point_at",
     "orthonormal_frame_at",
@@ -200,21 +199,13 @@ def geodesic_tangent(g: OrientedGeodesic, base: PointUHS, t: float) -> np.ndarra
 
 
 def dist_to_geodesic(p: PointUHS, g: OrientedGeodesic) -> float:
-    """Distance from a point to a complete geodesic."""
+    """Distance from a point to a complete geodesic: asinh sqrt<n, n>,
+    with n the part of p's hyperboloid vector normal to the geodesic's
+    plane, so no cosh - 1 cancels near the geodesic."""
     Ne, Ns, ip = _geodesic_null_pair(g)
     X = embed(p)
-    c2 = -2.0 * mdot(Ne, X) * mdot(Ns, X) / ip
-    return math.acosh(max(math.sqrt(max(c2, 1.0)), 1.0))
-
-
-def tangent_toward(p: PointUHS, q: PointUHS) -> np.ndarray:
-    """Unit tangent at p pointing toward q (hyperboloid components)."""
-    P, Q = embed(p), embed(q)
-    U = Q + mdot(P, Q) * P
-    n = math.sqrt(max(mdot(U, U), 0.0))
-    if n == 0:
-        raise ValueError("coincident points have no direction")
-    return U / n
+    n = X - (mdot(X, Ns) / ip) * Ne - (mdot(X, Ne) / ip) * Ns
+    return math.asinh(math.sqrt(max(float(mdot(n, n)), 0.0)))
 
 
 def tangent_toward_boundary(p: PointUHS, u: BoundaryPoint) -> np.ndarray:
@@ -389,13 +380,14 @@ class MultiCenterPotential:
             ca = c.as_array()
             d2 = np.sum((x - ca) ** 2)
             zz = x[2] * ca[2]
-            ch = 1.0 + d2 / (2 * zz)
             # d cosh(rho) in coordinates
             dch = (x - ca) / zz
             dch[2] -= d2 / (2 * zz * x[2])
-            sh = math.sqrt(ch * ch - 1.0)
-            e2r = math.exp(2 * math.acosh(ch))
-            dG = -2.0 * e2r / (e2r - 1.0) ** 2 / sh
+            # sinh rho and e^{2 rho} - 1 from s = sinh(rho / 2), as in `dist`
+            s = math.sqrt(d2 / (4 * zz))
+            sh = 2.0 * s * math.sqrt(1.0 + s * s)
+            em = math.expm1(4.0 * math.asinh(s))
+            dG = -2.0 * (em + 1.0) / (em * em) / sh
             g += l * dG * dch
         return g
 

@@ -110,9 +110,8 @@ class DiracConnection:
     def cos_polar(self, p, i: int) -> float:
         """cos of the polar angle of p about center i."""
         X = hyp.embed(np.asarray(p, dtype=float))
-        ch = -hyp.mdot(X, self._P[i])
-        sh = math.sqrt(max(ch * ch - 1.0, 1e-300))
-        return float(hyp.mdot(X, self._E[i][2]) / sh)
+        e1, e2, e3 = (float(hyp.mdot(X, E)) for E in self._E[i])
+        return e3 / max(math.sqrt(e1 * e1 + e2 * e2 + e3 * e3), 1e-300)
 
     def with_patches_for(self, p) -> "DiracConnection":
         """Copy with each string rotated away from the given base point."""

@@ -23,7 +23,8 @@ from scipy.optimize import linear_sum_assignment
 from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential, OrientedGeodesic, PointUHS
 from .projective import INFINITY, ExtendedComplex, tau
-from .twistor import BiDegreeSection, matrix_point, point_matrix, sqrtm_det1
+from .twistor import (CHART_ROTATIONS, BiDegreeSection, matrix_point, point_matrix,
+                      sqrtm_det1)
 
 __all__ = [
     "QuadraticRestriction",
@@ -48,18 +49,6 @@ class DegenerateRestrictionError(ValueError):
 
 class ChartRotationRequired(ValueError):
     """A quadratic has a = 0 (root at the chart pole); rotate the chart."""
-
-
-# fixed SU(2) chart rotations used when a root lands on a chart pole
-_SU2_ROTATIONS = [np.eye(2, dtype=complex)]
-for _ang in (0.7345, 1.4261, 2.0393):
-    _c, _s = math.cos(_ang / 2), math.sin(_ang / 2)
-    _axis = np.array([0.36, 0.48, 0.8])
-    _sig = [np.array([[0, 1], [1, 0]], dtype=complex),
-            np.array([[0, -1j], [1j, 0]], dtype=complex),
-            np.array([[1, 0], [0, -1]], dtype=complex)]
-    _g = _c * np.eye(2, dtype=complex) - 1j * _s * sum(a * s for a, s in zip(_axis, _sig))
-    _SU2_ROTATIONS.append(_g)
 
 
 @dataclass(frozen=True)
@@ -337,7 +326,7 @@ def lift_twistor_line(q: PointUHS, V: MultiCenterPotential,
         if hyp.dist(q, c) < 1e-10:
             raise DegenerateRestrictionError("q coincides with a singular center")
     last_exc: Exception | None = None
-    for su2 in _SU2_ROTATIONS:
+    for su2 in CHART_ROTATIONS:
         chart = LineChart(q, su2)
         try:
             quadratics = [QuadraticRestriction(

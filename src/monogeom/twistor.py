@@ -43,6 +43,7 @@ __all__ = [
     "point_matrix",
     "matrix_point",
     "sqrtm_det1",
+    "CHART_ROTATIONS",
 ]
 
 
@@ -96,6 +97,16 @@ def matrix_point(M: np.ndarray) -> np.ndarray:
     """Inverse of `point_matrix`."""
     return np.array([(M[0, 0].real + M[1, 1].real) / 2, M[0, 1].real,
                      -M[0, 1].imag, (M[0, 0].real - M[1, 1].real) / 2])
+
+
+# Fixed SU(2) rotations about O, tried in turn wherever a chart value
+# lands on a chart pole (the identity first); g acts on point matrices
+# by X -> g X g^dagger.  Rotations by three angles about one axis n send
+# three distinct points to infinity, so one of them suits any two points.
+CHART_ROTATIONS = (np.eye(2, dtype=complex),) + tuple(
+    math.cos(a / 2) * np.eye(2, dtype=complex)
+    - 1j * math.sin(a / 2) * point_matrix(np.array([0.0, 0.36, 0.48, 0.8]))
+    for a in (0.7345, 1.4261, 2.0393))
 
 
 def sqrtm_det1(A: np.ndarray) -> np.ndarray:
@@ -275,23 +286,10 @@ def closest_point_chart(z: complex, w: complex) -> PointUHS:
     return PointUHS(horiz.real, horiz.imag, vert)
 
 
-_CHART_ROTATIONS = None
-
-
-def _chart_rotations():
-    global _CHART_ROTATIONS
-    if _CHART_ROTATIONS is None:
-        mats = [np.eye(4)]
-        for axis, angle in (((1.0, 0.3, 0.2), 1.1), ((0.2, 1.0, -0.4), 0.8),
-                            ((-0.5, 0.4, 1.0), 1.9)):
-            a = np.asarray(axis) / np.linalg.norm(axis)
-            K = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
-            R = np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
-            L = np.eye(4)
-            L[1:, 1:] = R
-            mats.append(L)
-        _CHART_ROTATIONS = mats
-    return _CHART_ROTATIONS
+def _lorentz_of(g: np.ndarray) -> np.ndarray:
+    """Lorentz matrix of X -> g X g^dagger on point matrices."""
+    return np.stack([matrix_point(g @ point_matrix(e) @ g.conj().T) for e in np.eye(4)],
+                    axis=1)
 
 
 def _rotate_boundary(L: np.ndarray, u: ExtendedComplex) -> ExtendedComplex:
@@ -308,7 +306,8 @@ def closest_point(p: TwistorPoint) -> PointUHS:
     """
     if p.finite:
         return closest_point_chart(p.z.value, p.w.value)
-    for L in _chart_rotations():
+    for g in CHART_ROTATIONS:
+        L = _lorentz_of(g)
         z1 = _rotate_boundary(L, p.z)
         w1 = _rotate_boundary(L, p.w)
         if z1.finite and w1.finite:

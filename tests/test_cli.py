@@ -2,9 +2,11 @@
 
 import csv
 import json
+from collections import Counter
 
 import pytest
 
+from monogeom import checks
 from monogeom.cli import RunConfig, main
 
 
@@ -42,6 +44,27 @@ def test_verify_only_filter(tmp_path):
     report = json.loads(out.read_text())
     assert all(c["id"].startswith("symplectic") for c in report["checks"])
     assert run(["verify", "--only", "nonexistent", "--out", str(out)]) == 2
+
+
+def test_verify_reports_every_check_once(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["verify", "--out", str(out)]) == 0
+    ids = Counter(c["id"] for c in json.loads(out.read_text())["checks"])
+    assert ids == Counter(c.id for c in checks.TABLE)
+    assert set(ids.values()) == {1}
+
+
+def test_verify_only_matches_full_run(tmp_path):
+    # each check draws from its own generator, seeded by (seed, id), so a
+    # group reads the same alone as in the full run
+    full = tmp_path / "full.json"
+    assert run(["verify", "--seed", "3", "--out", str(full)]) == 0
+    measured = {c["id"]: c["measured"] for c in json.loads(full.read_text())["checks"]}
+    for group in sorted({i.split(".")[0] for i in measured}):
+        out = tmp_path / f"{group}.json"
+        run(["verify", "--seed", "3", "--only", group, "--out", str(out)])
+        alone = {c["id"]: c["measured"] for c in json.loads(out.read_text())["checks"]}
+        assert alone == {i: m for i, m in measured.items() if i.startswith(group)}
 
 
 def test_verify_deterministic(tmp_path):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from monogeom import minitwistor as mt
-from monogeom.numdiff import holo_partial, wirtinger
+from monogeom.checks import measure
+from monogeom.numdiff import wirtinger
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +122,7 @@ def test_l2_trivialization_axis_constants():
 
 
 def test_l2_trivialization_overlap_identity():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        p = rng.normal(size=3)
-        curve = mt.charge1_curve(p)
-        u0, u1 = mt.l2_trivialization(curve)
-        worst = 0.0
-        for k in range(24):
-            z = np.exp(2j * math.pi * k / 24)
-            eta = mt.curve_eta(curve, z)
-            lhs = u1(1.0 / z)
-            rhs = np.exp(-2.0 * eta / z) * u0(z)
-            worst = max(worst, abs(lhs - rhs) / abs(lhs))
-        assert worst < 1e-10
+    assert measure("minitwistor.l2-overlap", 5, 10) < 1e-10
 
 
 def test_patch_transition_roundtrip_exact():
@@ -213,9 +202,4 @@ def test_closest_point_euc_polarization_consistent():
 
 def test_dfdzetabar_vanishes_on_zero_section():
     # complex-step derivative of the polarized map in the zetabar slot
-    rng = np.random.default_rng(7)
-    for _ in range(8):
-        zeta = complex(rng.normal(), rng.normal())
-        args = (0j, 0j, zeta, np.conj(zeta))
-        d = holo_partial(mt.closest_point_euc_polarized, args, 3)
-        assert np.max(np.abs(d)) < 1e-10
+    assert measure("minitwistor.euclidean-closest-point", 7, 8) < 1e-10

@@ -61,6 +61,20 @@ def test_dirac_patch_difference_is_pure_gauge():
     assert np.max(np.abs(curl)) < 1e-8
 
 
+def test_cos_polar_next_to_center():
+    # sh from sqrt(ch^2 - 1) read 1.2e-4 off at 1e-6 and 9e141 at 1e-8
+    from monogeom.hyperbolic import orthonormal_frame_at, point_at
+    c = ONE_CENTER.centers[0]
+    conn = md.DiracConnection(ONE_CENTER)
+    E = orthonormal_frame_at(c)
+    angle = 1.1
+    direction = math.cos(angle) * E[2] + math.sin(angle) * E[0]
+    near = point_at(c, direction, 1e-6).as_array()
+    assert abs(conn.cos_polar(near, 0) - math.cos(angle)) <= 1e-8
+    nearer = point_at(c, direction, 1e-8).as_array()
+    assert abs(conn.cos_polar(nearer, 0)) <= 1.0
+
+
 def test_dirac_string_detection():
     V = ONE_CENTER
     conn = md.DiracConnection(V, patches=[-1])

@@ -220,8 +220,8 @@ def test_lift_divisor_geodesics_join_q_and_center():
     data = sp.lift_twistor_line(q, V)
     assert [d.multiplicity for d in data.divisor] == [2, 4]
     for d, center in zip(data.divisor, V.centers):
-        assert dist_to_geodesic(q, d.geodesic) < 1e-7
-        assert dist_to_geodesic(center, d.geodesic) < 1e-7
+        assert dist_to_geodesic(q, d.geodesic) < 1e-12
+        assert dist_to_geodesic(center, d.geodesic) < 1e-12
 
 
 def test_lift_massless_empty_is_trivial():
@@ -244,8 +244,8 @@ def test_lift_rotates_chart_when_needed():
     data = sp.lift_twistor_line(q, V)
     assert data.product_residual() < 1e-10
     d = data.divisor[0]
-    assert dist_to_geodesic(q, d.geodesic) < 1e-7
-    assert dist_to_geodesic(center, d.geodesic) < 1e-7
+    assert dist_to_geodesic(q, d.geodesic) < 1e-12
+    assert dist_to_geodesic(center, d.geodesic) < 1e-12
 
 
 def test_lift_rejects_center_point():

@@ -7,25 +7,9 @@ from hypothesis import strategies as st
 
 from monogeom import minitwistor as mt
 from monogeom import symplectic as sy
+from monogeom.checks import Setting, hand_example, measure, random_sheets
 
-
-def hand_example():
-    """k = 1, u = 1, the two unit deformations of the worked case."""
-    sheets = sy.SheetData((sy.Series([0.0]),), (sy.Series([1.0]),))
-    z0 = 2.0 + 0j
-    fac = sy.MarkedDivisor(z0).vanishing_factor()
-    X1 = sy.TangentVector((fac,), (sy.Series([0.0]),), marked_at=z0)
-    X2 = sy.TangentVector((sy.Series([0.0]),), (fac,), marked_at=z0)
-    return sheets, X1, X2
-
-
-def random_sheets(k, rng):
-    etas = tuple(sy.Series(rng.normal(size=4) + 1j * rng.normal(size=4))
-                 for _ in range(k))
-    us = tuple(sy.Series(np.concatenate([
-        [2.0 + rng.uniform(0.5, 1.5)], 0.1 * (rng.normal(size=3) + 1j * rng.normal(size=3))]))
-        for _ in range(k))
-    return sy.SheetData(etas, us)
+SHEETS_1_2_3 = Setting(sheets=(1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +17,7 @@ def random_sheets(k, rng):
 # ---------------------------------------------------------------------------
 
 def test_hand_example_residue_is_one():
-    sheets, X1, X2 = hand_example()
-    assert abs(sy.omega_D_residue(X1, X2, sheets) - 1.0) < 1e-12
+    assert measure("symplectic.hand-value", 0) < 1e-12
 
 
 def test_hand_example_contour_matches():
@@ -45,10 +28,7 @@ def test_hand_example_contour_matches():
 
 
 def test_antisymmetry_on_random_data():
-    rng = np.random.default_rng(0)
-    sheets = random_sheets(2, rng)
-    X = sy.random_marked_tangent(2, 1.8 - 0.2j, rng)
-    assert abs(sy.omega_D_residue(X, X, sheets)) < 1e-14
+    assert measure("symplectic.antisymmetry", 0, 10) < 1e-14
 
 
 @settings(max_examples=30, deadline=None)
@@ -72,28 +52,11 @@ def test_bilinearity(c1, c2):
 
 
 def test_contour_matches_residue_random():
-    rng = np.random.default_rng(2)
-    for k in (1, 2, 3):
-        for _ in range(5):
-            sheets = random_sheets(k, rng)
-            z0 = complex(rng.uniform(1.5, 2.5), rng.normal())
-            X1 = sy.random_marked_tangent(k, z0, rng)
-            X2 = sy.random_marked_tangent(k, z0, rng)
-            r = sy.omega_D_residue(X1, X2, sheets)
-            c = sy.omega_D_contour(X1, X2, sheets, nodes=2048)
-            assert abs(r - c) < 1e-8
+    assert measure("symplectic.residue-vs-contour", 2, 15, setting=SHEETS_1_2_3) < 1e-8
 
 
 def test_contour_radius_independent():
-    rng = np.random.default_rng(3)
-    sheets = random_sheets(3, rng)
-    z0 = 2.2 + 0.5j
-    X1 = sy.random_marked_tangent(3, z0, rng)
-    X2 = sy.random_marked_tangent(3, z0, rng)
-    vals = [sy.omega_D_contour(X1, X2, sheets, nodes=2048, radius=r)
-            for r in (0.8, 0.9, 1.0, 1.1, 1.2)]
-    drift = max(abs(v - vals[0]) for v in vals)
-    assert drift < 1e-8
+    assert measure("symplectic.contour-radius", 3, setting=SHEETS_1_2_3) < 1e-8
 
 
 def test_contour_ill_conditioned_marking():
@@ -172,19 +135,7 @@ def test_rho_pole_at_zero():
 def test_rho_chart_covariance_single_sign():
     # pullback through the patching reproduces the other-chart value up
     # to the one global sign (-1), fixed by the frame convention
-    rng = np.random.default_rng(8)
-    worst = 0.0
-    for _ in range(10):
-        z = complex(rng.uniform(0.5, 1.5), rng.normal())
-        e = complex(rng.normal(), rng.normal())
-        u = complex(rng.normal() + 2.5, rng.normal())
-        vs = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(3)]
-        F = sy.rho_form(z, e, u, *vs)
-        Jp = sy.patch_jacobian(z, e, u)
-        zt, et, ut = mt.l2_patch_transition(z, e, u)
-        Ft = sy.rho_form(zt, et, ut, *(Jp @ v for v in vs))
-        worst = max(worst, abs(Ft * z ** 4 + F) / max(abs(F), 1e-12))
-    assert worst < 1e-10
+    assert measure("symplectic.rho-chart-covariance", 8, 10) < 1e-10
 
 
 def test_patch_jacobian_consistency():

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from monogeom import twistor as tw
+from monogeom.checks import measure
 from monogeom.hyperbolic import (ORIGIN, MultiCenterPotential, OrientedGeodesic,
                                  PointUHS, dist, geodesic_point)
 from monogeom.numdiff import wirtinger
@@ -271,6 +272,13 @@ def test_closest_point_infinite_chart():
     f2 = tw.closest_point(tw.from_geodesic(g2))
     assert geodesic_point(g2, ORIGIN, 0.0).as_array() == pytest.approx(
         f2.as_array(), abs=1e-12)
+    # both chart values at infinity: the vertical axis through O
+    f3 = tw.closest_point(tw.TwistorPoint.of(INFINITY, INFINITY))
+    assert f3.as_array() == pytest.approx(ORIGIN.as_array(), abs=1e-12)
+    p4 = tw.TwistorPoint.of(1.0 - 0.5j, INFINITY)
+    f4 = tw.closest_point(p4)
+    assert geodesic_point(tw.to_geodesic(p4), ORIGIN, 0.0).as_array() == pytest.approx(
+        f4.as_array(), abs=1e-12)
 
 
 def test_cosh_rho_endpoints_values():
@@ -284,34 +292,11 @@ def test_cosh_rho_endpoints_values():
 # ---------------------------------------------------------------------------
 
 def test_diagonal_jacobian_matches_printed_matrix():
-    rng = np.random.default_rng(9)
-    for _ in range(6):
-        z = complex(rng.normal(), rng.normal())
-        J = tw.closest_point_wirtinger(z, z)
-        pre = 1.0 / (2.0 * (1 + abs(z) ** 2) ** 2)
-        zb = np.conj(z)
-        printed = pre * np.array([
-            [1 - zb ** 2, 1 - z ** 2, -1 + z ** 2],
-            [-1j * (1 + zb ** 2), 1j * (1 + z ** 2), -1j * (1 + z ** 2)],
-            [2 * zb, 2 * z, -2 * z],
-        ])
-        assert np.max(np.abs(J[:, [0, 1, 3]] - printed)) < 1e-8
+    assert measure("twistor.closest-point-jacobian", 9, 6) < 1e-8
 
 
 def test_a2_plus_a4_vanishes():
-    rng = np.random.default_rng(10)
-    for _ in range(8):
-        z = complex(rng.normal(), rng.normal())
-        J = tw.closest_point_wirtinger(z, z)
-        om = np.zeros((3, 3))
-        pairs = [(0, 1), (0, 2), (1, 2)]
-        for i, j in pairs:
-            om[i, j] = rng.normal()
-            om[j, i] = -om[i, j]
-        dz, dzb, dwb = J[:, 0], J[:, 1], J[:, 3]
-        a2 = complex(dz @ om @ dwb)
-        a4 = complex(dz @ om @ dzb)
-        assert abs(a2 + a4) < 1e-8
+    assert measure("twistor.a2-plus-a4", 10, 8) < 1e-8
 
 
 # ---------------------------------------------------------------------------
