@@ -20,6 +20,7 @@ tensor component before norms are taken.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,16 +64,14 @@ class CurvatureReport:
         }
 
 
+@functools.lru_cache(maxsize=None)
 def levi_civita_symbol(n: int = 4) -> np.ndarray:
+    """eps with n indices, eps_{01...} = +1; built once per n, read-only."""
     eps = np.zeros((n,) * n)
     for perm in itertools.permutations(range(n)):
-        sign = 1.0
-        p = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if p[i] > p[j]:
-                    sign = -sign
-        eps[perm] = sign
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        eps[perm] = (-1.0) ** inversions
+    eps.flags.writeable = False
     return eps
 
 
@@ -114,26 +113,21 @@ def orthonormal_coframe(g: np.ndarray) -> np.ndarray:
 
 
 def _frame_tensor4(T: np.ndarray, F: np.ndarray) -> np.ndarray:
-    return np.einsum("am,bn,cp,dq,mnpq->abcd", F.T, F.T, F.T, F.T, T)
+    """T_mnpq F^m_a F^n_b F^p_c F^q_d: each contraction moves its index last."""
+    for _ in range(4):
+        T = np.tensordot(T, F, axes=(0, 0))
+    return T
+
+
+_PAIR_A, _PAIR_B = np.array(_FRAME_PAIRS).T
 
 
 def _weyl_operator(weyl_frame: np.ndarray) -> np.ndarray:
-    W = np.empty((6, 6))
-    for I, (a, b) in enumerate(_FRAME_PAIRS):
-        for J, (c, d) in enumerate(_FRAME_PAIRS):
-            W[I, J] = weyl_frame[a, b, c, d]
-    return W
+    """The 6x6 matrix T[a, b, c, d] over the frame pairs (a, b), (c, d)."""
+    return weyl_frame[_PAIR_A[:, None], _PAIR_B[:, None], _PAIR_A, _PAIR_B]
 
 
-def _duality_matrix() -> np.ndarray:
-    D = np.zeros((6, 6))
-    for I, (a, b) in enumerate(_FRAME_PAIRS):
-        for J, (c, d) in enumerate(_FRAME_PAIRS):
-            D[I, J] = _EPS4[a, b, c, d]
-    return D
-
-
-_DUAL6 = _duality_matrix()
+_DUAL6 = _weyl_operator(_EPS4)
 _PROJ_SD = 0.5 * (np.eye(6) + _DUAL6)
 _PROJ_ASD = 0.5 * (np.eye(6) - _DUAL6)
 

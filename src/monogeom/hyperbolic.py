@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numdiff import derivatives, richardson
+from .numdiff import derivatives, pointwise, richardson
 from .projective import INFINITY, ExtendedComplex
 
 __all__ = [
@@ -317,13 +317,13 @@ def green(p: PointUHS, x) -> float | np.ndarray:
 
 def laplacian(f, x, h: float = 1e-3) -> float:
     """Laplace-Beltrami operator of the half-space metric applied to a
-    scalar sampler at x, z^2 (f_xx + f_yy + f_zz) - z f_z, by 4th-order
-    stencils with step-halving Richardson extrapolation."""
+    scalar sampler of one point at x, z^2 (f_xx + f_yy + f_zz) - z f_z,
+    by 4th-order stencils with step-halving Richardson extrapolation."""
     x = np.asarray(x, dtype=float)
 
     def at(jet):
         return x[2] ** 2 * sum(jet.d2) - x[2] * jet.d1[2]
-    jet, jet2 = derivatives(f, x, (h, h / 2), second="diag")
+    jet, jet2 = derivatives(pointwise(f), x, (h, h / 2), second="diag")
     return float(richardson(at(jet), at(jet2)))
 
 
@@ -366,10 +366,11 @@ class MultiCenterPotential:
         return int(sum(self.charges))
 
     def value(self, x) -> float | np.ndarray:
-        """V at a point (PointUHS or raw (..., 3) array)."""
-        out = np.asarray(self.lam, dtype=float)
+        """V at a point (PointUHS or raw (..., 3) array), of shape (...)."""
+        a = x.as_array() if isinstance(x, PointUHS) else np.asarray(x, dtype=float)
+        out = np.full(a.shape[:-1], float(self.lam))
         for c, l in zip(self.centers, self.charges):
-            out = out + l * green(c, x)
+            out = out + l * green(c, a)
         return float(out) if out.ndim == 0 else out
 
     def gradient(self, x: np.ndarray) -> np.ndarray:

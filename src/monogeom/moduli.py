@@ -13,12 +13,19 @@ height yields the full 2-sphere of such structures inside one conformal
 class; the samplers here realize each gauge in its adapted chart via an
 exact Lorentz rotation of the configuration.
 
-Samplers are immutable closures; evaluations at different points share
-no state and may run concurrently.
+The samplers keep the batch contract of `numdiff`: the metric, complex
+structure and Kahler form map a (..., 4) array of points to (..., 4, 4)
+values, the connection a (..., 3) array to (..., 3), and a single point
+to one plain value.  Each is thin algebra on one evaluation of the local
+data (V, A, z) of its batch.  A connection's `extra` 1-form is a function
+of one (3,) point; the connection applies it row by row through
+`numdiff.pointwise`.  Samplers are immutable closures; evaluations at
+different points share no state and may run concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,7 +35,7 @@ import numpy as np
 from . import hyperbolic as hyp
 from .diffgeo import CurvatureReport, curvature_report, hodge_star
 from .hyperbolic import BoundaryPoint, MultiCenterPotential, PointUHS
-from .numdiff import derivatives
+from .numdiff import derivatives, pointwise
 
 __all__ = [
     "MFramePoint",
@@ -70,15 +77,15 @@ class MFramePoint:
 
 
 def _embed_jacobian(p: np.ndarray) -> np.ndarray:
-    """d(embed)/d(x,y,z): 4x3 matrix."""
-    x, y, z = p
-    s = x * x + y * y + z * z
-    return np.array([
-        [x / z, y / z, (2 * z * z - (s + 1)) / (2 * z * z)],
-        [1 / z, 0.0, -x / (z * z)],
-        [0.0, 1 / z, -y / (z * z)],
-        [x / z, y / z, (2 * z * z - (s - 1)) / (2 * z * z)],
-    ])
+    """d(embed)/d(x,y,z) at base points (..., 3): (..., 4, 3) matrices."""
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    s, zz, zero = x * x + y * y + z * z, z * z, np.zeros_like(z)
+    return np.stack([
+        np.stack([x / z, y / z, (2 * zz - (s + 1)) / (2 * zz)], axis=-1),
+        np.stack([1 / z, zero, -x / zz], axis=-1),
+        np.stack([zero, 1 / z, -y / zz], axis=-1),
+        np.stack([x / z, y / z, (2 * zz - (s - 1)) / (2 * zz)], axis=-1),
+    ], axis=-2)
 
 
 class DiracConnection:
@@ -92,6 +99,7 @@ class DiracConnection:
     (the string must stay away from every stencil), and the azimuth
     differential has a closed form through the hyperboloid frame, so
     only the final exterior derivative is ever done numerically.
+    `extra` is a 1-form of one (3,) point, added row by row.
     """
 
     def __init__(self, V: MultiCenterPotential,
@@ -104,8 +112,9 @@ class DiracConnection:
         if any(s not in (-1, +1) for s in self.patches):
             raise ValueError("patch signs are -1 (string at south) or +1 (north)")
         self.extra = extra
-        self._P = [hyp.embed(c) for c in V.centers]
-        self._E = [hyp.orthonormal_frame_at(c) for c in V.centers]
+        self._E = np.array([hyp.orthonormal_frame_at(c) for c in V.centers]).reshape(-1, 3, 4)
+        self._sign = np.array(self.patches, dtype=float)
+        self._coef = 0.5 * np.array(V.charges, dtype=float) * self._sign
 
     def cos_polar(self, p, i: int) -> float:
         """cos of the polar angle of p about center i."""
@@ -120,31 +129,27 @@ class DiracConnection:
         return DiracConnection(self.V, signs, self.extra)
 
     def __call__(self, p) -> np.ndarray:
-        """Components (A_x, A_y, A_z) at a base point (array of 3).
+        """Components (A_x, A_y, A_z) at base points (..., 3).
 
         Evaluated through the cancellation-free combination
         (cos theta + s) dphi = s (e1 de2 - e2 de1) / (sh (sh - s e3)),
-        which is regular on the whole string-free half-axis.
+        which is regular on the whole string-free half-axis; e_j are the
+        frame components of every center at every point, de_j their
+        coordinate differentials.
         """
         p = np.asarray(p, dtype=float)
-        X = hyp.embed(p)
-        J = _embed_jacobian(p)
-        Jm = J.copy()
-        Jm[0] = -Jm[0]  # Minkowski-lowered Jacobian rows
-        A = np.zeros(3)
-        for E, l, s in zip(self._E, self.V.charges, self.patches):
-            e1 = hyp.mdot(X, E[0])
-            e2 = hyp.mdot(X, E[1])
-            e3 = hyp.mdot(X, E[2])
-            de1 = E[0] @ Jm
-            de2 = E[1] @ Jm
-            sh = math.sqrt(e1 * e1 + e2 * e2 + e3 * e3)
-            den = sh * (sh - s * e3)
-            if den < 1e-14 * sh * sh or sh < 1e-150:
-                raise ZeroDivisionError("point on a Dirac string; switch the patch")
-            A += 0.5 * l * s * (e1 * de2 - e2 * de1) / den
+        X = hyp.embed(p)[..., None, None, :]                          # (..., 1, 1, 4)
+        dX = np.swapaxes(_embed_jacobian(p), -1, -2)[..., None, None, :, :]
+        e1, e2, e3 = np.moveaxis(hyp.mdot(X, self._E), -1, 0)         # (..., C) each
+        de1, de2 = np.moveaxis(hyp.mdot(dX, self._E[:, :2, None, :]), -2, 0)  # (..., C, 3)
+        sh = np.sqrt(e1 * e1 + e2 * e2 + e3 * e3)
+        den = sh * (sh - self._sign * e3)
+        if np.any((den < 1e-14 * sh * sh) | (sh < 1e-150)):
+            raise ZeroDivisionError("point on a Dirac string; switch the patch")
+        A = np.sum((self._coef / den)[..., None]
+                   * (e1[..., None] * de2 - e2[..., None] * de1), axis=-2)
         if self.extra is not None:
-            A = A + self.extra(p)
+            A = A + pointwise(self.extra)(p)
         return A
 
 
@@ -166,19 +171,53 @@ def dirac_curvature_residual(conn: DiracConnection, p, h: float | None = None) -
 # metrics, complex structure, Kahler form
 # ---------------------------------------------------------------------------
 
+def _local_data(V: MultiCenterPotential, conn: DiracConnection, p4):
+    """(v, A, z) at total-space points (..., 4): the potential (...), the
+    connection components (..., 3) and the height (...)."""
+    p = np.asarray(p4, dtype=float)[..., :3]
+    return np.asarray(V.value(p)), conn(p), p[..., 2]
+
+
+def _gh(v, A, z) -> np.ndarray:
+    """V h + V^{-1} omega (x) omega from local data, omega = dtheta + A."""
+    w = np.concatenate([A, np.ones(v.shape + (1,))], axis=-1)
+    g = w[..., :, None] * w[..., None, :] / v[..., None, None]
+    g[..., :3, :3] += (v / z ** 2)[..., None, None] * np.eye(3)
+    return g
+
+
+def _j(v, A, z) -> np.ndarray:
+    """The complex structure pairing (dx, dy) and (dz, z V^{-1} omega)."""
+    r = z / v
+    k = A[..., 2] * r
+    K = np.zeros(v.shape + (4, 4))
+    K[..., 0, 1], K[..., 1, 0] = 1.0, -1.0
+    K[..., 2, :3], K[..., 2, 3] = r[..., None] * A, r
+    K[..., 3, 0] = A[..., 1] - k * A[..., 0]
+    K[..., 3, 1] = -A[..., 0] - k * A[..., 1]
+    K[..., 3, 2] = -v / z - k * A[..., 2]
+    K[..., 3, 3] = -k
+    return K
+
+
+def _lebrun(v, A, z) -> np.ndarray:
+    """z^2 (V h + V^{-1} omega (x) omega), Kahler for `_j`."""
+    return (z ** 2)[..., None, None] * _gh(v, A, z)
+
+
+def _omega(v, A, z) -> np.ndarray:
+    """The Kahler form J^T g of `_j` and `_lebrun`."""
+    return np.einsum("...ji,...jk->...ik", _j(v, A, z), _lebrun(v, A, z))
+
+
+def _sampler(V: MultiCenterPotential, conn: DiracConnection, build):
+    """Batched sampler of build(v, A, z) on total-space points (..., 4)."""
+    return lambda p4: build(*_local_data(V, conn, p4))
+
+
 def gibbons_hawking_metric(V: MultiCenterPotential, conn: DiracConnection):
     """Sampler of V h + V^{-1} omega (x) omega on (x, y, z, theta)."""
-    def metric(p4: np.ndarray) -> np.ndarray:
-        p = p4[:3]
-        v = float(V.value(p))
-        A = conn(p)
-        g = np.zeros((4, 4))
-        g[:3, :3] = (v / p[2] ** 2) * np.eye(3) + np.outer(A, A) / v
-        g[:3, 3] = A / v
-        g[3, :3] = A / v
-        g[3, 3] = 1.0 / v
-        return g
-    return metric
+    return _sampler(V, conn, _gh)
 
 
 def metric_asd(V: MultiCenterPotential, conn: DiracConnection, p: MFramePoint) -> np.ndarray:
@@ -186,42 +225,6 @@ def metric_asd(V: MultiCenterPotential, conn: DiracConnection, p: MFramePoint) -
     at a point (patch rotated away from the point automatically)."""
     c = conn.with_patches_for(p.as_array()[:3])
     return gibbons_hawking_metric(V, c)(p.as_array())
-
-
-def _lebrun_metric(V: MultiCenterPotential, conn: DiracConnection):
-    gh = gibbons_hawking_metric(V, conn)
-
-    def metric(p4: np.ndarray) -> np.ndarray:
-        return p4[2] ** 2 * gh(p4)
-    return metric
-
-
-def _complex_structure(V: MultiCenterPotential, conn: DiracConnection):
-    def J(p4: np.ndarray) -> np.ndarray:
-        p = p4[:3]
-        z = p[2]
-        v = float(V.value(p))
-        A = conn(p)
-        E = np.array([A[0], A[1], A[2], 1.0])
-        K = np.zeros((4, 4))
-        K[0] = [0.0, 1.0, 0.0, 0.0]
-        K[1] = [-1.0, 0.0, 0.0, 0.0]
-        K[2] = (z / v) * E
-        K[3] = [A[1] - A[2] * (z / v) * A[0],
-                -A[0] - A[2] * (z / v) * A[1],
-                -v / z - A[2] * (z / v) * A[2],
-                -A[2] * (z / v)]
-        return K
-    return J
-
-
-def _kahler_form(V: MultiCenterPotential, conn: DiracConnection):
-    g = _lebrun_metric(V, conn)
-    J = _complex_structure(V, conn)
-
-    def omega(p4: np.ndarray) -> np.ndarray:
-        return J(p4).T @ g(p4)
-    return omega
 
 
 @dataclass(frozen=True)
@@ -258,9 +261,9 @@ def kahler_structure(V: MultiCenterPotential, conn: DiracConnection,
     ct = ct.with_patches_for(anchor.as_array())
     return KahlerGauge(
         u=u, V=Vt, conn=ct, lorentz=L,
-        metric=_lebrun_metric(Vt, ct),
-        complex_structure=_complex_structure(Vt, ct),
-        kahler_form=_kahler_form(Vt, ct),
+        metric=_sampler(Vt, ct, _lebrun),
+        complex_structure=_sampler(Vt, ct, _j),
+        kahler_form=_sampler(Vt, ct, _omega),
     )
 
 
@@ -287,12 +290,8 @@ def dOmega_residual(omega_sampler, p4, step: float = 1e-4) -> float:
     """Norm of the numerical exterior derivative of a 2-form sampler
     (2nd-order differences, so the residual scales like step^2)."""
     dOm = derivatives(omega_sampler, p4, (step,), order=2)[0].d1
-    worst = 0.0
-    for a in range(4):
-        for b in range(a + 1, 4):
-            for c in range(b + 1, 4):
-                worst = max(worst, abs(dOm[a, b, c] + dOm[b, c, a] + dOm[c, a, b]))
-    return worst
+    return max(abs(dOm[a, b, c] + dOm[b, c, a] + dOm[c, a, b])
+               for a, b, c in itertools.combinations(range(4), 3))
 
 
 def nijenhuis_residual(J_sampler, p4, step: float | None = None) -> float:
@@ -304,11 +303,8 @@ def nijenhuis_residual(J_sampler, p4, step: float | None = None) -> float:
     J0 = J_sampler(p4)
     dJ = derivatives(J_sampler, p4, (step,))[0].d1
     # N^k_{ij} = J^l_i dJ[l][k,j] - J^l_j dJ[l][k,i] - J^k_l (dJ[i][l,j] - dJ[j][l,i])
-    t1 = np.einsum("li,lkj->kij", J0, dJ)
-    t2 = np.einsum("lj,lki->kij", J0, dJ)
-    t3 = np.einsum("kl,ilj->kij", J0, dJ)
-    t4 = np.einsum("kl,jli->kij", J0, dJ)
-    N = t1 - t2 - t3 + t4
+    N = (np.einsum("li,lkj->kij", J0, dJ) - np.einsum("lj,lki->kij", J0, dJ)
+         - np.einsum("kl,ilj->kij", J0, dJ) + np.einsum("kl,jli->kij", J0, dJ))
     return float(np.linalg.norm(N))
 
 
@@ -319,13 +315,11 @@ def abelian_charge(V: MultiCenterPotential, i: int, rho0: float = 0.2,
     p = V.centers[i]
     E = hyp.orthonormal_frame_at(p)
     rhos = np.array([rho0 / 2 ** j for j in range(levels)])
-    vals = np.array([2.0 * r * V.value(hyp.point_at(p, E[0], r)) for r in rhos])
+    tbl = 2.0 * rhos * V.value(np.array([hyp.point_at(p, E[0], r).as_array() for r in rhos]))
     # Neville tableau toward rho = 0
-    tbl = vals.copy()
-    xs = rhos.copy()
     for m in range(1, levels):
         for j in range(levels - m):
-            tbl[j] = tbl[j + 1] + (tbl[j + 1] - tbl[j]) * xs[j + m] / (xs[j] - xs[j + m])
+            tbl[j] = tbl[j + 1] + (tbl[j + 1] - tbl[j]) * rhos[j + m] / (rhos[j] - rhos[j + m])
     return float(tbl[0])
 
 
@@ -344,34 +338,25 @@ def hodge_identity_residuals(V: MultiCenterPotential, conn: DiracConnection,
     products only (negative controls); the identities require it to be
     the metric's own connection."""
     p4 = np.asarray(p4, dtype=float)
-    p = p4[:3]
-    z = p[2]
-    v = float(V.value(p))
-    A = (pairing_conn or conn)(p)
-    E4 = np.array([A[0], A[1], A[2], 1.0])
-    g4 = gibbons_hawking_metric(V, conn)(p4)
+    v, A, z = _local_data(V, conn, p4)
+    g4 = _gh(v, A, z)
+    if pairing_conn is not None:
+        A = pairing_conn(p4[:3])
+    E4 = np.append(A, 1.0)
     g3 = np.eye(3) / z ** 2
+    ex = np.eye(4)
     worst = 0.0
     # identity on base 2-forms
-    for a in range(3):
-        for b in range(a + 1, 3):
-            al3 = np.zeros((3, 3))
-            al3[a, b], al3[b, a] = 1.0, -1.0
-            al4 = np.zeros((4, 4))
-            al4[:3, :3] = al3
-            lhs = hodge_star(g4, al4, 2)
-            s3 = hodge_star(g3, al3, 2)  # 1-form on the base
-            rhs = _wedge11(np.array([s3[0], s3[1], s3[2], 0.0]), E4) / v
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    for a, b in itertools.combinations(range(3), 2):
+        al4 = _wedge11(ex[a], ex[b])
+        s3 = hodge_star(g3, al4[:3, :3], 2)  # 1-form on the base
+        rhs = _wedge11(np.append(s3, 0.0), E4) / v
+        worst = max(worst, float(np.max(np.abs(hodge_star(g4, al4, 2) - rhs))))
     # identity on base 1-forms wedged with omega
     for a in range(3):
-        al3 = np.zeros(3)
-        al3[a] = 1.0
-        al4 = np.array([al3[0], al3[1], al3[2], 0.0])
-        lhs = hodge_star(g4, _wedge11(al4, E4), 2)
-        s3 = hodge_star(g3, al3, 1)  # 2-form on the base
+        lhs = hodge_star(g4, _wedge11(ex[a], E4), 2)
         rhs = np.zeros((4, 4))
-        rhs[:3, :3] = v * s3
+        rhs[:3, :3] = v * hodge_star(g3, ex[a, :3], 1)  # 2-form on the base
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 

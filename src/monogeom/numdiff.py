@@ -5,10 +5,17 @@ every stencil from one table of integer central weights (Fornberg, Math.
 Comp. 51, 1988): 4th-order first and second derivatives, a 2nd-order
 first derivative, and the tensor product of the 4th-order first
 derivative for mixed second derivatives.  The engine gathers the
-stencil points of all requested steps, samples each distinct point once
-(so steps h and h/2 share the points they have in common), and combines
-the samples with the weights.  `richardson` pairs two step sizes for
-O(h^6) accuracy on smooth inputs.
+distinct stencil points of all requested steps into one array (so steps
+h and h/2 share the points they have in common), samples them with one
+sampler call, and combines the samples with the weights.  `richardson`
+pairs two step sizes for O(h^6) accuracy on smooth inputs.
+
+The sampler contract: a sampler maps a (..., d) array of points to a
+(..., *shape) array of values, one value per row, and a single (d,)
+point to one plain value.  `pointwise` turns a sampler written for one
+point at a time into one that keeps the contract, by a loop over rows;
+the scalar helpers (`wirtinger`, `holo_partial`, `hyperbolic.laplacian`)
+apply it to the functions they are given.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ __all__ = [
     "WEIGHTS",
     "Jet",
     "derivatives",
+    "pointwise",
     "richardson",
     "wirtinger",
     "holo_partial",
@@ -57,21 +65,24 @@ def _mixed_terms(i, j, table, h):
             for ki, wi in table for kj, wj in table]
 
 
-def _combine(terms, samples, scale):
-    acc = None
-    for key, w in terms:
-        term = w * samples[key]
-        acc = term if acc is None else acc + term
-    return acc / scale
+def pointwise(f):
+    """Sampler keeping the batch contract from f, which takes one (d,)
+    point at a time: f is called on each row of a (..., d) batch."""
+    def batched(x):
+        x = np.asarray(x, dtype=float)
+        out = np.array([f(row) for row in x.reshape(-1, x.shape[-1])])
+        return out.reshape(x.shape[:-1] + out.shape[1:])
+    return batched
 
 
 def derivatives(f, x, steps, second: str | None = None, order: int = 4) -> list[Jet]:
-    """Central-difference derivatives of the sampler f at x, one Jet
-    per step in `steps`.
+    """Central-difference derivatives of the batched sampler f at x, one
+    Jet per step in `steps`.
 
     `order` (4 or 2) selects the first-derivative stencil; `second` is
     None, "diag" or "full" (4th order).  Each stencil point is keyed by
-    its exact offsets from x, and f is called once per distinct key.
+    its exact offsets from x, and f is called once, on the (N, d) array
+    of the N distinct keys' points.
     """
     if second not in (None, "diag", "full"):
         raise ValueError("second must be None, 'diag' or 'full'")
@@ -91,19 +102,25 @@ def derivatives(f, x, steps, second: str | None = None, order: int = 4) -> list[
                          for i in range(n) for j in range(i + 1, n)})
         plans.append(plan)
 
-    # every distinct stencil point of every step, in order of first use;
-    # this loop is the only place f is called
-    samples = {key: None for plan in plans for terms, _ in plan.values()
-               for key, _ in terms}
-    for key in samples:
-        point = x.copy()
+    # every distinct stencil point of every step, in order of first use,
+    # sampled by the only call of f
+    column = {key: c for c, key in enumerate(dict.fromkeys(
+        key for plan in plans for terms, _ in plan.values() for key, _ in terms))}
+    points = np.tile(x, (len(column), 1))
+    for row, key in enumerate(column):
         for i, off in key:
-            point[i] = x[i] + off
-        samples[key] = f(point)
+            points[row, i] = x[i] + off
+    values = np.asarray(f(points))
 
     jets = []
-    for plan in plans:
-        d = {k: _combine(terms, samples, scale) for k, (terms, scale) in plan.items()}
+    for plan in plans:     # one weight matrix (derivatives x points) per step
+        W = np.zeros((len(plan), len(column)))
+        for r, (terms, _) in enumerate(plan.values()):
+            for key, w in terms:
+                W[r, column[key]] = w
+        scales = np.array([scale for _, scale in plan.values()])
+        combined = (W @ values.reshape(len(column), -1)) / scales[:, None]
+        d = dict(zip(plan, combined.reshape((len(plan),) + values.shape[1:])))
         d1 = np.array([d[i] for i in range(n)])
         if second is None:
             jets.append(Jet(None, d1, None))
@@ -112,7 +129,7 @@ def derivatives(f, x, steps, second: str | None = None, order: int = 4) -> list[
             d2 = np.array([d[i, i] for i in range(n)])
         else:
             d2 = np.array([[d[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
-        jets.append(Jet(samples[()], d1, d2))
+        jets.append(Jet(values[column[()]], d1, d2))
     return jets
 
 
@@ -137,7 +154,7 @@ def wirtinger(f, z, h=1e-4, var="z"):
             return (fx - 1j * fy) / 2.0
         return (fx + 1j * fy) / 2.0
 
-    jets = derivatives(lambda p: f(complex(p[0], p[1])), (z.real, z.imag), (h, h / 2))
+    jets = derivatives(pointwise(lambda p: f(complex(*p))), (z.real, z.imag), (h, h / 2))
     return richardson(at(jets[0]), at(jets[1]))
 
 
@@ -156,5 +173,6 @@ def holo_partial(f, args, k, h=1e-3):
         moved[k] = args[k] + t[0]
         return np.asarray(f(*moved))
 
-    d_h, d_h2 = (jet.d1[0] for jet in derivatives(along, (0.0,), (h, h / 2), order=2))
+    d_h, d_h2 = (jet.d1[0] for jet in
+                 derivatives(pointwise(along), (0.0,), (h, h / 2), order=2))
     return richardson(d_h, d_h2, order=2)

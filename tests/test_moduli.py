@@ -7,6 +7,7 @@ import pytest
 
 from monogeom import moduli as md
 from monogeom.hyperbolic import ORIGIN, MultiCenterPotential, PointUHS
+from monogeom.numdiff import pointwise
 from monogeom.projective import INFINITY, ExtendedComplex
 
 RNG = np.random.default_rng(42)
@@ -15,6 +16,8 @@ ONE_CENTER = MultiCenterPotential.for_su2_charge1(
     [PointUHS(0.3, -0.2, 1.4)], [1], mass=0.5)
 TWO_CENTER = MultiCenterPotential(1.3, (PointUHS(0.0, 0.0, 1.0),
                                         PointUHS(0.9, 0.4, 0.7)), (1, 2))
+THREE_CENTER = MultiCenterPotential(2.0, (PointUHS(0, 0, 1.2), PointUHS(-0.8, 0.3, 0.8),
+                                          PointUHS(0.5, -0.9, 1.6)), (1, 1, 2))
 FLAT = MultiCenterPotential(1.0, (), ())
 
 
@@ -88,6 +91,62 @@ def test_dirac_string_detection():
     ok(bad.as_array())
 
 
+def test_connection_applies_per_point_extra_row_by_row():
+    # the extra 1-form indexes p[0]: it must only ever see single points
+    seen = []
+
+    def extra(p):
+        seen.append(p.shape)
+        return np.array([0.0, 0.3 * p[0], -0.1 * p[1] * p[2]])
+    conn = md.DiracConnection(TWO_CENTER, extra=extra).with_patches_for(
+        np.array([0.4, -0.3, 1.2]))
+    rng = np.random.default_rng(3)
+    P = np.array([sample_point(TWO_CENTER, rng)[:3] for _ in range(5)])
+    batch = conn(P)
+    rows = np.array([conn(q) for q in P])
+    assert seen == [(3,)] * 10
+    assert batch.shape == (5, 3)
+    assert np.max(np.abs(batch - rows)) <= 1e-15 * np.max(np.abs(rows))
+    assert np.allclose(batch - md.DiracConnection(TWO_CENTER, conn.patches)(P),
+                       [extra(q) for q in P], rtol=0, atol=1e-15)
+
+
+def connection_by_center_loop(conn, p):
+    """Reference: the connection at one point as a loop over the centers,
+    the (l/2) s (e1 de2 - e2 de1) / (sh (sh - s e3)) form term by term."""
+    X = md.hyp.embed(p)
+    dX = md._embed_jacobian(p).T            # row k: d(embed)/dx_k
+    A = np.zeros(3)
+    for c, l, s in zip(conn.V.centers, conn.V.charges, conn.patches):
+        E = md.hyp.orthonormal_frame_at(c)
+        e1, e2, e3 = (md.hyp.mdot(X, e) for e in E)
+        de1, de2 = (md.hyp.mdot(dX, e) for e in E[:2])
+        sh = math.sqrt(e1 * e1 + e2 * e2 + e3 * e3)
+        A += 0.5 * l * s * (e1 * de2 - e2 * de1) / (sh * (sh - s * e3))
+    return A
+
+
+@pytest.mark.parametrize("V", [ONE_CENTER, THREE_CENTER, FLAT], ids=["1", "3", "flat"])
+def test_batched_samplers_match_single_points(V):
+    gauge = md.kahler_structure(V, md.DiracConnection(V), ExtendedComplex(0.7 - 0.4j))
+    rng = np.random.default_rng(5)
+    P = np.array([sample_point(gauge.V, rng) for _ in range(6)])
+    assert gauge.V.value(P[:, :3]).shape == (6,)
+    for f, pts, shape in ((md.gibbons_hawking_metric(gauge.V, gauge.conn), P, (4, 4)),
+                          (gauge.metric, P, (4, 4)),
+                          (gauge.complex_structure, P, (4, 4)),
+                          (gauge.kahler_form, P, (4, 4)),
+                          (gauge.conn, P[:, :3], (3,))):
+        rows = np.array([f(q) for q in pts])
+        batch = f(pts)
+        assert batch.shape == rows.shape == (6,) + shape
+        assert np.max(np.abs(batch - rows)) <= 1e-15 * np.max(np.abs(rows))
+        assert f(pts.reshape((2, 3, -1))).shape == (2, 3) + shape
+    # the batched connection against the loop over centers, to rounding
+    loop = np.array([connection_by_center_loop(gauge.conn, q[:3]) for q in P])
+    assert np.max(np.abs(gauge.conn(P[:, :3]) - loop)) <= 1e-14 * max(np.max(np.abs(loop)), 1)
+
+
 def test_gauge_independence_of_curvature():
     V = ONE_CENTER
     p4 = np.array([1.2, 0.3, 1.4, 0.5])
@@ -150,6 +209,7 @@ def test_flat_fixture_riemann():
 
 def test_round_sphere_product_oracle():
     a = 1.3
+    @pointwise
     def metric(x):
         return np.diag([a * a, a * a * math.sin(x[0]) ** 2, 1.0, 1.0])
     rep = md.curvature(metric, np.array([1.2, 0.4, 0.0, 0.0]), step=1e-3)
@@ -231,6 +291,7 @@ def test_dOmega_residual_second_order_in_step():
     p4 = np.array([0.9, 0.6, 1.2, 0.0])
     # put a deliberately non-closed perturbation on top to expose the
     # truncation order of the operator itself
+    @pointwise
     def not_closed(q):
         Om = gauge.kahler_form(q)
         Om = Om.copy()
@@ -266,6 +327,14 @@ def test_hodge_identities():
     flat_conn = md.DiracConnection(FLAT)
     assert md.hodge_identity_residuals(FLAT, flat_conn,
                                        np.array([0.1, 0.2, 1.1, 0.0])) < 1e-12
+
+
+def test_levi_civita_symbol_built_once_read_only():
+    from monogeom.diffgeo import levi_civita_symbol
+    eps = levi_civita_symbol(4)
+    assert levi_civita_symbol(4) is eps and not eps.flags.writeable
+    assert eps[0, 1, 2, 3] == 1.0 and eps[1, 0, 2, 3] == -1.0 and eps[3, 0, 1, 2] == -1.0
+    assert np.sum(np.abs(eps)) == 24 and np.sum(np.abs(levi_civita_symbol(3))) == 6
 
 
 def test_hodge_identities_negative_control():

@@ -6,18 +6,23 @@ import pytest
 from monogeom import hyperbolic as hyp
 from monogeom import moduli as md
 from monogeom.hyperbolic import MultiCenterPotential, PointUHS
-from monogeom.numdiff import derivatives, holo_partial, wirtinger
+from monogeom.numdiff import derivatives, holo_partial, pointwise, wirtinger
+from monogeom.projective import INFINITY
 
 
 class Counting:
-    """Sampler wrapper recording every point it is asked for."""
+    """Sampler wrapper recording the rows of every call and every point
+    (row) it is asked for."""
 
     def __init__(self, f):
         self.f = f
+        self.calls = []
         self.points = []
 
     def __call__(self, x):
-        self.points.append(np.asarray(x, dtype=float).tobytes())
+        rows = np.asarray(x, dtype=float).reshape(-1, np.shape(x)[-1])
+        self.calls.append(len(rows))
+        self.points.extend(r.tobytes() for r in rows)
         return self.f(x)
 
 
@@ -52,7 +57,7 @@ def random_polynomial(rng, n, degree):
                 out[i, j] = c @ np.prod(x ** e, axis=1)
         return out
 
-    return p, grad, hess
+    return pointwise(p), grad, hess
 
 
 @pytest.mark.parametrize("second", ["diag", "full"])
@@ -93,6 +98,7 @@ def test_stencils_not_exact_on_higher_degrees():
 
 
 def test_array_valued_sampler_keeps_shape():
+    @pointwise
     def f(x):
         return np.array([[x[0] * x[1], x[1] ** 2], [x[0], 1.0]])
     x = np.array([0.3, -0.7])
@@ -114,8 +120,22 @@ def test_curvature_report_samples_each_point_once():
     conn = md.DiracConnection(V).with_patches_for(np.array([0.4, -0.3, 1.2]))
     metric = Counting(md.gibbons_hawking_metric(V, conn))
     md.curvature(metric, np.array([0.4, -0.3, 1.2, 0.5]))
-    assert len(metric.points) == 193
+    assert metric.calls == [193]
     assert len(set(metric.points)) == 193
+
+
+def test_residual_stencils_sample_in_one_call():
+    # dOmega: 2nd-order first derivatives, 2 points per axis; Nijenhuis:
+    # J at the point, then its 4th-order stencil, 4 points per axis
+    V = MultiCenterPotential(1.3, (PointUHS(0, 0, 1), PointUHS(0.9, 0.4, 0.7)), (1, 2))
+    gauge = md.kahler_structure(V, md.DiracConnection(V), INFINITY)
+    p4 = np.array([0.4, -0.3, 1.2, 0.5])
+    omega = Counting(gauge.kahler_form)
+    md.dOmega_residual(omega, p4)
+    assert omega.calls == [8] and len(set(omega.points)) == 8
+    J = Counting(gauge.complex_structure)
+    md.nijenhuis_residual(J, p4)
+    assert J.calls == [1, 16] and len(set(J.points)) == 17
 
 
 def test_laplacian_samples_each_point_once():
