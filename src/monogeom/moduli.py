@@ -300,8 +300,7 @@ def nijenhuis_residual(J_sampler, p4, step: float | None = None) -> float:
     p4 = np.asarray(p4, dtype=float)
     if step is None:
         step = default_step(p4)
-    J0 = J_sampler(p4)
-    dJ = derivatives(J_sampler, p4, (step,))[0].d1
+    J0, dJ, _ = derivatives(J_sampler, p4, (step,))[0]
     # N^k_{ij} = J^l_i dJ[l][k,j] - J^l_j dJ[l][k,i] - J^k_l (dJ[i][l,j] - dJ[j][l,i])
     N = (np.einsum("li,lkj->kij", J0, dJ) - np.einsum("lj,lki->kij", J0, dJ)
          - np.einsum("kl,ilj->kij", J0, dJ) + np.einsum("kl,jli->kij", J0, dJ))

@@ -20,6 +20,7 @@ apply it to the functions they are given.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -46,10 +47,9 @@ WEIGHTS = {
 class Jet(NamedTuple):
     """Derivatives of a sampler at one point for one step.
 
-    `d1[i]` is the first derivative along coordinate i; `d2` is None,
-    the diagonal `d2[i]` = d^2 f / dx_i^2, or the full `d2[i, j]`.
-    `value` is f(x) when second derivatives were asked for (their
-    stencils sample x itself), else None."""
+    `value` is f(x), `d1[i]` is the first derivative along coordinate
+    i, and `d2` is None, the diagonal `d2[i]` = d^2 f / dx_i^2, or the
+    full `d2[i, j]`."""
 
     value: object
     d1: np.ndarray
@@ -82,7 +82,8 @@ def derivatives(f, x, steps, second: str | None = None, order: int = 4) -> list[
     `order` (4 or 2) selects the first-derivative stencil; `second` is
     None, "diag" or "full" (4th order).  Each stencil point is keyed by
     its exact offsets from x, and f is called once, on the (N, d) array
-    of the N distinct keys' points.
+    of the N distinct keys' points; x itself is always among them, so
+    every Jet carries f(x).
     """
     if second not in (None, "diag", "full"):
         raise ValueError("second must be None, 'diag' or 'full'")
@@ -102,10 +103,10 @@ def derivatives(f, x, steps, second: str | None = None, order: int = 4) -> list[
                          for i in range(n) for j in range(i + 1, n)})
         plans.append(plan)
 
-    # every distinct stencil point of every step, in order of first use,
-    # sampled by the only call of f
-    column = {key: c for c, key in enumerate(dict.fromkeys(
-        key for plan in plans for terms, _ in plan.values() for key, _ in terms))}
+    # every distinct stencil point of every step in order of first use,
+    # then x if no stencil used it, sampled by the only call of f
+    column = {key: c for c, key in enumerate(dict.fromkeys(itertools.chain(
+        (key for plan in plans for terms, _ in plan.values() for key, _ in terms), [()])))}
     points = np.tile(x, (len(column), 1))
     for row, key in enumerate(column):
         for i, off in key:
@@ -123,9 +124,8 @@ def derivatives(f, x, steps, second: str | None = None, order: int = 4) -> list[
         d = dict(zip(plan, combined.reshape((len(plan),) + values.shape[1:])))
         d1 = np.array([d[i] for i in range(n)])
         if second is None:
-            jets.append(Jet(None, d1, None))
-            continue
-        if second == "diag":
+            d2 = None
+        elif second == "diag":
             d2 = np.array([d[i, i] for i in range(n)])
         else:
             d2 = np.array([[d[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])

@@ -1,28 +1,32 @@
 """Scattering along geodesics: fundamental solutions, decaying
 directions, spectral-line detection and growth experiments.
 
-The first-order system s' = M(t) s has one propagator: a single
-adaptive DOP853 pass over the continuous QR factorization H = Q R of
-the fundamental matrix, with Q unitary and the logs of R's diagonal
-integrated as the two growth rates.  Exponentially dichotomic systems
-stay in floating range over any horizon without events or restarts,
-and the decaying mode is resolved as well as the growing one.  The
-samplers build M(t) in closed form on Python floats and the right-hand
-side does its 2x2 algebra on Python scalars, so a solver step does no
-small-array numpy work beyond the one 2x2 array each sample returns.
-Decaying directions at either end are extracted by seeding with the
-asymptotic eigenvector at the horizon and integrating toward the
-midpoint, which damps the seeding error exponentially.
+The first-order system s' = M(t) s has one propagator, numpy only: the
+sixth-order Magnus scheme on three Gauss nodes (Blanes, Casas, Oteo &
+Ros, Phys. Rep. 470 (2009) 151-238; Iserles & Norsett, Phil. Trans. R.
+Soc. A 357 (1999) 983-1019), with each step's exponential in closed form.
+The mesh is refined by step doubling over all pending steps at once, so
+one batched sampler call covers every node of a refinement round; `tol`
+bounds each step's step-doubling difference relative to its norm.  The
+initial mesh holds the output times and the field's closest approaches
+to its centers (`FieldSampler.breakpoints`).  The steps are accumulated
+as a discrete QR factorization of the fundamental matrix, with the logs
+of R's diagonal kept apart, so exponentially dichotomic systems stay in
+floating range over any horizon and the decaying mode is resolved as
+well as the growing one.  Decaying directions at either end are
+extracted by seeding with the asymptotic eigenvector at the horizon and
+integrating toward the midpoint, which damps the seeding error
+exponentially.
 """
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.special import expit
 
 from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential
@@ -59,14 +63,29 @@ class FieldSampler:
     """Evaluates the scattering system along one fixed geodesic.
 
     Subclasses provide ode_matrix(t), the 2x2 complex right-hand side of
-    s' = M(t) s, and higgs_norm(t).
+    s' = M(t) s, and higgs_norm(t).  Both take a batch: a float t gives
+    one (2, 2) matrix or one float, and an (n,) array of times gives
+    (n, 2, 2) matrices or (n,) floats.  `breakpoints` names the times
+    where M(t) peaks, which the propagator puts on its initial mesh.
     """
 
-    def ode_matrix(self, t: float) -> np.ndarray:
+    def ode_matrix(self, t) -> np.ndarray:
         raise NotImplementedError
 
-    def higgs_norm(self, t: float) -> float:
+    def higgs_norm(self, t):
         raise NotImplementedError
+
+    def breakpoints(self) -> tuple[float, ...]:
+        """Closed-form times of closest approach to the field's centers."""
+        return ()
+
+
+def _diagonal(v) -> np.ndarray:
+    """diag(v, -v) for each entry of v, as complex (..., 2, 2)."""
+    v = np.asarray(v, dtype=float)
+    M = np.zeros(v.shape + (2, 2), dtype=complex)
+    M[..., 0, 0], M[..., 1, 1] = v, -v
+    return M
 
 
 @dataclass(frozen=True)
@@ -76,10 +95,10 @@ class TrivialU1Field(FieldSampler):
     mass: float = 1.0
 
     def ode_matrix(self, t):
-        return np.array([[self.mass, 0.0], [0.0, -self.mass]], dtype=complex)
+        return _diagonal(self.higgs_norm(t))
 
     def higgs_norm(self, t):
-        return self.mass
+        return np.full(np.shape(t), float(self.mass))[()]
 
 
 class AbelianField(FieldSampler):
@@ -91,22 +110,25 @@ class AbelianField(FieldSampler):
     a = -<x0, P>, b = -<u, P> and s^2 = <n, n> for n = P - a x0 + b u,
     the part of P normal to the geodesic's plane; s is sinh of the
     closest approach.  Carrying s^2 rather than cosh rho keeps V accurate
-    at grazing impacts, where cosh rho - 1 would cancel.  A geodesic
-    whose closest approach has s below about 1.4e-7 runs through a
-    center, and sampling it anywhere raises PoleOnGeodesicError, even
-    where the sampled window stays clear of the crossing."""
+    at grazing impacts, where cosh rho - 1 would cancel.  The closest
+    approach is at tanh t = -b/a, a breakpoint of the propagator's mesh.
+    A geodesic whose closest approach has s below about 1.4e-7 runs
+    through a center, and sampling it anywhere raises
+    PoleOnGeodesicError, even where the sampled window stays clear of
+    the crossing."""
 
     def __init__(self, V: MultiCenterPotential, x0: np.ndarray, u: np.ndarray):
         self.V = V
         self.x0 = np.asarray(x0, dtype=float)   # hyperboloid point, t = 0
         self.u = np.asarray(u, dtype=float)     # unit tangent there
-        self._terms = []                        # (l, a, b, s^2) per center
+        terms = []                              # (l, a, b, s^2) per center
         for P, l in zip(V.centers, V.charges):
             P = hyp.embed(P)
             a, b = -float(hyp.mdot(self.x0, P)), -float(hyp.mdot(self.u, P))
             n = P - a * self.x0 + b * self.u
-            self._terms.append((l, a, b, float(hyp.mdot(n, n))))
-        self._through_center = any(s2 < 2e-14 for *_, s2 in self._terms)
+            terms.append((l, a, b, float(hyp.mdot(n, n))))
+        self._l, self._a, self._b, self._s2 = np.array(terms, dtype=float).reshape(-1, 4).T
+        self._through_center = bool(np.any(self._s2 < 2e-14))
 
     @staticmethod
     def from_impact(V: MultiCenterPotential, center_index: int,
@@ -121,20 +143,21 @@ class AbelianField(FieldSampler):
         x0 = math.cosh(math.asinh(impact)) * hyp.embed(p) + impact * E[0]
         return AbelianField(V, x0, E[1])
 
-    def higgs_norm(self, t: float) -> float:
+    def higgs_norm(self, t):
         if self._through_center:
             raise PoleOnGeodesicError("geodesic passes through a center")
-        ch, sh = math.cosh(t), math.sinh(t)
-        v = self.V.lam
-        for l, a, b, s2 in self._terms:   # l / (e^{2 rho} - 1) from sinh^2 rho
-            w = b * ch + a * sh
-            x2 = s2 + w * w
-            v += 0.5 * l / (x2 + math.sqrt(x2 * (1.0 + x2)))
-        return v
+        t = np.asarray(t, dtype=float)[..., None]
+        w = self._b * np.cosh(t) + self._a * np.sinh(t)
+        x2 = self._s2 + w * w     # l / (e^{2 rho} - 1) from sinh^2 rho
+        return self.V.lam + np.sum(0.5 * self._l / (x2 + np.sqrt(x2 * (1.0 + x2))), axis=-1)
 
-    def ode_matrix(self, t: float) -> np.ndarray:
-        v = self.higgs_norm(t)
-        return np.array([[v, 0.0], [0.0, -v]], dtype=complex)
+    def ode_matrix(self, t) -> np.ndarray:
+        return _diagonal(self.higgs_norm(t))
+
+    def breakpoints(self) -> tuple[float, ...]:
+        # tanh t = -b/a, with a^2 - b^2 = 1 + s^2: t = -sign(b) log((a + |b|) / sqrt(1 + s^2))
+        t = -np.sign(self._b) * np.log((self._a + np.abs(self._b)) / np.sqrt(1.0 + self._s2))
+        return tuple(t.tolist())
 
 
 def _xcoth_taylor(count: int) -> list[float]:
@@ -158,26 +181,25 @@ _PS_K_SERIES = tuple((4.0 ** n - 2.0) * a for n, a in _XCOTH)
 _PS_SERIES_R = 0.4
 
 
-def _series_in_r2(coeffs, r: float) -> float:
-    r2 = r * r
-    acc = 0.0
-    for c in coeffs:
+def _ps_radial(series, closed, r):
+    """The series below _PS_SERIES_R and the closed form above it, for
+    a float or an array of radii; the closed form only ever sees r at
+    or above the switch, so r = 0 raises no warning."""
+    r = np.asarray(r, dtype=float)
+    r2, acc = r * r, 0.0
+    for c in series:
         acc = acc * r2 + c
-    return acc
+    return np.where(r < _PS_SERIES_R, acc, closed(np.maximum(r, _PS_SERIES_R)))
 
 
-def _ps_h_over_r(r: float) -> float:
+def _ps_h_over_r(r):
     """(2 coth 2r - 1/r)/r, by its Taylor series near the center."""
-    if r < _PS_SERIES_R:
-        return _series_in_r2(_PS_H_SERIES, r)
-    return (2.0 / math.tanh(2.0 * r) - 1.0 / r) / r
+    return _ps_radial(_PS_H_SERIES, lambda r: (2.0 / np.tanh(2.0 * r) - 1.0 / r) / r, r)
 
 
-def _ps_k_over_r(r: float) -> float:
+def _ps_k_over_r(r):
     """(1/r - 2/sinh 2r)/r, by its Taylor series near the center."""
-    if r < _PS_SERIES_R:
-        return _series_in_r2(_PS_K_SERIES, r)
-    return (1.0 / r - 2.0 / math.sinh(2.0 * r)) / r
+    return _ps_radial(_PS_K_SERIES, lambda r: (1.0 / r - 2.0 / np.sinh(2.0 * r)) / r, r)
 
 
 def _read_only(v) -> np.ndarray:
@@ -196,11 +218,11 @@ class PSField(FieldSampler):
     through the center are admissible.  All assertions about this
     fixture rest on its rotational symmetry.
 
-    M(t) is built in closed form on Python floats: with p = x0 - center
-    + t u and r = |p|, the Higgs field is phi = h(r) p and the connection
-    a = k(r) u x p = k(r) u x (x0 - center), and M = w . sigma with
-    w = -(phi + i a)/2.  The line is held in read-only copies and cached
-    as float tuples at construction.
+    M(t) is built in closed form, by components over a batch of times:
+    with p = x0 - center + t u and r = |p|, the Higgs field is
+    phi = h(r) p and the connection a = k(r) u x p = k(r) u x (x0 -
+    center), and M = w . sigma with w = -(phi + i a)/2.  The line is
+    held in read-only copies and cached as float tuples at construction.
     """
 
     x0: np.ndarray
@@ -223,23 +245,31 @@ class PSField(FieldSampler):
     def point(self, t: float) -> np.ndarray:
         return self.x0 + t * self.u
 
-    def _offset(self, t: float) -> tuple[float, float, float, float]:
+    def _offset(self, t):
         """p = x0 - center + t u by components, and r = |p|."""
         (px, py, pz), (ux, uy, uz) = self._p0, self._dir
+        t = np.asarray(t, dtype=float)
         x, y, z = px + t * ux, py + t * uy, pz + t * uz
-        return x, y, z, math.sqrt(x * x + y * y + z * z)
+        return x, y, z, np.sqrt(x * x + y * y + z * z)
 
-    def higgs_norm(self, t: float) -> float:
+    def higgs_norm(self, t):
         r = self._offset(t)[3]
         return 0.5 * _ps_h_over_r(r) * r
 
-    def ode_matrix(self, t: float) -> np.ndarray:
+    def ode_matrix(self, t) -> np.ndarray:
         x, y, z, r = self._offset(t)
         h, k = -0.5 * _ps_h_over_r(r), -0.5 * _ps_k_over_r(r)
         cx, cy, cz = self._cross
-        w2 = complex(h * z, k * cz)   # [[w2, w0 - i w1], [w0 + i w1, -w2]]
-        return np.array([[w2, complex(h * x + k * cy, k * cx - h * y)],
-                         [complex(h * x - k * cy, k * cx + h * y), -w2]])
+        M = np.empty(r.shape + (2, 2), dtype=complex)
+        re, im = M.real, M.imag   # [[w2, w0 - i w1], [w0 + i w1, -w2]]
+        re[..., 0, 0], im[..., 0, 0] = h * z, k * cz
+        re[..., 0, 1], im[..., 0, 1] = h * x + k * cy, k * cx - h * y
+        re[..., 1, 0], im[..., 1, 0] = h * x - k * cy, k * cx + h * y
+        re[..., 1, 1], im[..., 1, 1] = -re[..., 0, 0], -im[..., 0, 0]
+        return M
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return (-float(np.dot(self._p0, self._dir)),)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +279,10 @@ class PSField(FieldSampler):
 @dataclass(frozen=True)
 class FundamentalSolution:
     """Log-scaled path of the fundamental matrix: H(t_j) equals
-    exp(logscale_j) M_j, with each stored M_j of unit Frobenius norm."""
+    exp(logscale_j) M_j, with each stored M_j of unit Frobenius norm.
+    The path comes from `_propagate`'s sixth-order Magnus steps, each
+    within the caller's `tol` by step doubling, and the trace integral
+    is the sum of the steps' tr Omega."""
 
     ts: np.ndarray
     mats: np.ndarray        # (n, 2, 2)
@@ -277,50 +310,184 @@ class FundamentalSolution:
         return worst
 
 
+# the Gauss-Legendre nodes of a Magnus step (rows) as fractions of the
+# step, for the step and for its two halves (columns): one sampler call
+# covers all nine
+_GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
+_NODES = np.array([_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS]).T
+_MAX_STEP = 2.0          # longest step of the initial mesh
+# largest squared Frobenius norm of an accepted step: beyond it the
+# decaying component of exp Omega, cosh mu - sinh mu, loses more than
+# e^6 eps to cancellation
+_MAX_NORM2 = math.exp(6.0)
+_MAX_SPLIT = 64          # most pieces a failing step is cut into in one round
+# cosh mu and sinh mu / mu as series in mu^2 below _SERIES_MU2, where
+# the four terms kept are exact to rounding (the next is below 3e-21)
+_SERIES_MU2 = 1e-4
+_COSH = tuple(1.0 / math.factorial(2 * n) for n in range(4))[::-1]
+_SINHC = tuple(1.0 / math.factorial(2 * n + 1) for n in range(4))[::-1]
+
+
+def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[X, Y] for traceless 2x2 matrices given by components (d, p, q)
+    along the first axis, X = [[d, p], [q, -d]]."""
+    (dx, px, qx), (dy, py, qy) = x, y
+    return np.array([px * qy - py * qx, 2.0 * (dx * py - dy * px), 2.0 * (dy * qx - dx * qy)])
+
+
+def _magnus_steps(A: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sixth-order Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep.
+    470 (2009), the three-node Gauss scheme) of lengths h (...), from
+    M at each step's Gauss nodes, A (3, ..., 2, 2): exp Omega by its
+    components (E00, E01, E10, E11) along the first axis, and tr Omega.
+
+    The commutators see only traceless parts, so each matrix is carried
+    as its trace and (d, p, q) with d = (X00 - X11)/2, p = X01, q = X10.
+    exp Omega is closed form: with N = Omega - tr/2 I, N^2 = mu^2 I and
+    exp Omega = e^{tr/2} (cosh mu I + (sinh mu / mu) N)."""
+    a00, a01, a10, a11 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    t = h * (a00 + a11)
+    X = np.array([(0.5 * h) * (a00 - a11), h * a01, h * a10])
+    a1 = X[:, 1]
+    a2 = (math.sqrt(15.0) / 3.0) * (X[:, 2] - X[:, 0])
+    a3 = (10.0 / 3.0) * (X[:, 2] - 2.0 * X[:, 1] + X[:, 0])
+    c1 = _commutator(a1, a2)
+    c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+    d, p, q = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    tr = t[1] + (10.0 / 36.0) * (t[2] - 2.0 * t[1] + t[0])
+    mu2 = d * d + p * q
+    small = np.abs(mu2) < _SERIES_MU2
+    mu = np.sqrt(np.where(small, 1.0, mu2))
+    ch, shc = 0.0, 0.0
+    for c, s in zip(_COSH, _SINHC):
+        ch, shc = ch * mu2 + c, shc * mu2 + s
+    # cosh and sinh of mu = x + iy from real functions, 4x faster than complex
+    x, y = mu.real, mu.imag
+    cx, sx, cy, sy = np.cosh(x), np.sinh(x), np.cos(y), np.sin(y)
+    ch = np.where(small, ch, cx * cy + 1j * (sx * sy))
+    shc = np.where(small, shc, (sx * cy + 1j * (cx * sy)) / mu)
+    if np.any(tr):
+        scale = np.exp(0.5 * tr)
+        ch, shc = scale * ch, scale * shc
+    return np.array([ch + shc * d, shc * p, shc * q, ch - shc * d]), tr
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """X Y for 2x2 matrices given by components (M00, M01, M10, M11)
+    along the first axis."""
+    (x00, x01, x10, x11), (y00, y01, y10, y11) = x, y
+    return np.array([x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+                     x10 * y00 + x11 * y10, x10 * y01 + x11 * y11])
+
+
+def _mesh(fields: FieldSampler, ts: np.ndarray, tol: float):
+    """Accepted steps from ts[0] to ts[-1] in the order they are taken,
+    as (m, 4) step matrices by components and their tr Omega, and the
+    number of steps taken before each of `ts`.
+
+    The initial mesh holds the output times and the field's breakpoints
+    between them, cut into steps of at most _MAX_STEP.  Each round
+    samples every node of every pending step in one ode_matrix call.  A
+    step of length h passes when ||E_h - E_{h/2} E_{h/2}|| <= tol
+    ||E_{h/2} E_{h/2}|| (Frobenius) and its growth stays under
+    _MAX_NORM2, and then contributes the half-step product; a failing
+    step is cut into ceil(1.2 (err/tol)^{1/7}) equal pieces (more if it
+    grows too much), and only those are checked in the next round."""
+    sign = 1.0 if ts[-1] >= ts[0] else -1.0     # the direction of integration
+    lo, hi = sorted((ts[0], ts[-1]))
+    marks = sorted(set(ts.tolist()) | {t for t in fields.breakpoints() if lo < t < hi},
+                   key=lambda t: sign * t)
+    a, b = [], []
+    for t0, t1 in zip(marks[:-1], marks[1:]):
+        edges = np.linspace(t0, t1, max(1, math.ceil(abs(t1 - t0) / _MAX_STEP)) + 1)
+        a.append(edges[:-1])
+        b.append(edges[1:])
+    a, b = np.concatenate(a or [[]]), np.concatenate(b or [[]])
+    # no steps at all when ts[0] == ts[-1]
+    starts, mats, traces = [np.zeros(0)], [np.zeros((4, 0), complex)], [np.zeros(0, complex)]
+    while a.size:
+        h = b - a
+        nodes = a + h * _NODES[..., None]
+        A = np.asarray(fields.ode_matrix(nodes.ravel())).reshape(3, 3, -1, 2, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            E, tr = _magnus_steps(A, h * np.array([[1.0], [0.5], [0.5]]))
+            half = _product(E[:, 2], E[:, 1])
+            size = np.sum(np.abs(half) ** 2, axis=0)
+            err = np.sqrt(np.sum(np.abs(E[:, 0] - half) ** 2, axis=0) / size)
+            ok = (err <= tol) & (size <= _MAX_NORM2)
+            # enough pieces for the error bound, and for each piece's
+            # log size to be about half the cap
+            pieces = np.ceil(np.maximum(1.2 * (err[~ok] / tol) ** (1.0 / 7.0),
+                                        2.0 * np.log(size[~ok]) / math.log(_MAX_NORM2)))
+        starts.append(a[ok])
+        mats.append(half[:, ok])
+        traces.append(tr[1, ok] + tr[2, ok])
+        k = np.where(np.isfinite(pieces), np.clip(pieces, 2, _MAX_SPLIT), _MAX_SPLIT).astype(int)
+        a, h, b = a[~ok], h[~ok], b[~ok]
+        stuck = np.abs(h) / k <= 1e-13 * np.maximum(1.0, np.abs(a))
+        if np.any(stuck):
+            raise RuntimeError(f"integration failed: no step at t = {a[stuck][0]:.6g} "
+                               f"meets tol {tol:g}")
+        which = np.repeat(np.arange(len(k)), k)
+        j = np.arange(len(which)) - np.repeat(np.cumsum(k) - k, k)
+        a, b = (a[which] + h[which] * (j / k[which]),
+                np.where(j + 1 == k[which], b[which], a[which] + h[which] * ((j + 1) / k[which])))
+    starts = sign * np.concatenate(starts)
+    order = np.argsort(starts)
+    return (np.concatenate(mats, axis=1)[:, order].T, np.concatenate(traces)[order],
+            np.searchsorted(starts[order], sign * ts))
+
+
 def _propagate(fields: FieldSampler, Q0: np.ndarray, ts: np.ndarray, tol: float):
     """Solution H of H' = M(t) H with H(ts[0]) = Q0, a unitary 2x2, at
     each of `ts`, as (mats, logscales, trace integrals) with H equal to
     exp(logscale) mat, |mat| = 1 (Frobenius), and w = int tr M dt.
 
-    One adaptive DOP853 pass over the continuous QR factorization
-    H = Q R, with Q unitary and R = exp(L) [[p, rho], [0, q]], where
-    L = log(exp(l1) + exp(l2)), p = exp(l1 - L) and q = exp(l2 - L):
-    Q' = Q S, l_i' = Re B_ii, rho' = q ((Re B_11 - Re B_22) rho + B_12
-    + conj B_21) and w' = tr M, with B = Q* M Q and S skew-Hermitian,
-    S_21 = B_21, S_ii = i Im B_ii.  Each mode's growth rate is
-    integrated on its own, so nothing overflows whichever column grows,
-    and the small singular value is resolved as well as the large one."""
-
-    def rhs(t, y):                     # scalar 2x2 algebra: no small arrays
-        q00, q01, q10, q11, l1, l2, rho, _ = y.tolist()
-        (a00, a01), (a10, a11) = fields.ode_matrix(t).tolist()
-        u0, u1 = a00 * q00 + a01 * q10, a10 * q00 + a11 * q10   # M Q, column 0
-        v0, v1 = a00 * q01 + a01 * q11, a10 * q01 + a11 * q11   # M Q, column 1
-        c0, c1 = q00.conjugate(), q10.conjugate()
-        d0, d1 = q01.conjugate(), q11.conjugate()
-        b00, b01 = c0 * u0 + c1 * u1, c0 * v0 + c1 * v1
-        b10, b11 = d0 * u0 + d1 * u1, d0 * v0 + d1 * v1
-        s00, s01, s11 = 1j * b00.imag, -b10.conjugate(), 1j * b11.imag
-        d = l1.real - l2.real
-        q = 1.0 / (1.0 + math.exp(d)) if d < 700.0 else 0.0   # expit(-d), no overflow
-        return np.array([q00 * s00 + q01 * b10, q00 * s01 + q01 * s11,
-                         q10 * s00 + q11 * b10, q10 * s01 + q11 * s11,
-                         b00.real, b11.real,
-                         q * ((b00.real - b11.real) * rho + b01 + b10.conjugate()),
-                         a00 + a11])
-
-    y0 = np.concatenate([Q0.ravel(), np.zeros(4)]).astype(complex)
-    sol = solve_ivp(rhs, (ts[0], ts[-1]), y0, method="DOP853", t_eval=ts,
-                    rtol=tol, atol=tol)
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    y = sol.y.T
-    l1, l2 = y[:, 4].real, y[:, 5].real
+    The steps are `_mesh`'s sixth-order Magnus steps, each within `tol`
+    by step doubling (a per-step bound, relative to the step's norm).
+    They are accumulated as a discrete QR factorization H = Q R, with Q
+    unitary and R = exp(L) [[p, rho], [0, q]], where L = log(exp(l1) +
+    exp(l2)), p = exp(l1 - L) and q = exp(l2 - L): for a step E,
+    E Q = Q' R' with R' upper triangular with a positive diagonal, so
+    l_i += log R'_ii, and rho carries R's corner scaled by exp(-L).
+    As det E = exp(tr Omega), R'_11 = |det E| / R'_00 and Q's second
+    column is the unit normal to its first with det Q' = det Q exp(i Im
+    tr Omega).  Each mode's growth is kept in its own log, so nothing
+    overflows whichever column grows, and l1 + l2 = Re int tr M dt."""
+    ts = np.asarray(ts, dtype=float)
+    mats, traces, stops = _mesh(fields, ts, tol)
+    steps = zip(mats.tolist(), traces.tolist())
+    (q00, q01), (q10, q11) = np.asarray(Q0, dtype=complex).tolist()
+    detq = q00 * q11 - q01 * q10
+    detq /= abs(detq)
+    l1 = l2 = 0.0
+    L = math.log(2.0)         # log(exp(l1) + exp(l2))
+    rho = w = 0j
+    path, done = [], 0
+    for stop in stops:
+        for (e00, e01, e10, e11), tr in itertools.islice(steps, stop - done):
+            a00, a10 = e00 * q00 + e01 * q10, e10 * q00 + e11 * q10   # E Q
+            a01, a11 = e00 * q01 + e01 * q11, e10 * q01 + e11 * q11
+            r00 = math.hypot(abs(a00), abs(a10))
+            q00, q10 = a00 / r00, a10 / r00
+            r01 = q00.conjugate() * a01 + q10.conjugate() * a11
+            if tr.imag:
+                detq *= cmath.exp(1j * tr.imag)
+            q01, q11 = -detq * q10.conjugate(), detq * q00.conjugate()
+            g1 = math.log(r00)
+            l1, l2, l2_old, L_old = l1 + g1, l2 + tr.real - g1, l2, L
+            L = max(l1, l2) + math.log1p(math.exp(-abs(l1 - l2)))
+            rho = r00 * rho * math.exp(L_old - L) + r01 * math.exp(l2_old - L)
+            w += tr
+        done = stop
+        path.append((q00, q01, q10, q11, l1, l2, rho, w))
+    q00, q01, q10, q11, l1, l2, rho, w = np.array(path).T
     R = np.zeros((len(ts), 2, 2), dtype=complex)
-    R[:, 0, 0], R[:, 0, 1], R[:, 1, 1] = expit(l1 - l2), y[:, 6], expit(l2 - l1)
-    H = y[:, :4].reshape(-1, 2, 2) @ R
+    L = np.logaddexp(l1.real, l2.real)
+    R[:, 0, 0], R[:, 0, 1], R[:, 1, 1] = np.exp(l1.real - L), rho, np.exp(l2.real - L)
+    H = np.stack([q00, q01, q10, q11], axis=-1).reshape(-1, 2, 2) @ R
     norms = np.linalg.norm(H, axis=(1, 2))
-    return H / norms[:, None, None], np.logaddexp(l1, l2) + np.log(norms), y[:, 7]
+    return H / norms[:, None, None], L + np.log(norms), w
 
 
 def integrate_fundamental(fields: FieldSampler, t0: float, t1: float,
@@ -447,7 +614,11 @@ def abelian_growth_exponent(V: MultiCenterPotential, center_index: int,
 
 def sinh_model_integral(l: float, delta: float, z: float) -> tuple[float, float]:
     """Quadrature of the model profile l / (2 sqrt(t^2 + z^2)) over
-    [-delta, delta] next to its closed form l * asinh(delta / z)."""
+    [-delta, delta] next to its closed form l * asinh(delta / z).
+    scipy's adaptive quadrature is the independent oracle here, imported
+    on call so that importing the package does not load scipy."""
+    from scipy.integrate import quad
+
     val, _ = quad(lambda t: l / (2.0 * math.hypot(t, z)), -delta, delta,
                   epsabs=1e-13, epsrel=1e-13)
     return val, l * math.asinh(delta / z)

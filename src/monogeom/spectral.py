@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from scipy.optimize import linear_sum_assignment
 
 from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential, OrientedGeodesic, PointUHS
@@ -250,7 +249,11 @@ def multiset_distance(a, b) -> float:
     """Largest |a_i - b_j| over the pairs of a minimum-total-distance
     matching of two multisets of complex numbers (0 for two empty ones,
     inf when their sizes differ).  Unlike pairing by sorted order, no
-    rounding boundary between nearby values can mis-pair them."""
+    rounding boundary between nearby values can mis-pair them.  scipy's
+    assignment solver is imported on the first call, so that importing
+    the package does not load scipy."""
+    from scipy.optimize import linear_sum_assignment
+
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.size != b.size:
         return math.inf

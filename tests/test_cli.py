@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import monogeom
 from monogeom import checks
 from monogeom.cli import RunConfig, main
 
@@ -158,3 +162,15 @@ def test_runconfig_validation():
         RunConfig.load(None, {"centers": [[0, 0, -1]]})
     with pytest.raises(ValueError):
         RunConfig.load(None, {"centers": [[0, 0, 1]], "charges": [1, 2]})
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only by the calls that need it: the verify
+    # oracle, and the optimal matching on its first use
+    src = os.path.dirname(os.path.dirname(monogeom.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, monogeom.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

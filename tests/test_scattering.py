@@ -62,12 +62,12 @@ def test_abelian_lognorm_matches_quadrature_oracle():
 
 
 @pytest.mark.parametrize("l", (1, 2, 3))
-@pytest.mark.parametrize("impact, bound", ((1e-2, 1e-7), (1e-3, 1e-7), (1e-5, 1e-8)))
+@pytest.mark.parametrize("impact, bound", ((1e-2, 1e-7), (1e-3, 1e-7), (1e-5, 4e-10)))
 def test_abelian_lognorm_exact(l, impact, bound):
     # oracle: in the eigen gauge log ||H|| = int V dt over [-delta, delta],
     # in closed form for one center of charge l at impact b.  V is sampled
     # from sinh^2 of the distance, so b = 1e-5 loses no digits to
-    # cosh - 1; the worst error measured there is 1.5e-9
+    # cosh - 1; the worst error measured there is 3.7e-11
     lam, delta = 0.4, 0.1
     V = MultiCenterPotential(lam, (PointUHS(0, 0, 1),), (l,))
     want = 2 * lam * delta + l * (math.asinh(math.sqrt(1 + impact ** 2)
@@ -75,6 +75,39 @@ def test_abelian_lognorm_exact(l, impact, bound):
     sol = sc.integrate_fundamental(sc.AbelianField.from_impact(V, 0, impact),
                                    -delta, delta)
     assert abs(sol.log_norm_final() - want) < bound
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_grazing_closest_approach_between_checkpoints(l):
+    # the closest approach, at t = 0, falls between the 17 checkpoints
+    # of [-0.131, 0.069]; oracle: int V dt in closed form, from the
+    # antiderivative lambda t + l/2 (asinh(sqrt(1 + b^2) sinh t / b) - t)
+    lam, b, t0, t1 = 0.4, 1e-5, -0.131, 0.069
+    V = MultiCenterPotential(lam, (PointUHS(0, 0, 1),), (l,))
+    f = sc.AbelianField.from_impact(V, 0, b)
+    assert np.min(np.abs(np.linspace(t0, t1, 17))) > 1e-3
+    F = lambda t: lam * t + 0.5 * l * (math.asinh(math.sqrt(1 + b * b) * math.sinh(t) / b) - t)
+    sol = sc.integrate_fundamental(f, t0, t1)
+    assert abs(sol.log_norm_final() - (F(t1) - F(t0))) < 4e-10
+
+
+def test_breakpoints_are_closest_approach_times():
+    # the geodesic of from_impact, re-based at parameter s, meets its
+    # closest point to center 0 at t = -s; at every breakpoint the
+    # distance to its center is stationary: <gamma'(t), P> = 0
+    V = MultiCenterPotential(0.4, (PointUHS(0, 0, 1), PointUHS(0.5, 0.2, 2.0)), (1, 2))
+    f = sc.AbelianField.from_impact(V, 0, 0.3)
+    for s in (-1.7, 0.4):
+        g = sc.AbelianField(V, math.cosh(s) * f.x0 + math.sinh(s) * f.u,
+                            math.sinh(s) * f.x0 + math.cosh(s) * f.u)
+        times = g.breakpoints()
+        assert times[0] == pytest.approx(-s, abs=1e-14)
+        for t, P in zip(times, V.centers):
+            tangent = math.sinh(t) * g.x0 + math.cosh(t) * g.u
+            assert abs(hyp.mdot(tangent, hyp.embed(P))) < 1e-13
+    ps = sc.PSField(x0=[1.0, 0.5, 3.0], u=[0.0, 0.0, 2.0], center=[0.0, 0.5, 0.0])
+    assert ps.breakpoints() == (-3.0,)
+    assert sc.TrivialU1Field().breakpoints() == ()
 
 
 def test_det_balance_band():
@@ -141,6 +174,62 @@ def test_pole_off_base_point_fails_fast():
     assert time.perf_counter() - t0 < 1.0
     near = sc.AbelianField.from_impact(V, 0, 1e-6)
     assert math.isfinite(near.higgs_norm(0.0))
+
+
+# ---------------------------------------------------------------------------
+# the Magnus propagator and its batched samplers
+# ---------------------------------------------------------------------------
+
+def sampler_fixtures():
+    V = MultiCenterPotential(0.4, (PointUHS(0, 0, 1), PointUHS(0.7, -0.2, 0.5)), (2, 1))
+    return {"trivial": sc.TrivialU1Field(mass=0.8),
+            "abelian": sc.AbelianField.from_impact(V, 1, 1e-3),
+            "ps_through_center": sc.PSField(x0=[0.3, -0.2, 0.1], u=[1.0, 2.0, -2.0],
+                                            center=[0.3, -0.2, 0.1]),
+            "ps": sc.PSField(x0=[1.5, 0.0, 0.0], u=[0.0, 0.0, 1.0])}
+
+
+@pytest.mark.parametrize("name", sampler_fixtures())
+def test_batched_ode_matrix_matches_scalar_calls(name):
+    # one implementation serves both: a batch equals the stacked scalar
+    # calls (radii on both sides of the PS series switch at r = 0.4)
+    f = sampler_fixtures()[name]
+    ts = np.concatenate([np.linspace(-3.0, 3.0, 41), [0.0, 1e-6, -0.2, 0.3999999, 0.4000001]])
+    batch, one = f.ode_matrix(ts), np.array([f.ode_matrix(t) for t in ts])
+    assert batch.shape == (len(ts), 2, 2) and batch.dtype == complex
+    assert one.shape == batch.shape
+    assert np.all(np.abs(batch - one) <= 1e-15 * np.abs(one).max(axis=(1, 2), keepdims=True))
+    norms = f.higgs_norm(ts)
+    assert norms.shape == ts.shape
+    assert np.all(np.abs(norms - [f.higgs_norm(t) for t in ts]) <= 1e-15 * np.abs(norms))
+
+
+@pytest.mark.parametrize("scale", (1.0, 1e-3))
+def test_magnus_step_of_constant_matrix_is_expm(scale):
+    # for constant M every commutator vanishes and Omega = h M; scale
+    # 1e-3 puts mu^2 below the switch to the cosh and sinhc series
+    from scipy.linalg import expm
+    rng = np.random.default_rng(5)
+    M = scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    M -= 0.5 * np.trace(M) * np.eye(2)
+    E, tr = sc._magnus_steps(np.broadcast_to(M, (3, 2, 2)), np.float64(0.7))
+    want = expm(0.7 * M)
+    assert np.linalg.norm(E.reshape(2, 2) - want) <= 1e-14 * np.linalg.norm(want)
+    assert abs(tr) < 1e-15
+
+
+def test_fundamental_matches_dop853_reference():
+    # reference: DOP853 at tolerance 1e-12 on the plain linear system
+    f = sc.PSField(x0=[1.0, 0.0, 0.0], u=[0.0, 0.0, 1.0])
+    sol = sc.integrate_fundamental(f, -40.0, 40.0, tol=1e-9)
+    ref = solve_ivp(lambda t, y: (f.ode_matrix(t) @ y.reshape(2, 2)).ravel(), (-40.0, 40.0),
+                    np.eye(2, dtype=complex).ravel(), method="DOP853", t_eval=sol.ts,
+                    rtol=1e-12, atol=1e-12)
+    Hs = ref.y.T.reshape(-1, 2, 2)
+    for M, ls, H in zip(sol.mats, sol.logscales, Hs):
+        assert np.linalg.norm(math.exp(ls) * M - H) <= 1e-9 * np.linalg.norm(H)
+    want = math.log(np.linalg.norm(Hs[-1], 2))
+    assert abs(sol.log_norm_final() / want - 1) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
