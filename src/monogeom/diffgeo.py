@@ -53,16 +53,6 @@ class CurvatureReport:
     riemann_norm: float
     step: float
 
-    def as_dict(self) -> dict:
-        return {
-            "scalar": self.scalar,
-            "ricci": self.ricci_norm,
-            "weyl_sd": self.weyl_sd_norm,
-            "weyl_asd": self.weyl_asd_norm,
-            "riemann": self.riemann_norm,
-            "step": self.step,
-        }
-
 
 @functools.lru_cache(maxsize=None)
 def levi_civita_symbol(n: int = 4) -> np.ndarray:

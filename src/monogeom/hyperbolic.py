@@ -96,9 +96,6 @@ class OrientedGeodesic:
         if self.start.isclose(self.end, tol=1e-14):
             raise ValueError("start and end boundary points must differ")
 
-    def reversed(self) -> "OrientedGeodesic":
-        return OrientedGeodesic(self.end, self.start)
-
 
 # ---------------------------------------------------------------------------
 # hyperboloid embedding
@@ -360,10 +357,6 @@ class MultiCenterPotential:
         and doubled abelian charges."""
         return MultiCenterPotential(1.0 + 2.0 * mass, tuple(centers),
                                     tuple(2 * int(l) for l in charges), mass)
-
-    @property
-    def total_charge(self) -> int:
-        return int(sum(self.charges))
 
     def value(self, x) -> float | np.ndarray:
         """V at a point (PointUHS or raw (..., 3) array), of shape (...)."""

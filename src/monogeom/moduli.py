@@ -38,11 +38,9 @@ from .hyperbolic import BoundaryPoint, MultiCenterPotential, PointUHS
 from .numdiff import derivatives, pointwise
 
 __all__ = [
-    "MFramePoint",
     "DiracConnection",
     "KahlerGauge",
     "CurvatureReport",
-    "metric_asd",
     "gibbons_hawking_metric",
     "kahler_structure",
     "curvature",
@@ -54,26 +52,6 @@ __all__ = [
     "conformal_gauge_factor",
     "dirac_curvature_residual",
 ]
-
-
-@dataclass(frozen=True)
-class MFramePoint:
-    """Point of the total space: base coordinates plus the fiber angle."""
-
-    x: float
-    y: float
-    z: float
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if not (self.z > 0):
-            raise ValueError("base point must have z > 0")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.theta])
-
-    def base(self) -> PointUHS:
-        return PointUHS(self.x, self.y, self.z)
 
 
 def _embed_jacobian(p: np.ndarray) -> np.ndarray:
@@ -218,13 +196,6 @@ def _sampler(V: MultiCenterPotential, conn: DiracConnection, build):
 def gibbons_hawking_metric(V: MultiCenterPotential, conn: DiracConnection):
     """Sampler of V h + V^{-1} omega (x) omega on (x, y, z, theta)."""
     return _sampler(V, conn, _gh)
-
-
-def metric_asd(V: MultiCenterPotential, conn: DiracConnection, p: MFramePoint) -> np.ndarray:
-    """Metric components of the conformally anti-self-dual representative
-    at a point (patch rotated away from the point automatically)."""
-    c = conn.with_patches_for(p.as_array()[:3])
-    return gibbons_hawking_metric(V, c)(p.as_array())
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ Soc. A 357 (1999) 983-1019), with each step's exponential in closed form.
 The mesh is refined by step doubling over all pending steps at once, so
 one batched sampler call covers every node of a refinement round; `tol`
 bounds each step's step-doubling difference relative to its norm.  The
-initial mesh holds the output times and the field's closest approaches
-to its centers (`FieldSampler.breakpoints`).  The steps are accumulated
+initial mesh is the output times, each interval between them cut into
+steps of at most `_MAX_STEP`.  The steps are accumulated
 as a discrete QR factorization of the fundamental matrix, with the logs
 of R's diagonal kept apart, so exponentially dichotomic systems stay in
 floating range over any horizon and the decaying mode is resolved as
@@ -65,8 +65,7 @@ class FieldSampler:
     Subclasses provide ode_matrix(t), the 2x2 complex right-hand side of
     s' = M(t) s, and higgs_norm(t).  Both take a batch: a float t gives
     one (2, 2) matrix or one float, and an (n,) array of times gives
-    (n, 2, 2) matrices or (n,) floats.  `breakpoints` names the times
-    where M(t) peaks, which the propagator puts on its initial mesh.
+    (n, 2, 2) matrices or (n,) floats.
     """
 
     def ode_matrix(self, t) -> np.ndarray:
@@ -74,10 +73,6 @@ class FieldSampler:
 
     def higgs_norm(self, t):
         raise NotImplementedError
-
-    def breakpoints(self) -> tuple[float, ...]:
-        """Closed-form times of closest approach to the field's centers."""
-        return ()
 
 
 def _diagonal(v) -> np.ndarray:
@@ -110,8 +105,7 @@ class AbelianField(FieldSampler):
     a = -<x0, P>, b = -<u, P> and s^2 = <n, n> for n = P - a x0 + b u,
     the part of P normal to the geodesic's plane; s is sinh of the
     closest approach.  Carrying s^2 rather than cosh rho keeps V accurate
-    at grazing impacts, where cosh rho - 1 would cancel.  The closest
-    approach is at tanh t = -b/a, a breakpoint of the propagator's mesh.
+    at grazing impacts, where cosh rho - 1 would cancel.
     A geodesic whose closest approach has s below about 1.4e-7 runs
     through a center, and sampling it anywhere raises
     PoleOnGeodesicError, even where the sampled window stays clear of
@@ -153,11 +147,6 @@ class AbelianField(FieldSampler):
 
     def ode_matrix(self, t) -> np.ndarray:
         return _diagonal(self.higgs_norm(t))
-
-    def breakpoints(self) -> tuple[float, ...]:
-        # tanh t = -b/a, with a^2 - b^2 = 1 + s^2: t = -sign(b) log((a + |b|) / sqrt(1 + s^2))
-        t = -np.sign(self._b) * np.log((self._a + np.abs(self._b)) / np.sqrt(1.0 + self._s2))
-        return tuple(t.tolist())
 
 
 def _xcoth_taylor(count: int) -> list[float]:
@@ -267,9 +256,6 @@ class PSField(FieldSampler):
         re[..., 1, 0], im[..., 1, 0] = h * x - k * cy, k * cx + h * y
         re[..., 1, 1], im[..., 1, 1] = -re[..., 0, 0], -im[..., 0, 0]
         return M
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return (-float(np.dot(self._p0, self._dir)),)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +371,8 @@ def _mesh(fields: FieldSampler, ts: np.ndarray, tol: float):
     as (m, 4) step matrices by components and their tr Omega, and the
     number of steps taken before each of `ts`.
 
-    The initial mesh holds the output times and the field's breakpoints
-    between them, cut into steps of at most _MAX_STEP.  Each round
+    The initial mesh is the output times, each interval between them
+    cut into steps of at most _MAX_STEP.  Each round
     samples every node of every pending step in one ode_matrix call.  A
     step of length h passes when ||E_h - E_{h/2} E_{h/2}|| <= tol
     ||E_{h/2} E_{h/2}|| (Frobenius) and its growth stays under
@@ -394,9 +380,7 @@ def _mesh(fields: FieldSampler, ts: np.ndarray, tol: float):
     step is cut into ceil(1.2 (err/tol)^{1/7}) equal pieces (more if it
     grows too much), and only those are checked in the next round."""
     sign = 1.0 if ts[-1] >= ts[0] else -1.0     # the direction of integration
-    lo, hi = sorted((ts[0], ts[-1]))
-    marks = sorted(set(ts.tolist()) | {t for t in fields.breakpoints() if lo < t < hi},
-                   key=lambda t: sign * t)
+    marks = sorted(set(ts.tolist()), key=lambda t: sign * t)
     a, b = [], []
     for t0, t1 in zip(marks[:-1], marks[1:]):
         edges = np.linspace(t0, t1, max(1, math.ceil(abs(t1 - t0) / _MAX_STEP)) + 1)

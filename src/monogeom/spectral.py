@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -57,25 +58,35 @@ class LineChart:
     Built from the positive square root of the matrix of q, optionally
     composed with one of a fixed list of SU(2) chart rotations.  The
     transport sends q to the base point, so the geodesics through q
-    become the diagonal, coordinatized by their forward endpoint.
+    become the diagonal, coordinatized by their forward endpoint.  The
+    SL(2) matrix of the transport and its inverse are computed once, on
+    first use.
     """
 
     q: PointUHS
     su2: np.ndarray = field(default_factory=lambda: np.eye(2, dtype=complex))
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
         h = sqrtm_det1(point_matrix(hyp.embed(self.q)))
         return self.su2 @ np.linalg.inv(h)
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.matrix)
 
     def transport(self, x: PointUHS) -> np.ndarray:
         """Hyperboloid coordinates of x in the q-centered frame."""
         A = self.matrix
         return matrix_point(A @ point_matrix(hyp.embed(x)) @ A.conj().T)
 
+    def quadratic(self, center: PointUHS) -> "QuadraticRestriction":
+        """Quadratic cut out on the line of q by the section of a center."""
+        X = self.transport(center)
+        return QuadraticRestriction(complex(X[1], -X[2]), float(-X[3]))
+
     def _null_back(self, u: ExtendedComplex) -> ExtendedComplex:
-        A = self.matrix
-        Ainv = np.linalg.inv(A)
+        Ainv = self._inverse
         N = Ainv @ point_matrix(hyp.null_vector(u)) @ Ainv.conj().T
         if abs(N[1, 1]) < 1e-13 * abs(np.trace(N)):
             return INFINITY
@@ -136,9 +147,7 @@ def restrict_to_line(center, q: PointUHS, su2: np.ndarray | None = None) -> Quad
     """
     if isinstance(center, BiDegreeSection):
         center = center_of_line_section(center)
-    chart = LineChart(q) if su2 is None else LineChart(q, su2)
-    X = chart.transport(center)
-    return QuadraticRestriction(complex(X[1], -X[2]), float(-X[3]))
+    return (LineChart(q) if su2 is None else LineChart(q, su2)).quadratic(center)
 
 
 def center_of_line_section(sec: BiDegreeSection) -> PointUHS:
@@ -174,7 +183,10 @@ def antipodal_conjugate(coeffs: np.ndarray, degree: int | None = None) -> np.nda
 @dataclass(frozen=True)
 class FactorPair:
     """Factorization x(zeta) y(zeta) of a product of quadratics with
-    x = y* (antipodal conjugate); the residual U(1) gauge is `phase`."""
+    x = y* (antipodal conjugate); the residual U(1) gauge is `phase`.
+    x and y are evaluated in root form, x[-1] prod (zeta - alpha_i)^{l_i}
+    and y[-1] prod (zeta - beta_i)^{l_i}, which stays accurate at high
+    degree where the expanded coefficients round."""
 
     x: np.ndarray
     y: np.ndarray
@@ -184,10 +196,10 @@ class FactorPair:
     multiplicities: tuple[int, ...]
 
     def x_at(self, zeta):
-        return npoly.polyval(zeta, self.x)
+        return _root_form(self.x[-1], self.alphas, self.multiplicities, zeta)
 
     def y_at(self, zeta):
-        return npoly.polyval(zeta, self.y)
+        return _root_form(self.y[-1], self.betas, self.multiplicities, zeta)
 
     def product_at(self, zeta):
         return self.x_at(zeta) * self.y_at(zeta)
@@ -196,7 +208,7 @@ class FactorPair:
         """Max relative defect of x = y* on the unit circle."""
         zs = np.exp(2j * math.pi * np.arange(n) / n)
         ystar = npoly.polyval(zs, antipodal_conjugate(self.y))
-        xs = self.x_at(zs)
+        xs = npoly.polyval(zs, self.x)
         scale = max(float(np.max(np.abs(xs))), 1e-300)
         return float(np.max(np.abs(xs - ystar))) / scale
 
@@ -225,6 +237,13 @@ def factor(quadratics, charges, phase: float = 0.0) -> FactorPair:
     x = A * _poly_from_roots(alphas, charges)
     y = (prod_a / A) * _poly_from_roots(betas, charges)
     return FactorPair(x, y, np.exp(1j * phase), tuple(alphas), tuple(betas), tuple(charges))
+
+
+def _root_form(lead, roots, mults, zeta):
+    out = lead
+    for r, m in zip(roots, mults):
+        out = out * (zeta - r) ** m
+    return out
 
 
 def _poly_from_roots(roots, mults) -> np.ndarray:
@@ -266,11 +285,13 @@ def multiset_distance(a, b) -> float:
 class SpectralDataC1:
     """Point of the charge-1 moduli space over a singular configuration:
     monopole location q, mass, the lifted pair (x, y) in the q-adapted
-    trivialization, and the divisor selecting geodesic orientations."""
+    trivialization with the restricted quadratics it factorizes, and the
+    divisor selecting geodesic orientations."""
 
     q: PointUHS
     mass: float
     pair: FactorPair
+    quadratics: tuple[QuadraticRestriction, ...]
     divisor: tuple[DivisorPoint, ...]
     chart: LineChart
 
@@ -295,22 +316,14 @@ class SpectralDataC1:
         return multiset_distance(got, want)
 
     def product_residual(self, n: int = 64) -> float:
-        """Relative residual of x y against the restricted section on an
-        n-point unit-circle grid of the line of q."""
+        """Relative residual of x y against the restricted section
+        prod q_i^{l_i} on an n-point unit-circle grid of the line of q."""
         zs = np.exp(2j * math.pi * np.arange(n) / n)
-        prod = self.pair.product_at(zs)
-        target = _product_from_pair(self.pair, zs)
+        target = np.ones_like(zs)
+        for qd, m in zip(self.quadratics, self.pair.multiplicities):
+            target = target * qd(zs) ** m
         scale = max(float(np.max(np.abs(target))), 1e-300)
-        return float(np.max(np.abs(prod - target))) / scale
-
-
-def _product_from_pair(pair: FactorPair, zs):
-    """Product of the original quadratics, rebuilt from roots and the
-    leading coefficients carried by x and y."""
-    out = np.ones_like(zs)
-    for a, b, m in zip(pair.alphas, pair.betas, pair.multiplicities):
-        out = out * ((zs - a) * (zs - b)) ** m
-    return out * (pair.x[-1] * pair.y[-1])
+        return float(np.max(np.abs(self.pair.product_at(zs) - target))) / scale
 
 
 def lift_twistor_line(q: PointUHS, V: MultiCenterPotential,
@@ -332,9 +345,7 @@ def lift_twistor_line(q: PointUHS, V: MultiCenterPotential,
     for su2 in CHART_ROTATIONS:
         chart = LineChart(q, su2)
         try:
-            quadratics = [QuadraticRestriction(
-                complex(X[1], -X[2]), float(-X[3]))
-                for X in (chart.transport(c) for c in V.centers)]
+            quadratics = tuple(chart.quadratic(c) for c in V.centers)
             pair = factor(quadratics, V.charges, phase=phase)
         except ChartRotationRequired as exc:
             last_exc = exc
@@ -342,7 +353,8 @@ def lift_twistor_line(q: PointUHS, V: MultiCenterPotential,
         divisor = tuple(
             DivisorPoint(zeta=a, multiplicity=m, geodesic=chart.root_to_geodesic(a))
             for a, m in zip(pair.alphas, pair.multiplicities))
-        return SpectralDataC1(q=q, mass=V.mass, pair=pair, divisor=divisor, chart=chart)
+        return SpectralDataC1(q=q, mass=V.mass, pair=pair, quadratics=quadratics,
+                              divisor=divisor, chart=chart)
     raise last_exc if last_exc is not None else RuntimeError("no admissible chart")
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "rho_form",
     "patch_jacobian",
     "fiber_coordinates",
-    "product_symplectic_value",
     "random_marked_tangent",
 ]
 
@@ -184,22 +183,6 @@ def omega_D_contour(X1: TangentVector, X2: TangentVector, sheets: SheetData,
         num = e1(zs) * u2(zs) - e2(zs) * u1(zs)
         total += num / ((zs / z0 - 1.0) ** 2 * u(zs))
     return complex(np.mean(total))
-
-
-def product_symplectic_value(X1: TangentVector, X2: TangentVector,
-                             sheets: SheetData) -> complex:
-    """The product symplectic form sum_i d eta_i wedge d u_i / u_i of the
-    symmetric product of C x C*, evaluated on the fiber coordinates over
-    zeta = 0; the closed form the pairing is checked against."""
-    total = 0j
-    for i in range(sheets.k):
-        de1 = complex(X1.eta_primes[i](0.0))
-        du1 = complex(X1.u_primes[i](0.0))
-        de2 = complex(X2.eta_primes[i](0.0))
-        du2 = complex(X2.u_primes[i](0.0))
-        ui = complex(sheets.us[i](0.0))
-        total += de1 * (du2 / ui) - de2 * (du1 / ui)
-    return total
 
 
 def rho_form(zeta, eta, u, v1, v2, v3) -> complex:

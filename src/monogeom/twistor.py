@@ -158,14 +158,6 @@ class BiDegreeSection:
             out = out * self
         return out
 
-    def restrict_diagonal(self) -> np.ndarray:
-        """Coefficients (ascending) of p(zeta, zeta), a degree a+b polynomial."""
-        a, b = self.degrees
-        out = np.zeros(a + b + 1, dtype=complex)
-        for j in range(a + 1):
-            out[j:j + b + 1] += self.coeffs[j]
-        return out
-
     def chart_swap_z(self) -> "BiDegreeSection":
         """Coefficients in the chart z -> 1/z (weighted reversal)."""
         return BiDegreeSection(self.coeffs[::-1, :].copy())
@@ -379,7 +371,3 @@ def gamma_L_integral(radius: float | None = None) -> complex:
     nodes, weights = _LEGENDRE_16
     val = half * float(weights @ (2.0 * np.sin(2.0 * half * (nodes + 1.0))))
     return 2j * math.pi * val
-
-
-def gamma_L_integrand(zeta: complex) -> float:
-    return 2.0 / (1.0 + abs(zeta) ** 2) ** 2

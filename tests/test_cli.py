@@ -11,6 +11,7 @@ import pytest
 
 import monogeom
 from monogeom import checks
+from monogeom import scattering as sc
 from monogeom.cli import RunConfig, main
 
 
@@ -94,6 +95,19 @@ def test_metric_csv(tmp_path):
         assert abs(float(row[4])) < 1e-4   # scalar-flat gauge samples
 
 
+def test_metric_turns_strings_away_from_each_point(tmp_path):
+    # (0, 0, 1.8) lies on the Dirac string of the patch anchored at O
+    out = tmp_path / "grid.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"centers": [[0, 0, 1.25]], "charges": [1]}))
+    assert run(["metric", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    on_string = [r for r in rows if [float(r[k]) for k in "xyz"] == [0.0, 0.0, 1.8]]
+    assert len(on_string) == 1
+    assert abs(float(on_string[0]["scalar"])) <= 1e-4
+
+
 def test_scatter_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scatter_impacts": []}))
@@ -114,6 +128,20 @@ def test_scatter_abelian(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 4
+
+
+def test_ps_scan_one_decaying_computation_per_geodesic(tmp_path, monkeypatch):
+    # per geodesic: the two decaying directions once, then the fundamental
+    # solution; 5 default impacts
+    calls = []
+    propagate = sc._propagate
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return propagate(*args, **kw)
+    monkeypatch.setattr(sc, "_propagate", counted)
+    assert run(["scatter", "--experiment", "ps_scan", "--out", str(tmp_path / "ps.csv")]) == 0
+    assert len(calls) == 3 * len(RunConfig().ps_impacts) == 15
 
 
 def test_spectral_json(tmp_path):

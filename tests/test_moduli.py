@@ -164,10 +164,11 @@ def test_gauge_independence_of_curvature():
 # ---------------------------------------------------------------------------
 
 def test_metric_asd_flat_components():
-    p = md.MFramePoint(0.5, -0.3, 1.1, 0.2)
-    g = md.metric_asd(FLAT, md.DiracConnection(FLAT), p)
+    p4 = np.array([0.5, -0.3, 1.1, 0.2])
+    conn = md.DiracConnection(FLAT).with_patches_for(p4[:3])
+    g = md.gibbons_hawking_metric(FLAT, conn)(p4)
     want = np.zeros((4, 4))
-    want[:3, :3] = np.eye(3) / p.z ** 2
+    want[:3, :3] = np.eye(3) / p4[2] ** 2
     want[3, 3] = 1.0
     assert np.allclose(g, want, atol=1e-14)
 
@@ -177,7 +178,7 @@ def test_metric_asd_symmetric_positive():
     conn = md.DiracConnection(V)
     for _ in range(6):
         p4 = sample_point(V, RNG)
-        g = md.metric_asd(V, conn, md.MFramePoint(*p4))
+        g = md.gibbons_hawking_metric(V, conn.with_patches_for(p4[:3]))(p4)
         assert np.allclose(g, g.T)
         assert np.all(np.linalg.eigvalsh(g) > 0)
 

@@ -91,25 +91,6 @@ def test_grazing_closest_approach_between_checkpoints(l):
     assert abs(sol.log_norm_final() - (F(t1) - F(t0))) < 4e-10
 
 
-def test_breakpoints_are_closest_approach_times():
-    # the geodesic of from_impact, re-based at parameter s, meets its
-    # closest point to center 0 at t = -s; at every breakpoint the
-    # distance to its center is stationary: <gamma'(t), P> = 0
-    V = MultiCenterPotential(0.4, (PointUHS(0, 0, 1), PointUHS(0.5, 0.2, 2.0)), (1, 2))
-    f = sc.AbelianField.from_impact(V, 0, 0.3)
-    for s in (-1.7, 0.4):
-        g = sc.AbelianField(V, math.cosh(s) * f.x0 + math.sinh(s) * f.u,
-                            math.sinh(s) * f.x0 + math.cosh(s) * f.u)
-        times = g.breakpoints()
-        assert times[0] == pytest.approx(-s, abs=1e-14)
-        for t, P in zip(times, V.centers):
-            tangent = math.sinh(t) * g.x0 + math.cosh(t) * g.u
-            assert abs(hyp.mdot(tangent, hyp.embed(P))) < 1e-13
-    ps = sc.PSField(x0=[1.0, 0.5, 3.0], u=[0.0, 0.0, 2.0], center=[0.0, 0.5, 0.0])
-    assert ps.breakpoints() == (-3.0,)
-    assert sc.TrivialU1Field().breakpoints() == ()
-
-
 def test_det_balance_band():
     V = MultiCenterPotential(0.4, (PointUHS(0, 0, 1),), (2,))
     field = sc.AbelianField.from_impact(V, 0, impact=1e-4)

@@ -193,6 +193,22 @@ def test_lift_xy_equals_section_on_grid():
         assert data.divisor_doubling_defect() < 1e-9
 
 
+def test_product_at_total_degree_20():
+    # doubled charges 4, 6, 6, 4: expanding x and y into coefficients left
+    # x y 5.5e-10 from the section; in root form it is exact to rounding
+    V = MultiCenterPotential(
+        2.63699440521728,
+        (PointUHS(1.247507485311766, -0.8982594420993043, 1.3529099725912248),
+         PointUHS(-1.4759975806303174, -0.06365912683459264, 1.7889844189501232),
+         PointUHS(1.2309476989948753, -0.46650602472338054, 1.456174415579616),
+         PointUHS(0.4371726303538179, -0.7798183728071499, 1.3826073539742398)),
+        (4, 6, 6, 4), 0.8184972026086399)
+    q = PointUHS(-0.5008218183228977, 0.7908675989918377, 1.6491293820023745)
+    data = sp.lift_twistor_line(q, V)
+    assert len(data.pair.x) - 1 == 20
+    assert data.product_residual(n=64) < 1e-10
+
+
 def test_doubling_defect_pairs_across_rounding_boundary():
     # two divisor roots with real parts 2.5e-10 apart; the first one's real
     # part and its factor root's straddle the 9th-digit rounding boundary,

@@ -103,7 +103,7 @@ def test_matches_product_symplectic_form():
     X1 = sy.random_marked_tangent(3, z0, rng)
     X2 = sy.random_marked_tangent(3, z0, rng)
     lhs = sy.omega_D_contour(X1, X2, sheets, nodes=4096)
-    rhs = sy.product_symplectic_value(X1, X2, sheets)
+    rhs = sy.omega_D_residue(X1, X2, sheets)
     assert abs(lhs - rhs) < 1e-8
 
 

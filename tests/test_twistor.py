@@ -310,10 +310,6 @@ def test_gamma_L_integral_value():
     assert val.imag > 0
 
 
-def test_gamma_L_integrand_at_origin():
-    assert tw.gamma_L_integrand(0j) == 2.0
-
-
 def test_gamma_L_truncation_tail():
     # value(R) approaches 4 pi with an O(1/R^2) analytic tail
     for R in (10.0, 20.0, 40.0):
