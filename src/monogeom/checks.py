@@ -28,7 +28,7 @@ from . import symplectic as sy
 from . import twistor as tw
 from .hyperbolic import ORIGIN, MultiCenterPotential, PointUHS
 from .numdiff import holo_partial
-from .projective import INFINITY, ExtendedComplex
+from .projective import INFINITY, ExtendedComplex, roots_of_unity
 
 __all__ = ["Setting", "Check", "TABLE", "GAUGES", "measure", "random_sheets",
            "sample_point", "hand_example"]
@@ -135,10 +135,6 @@ def _lifts(s: Setting):
     return ((V, q, sp.lift_twistor_line(q, V)) for V, q in s.lines)
 
 
-def _unit_circle(n: int) -> np.ndarray:
-    return np.exp(2j * math.pi * np.arange(n) / n)
-
-
 def _ps_line(b: float) -> sc.PSField:
     return sc.PSField(x0=[b, 0.0, 0.0], u=[0.0, 0.0, 1.0])
 
@@ -229,7 +225,7 @@ def _euclidean_closest_point(s, rng):
 def _l2_overlap(s, rng):
     curve = mt.charge1_curve(rng.normal(size=3))
     u0, u1 = mt.l2_trivialization(curve)
-    zs = _unit_circle(32)
+    zs = roots_of_unity(32)
     lhs = np.array([u1(1.0 / z) for z in zs])
     rhs = np.array([np.exp(-2.0 * mt.curve_eta(curve, z) / z) * u0(z) for z in zs])
     return float(np.max(np.abs(lhs - rhs) / np.abs(lhs)))
@@ -247,7 +243,7 @@ check("minitwistor.l2-roundtrip", "patch transition inverts", 1e-14,
 def _product(s, rng):
     # x y against the restricted quadratics themselves on 1000 points
     def defect(V, q, data):
-        zs = _unit_circle(1000)
+        zs = roots_of_unity(1000)
         target = np.ones_like(zs)
         for c, l in zip(V.centers, V.charges):
             target *= sp.restrict_to_line(c, q, data.chart.su2)(zs) ** l

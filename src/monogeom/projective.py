@@ -8,11 +8,13 @@ chart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["ExtendedComplex", "INFINITY", "tau"]
+__all__ = ["ExtendedComplex", "INFINITY", "tau", "roots_of_unity"]
 
 
 @dataclass(frozen=True)
@@ -80,3 +82,12 @@ def tau(v):
 def chordal_distance(p: ExtendedComplex, q: ExtendedComplex) -> float:
     """Distance in the round metric's chordal chart, max value 2."""
     return float(np.linalg.norm(p.unit_sphere() - q.unit_sphere()))
+
+
+@lru_cache(maxsize=16)
+def roots_of_unity(n: int) -> np.ndarray:
+    """exp(2 pi i j / n), j = 0..n-1: the unit-circle nodes of the
+    package's trapezoid rules, built once per n, read-only."""
+    zs = np.exp(2j * math.pi * np.arange(n) / n)
+    zs.setflags(write=False)
+    return zs

@@ -13,6 +13,7 @@ moduli space.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,9 +23,8 @@ import numpy.polynomial.polynomial as npoly
 
 from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential, OrientedGeodesic, PointUHS
-from .projective import INFINITY, ExtendedComplex, tau
-from .twistor import (CHART_ROTATIONS, BiDegreeSection, matrix_point, point_matrix,
-                      sqrtm_det1)
+from .projective import INFINITY, ExtendedComplex, roots_of_unity, tau
+from .twistor import CHART_ROTATIONS, BiDegreeSection, matrix_point, point_matrix
 
 __all__ = [
     "QuadraticRestriction",
@@ -59,45 +59,48 @@ class LineChart:
     composed with one of a fixed list of SU(2) chart rotations.  The
     transport sends q to the base point, so the geodesics through q
     become the diagonal, coordinatized by their forward endpoint.  The
-    SL(2) matrix of the transport and its inverse are computed once, on
-    first use.
+    transport A and its inverse are computed once, on first use; each
+    method moves a batch by one A P A^dagger product over a stack.
     """
 
     q: PointUHS
     su2: np.ndarray = field(default_factory=lambda: np.eye(2, dtype=complex))
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        h = sqrtm_det1(point_matrix(hyp.embed(self.q)))
-        return self.su2 @ np.linalg.inv(h)
+    def _transport(self) -> tuple[np.ndarray, np.ndarray]:
+        # A = su2 h^-1 with h = (Q + I) / sqrt(tr Q + 2) the positive square
+        # root of the det-1 matrix Q of q; h^-1 is the adjugate of h, the
+        # same form with the spatial part negated, and su2^-1 = su2^dagger
+        Y = hyp.embed(self.q) + [1.0, 0.0, 0.0, 0.0]
+        s = math.sqrt(2.0 * Y[0])
+        return (self.su2 @ point_matrix(Y * [1.0, -1.0, -1.0, -1.0]) / s,
+                point_matrix(Y) @ self.su2.conj().T / s)
 
-    @cached_property
-    def _inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.matrix)
+    def quadratics(self, centers: np.ndarray) -> tuple["QuadraticRestriction", ...]:
+        """Quadratics cut out on the line of q by the sections of the
+        centers, an (n, 3) array of points: in the q-centered frame a
+        center X gives a = X1 - i X2 and b = -X3."""
+        A, _ = self._transport
+        X = A @ point_matrix(hyp.embed(centers)) @ A.conj().T
+        a = X[:, 0, 1].tolist()
+        b = ((X[:, 1, 1].real - X[:, 0, 0].real) / 2).tolist()
+        return tuple(QuadraticRestriction(ai, bi) for ai, bi in zip(a, b))
 
-    def transport(self, x: PointUHS) -> np.ndarray:
-        """Hyperboloid coordinates of x in the q-centered frame."""
-        A = self.matrix
-        return matrix_point(A @ point_matrix(hyp.embed(x)) @ A.conj().T)
-
-    def quadratic(self, center: PointUHS) -> "QuadraticRestriction":
-        """Quadratic cut out on the line of q by the section of a center."""
-        X = self.transport(center)
-        return QuadraticRestriction(complex(X[1], -X[2]), float(-X[3]))
-
-    def _null_back(self, u: ExtendedComplex) -> ExtendedComplex:
-        Ainv = self._inverse
-        N = Ainv @ point_matrix(hyp.null_vector(u)) @ Ainv.conj().T
-        if abs(N[1, 1]) < 1e-13 * abs(np.trace(N)):
-            return INFINITY
-        return ExtendedComplex(complex(np.conj(N[0, 1] / N[1, 1])))
-
-    def root_to_geodesic(self, zeta) -> OrientedGeodesic:
-        """Geodesic through q whose chart coordinate is zeta: forward
-        endpoint zeta, backward endpoint tau(zeta), both transported back."""
-        ze = ExtendedComplex.of(zeta)
-        return OrientedGeodesic(start=self._null_back(ze.antipode()),
-                                end=self._null_back(ze))
+    def geodesics(self, zetas) -> tuple[OrientedGeodesic, ...]:
+        """Geodesics through q with finite chart coordinates zetas:
+        forward endpoint zeta and backward endpoint tau(zeta), whose
+        sphere image is minus that of zeta, both transported back."""
+        _, B = self._transport
+        v = np.asarray(zetas, dtype=complex).reshape(-1)
+        m = np.abs(v) ** 2
+        n = np.stack([2 * v.real, 2 * v.imag, m - 1.0], axis=-1) / (m + 1.0)[:, None]
+        null = np.concatenate([np.ones((2, len(v), 1)), [n, -n]], axis=-1)  # forward, backward
+        N = B @ point_matrix(null) @ B.conj().T
+        pole = np.abs(N[..., 1, 1]) < 1e-13 * np.abs(N[..., 0, 0] + N[..., 1, 1])
+        ends = np.conj(N[..., 0, 1] / np.where(pole, 1.0, N[..., 1, 1]))
+        end, start = ([INFINITY if p else ExtendedComplex(e) for p, e in zip(*row)]
+                      for row in zip(pole.tolist(), ends.tolist()))
+        return tuple(map(OrientedGeodesic, start, end))
 
 
 @dataclass(frozen=True)
@@ -131,11 +134,8 @@ class QuadraticRestriction:
             raise ChartRotationRequired("a = 0: root at the chart pole")
         return (-self.b - self.delta) / self.a
 
-    def coeffs(self) -> np.ndarray:
-        return np.array([-np.conj(self.a), 2 * self.b, self.a], dtype=complex)
-
     def __call__(self, zeta):
-        return npoly.polyval(zeta, self.coeffs())
+        return (self.a * zeta + 2 * self.b) * zeta - self.a.conjugate()
 
 
 def restrict_to_line(center, q: PointUHS, su2: np.ndarray | None = None) -> QuadraticRestriction:
@@ -147,7 +147,8 @@ def restrict_to_line(center, q: PointUHS, su2: np.ndarray | None = None) -> Quad
     """
     if isinstance(center, BiDegreeSection):
         center = center_of_line_section(center)
-    return (LineChart(q) if su2 is None else LineChart(q, su2)).quadratic(center)
+    chart = LineChart(q) if su2 is None else LineChart(q, su2)
+    return chart.quadratics(center.as_array()[None])[0]
 
 
 def center_of_line_section(sec: BiDegreeSection) -> PointUHS:
@@ -169,15 +170,12 @@ def center_of_line_section(sec: BiDegreeSection) -> PointUHS:
     return PointUHS.from_array(hyp.unembed(X))
 
 
-def antipodal_conjugate(coeffs: np.ndarray, degree: int | None = None) -> np.ndarray:
+def antipodal_conjugate(coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of p*(zeta) = conj(p(tau(zeta))) zeta^l for a
     degree-l polynomial p; the chart weight convention is +zeta^l."""
     c = np.asarray(coeffs, dtype=complex)
-    l = degree if degree is not None else len(c) - 1
-    if len(c) < l + 1:
-        c = np.concatenate([c, np.zeros(l + 1 - len(c), dtype=complex)])
-    j = np.arange(l + 1)
-    return ((-1.0) ** (l - j)) * np.conj(c[::-1])
+    l = len(c) - 1
+    return ((-1.0) ** (l - np.arange(l + 1))) * np.conj(c[::-1])
 
 
 @dataclass(frozen=True)
@@ -206,7 +204,7 @@ class FactorPair:
 
     def reality_defect(self, n: int = 128) -> float:
         """Max relative defect of x = y* on the unit circle."""
-        zs = np.exp(2j * math.pi * np.arange(n) / n)
+        zs = roots_of_unity(n)
         ystar = npoly.polyval(zs, antipodal_conjugate(self.y))
         xs = npoly.polyval(zs, self.x)
         scale = max(float(np.max(np.abs(xs))), 1e-300)
@@ -232,11 +230,11 @@ def factor(quadratics, charges, phase: float = 0.0) -> FactorPair:
     # b + delta, as |a|^2 / (delta - b) when b < 0 to avoid cancellation
     mod2 = math.prod((qd.b + qd.delta if qd.b >= 0 else abs(qd.a) ** 2 / (qd.delta - qd.b)) ** l
                      for qd, l in zip(quadratics, charges))
-    A = math.sqrt(mod2) * np.exp(1j * phase)
-    prod_a = np.prod([qd.a ** l for qd, l in zip(quadratics, charges)]) if quadratics else 1.0
+    A = math.sqrt(mod2) * cmath.exp(1j * phase)
+    prod_a = math.prod(qd.a ** l for qd, l in zip(quadratics, charges))
     x = A * _poly_from_roots(alphas, charges)
     y = (prod_a / A) * _poly_from_roots(betas, charges)
-    return FactorPair(x, y, np.exp(1j * phase), tuple(alphas), tuple(betas), tuple(charges))
+    return FactorPair(x, y, cmath.exp(1j * phase), tuple(alphas), tuple(betas), tuple(charges))
 
 
 def _root_form(lead, roots, mults, zeta):
@@ -247,11 +245,12 @@ def _root_form(lead, roots, mults, zeta):
 
 
 def _poly_from_roots(roots, mults) -> np.ndarray:
-    out = np.array([1.0 + 0j])
+    """Ascending coefficients of prod (zeta - r)^m, on Python scalars."""
+    c = [1.0 + 0j]
     for r, m in zip(roots, mults):
         for _ in range(m):
-            out = npoly.polymul(out, np.array([-r, 1.0], dtype=complex))
-    return np.asarray(out, dtype=complex)
+            c = [lo - r * hi for lo, hi in zip([0j] + c, c + [0j])]
+    return np.array(c, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -268,14 +267,20 @@ def multiset_distance(a, b) -> float:
     """Largest |a_i - b_j| over the pairs of a minimum-total-distance
     matching of two multisets of complex numbers (0 for two empty ones,
     inf when their sizes differ).  Unlike pairing by sorted order, no
-    rounding boundary between nearby values can mis-pair them.  scipy's
-    assignment solver is imported on the first call, so that importing
-    the package does not load scipy."""
-    from scipy.optimize import linear_sum_assignment
-
+    rounding boundary between nearby values can mis-pair them.  When
+    pairing each a_i with its nearest value of b uses every value as often
+    as b holds it, each pair is a row minimum, so that matching is optimal;
+    otherwise scipy's assignment solver decides, imported on that call."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.size != b.size:
         return math.inf
+    values, counts = np.unique(b, return_counts=True)
+    cost = np.abs(a[:, None] - values[None, :])
+    nearest = np.argmin(cost, axis=1) if a.size else np.zeros(0, dtype=int)
+    if np.array_equal(np.bincount(nearest, minlength=len(values)), counts):
+        return float(cost[np.arange(a.size), nearest].max(initial=0.0))
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max(initial=0.0))
@@ -306,22 +311,19 @@ class SpectralDataC1:
     def divisor_doubling_defect(self) -> float:
         """Multiset defect of D + sigma(D) against the divisor of the
         restricted squared section (exact on root multisets)."""
-        got = []
-        for d in self.divisor:
-            got += [d.zeta] * d.multiplicity
-            got += [tau(d.zeta)] * d.multiplicity
-        want = []
-        for a, b, m in zip(self.pair.alphas, self.pair.betas, self.pair.multiplicities):
-            want += [a] * m + [b] * m
+        got = [z for d in self.divisor for z in (d.zeta, tau(d.zeta))
+               for _ in range(d.multiplicity)]
+        p = self.pair
+        want = [z for a, b, m in zip(p.alphas, p.betas, p.multiplicities) for z in (a, b)
+                for _ in range(m)]
         return multiset_distance(got, want)
 
     def product_residual(self, n: int = 64) -> float:
         """Relative residual of x y against the restricted section
         prod q_i^{l_i} on an n-point unit-circle grid of the line of q."""
-        zs = np.exp(2j * math.pi * np.arange(n) / n)
-        target = np.ones_like(zs)
-        for qd, m in zip(self.quadratics, self.pair.multiplicities):
-            target = target * qd(zs) ** m
+        zs = roots_of_unity(n)
+        target = math.prod((qd(zs) ** m for qd, m in zip(self.quadratics, self.pair.multiplicities)),
+                           start=np.ones_like(zs))
         scale = max(float(np.max(np.abs(target))), 1e-300)
         return float(np.max(np.abs(self.pair.product_at(zs) - target))) / scale
 
@@ -338,24 +340,23 @@ def lift_twistor_line(q: PointUHS, V: MultiCenterPotential,
     constant there, so real powers are unambiguous and taken to be 1)
     and the divisor of x with its geodesic orientations.
     """
-    for c in V.centers:
-        if hyp.dist(q, c) < 1e-10:
-            raise DegenerateRestrictionError("q coincides with a singular center")
-    last_exc: Exception | None = None
+    centers = np.array([c.as_array() for c in V.centers], dtype=float).reshape(-1, 3)
+    if np.any(hyp.dist(q, centers) < 1e-10):
+        raise DegenerateRestrictionError("q coincides with a singular center")
     for su2 in CHART_ROTATIONS:
         chart = LineChart(q, su2)
         try:
-            quadratics = tuple(chart.quadratic(c) for c in V.centers)
+            quadratics = chart.quadratics(centers)
             pair = factor(quadratics, V.charges, phase=phase)
-        except ChartRotationRequired as exc:
-            last_exc = exc
-            continue
-        divisor = tuple(
-            DivisorPoint(zeta=a, multiplicity=m, geodesic=chart.root_to_geodesic(a))
-            for a, m in zip(pair.alphas, pair.multiplicities))
-        return SpectralDataC1(q=q, mass=V.mass, pair=pair, quadratics=quadratics,
-                              divisor=divisor, chart=chart)
-    raise last_exc if last_exc is not None else RuntimeError("no admissible chart")
+            break
+        except ChartRotationRequired:
+            if su2 is CHART_ROTATIONS[-1]:
+                raise
+    divisor = tuple(
+        DivisorPoint(zeta=a, multiplicity=m, geodesic=g)
+        for a, m, g in zip(pair.alphas, pair.multiplicities, chart.geodesics(pair.alphas)))
+    return SpectralDataC1(q=q, mass=V.mass, pair=pair, quadratics=quadratics,
+                          divisor=divisor, chart=chart)
 
 
 def genus_of_spectral_curve(k: int) -> int:

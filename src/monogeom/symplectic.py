@@ -12,11 +12,13 @@ the central consistency check of the module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
+
+from .projective import roots_of_unity
 
 __all__ = [
     "Series",
@@ -57,7 +59,8 @@ class Series:
     def __mul__(self, other):
         if np.isscalar(other):
             return Series(self.coeffs * other)
-        return Series(npoly.polymul(self.coeffs, Series.of(other).coeffs))
+        # trimmed as numpy's polymul trims its factors and product
+        return Series(_trim(np.convolve(_trim(self.coeffs), _trim(Series.of(other).coeffs))))
 
     __rmul__ = __mul__
 
@@ -71,6 +74,32 @@ class Series:
 
     def at_zero(self) -> complex:
         return complex(self.coeffs[0])
+
+
+def _trim(c: np.ndarray) -> np.ndarray:
+    """c without trailing zeros, keeping at least one coefficient."""
+    if c[-1] != 0:
+        return c
+    nz = np.flatnonzero(c)
+    return c[:nz[-1] + 1] if nz.size else c[:1]
+
+
+def _stack(rows) -> np.ndarray:
+    """Coefficient arrays as the rows of one zero-padded array."""
+    out = np.zeros((len(rows), max(map(len, rows), default=1)), dtype=complex)
+    for dst, src in zip(out, rows):
+        dst[:len(src)] = src
+    return out
+
+
+@lru_cache(maxsize=16)
+def _node_powers(nodes: int, degree: int) -> np.ndarray:
+    """Read-only (degree + 1, nodes) table of w_j^m for the nodes w_j of
+    `roots_of_unity(nodes)`: row m is the node set itself, permuted."""
+    m, j = np.ogrid[:degree + 1, :nodes]
+    table = roots_of_unity(nodes)[(m * j) % nodes]
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -103,11 +132,17 @@ class SheetData:
             raise ValueError("need one u per sheet")
         object.__setattr__(self, "etas", etas)
         object.__setattr__(self, "us", us)
-        zs = np.exp(2j * math.pi * np.arange(64) / 64)
+        zs = roots_of_unity(64)
         for u in us:
             vals = np.abs(u(zs))
             if abs(u.at_zero()) < 1e-12 or float(np.min(vals)) < 1e-12:
                 raise ValueError("u must be bounded away from zero on the domain")
+
+    @cached_property
+    def u_zero_modulus(self) -> float:
+        """Smallest |zeta| where some u_i vanishes (inf when none does)."""
+        return float(min((abs(r) for u in self.us for r in np.roots(u.coeffs[::-1])),
+                         default=np.inf))
 
     @property
     def k(self) -> int:
@@ -169,20 +204,29 @@ def omega_D_contour(X1: TangentVector, X2: TangentVector, sheets: SheetData,
     """Contour evaluation over |zeta| = radius of
     sum_i (eta'_{i,1} u'_{i,2} - eta'_{i,2} u'_{i,1})
           / ((zeta/zeta_0 - 1)^2 u_i) dzeta / (2 pi i zeta),
-    by the trapezoid rule, spectrally accurate for analytic data."""
+    by the trapezoid rule, spectrally accurate for analytic data, from
+    the coefficients of all numerators and u_i times a cached table of
+    the nodes' powers.  A contour through or around a zero of some u_i,
+    a pole the residue sum at 0 does not see, is refused."""
     _check_pair(X1, X2, sheets)
     if nodes < 64:
         raise ValueError("use at least 64 quadrature nodes")
     z0 = X1.marked_at
     if abs(abs(z0) - radius) < 1e-6:
         raise ValueError("marking point within 1e-6 of the contour: ill conditioned")
-    zs = radius * np.exp(2j * math.pi * np.arange(nodes) / nodes)
-    total = np.zeros(nodes, dtype=complex)
-    for e1, u1, e2, u2, u in zip(X1.eta_primes, X1.u_primes,
-                                 X2.eta_primes, X2.u_primes, sheets.us):
-        num = e1(zs) * u2(zs) - e2(zs) * u1(zs)
-        total += num / ((zs / z0 - 1.0) ** 2 * u(zs))
-    return complex(np.mean(total))
+    k = sheets.k
+    C = _stack([np.convolve(e1.coeffs, u2.coeffs) for e1, u2 in zip(X1.eta_primes, X2.u_primes)]
+               + [np.convolve(e2.coeffs, u1.coeffs) for e2, u1 in zip(X2.eta_primes, X1.u_primes)]
+               + [u.coeffs for u in sheets.us])
+    # |u_0| > sum_m |u_m| R^m rules out a zero of u in |zeta| <= R without its roots
+    U = np.abs(C[2 * k:]) * (radius + 1e-6) ** np.arange(C.shape[1])
+    if np.any(U[:, 0] <= U[:, 1:].sum(axis=1)) and radius > sheets.u_zero_modulus - 1e-6:
+        raise ValueError(f"a u_i vanishes at |zeta| = {sheets.u_zero_modulus:.6g}, "
+                         "not inside the contour")
+    C = np.concatenate([C[:k] - C[k:2 * k], C[2 * k:]]) * radius ** np.arange(C.shape[1])
+    vals = C @ _node_powers(nodes, C.shape[1] - 1)
+    zs = radius * roots_of_unity(nodes)
+    return complex(np.mean(np.sum(vals[:k] / vals[k:], axis=0) / (zs / z0 - 1.0) ** 2))
 
 
 def rho_form(zeta, eta, u, v1, v2, v3) -> complex:

@@ -42,7 +42,6 @@ __all__ = [
     "gamma_L_integral",
     "point_matrix",
     "matrix_point",
-    "sqrtm_det1",
     "CHART_ROTATIONS",
 ]
 
@@ -88,9 +87,15 @@ def sigma(p: TwistorPoint) -> TwistorPoint:
 # ---------------------------------------------------------------------------
 
 def point_matrix(X: np.ndarray) -> np.ndarray:
-    """Hermitian 2x2 matrix of a Minkowski 4-vector, det = -<X,X>."""
-    return np.array([[X[0] + X[3], X[1] - 1j * X[2]],
-                     [X[1] + 1j * X[2], X[0] - X[3]]])
+    """Hermitian 2x2 matrix of a Minkowski 4-vector, det = -<X,X>;
+    (..., 4) arrays map to (..., 2, 2) stacks."""
+    X = np.asarray(X)
+    M = np.empty(X.shape[:-1] + (2, 2), dtype=complex)
+    M[..., 0, 0] = X[..., 0] + X[..., 3]
+    M[..., 0, 1] = X[..., 1] - 1j * X[..., 2]
+    M[..., 1, 0] = X[..., 1] + 1j * X[..., 2]
+    M[..., 1, 1] = X[..., 0] - X[..., 3]
+    return M
 
 
 def matrix_point(M: np.ndarray) -> np.ndarray:
@@ -107,11 +112,6 @@ CHART_ROTATIONS = (np.eye(2, dtype=complex),) + tuple(
     math.cos(a / 2) * np.eye(2, dtype=complex)
     - 1j * math.sin(a / 2) * point_matrix(np.array([0.0, 0.36, 0.48, 0.8]))
     for a in (0.7345, 1.4261, 2.0393))
-
-
-def sqrtm_det1(A: np.ndarray) -> np.ndarray:
-    """Square root of a positive Hermitian 2x2 matrix with det 1."""
-    return (A + np.eye(2)) / math.sqrt(np.trace(A).real + 2.0)
 
 
 # ---------------------------------------------------------------------------

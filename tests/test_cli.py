@@ -202,3 +202,17 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_spectral_loads_no_scipy(tmp_path):
+    # the doubling defect's multiset matching pairs nearest values and
+    # needs the assignment solver only when that pairing is contested
+    src = os.path.dirname(os.path.dirname(monogeom.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys; from monogeom.cli import main; "
+            f"assert main(['spectral', '--out', {str(tmp_path / 'sp.json')!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+    assert json.loads((tmp_path / "sp.json").read_text())["doubling_defect"] < 1e-9

@@ -8,9 +8,10 @@ import pytest
 
 from monogeom import spectral as sp
 from monogeom.hyperbolic import (ORIGIN, MultiCenterPotential, PointUHS,
-                                 dist_to_geodesic, orthonormal_frame_at, point_at)
-from monogeom.projective import tau
-from monogeom.twistor import twistor_line_section
+                                 boundary_chart_of_null, dist_to_geodesic, embed,
+                                 null_vector, orthonormal_frame_at, point_at)
+from monogeom.projective import INFINITY, ExtendedComplex, chordal_distance, tau
+from monogeom.twistor import CHART_ROTATIONS, matrix_point, point_matrix, twistor_line_section
 
 
 def random_config(rng, n, lmax=3, mass=None):
@@ -290,3 +291,81 @@ def test_genus_values(k, genus):
 def test_genus_rejects_nonpositive():
     with pytest.raises(ValueError):
         sp.genus_of_spectral_curve(0)
+
+
+# ---------------------------------------------------------------------------
+# the batched line chart against a per-point reference
+# ---------------------------------------------------------------------------
+
+def _reference_transport(q, su2):
+    from scipy.linalg import sqrtm
+
+    return su2 @ np.linalg.inv(sqrtm(point_matrix(embed(q))))
+
+
+def _reference_endpoint(Ainv, u):
+    N = Ainv @ point_matrix(null_vector(u)) @ Ainv.conj().T
+    if abs(N[1, 1]) < 1e-13 * abs(np.trace(N)):
+        return INFINITY
+    return ExtendedComplex(complex(np.conj(N[0, 1] / N[1, 1])))
+
+
+@pytest.mark.parametrize("rotation", range(len(CHART_ROTATIONS)))
+def test_line_chart_quadratics_match_per_center_reference(rotation):
+    rng = np.random.default_rng(40 + rotation)
+    su2 = CHART_ROTATIONS[rotation]
+    for n in (1, 2, 3, 4):
+        q = PointUHS(rng.normal(), rng.normal(), rng.uniform(0.4, 2.0))
+        centers = np.column_stack([rng.normal(size=n), rng.normal(size=n),
+                                   rng.uniform(0.4, 2.0, size=n)])
+        A = _reference_transport(q, su2)
+        quads = sp.LineChart(q, su2).quadratics(centers)
+        assert len(quads) == n
+        for quad, c in zip(quads, centers):
+            X = matrix_point(A @ point_matrix(embed(c)) @ A.conj().T)
+            scale = max(1.0, float(np.max(np.abs(X))))
+            assert abs(quad.a - complex(X[1], -X[2])) < 1e-14 * scale
+            assert abs(quad.b + X[3]) < 1e-14 * scale
+
+
+@pytest.mark.parametrize("rotation", range(len(CHART_ROTATIONS)))
+def test_line_chart_geodesics_match_per_root_reference(rotation):
+    rng = np.random.default_rng(50 + rotation)
+    su2 = CHART_ROTATIONS[rotation]
+    for n in (1, 2, 3, 4):
+        q = PointUHS(rng.normal(), rng.normal(), rng.uniform(0.4, 2.0))
+        A = _reference_transport(q, su2)
+        # the chart value whose geodesic ends at the ambient chart pole
+        pole = boundary_chart_of_null(matrix_point(
+            A @ point_matrix(np.array([1.0, 0.0, 0.0, 1.0])) @ A.conj().T)).value
+        zetas = [0j, pole] + list(rng.normal(size=n) + 1j * rng.normal(size=n))
+        Ainv = np.linalg.inv(A)
+        got = sp.LineChart(q, su2).geodesics(zetas)
+        assert got[1].end == INFINITY
+        for g, z in zip(got, zetas):
+            ze = ExtendedComplex(z)
+            for end, want in ((g.end, _reference_endpoint(Ainv, ze)),
+                              (g.start, _reference_endpoint(Ainv, ze.antipode()))):
+                assert end.at_infinity == want.at_infinity
+                assert chordal_distance(end, want) < 1e-14
+
+
+def test_multiset_distance_matches_optimal_assignment():
+    # nearest-value pairing where it is a bijection, the assignment solver
+    # otherwise: both must give the largest distance of an optimal matching
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(60)
+    for size in range(9):
+        for contested in (False, True):
+            for _ in range(20):
+                values = rng.normal(size=max(size, 1)) + 1j * rng.normal(size=max(size, 1))
+                b = values[rng.integers(0, len(values), size=size)]
+                if contested:
+                    a = rng.normal(size=size) + 1j * rng.normal(size=size)
+                else:
+                    a = rng.permutation(b) + 1e-9 * (rng.normal(size=size)
+                                                     + 1j * rng.normal(size=size))
+                cost = np.abs(a[:, None] - b[None, :])
+                rows, cols = linear_sum_assignment(cost)
+                assert sp.multiset_distance(a, b) == cost[rows, cols].max(initial=0.0)

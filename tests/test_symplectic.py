@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from monogeom import minitwistor as mt
 from monogeom import symplectic as sy
 from monogeom.checks import Setting, hand_example, measure, random_sheets
+from monogeom.projective import roots_of_unity
 
 SHEETS_1_2_3 = Setting(sheets=(1, 2, 3))
 
@@ -189,3 +190,80 @@ def test_fiber_coordinates_branch_error():
     curve = mt.CurveO2k(2, (np.zeros(3), np.zeros(5)))
     with pytest.raises(ValueError):
         sy.fiber_coordinates(curve, lambda z, e: 1.0, 0.3 + 0j)
+
+
+# ---------------------------------------------------------------------------
+# the contour evaluation
+# ---------------------------------------------------------------------------
+
+def _contour_reference(X1, X2, sheets, nodes, radius=1.0):
+    # the defining sum, sheet by sheet on evaluated values
+    zs = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    total = np.zeros(nodes, dtype=complex)
+    for e1, u1, e2, u2, u in zip(X1.eta_primes, X1.u_primes,
+                                 X2.eta_primes, X2.u_primes, sheets.us):
+        total += (e1(zs) * u2(zs) - e2(zs) * u1(zs)) / ((zs / X1.marked_at - 1.0) ** 2 * u(zs))
+    return complex(np.mean(total))
+
+
+@pytest.mark.parametrize("nodes", [64, 1000, 4096])
+def test_contour_on_sheets_of_different_lengths(nodes):
+    # the hand example's constant sheet, with its degree-1 and constant
+    # tangent components, between two cubic sheets with quartic ones
+    rng = np.random.default_rng(11)
+    hand, H1, H2 = hand_example()
+    cubic = random_sheets(2, rng)
+    sheets = sy.SheetData((cubic.etas[0],) + hand.etas + (cubic.etas[1],),
+                          (cubic.us[0],) + hand.us + (cubic.us[1],))
+    R1, R2 = (sy.random_marked_tangent(2, 2.0 + 0j, rng) for _ in range(2))
+
+    def mixed(R, H):
+        return sy.TangentVector((R.eta_primes[0],) + H.eta_primes + (R.eta_primes[1],),
+                                (R.u_primes[0],) + H.u_primes + (R.u_primes[1],),
+                                marked_at=2.0 + 0j)
+
+    X1, X2 = mixed(R1, H1), mixed(R2, H2)
+    got = sy.omega_D_contour(X1, X2, sheets, nodes=nodes)
+    want = _contour_reference(X1, X2, sheets, nodes)
+    assert abs(got - want) < 1e-13 * max(1.0, abs(want))
+    assert abs(got - sy.omega_D_residue(X1, X2, sheets)) < 1e-10
+
+
+def test_contour_refuses_zero_of_u_inside():
+    # u = zeta - 0.5 passes the sheet checks (nonzero at 0 and on the unit
+    # circle), but the residue sum at 0 is the pairing only on circles
+    # inside |zeta| = 0.5: at radius 1 the trapezoid rule sums the wrong
+    # residues, and at 0.5 it divides by zero
+    sheets = sy.SheetData((sy.Series([0.0]),), (sy.Series([-0.5, 1.0]),))
+    assert sheets.u_zero_modulus == pytest.approx(0.5, rel=1e-14)
+    f = sy.MarkedDivisor(2.0 + 0j).vanishing_factor()
+    X1 = sy.TangentVector((f,), (sy.Series([0.0]),), marked_at=2.0 + 0j)
+    X2 = sy.TangentVector((sy.Series([0.0]),), (f,), marked_at=2.0 + 0j)
+    residue = sy.omega_D_residue(X1, X2, sheets)
+    assert residue == pytest.approx(-2.0, abs=1e-15)
+    for radius in (1.0, 0.5):
+        with pytest.raises(ValueError, match="vanishes"):
+            sy.omega_D_contour(X1, X2, sheets, radius=radius)
+    assert abs(sy.omega_D_contour(X1, X2, sheets, radius=0.3) - residue) < 1e-12
+
+
+def test_series_product_matches_polymul_bitwise():
+    # trailing zeros of the factors and of the product are trimmed as
+    # numpy's polymul trims them
+    rng = np.random.default_rng(12)
+    for la, lb in ((1, 1), (2, 5), (4, 4), (5, 2)):
+        a = rng.normal(size=la) + 1j * rng.normal(size=la)
+        b = rng.normal(size=lb) + 1j * rng.normal(size=lb)
+        for pa, pb in ((a, b), (np.append(a, 0.0), b), (a, np.append(b, [0.0, 0.0])),
+                       (np.zeros(la), b)):
+            want = np.polynomial.polynomial.polymul(pa, pb)
+            got = (sy.Series(pa) * sy.Series(pb)).coeffs
+            assert got.shape == want.shape
+            assert got.tobytes() == want.astype(complex).tobytes()
+
+
+def test_roots_of_unity_cached_and_read_only():
+    zs = roots_of_unity(64)
+    assert roots_of_unity(64) is zs
+    assert not zs.flags.writeable
+    assert np.array_equal(zs, np.exp(2j * np.pi * np.arange(64) / 64))
