@@ -70,29 +70,31 @@ _EPS4 = levi_civita_symbol(4)
 
 def riemann_tensors(g, dg, d2g):
     """All-lower Riemann, Ricci, scalar and Weyl from the metric g and
-    its derivatives dg[a] = g_,a and d2g[a, b] = g_,ab at one point
-    (a `numdiff.Jet` with full second derivatives)."""
+    its derivatives dg[a] = g_,a and d2g[a, b] = g_,ab (a `numdiff.Jet`
+    with full second derivatives).  Leading axes are batch axes: g of
+    shape (..., 4, 4) gives a scalar of shape (...), a float when there
+    are none."""
     ginv = np.linalg.inv(g)
-    # gamma_l[a,b,d] = (g_ab,d + g_ad,b - g_bd,a)/2, then Gamma^c_bd
-    gamma_l = 0.5 * (np.einsum("dab->abd", dg) + np.einsum("bad->abd", dg)
-                     - np.einsum("abd->abd", dg))
-    gamma = np.einsum("ca,abd->cbd", ginv, gamma_l)
+    # gamma_l[a,b,d] = (g_ab,d + g_ad,b - g_bd,a)/2 = g_ac Gamma^c_bd
+    gamma_l = 0.5 * (np.einsum("...dab->...abd", dg) + np.einsum("...bad->...abd", dg)
+                     - np.einsum("...abd->...abd", dg))
+    gamma = np.einsum("...ca,...abd->...cbd", ginv, gamma_l)
     # R_abcd = (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac)/2
-    #          + g_np (Gamma^n_bc Gamma^p_ad - Gamma^n_bd Gamma^p_ac)
-    term = 0.5 * (np.einsum("bcad->abcd", d2g) + np.einsum("adbc->abcd", d2g)
-                  - np.einsum("bdac->abcd", d2g) - np.einsum("acbd->abcd", d2g))
-    quad = np.einsum("np,nbc,pad->abcd", g, gamma, gamma) \
-        - np.einsum("np,nbd,pac->abcd", g, gamma, gamma)
-    riem = term + quad
-    ricci = np.einsum("ac,abcd->bd", ginv, riem)
-    scal = float(np.einsum("bd,bd->", ginv, ricci))
+    #          + gamma_l[p,b,c] Gamma^p_ad - gamma_l[p,b,d] Gamma^p_ac
+    term = 0.5 * (np.einsum("...bcad->...abcd", d2g) + np.einsum("...adbc->...abcd", d2g)
+                  - np.einsum("...bdac->...abcd", d2g) - np.einsum("...acbd->...abcd", d2g))
+    quad = np.einsum("...pbc,...pad->...abcd", gamma_l, gamma)
+    riem = term + quad - np.swapaxes(quad, -1, -2)
+    ricci = np.einsum("...ac,...abcd->...bd", ginv, riem)
+    scal = np.einsum("...bd,...bd->...", ginv, ricci)
     # W = R - (Ric o g)/2 + (scal/12)(g o g), o the Kulkarni-Nomizu product
-    ac, ad = g[:, None, :, None], g[:, None, None, :]
-    bc, bd = g[None, :, :, None], g[None, :, None, :]
-    weyl = riem - 0.5 * (ac * ricci[None, :, None, :] - ad * ricci[None, :, :, None]
-                         - bc * ricci[:, None, None, :] + bd * ricci[:, None, :, None])
-    weyl = weyl + (scal / 6.0) * (ac * bd - ad * bc)
-    return riem, ricci, scal, weyl
+    ac, ad = g[..., :, None, :, None], g[..., :, None, None, :]
+    bc, bd = g[..., None, :, :, None], g[..., None, :, None, :]
+    r_bd, r_bc = ricci[..., None, :, None, :], ricci[..., None, :, :, None]
+    r_ad, r_ac = ricci[..., :, None, None, :], ricci[..., :, None, :, None]
+    weyl = riem - 0.5 * (ac * r_bd - ad * r_bc - bc * r_ad + bd * r_ac)
+    weyl = weyl + (scal[..., None, None, None, None] / 6.0) * (ac * bd - ad * bc)
+    return riem, ricci, (float(scal) if scal.ndim == 0 else scal), weyl
 
 
 def orthonormal_coframe(g: np.ndarray) -> np.ndarray:
@@ -125,7 +127,10 @@ _PROJ_ASD = 0.5 * (np.eye(6) - _DUAL6)
 def weyl_sd_asd_norms(g: np.ndarray, weyl: np.ndarray) -> tuple[float, float]:
     """Frobenius norms of the self-dual and anti-self-dual Weyl blocks in
     an oriented orthonormal coframe."""
-    F = orthonormal_coframe(g)
+    return _sd_asd_norms(orthonormal_coframe(g), weyl)
+
+
+def _sd_asd_norms(F: np.ndarray, weyl: np.ndarray) -> tuple[float, float]:
     W = _weyl_operator(_frame_tensor4(weyl, F))
     return (float(np.linalg.norm(_PROJ_SD @ W @ _PROJ_SD)),
             float(np.linalg.norm(_PROJ_ASD @ W @ _PROJ_ASD)))
@@ -133,14 +138,13 @@ def weyl_sd_asd_norms(g: np.ndarray, weyl: np.ndarray) -> tuple[float, float]:
 
 def curvature_report(metric, x, step: float) -> CurvatureReport:
     """Curvature of a metric sampler at x: the tensors at steps h and
-    h/2, from one set of metric samples, are extrapolated component-wise
-    before any norm is formed."""
-    jet, jet2 = derivatives(metric, x, (step, step / 2), second="full")
-    riem, ricci, scal, weyl = (richardson(t, t2) for t, t2 in
-                               zip(riemann_tensors(*jet), riemann_tensors(*jet2)))
-    g = jet.value
-    F = orthonormal_coframe(g)
-    sd, asd = weyl_sd_asd_norms(g, weyl)
+    h/2, from one set of metric samples and one batched Riemann pass,
+    are extrapolated component-wise before any norm is formed."""
+    jets = derivatives(metric, x, (step, step / 2), second="full")
+    riem, ricci, scal, weyl = (richardson(t[0], t[1]) for t in
+                               riemann_tensors(*(np.stack(a) for a in zip(*jets))))
+    F = orthonormal_coframe(jets[0].value)
+    sd, asd = _sd_asd_norms(F, weyl)
     return CurvatureReport(
         scalar=float(scal),
         ricci_norm=float(np.linalg.norm(F.T @ ricci @ F)),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -343,12 +344,23 @@ class MultiCenterPotential:
             raise ValueError("need one charge per center")
         if any(l <= 0 or int(l) != l for l in self.charges):
             raise ValueError("charges must be positive integers")
-        for i in range(len(self.centers)):
-            for j in range(i + 1, len(self.centers)):
-                if dist(self.centers[i], self.centers[j]) < 1e-12:
-                    raise ValueError("centers must be pairwise distinct")
-        object.__setattr__(self, "centers", tuple(self.centers))
+        centers = tuple(self.centers)
+        if len(centers) > 1:
+            array, (i, j) = _center_array(centers), _pairs(len(centers))
+            if (dist(array[i], array[j]) < 1e-12).any():
+                raise ValueError("centers must be pairwise distinct")
+        object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "charges", tuple(int(l) for l in self.charges))
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (C, 3) center coordinates and (C,) charges, built on
+        the first evaluation (potentials that are never evaluated, as in
+        a spectral lift, hold no arrays)."""
+        centers = _center_array(self.centers)
+        charges = np.array(self.charges, dtype=float)
+        centers.flags.writeable = charges.flags.writeable = False
+        return centers, charges
 
     @staticmethod
     def for_su2_charge1(centers: Sequence[PointUHS], charges: Sequence[int],
@@ -359,11 +371,14 @@ class MultiCenterPotential:
                                     tuple(2 * int(l) for l in charges), mass)
 
     def value(self, x) -> float | np.ndarray:
-        """V at a point (PointUHS or raw (..., 3) array), of shape (...)."""
+        """V at a point (PointUHS or raw (..., 3) array), of shape (...),
+        from one `dist` call against all centers."""
         a = x.as_array() if isinstance(x, PointUHS) else np.asarray(x, dtype=float)
-        out = np.full(a.shape[:-1], float(self.lam))
-        for c, l in zip(self.centers, self.charges):
-            out = out + l * green(c, a)
+        centers, charges = self._arrays
+        rho = dist(a[..., None, :], centers)
+        if (rho < 1e-14).any():
+            raise ZeroDivisionError("Green's function pole: evaluation at its center")
+        out = self.lam + np.sum(charges * green_from_distance(rho), axis=-1)
         return float(out) if out.ndim == 0 else out
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -393,11 +408,22 @@ def is_geodesically_trapped(x: PointUHS, centers: Sequence[PointUHS],
     Tested through the triangle defect d(p_i,x) + d(x,p_j) - d(p_i,p_j),
     which vanishes exactly on the segment.
     """
-    n = len(centers)
-    for i in range(n):
-        di = dist(centers[i], x)
-        for j in range(i + 1, n):
-            defect = di + dist(x, centers[j]) - dist(centers[i], centers[j])
-            if defect <= tol:
-                return True
-    return False
+    if len(centers) < 2:
+        return False
+    array = _center_array(centers)
+    i, j = _pairs(len(array))
+    to_x = dist(array, x)
+    return bool((to_x[i] + to_x[j] - dist(array[i], array[j]) <= tol).any())
+
+
+def _center_array(centers: Sequence[PointUHS]) -> np.ndarray:
+    """(C, 3) coordinates of a sequence of points."""
+    return np.array([(c.x, c.y, c.z) for c in centers], dtype=float).reshape(-1, 3)
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (i, j) of the pairs i < j of n items."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j

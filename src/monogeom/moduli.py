@@ -54,18 +54,6 @@ __all__ = [
 ]
 
 
-def _embed_jacobian(p: np.ndarray) -> np.ndarray:
-    """d(embed)/d(x,y,z) at base points (..., 3): (..., 4, 3) matrices."""
-    x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    s, zz, zero = x * x + y * y + z * z, z * z, np.zeros_like(z)
-    return np.stack([
-        np.stack([x / z, y / z, (2 * zz - (s + 1)) / (2 * zz)], axis=-1),
-        np.stack([1 / z, zero, -x / zz], axis=-1),
-        np.stack([zero, 1 / z, -y / zz], axis=-1),
-        np.stack([x / z, y / z, (2 * zz - (s - 1)) / (2 * zz)], axis=-1),
-    ], axis=-2)
-
-
 class DiracConnection:
     """Gauge potential A with dA equal to the 3-dimensional dual of dV.
 
@@ -93,6 +81,11 @@ class DiracConnection:
         self._E = np.array([hyp.orthonormal_frame_at(c) for c in V.centers]).reshape(-1, 3, 4)
         self._sign = np.array(self.patches, dtype=float)
         self._coef = 0.5 * np.array(V.charges, dtype=float) * self._sign
+        # frame components are affine in (|p|^2, x, y, 1)/z: with
+        # c = E_3 - E_0, e = (|p|^2 c/2 + x E_1 + y E_2 - (E_0 + E_3)/2)/z
+        E0, E1, E2, E3 = self._E.transpose(2, 1, 0)    # Ek[j, i]: component k of E_j of center i
+        self._c = E3 - E0
+        self._affine = (self._c / 2, E1, E2, -(E0 + E3) / 2)
 
     def cos_polar(self, p, i: int) -> float:
         """cos of the polar angle of p about center i."""
@@ -112,20 +105,27 @@ class DiracConnection:
         Evaluated through the cancellation-free combination
         (cos theta + s) dphi = s (e1 de2 - e2 de1) / (sh (sh - s e3)),
         which is regular on the whole string-free half-axis; e_j are the
-        frame components of every center at every point, de_j their
-        coordinate differentials.
+        frame components of every center at every point.  Their
+        differentials are d_x e = (x c + E_1)/z, d_y e = (y c + E_2)/z
+        and d_z e = c - e/z, so with w = e1 c2 - e2 c1 the numerator is
+        ((x w + e1 E_21 - e2 E_11)/z, (y w + e1 E_22 - e2 E_12)/z, w).
         """
         p = np.asarray(p, dtype=float)
-        X = hyp.embed(p)[..., None, None, :]                          # (..., 1, 1, 4)
-        dX = np.swapaxes(_embed_jacobian(p), -1, -2)[..., None, None, :, :]
-        e1, e2, e3 = np.moveaxis(hyp.mdot(X, self._E), -1, 0)         # (..., C) each
-        de1, de2 = np.moveaxis(hyp.mdot(dX, self._E[:, :2, None, :]), -2, 0)  # (..., C, 3)
+        x, y, z = (p[..., k, None] for k in range(3))                 # (..., 1) each
+        B0, B1, B2, B3 = self._affine
+        # the four-term sum by hand, so a batch and its rows round alike
+        e = ((x * x + y * y + z * z)[..., None] * B0 + x[..., None] * B1
+             + y[..., None] * B2 + B3) / z[..., None]                   # (..., 3, C)
+        e1, e2, e3 = np.moveaxis(e, -2, 0)
         sh = np.sqrt(e1 * e1 + e2 * e2 + e3 * e3)
         den = sh * (sh - self._sign * e3)
         if np.any((den < 1e-14 * sh * sh) | (sh < 1e-150)):
             raise ZeroDivisionError("point on a Dirac string; switch the patch")
-        A = np.sum((self._coef / den)[..., None]
-                   * (e1[..., None] * de2 - e2[..., None] * de1), axis=-2)
+        (c1, c2, _), (E11, E21, _), (E12, E22, _) = self._c, B1, B2
+        f = self._coef / den
+        w = f * (e1 * c2 - e2 * c1)
+        A = np.stack([(x * w + f * (e1 * E21 - e2 * E11)) / z,
+                      (y * w + f * (e1 * E22 - e2 * E12)) / z, w], axis=-2).sum(axis=-1)
         if self.extra is not None:
             A = A + pointwise(self.extra)(p)
         return A

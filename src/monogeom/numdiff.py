@@ -10,6 +10,14 @@ h and h/2 share the points they have in common), samples them with one
 sampler call, and combines the samples with the weights.  `richardson`
 pairs two step sizes for O(h^6) accuracy on smooth inputs.
 
+The layout of those points and the weight matrices depend only on the
+dimension, the order, `second` and the ratios of the steps, so each
+such plan is built once and cached as read-only arrays; a call only
+places the points (x_i + k h on each moved axis), calls the sampler
+and does one matrix product per step.  Points of different steps are
+identified by k times the step's ratio to the first step, which is
+exact for the power-of-two ratios (h, h/2) in use.
+
 The sampler contract: a sampler maps a (..., d) array of points to a
 (..., *shape) array of values, one value per row, and a single (d,)
 point to one plain value.  `pointwise` turns a sampler written for one
@@ -20,7 +28,7 @@ apply it to the functions they are given.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -56,13 +64,82 @@ class Jet(NamedTuple):
     d2: np.ndarray | None
 
 
-def _axis_terms(i, table, h):
-    return [(((i, k * h),) if k else (), w) for k, w in table]
+class _Plan(NamedTuple):
+    """Stencil layout for one dimension, order, `second` and step ratios.
+
+    Point r is x moved by K[r, i] steps h[S[r]] along each axis i where
+    `moved[r, i]`; step s's derivatives are W[s] @ f(points) divided by
+    den * h_s, and once more by h_s from row d on (the second
+    derivatives).  `center` is the row of x itself and `d2` the rows of
+    the second derivatives, (d,) or (d, d)."""
+
+    K: np.ndarray
+    S: np.ndarray
+    moved: np.ndarray
+    W: tuple[np.ndarray, ...]
+    den: np.ndarray
+    center: int
+    d2: np.ndarray | None
 
 
-def _mixed_terms(i, j, table, h):
-    return [(((i, ki * h), (j, kj * h)), wi * wj)
-            for ki, wi in table for kj, wj in table]
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(n: int, order: int, second: str | None, ratios: tuple[float, ...]) -> _Plan:
+    den1, first = WEIGHTS[1, order]
+    den2, table2 = WEIGHTS[2, 4]
+    den4, table4 = WEIGHTS[1, 4]
+    # derivative rows: the first derivatives, the diagonal second ones,
+    # then the mixed pairs i < j; each row a list of (moves, weight)
+    rows = [[(((i, k),) if k else (), w) for k, w in first] for i in range(n)]
+    den = [den1] * n
+    if second is not None:
+        rows += [[(((i, k),) if k else (), w) for k, w in table2] for i in range(n)]
+        den += [den2] * n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if second == "full" else []
+    rows += [[(((i, ki), (j, kj)), wi * wj) for ki, wi in table4 for kj, wj in table4]
+             for i, j in pairs]
+    den += [den4 * den4] * len(pairs)
+
+    # every distinct point of every step in order of first use, then x
+    # if no stencil used it
+    column: dict[tuple, tuple[int, int, tuple]] = {}
+
+    def col(s, ratio, moves):
+        key = tuple((i, k * ratio) for i, k in moves)
+        if key not in column:
+            column[key] = (len(column), s, moves)
+        return column[key][0]
+
+    entries = [[(r, col(s, ratio, moves), w) for r, terms in enumerate(rows)
+                for moves, w in terms] for s, ratio in enumerate(ratios)]
+    center = col(0, 1.0, ())
+    K = np.zeros((len(column), n))
+    S = np.zeros(len(column), dtype=np.intp)
+    for c, s, moves in column.values():
+        S[c] = s
+        for i, k in moves:
+            K[c, i] = k
+    W = []
+    for step_entries in entries:
+        w = np.zeros((len(rows), len(column)))
+        r, c, v = zip(*step_entries)
+        w[r, c] = v
+        W.append(w)
+    if second is None:
+        d2 = None
+    elif second == "diag":
+        d2 = np.arange(n, 2 * n)
+    else:
+        d2 = np.diag(np.arange(n, 2 * n))
+        for p, (i, j) in enumerate(pairs):
+            d2[i, j] = d2[j, i] = 2 * n + p
+    return _Plan(_frozen(K), _frozen(S), _frozen(K != 0), tuple(map(_frozen, W)),
+                 _frozen(np.array(den, dtype=float)), center,
+                 None if d2 is None else _frozen(d2))
 
 
 def pointwise(f):
@@ -80,56 +157,27 @@ def derivatives(f, x, steps, second: str | None = None, order: int = 4) -> list[
     Jet per step in `steps`.
 
     `order` (4 or 2) selects the first-derivative stencil; `second` is
-    None, "diag" or "full" (4th order).  Each stencil point is keyed by
-    its exact offsets from x, and f is called once, on the (N, d) array
-    of the N distinct keys' points; x itself is always among them, so
-    every Jet carries f(x).
+    None, "diag" or "full" (4th order).  f is called once, on the (N, d)
+    array of the N distinct stencil points of all steps; x itself is
+    always among them, so every Jet carries f(x).
     """
     if second not in (None, "diag", "full"):
         raise ValueError("second must be None, 'diag' or 'full'")
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    den1, first = WEIGHTS[1, order]
-    den2, table2 = WEIGHTS[2, 4]
-    den4, table4 = WEIGHTS[1, 4]
-    plans = []          # per step: derivative index -> (terms, scale)
-    for h in steps:
-        plan = {i: (_axis_terms(i, first, h), den1 * h) for i in range(n)}
-        if second is not None:
-            plan.update({(i, i): (_axis_terms(i, table2, h), den2 * h * h)
-                         for i in range(n)})
-        if second == "full":
-            plan.update({(i, j): (_mixed_terms(i, j, table4, h), den4 * den4 * h * h)
-                         for i in range(n) for j in range(i + 1, n)})
-        plans.append(plan)
-
-    # every distinct stencil point of every step in order of first use,
-    # then x if no stencil used it, sampled by the only call of f
-    column = {key: c for c, key in enumerate(dict.fromkeys(itertools.chain(
-        (key for plan in plans for terms, _ in plan.values() for key, _ in terms), [()])))}
-    points = np.tile(x, (len(column), 1))
-    for row, key in enumerate(column):
-        for i, off in key:
-            points[row, i] = x[i] + off
+    steps = tuple(steps)
+    plan = _plan(len(x), order, second, tuple(h / steps[0] for h in steps))
+    hs = np.asarray(steps, dtype=float)
+    points = np.where(plan.moved, x + plan.K * hs[plan.S, None], x)
     values = np.asarray(f(points))
-
+    flat = values.reshape(len(points), -1)
+    n = len(x)
     jets = []
-    for plan in plans:     # one weight matrix (derivatives x points) per step
-        W = np.zeros((len(plan), len(column)))
-        for r, (terms, _) in enumerate(plan.values()):
-            for key, w in terms:
-                W[r, column[key]] = w
-        scales = np.array([scale for _, scale in plan.values()])
-        combined = (W @ values.reshape(len(column), -1)) / scales[:, None]
-        d = dict(zip(plan, combined.reshape((len(plan),) + values.shape[1:])))
-        d1 = np.array([d[i] for i in range(n)])
-        if second is None:
-            d2 = None
-        elif second == "diag":
-            d2 = np.array([d[i, i] for i in range(n)])
-        else:
-            d2 = np.array([[d[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
-        jets.append(Jet(values[column[()]], d1, d2))
+    for W, h in zip(plan.W, steps):
+        scale = plan.den * h
+        scale[n:] *= h
+        combined = ((W @ flat) / scale[:, None]).reshape((len(W),) + values.shape[1:])
+        d2 = None if plan.d2 is None else combined[plan.d2]
+        jets.append(Jet(values[plan.center], combined[:n], d2))
     return jets
 
 

@@ -132,10 +132,13 @@ class SheetData:
             raise ValueError("need one u per sheet")
         object.__setattr__(self, "etas", etas)
         object.__setattr__(self, "us", us)
-        zs = roots_of_unity(64)
         for u in us:
-            vals = np.abs(u(zs))
-            if abs(u.at_zero()) < 1e-12 or float(np.min(vals)) < 1e-12:
+            # |u_0| > sum |u_m| leaves no zero in the closed unit disc;
+            # otherwise the roots show whether one lies on the circle
+            size = np.abs(u.coeffs)
+            on_circle = size[0] <= np.sum(size[1:]) and bool(np.any(
+                np.abs(np.abs(np.roots(u.coeffs[::-1])) - 1.0) <= 1e-12))
+            if size[0] < 1e-12 or on_circle:
                 raise ValueError("u must be bounded away from zero on the domain")
 
     @cached_property

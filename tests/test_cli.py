@@ -194,11 +194,12 @@ def test_runconfig_validation():
 
 def test_cli_import_loads_no_scipy():
     # scipy is imported only by the calls that need it: the verify
-    # oracle, and the optimal matching on its first use
+    # oracle, and the optimal matching on its first use; nor does the
+    # package pull in exact rational or decimal arithmetic
     src = os.path.dirname(os.path.dirname(monogeom.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, monogeom.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, monogeom.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'fractions', 'decimal', '_decimal')))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"

@@ -310,3 +310,56 @@ def test_multicenter_validation():
         MultiCenterPotential(-0.1, (), ())
     with pytest.raises(ValueError):
         PointUHS(0, 0, -1.0)
+
+
+def trapped_by_pair_loop(x, centers, tol):
+    """Reference: the triangle defect of every pair, one `dist` at a time."""
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            if dist(centers[i], x) + dist(x, centers[j]) - dist(centers[i], centers[j]) <= tol:
+                return True
+    return False
+
+
+coordinate = st.floats(-2.0, 2.0, allow_nan=False)
+height = st.floats(0.2, 3.0, allow_nan=False)
+uhs_point = st.builds(PointUHS, coordinate, coordinate, height)
+
+
+def on_segment(p, q, t):
+    """The point a fraction t of the way along the geodesic from p to q."""
+    d = float(dist(p, q))
+    P, Q = embed(p), embed(q)
+    return point_at(p, (Q - math.cosh(d) * P) / math.sinh(d), t * d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(centers=st.lists(uhs_point, min_size=0, max_size=5), x=uhs_point,
+       pick=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       t=st.floats(0.0, 1.0), where=st.sampled_from(["free", "on", "off"]),
+       tol=st.sampled_from([1e-9, 1e-6, 1e-14, 0.0]))
+def test_trapped_matches_pair_loop(centers, x, pick, t, where, tol):
+    i, j = (k % max(len(centers), 1) for k in pick)
+    if where != "free" and len(centers) >= 2 and i != j and dist(centers[i], centers[j]) > 1e-3:
+        x = on_segment(centers[i], centers[j], t)
+        if where == "off":
+            x = PointUHS(x.x + 1e-7, x.y, x.z)
+    assert is_geodesically_trapped(x, centers, tol) == trapped_by_pair_loop(x, centers, tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(centers=st.lists(uhs_point, min_size=0, max_size=5),
+       copy=st.tuples(st.integers(0, 4), st.sampled_from([0.0, 1e-14, 1e-12, 1e-9])))
+def test_distinct_centers_check_matches_pair_loop(centers, copy):
+    k, shift = copy
+    if centers:
+        c = centers[k % len(centers)]
+        centers = centers + [PointUHS(c.x + shift, c.y, c.z)]
+    clash = any(dist(centers[i], centers[j]) < 1e-12
+                for i in range(len(centers)) for j in range(i + 1, len(centers)))
+    if clash:
+        with pytest.raises(ValueError):
+            MultiCenterPotential(1.0, tuple(centers), (1,) * len(centers))
+    else:
+        V = MultiCenterPotential(1.0, tuple(centers), (1,) * len(centers))
+        assert V.centers == tuple(centers)

@@ -111,11 +111,22 @@ def test_connection_applies_per_point_extra_row_by_row():
                        [extra(q) for q in P], rtol=0, atol=1e-15)
 
 
+def embed_jacobian(p):
+    """d(embed)/d(x, y, z) at one point: a (4, 3) matrix."""
+    x, y, z = p
+    s, zz = x * x + y * y + z * z, z * z
+    return np.array([[x / z, y / z, (2 * zz - (s + 1)) / (2 * zz)],
+                     [1 / z, 0.0, -x / zz],
+                     [0.0, 1 / z, -y / zz],
+                     [x / z, y / z, (2 * zz - (s - 1)) / (2 * zz)]])
+
+
 def connection_by_center_loop(conn, p):
     """Reference: the connection at one point as a loop over the centers,
-    the (l/2) s (e1 de2 - e2 de1) / (sh (sh - s e3)) form term by term."""
+    the (l/2) s (e1 de2 - e2 de1) / (sh (sh - s e3)) form term by term,
+    with e_j and de_j from the hyperboloid embedding and its Jacobian."""
     X = md.hyp.embed(p)
-    dX = md._embed_jacobian(p).T            # row k: d(embed)/dx_k
+    dX = embed_jacobian(p).T                # row k: d(embed)/dx_k
     A = np.zeros(3)
     for c, l, s in zip(conn.V.centers, conn.V.charges, conn.patches):
         E = md.hyp.orthonormal_frame_at(c)
@@ -145,6 +156,77 @@ def test_batched_samplers_match_single_points(V):
     # the batched connection against the loop over centers, to rounding
     loop = np.array([connection_by_center_loop(gauge.conn, q[:3]) for q in P])
     assert np.max(np.abs(gauge.conn(P[:, :3]) - loop)) <= 1e-14 * max(np.max(np.abs(loop)), 1)
+
+
+def points_off_center(conn, i, rho, off):
+    """Points at distance rho from center i whose polar angle is `off`
+    from the string of the connection's patch, in two azimuths."""
+    c = conn.V.centers[i]
+    E = md.hyp.orthonormal_frame_at(c)
+    polar = math.pi - off if conn.patches[i] == -1 else off
+    return [md.hyp.point_at(c, math.cos(polar) * E[2] + math.sin(polar)
+                            * (math.cos(phi) * E[0] + math.sin(phi) * E[1]), rho).as_array()
+            for phi in (0.0, 1.0)]
+
+
+@pytest.fixture(scope="module")
+def three_center_gauge():
+    return md.kahler_structure(THREE_CENTER, md.DiracConnection(THREE_CENTER),
+                               ExtendedComplex(0.7 - 0.4j))
+
+
+def frame_condition(conn, q):
+    """|X| / min over centers of (sh - s e3): the frame components e_j are
+    sums of terms of size |X| (the hyperboloid vector), and the connection
+    divides by sh (sh - s e3), so a relative error of about eps times
+    this reaches A in any evaluation of the formula."""
+    X = md.hyp.embed(q)
+    gaps = []
+    for c, s in zip(conn.V.centers, conn.patches):
+        e1, e2, e3 = (md.hyp.mdot(X, e) for e in md.hyp.orthonormal_frame_at(c))
+        gaps.append(math.sqrt(e1 * e1 + e2 * e2 + e3 * e3) - s * e3)
+    return np.max(np.abs(X)) / min(gaps)
+
+
+def test_connection_next_to_strings_and_centers(three_center_gauge):
+    # 0.1 off each string, where |A| reaches 30-120 (1-9 away from it),
+    # and 1e-6 from each center, where it reaches 1e5-1e7
+    conn = three_center_gauge.conn
+    tube = [q for i in range(3) for rho in (0.3, 0.6) for q in points_off_center(conn, i, rho, 0.1)]
+    near = [q for i in range(3) for off in (0.5, 2.0) for q in points_off_center(conn, i, 1e-6, off)]
+    for P, big in ((np.array(tube), 30), (np.array(near), 1e5)):
+        batch = conn(P)
+        rows = np.array([conn(q) for q in P])
+        assert np.max(np.abs(rows)) > big
+        assert np.max(np.abs(batch - rows)) <= 1e-15 * np.max(np.abs(rows))
+        for q, a in zip(P, batch):
+            loop = connection_by_center_loop(conn, q)
+            bound = 1e-14 * max(frame_condition(conn, q), 1.0) * np.max(np.abs(loop))
+            assert np.max(np.abs(a - loop)) <= bound
+
+
+def green_sum(V, P):
+    return np.array([V.lam + sum(l * md.hyp.green(c, q) for c, l in zip(V.centers, V.charges))
+                     for q in P])
+
+
+def test_potential_matches_green_sum(three_center_gauge):
+    rng = np.random.default_rng(8)
+    for V in (ONE_CENTER, TWO_CENTER, THREE_CENTER, FLAT):
+        P = np.array([sample_point(V, rng)[:3] for _ in range(7)])
+        assert np.max(np.abs(V.value(P) - green_sum(V, P)) / green_sum(V, P)) <= 1e-15
+        assert V.value(md.hyp.PointUHS(*P[0])) == pytest.approx(green_sum(V, P[:1])[0], rel=1e-15)
+    # 1e-6 from each center, and the pole itself
+    conn, V = three_center_gauge.conn, three_center_gauge.V
+    P = np.array([q for i in range(3) for off in (0.5, 2.0)
+                  for q in points_off_center(conn, i, 1e-6, off)])
+    assert np.max(np.abs(V.value(P) - green_sum(V, P)) / green_sum(V, P)) <= 1e-15
+    assert np.array_equal(V.value(P), [V.value(q) for q in P])
+    for c in V.centers:
+        with pytest.raises(ZeroDivisionError):
+            V.value(c)
+        with pytest.raises(ZeroDivisionError):
+            V.value(np.array([[0.1, 0.2, 1.0], c.as_array()]))
 
 
 def test_gauge_independence_of_curvature():

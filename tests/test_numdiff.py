@@ -1,12 +1,15 @@
 """The stencil engine: exactness on polynomials and one sample per point."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from monogeom import hyperbolic as hyp
 from monogeom import moduli as md
+from monogeom import numdiff
 from monogeom.hyperbolic import MultiCenterPotential, PointUHS
-from monogeom.numdiff import derivatives, holo_partial, pointwise, wirtinger
+from monogeom.numdiff import WEIGHTS, Jet, derivatives, holo_partial, pointwise, wirtinger
 from monogeom.projective import INFINITY
 
 
@@ -112,6 +115,100 @@ def test_array_valued_sampler_keeps_shape():
 def test_rejects_unknown_second():
     with pytest.raises(ValueError):
         derivatives(lambda x: 0.0, np.zeros(2), (0.1,), second="mixed")
+
+
+def reference_derivatives(f, x, steps, second=None, order=4):
+    """The stencil engine with its plan built on every call: each point
+    keyed by its offsets k h, the weight matrices filled term by term."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    den1, first = WEIGHTS[1, order]
+    den2, table2 = WEIGHTS[2, 4]
+    den4, table4 = WEIGHTS[1, 4]
+
+    def axis_terms(i, table, h):
+        return [(((i, k * h),) if k else (), w) for k, w in table]
+
+    plans = []
+    for h in steps:
+        plan = {i: (axis_terms(i, first, h), den1 * h) for i in range(n)}
+        if second is not None:
+            plan.update({(i, i): (axis_terms(i, table2, h), den2 * h * h) for i in range(n)})
+        if second == "full":
+            plan.update({(i, j): ([(((i, ki * h), (j, kj * h)), wi * wj)
+                                   for ki, wi in table4 for kj, wj in table4],
+                                  den4 * den4 * h * h)
+                         for i in range(n) for j in range(i + 1, n)})
+        plans.append(plan)
+    column = {key: c for c, key in enumerate(dict.fromkeys(itertools.chain(
+        (key for plan in plans for terms, _ in plan.values() for key, _ in terms), [()])))}
+    points = np.tile(x, (len(column), 1))
+    for row, key in enumerate(column):
+        for i, off in key:
+            points[row, i] = x[i] + off
+    values = np.asarray(f(points))
+    jets = []
+    for plan in plans:
+        W = np.zeros((len(plan), len(column)))
+        for r, (terms, _) in enumerate(plan.values()):
+            for key, w in terms:
+                W[r, column[key]] = w
+        scales = np.array([scale for _, scale in plan.values()])
+        combined = (W @ values.reshape(len(column), -1)) / scales[:, None]
+        d = dict(zip(plan, combined.reshape((len(plan),) + values.shape[1:])))
+        d1 = np.array([d[i] for i in range(n)])
+        if second is None:
+            d2 = None
+        elif second == "diag":
+            d2 = np.array([d[i, i] for i in range(n)])
+        else:
+            d2 = np.array([[d[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+        jets.append(Jet(values[column[()]], d1, d2))
+    return jets
+
+
+def jet_bytes(jet):
+    return tuple(None if a is None else (np.shape(a), np.asarray(a).tobytes()) for a in jet)
+
+
+@pytest.mark.parametrize("halved", [False, True], ids=["h", "h,h/2"])
+@pytest.mark.parametrize("second", [None, "diag", "full"])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_cached_plan_jets_byte_identical_to_per_call_plan(d, order, second, halved):
+    rng = np.random.default_rng([d, order, halved])
+    A = rng.normal(size=(d, 2, 3))
+
+    @pointwise
+    def f(x):
+        return np.sin(x @ A[:, 0]) * np.exp(np.tanh(x @ A[:, 1]))[::-1]
+
+    for _ in range(3):
+        x = rng.uniform(-1.0, 1.0, size=d)
+        h = rng.uniform(1e-4, 1e-2)
+        steps = (h, h / 2) if halved else (h,)
+        calls = Counting(f)
+        got = derivatives(calls, x, steps, second=second, order=order)
+        want = reference_derivatives(f, x, steps, second=second, order=order)
+        assert [jet_bytes(j) for j in got] == [jet_bytes(j) for j in want]
+        assert len(calls.calls) == 1 and len(set(calls.points)) == calls.calls[0]
+
+
+def test_plans_are_cached_read_only():
+    x = np.array([0.3, -0.2, 1.1, 0.4])
+    f = lambda p: np.sum(p ** 3, axis=-1)
+    derivatives(f, x, (1e-3, 5e-4), second="full")
+    misses = numdiff._plan.cache_info().misses
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        h = rng.uniform(1e-4, 1e-2)
+        derivatives(f, x + rng.normal(size=4), (h, h / 2), second="full")
+    assert numdiff._plan.cache_info().misses == misses
+    plan = numdiff._plan(4, 4, "full", (1.0, 0.5))
+    arrays = [plan.K, plan.S, plan.moved, plan.den, plan.d2, *plan.W]
+    assert all(not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        plan.W[0][0, 0] = 1.0
 
 
 def test_curvature_report_samples_each_point_once():

@@ -247,6 +247,18 @@ def test_contour_refuses_zero_of_u_inside():
     assert abs(sy.omega_D_contour(X1, X2, sheets, radius=0.3) - residue) < 1e-12
 
 
+def test_sheet_data_rejects_u_vanishing_between_circle_nodes():
+    # e^{i pi/64} lies halfway between two of the 64 nodes a node check
+    # would sample; zeros off the circle (0.5, 1.5) are allowed
+    root = np.exp(1j * np.pi / 64)
+    for u in ([-root, 1.0], [0.0, -root, 1.0], np.polynomial.polynomial.polyfromroots(
+            [root, 0.5, 1.5 + 0.2j]), [0.0], [1e-13]):
+        with pytest.raises(ValueError, match="bounded away"):
+            sy.SheetData((sy.Series([0.0]),), (sy.Series(u),))
+    for u in ([-0.5, 1.0], [-1.5, 1.0], [2.0, 0.3, -0.4j, 1.2], [1.0]):
+        assert sy.SheetData((sy.Series([0.0]),), (sy.Series(u),)).k == 1
+
+
 def test_series_product_matches_polymul_bitwise():
     # trailing zeros of the factors and of the product are trimmed as
     # numpy's polymul trims them
