@@ -34,7 +34,6 @@ __all__ = [
     "curvature_report",
     "riemann_tensors",
     "orthonormal_coframe",
-    "weyl_sd_asd_norms",
     "hodge_star",
     "levi_civita_symbol",
 ]
@@ -124,13 +123,9 @@ _PROJ_SD = 0.5 * (np.eye(6) + _DUAL6)
 _PROJ_ASD = 0.5 * (np.eye(6) - _DUAL6)
 
 
-def weyl_sd_asd_norms(g: np.ndarray, weyl: np.ndarray) -> tuple[float, float]:
-    """Frobenius norms of the self-dual and anti-self-dual Weyl blocks in
-    an oriented orthonormal coframe."""
-    return _sd_asd_norms(orthonormal_coframe(g), weyl)
-
-
 def _sd_asd_norms(F: np.ndarray, weyl: np.ndarray) -> tuple[float, float]:
+    """Frobenius norms of the self-dual and anti-self-dual Weyl blocks in
+    the oriented orthonormal coframe F."""
     W = _weyl_operator(_frame_tensor4(weyl, F))
     return (float(np.linalg.norm(_PROJ_SD @ W @ _PROJ_SD)),
             float(np.linalg.norm(_PROJ_ASD @ W @ _PROJ_ASD)))

@@ -55,8 +55,6 @@ __all__ = [
 BoundaryPoint = ExtendedComplex
 """Points of the conformal boundary, as chart values of P^1."""
 
-MINK = np.diag([-1.0, 1.0, 1.0, 1.0])
-
 
 @dataclass(frozen=True)
 class PointUHS:

@@ -39,11 +39,6 @@ class MiniTwistorPoint:
     zeta: complex
     eta: complex
 
-    def chart_swap(self) -> "MiniTwistorPoint":
-        if self.zeta == 0:
-            raise ZeroDivisionError("chart swap at the pole zeta = 0")
-        return MiniTwistorPoint(1.0 / self.zeta, self.eta / self.zeta ** 2)
-
 
 def tau_T(p: MiniTwistorPoint) -> MiniTwistorPoint:
     """Antiholomorphic involution covering the antipodal map:
@@ -93,11 +88,6 @@ class CurveO2k:
         """The k values of eta over zeta (with multiplicity)."""
         return npoly.polyroots(self.eta_poly_at(zeta))
 
-    def coeff_polys_swapped(self) -> tuple[np.ndarray, ...]:
-        """Coefficient polynomials in the swapped chart, where the i-th
-        one reads a_i(1/zt) zt^{2i}: plain coefficient reversal."""
-        return tuple(a[::-1].copy() for a in self.coeff_polys)
-
     def reality_defect(self) -> float:
         """Max coefficient defect of the antipodal reality condition
         a_i(zeta) = (-1)^i conj(a_i(-1/conj zeta)) zeta^{2i}."""
@@ -108,9 +98,6 @@ class CurveO2k:
             scale = max(float(np.max(np.abs(a))), 1e-300)
             worst = max(worst, float(np.max(np.abs(a - target))) / scale)
         return worst
-
-    def is_real(self, tol: float = 1e-10) -> bool:
-        return self.reality_defect() <= tol
 
 
 def charge1_curve(p) -> CurveO2k:

@@ -119,7 +119,9 @@ class DiracConnection:
         e1, e2, e3 = np.moveaxis(e, -2, 0)
         sh = np.sqrt(e1 * e1 + e2 * e2 + e3 * e3)
         den = sh * (sh - self._sign * e3)
-        if np.any((den < 1e-14 * sh * sh) | (sh < 1e-150)):
+        if np.any(sh < 1e-14):    # sh = sinh rho; V has its pole there too
+            raise ZeroDivisionError("connection pole: evaluation at a center")
+        if np.any(den < 1e-14 * sh * sh):
             raise ZeroDivisionError("point on a Dirac string; switch the patch")
         (c1, c2, _), (E11, E21, _), (E12, E22, _) = self._c, B1, B2
         f = self._coef / den

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential
+from .twistor import _LEGENDRE_16
 
 __all__ = [
     "FieldSampler",
@@ -599,10 +600,14 @@ def abelian_growth_exponent(V: MultiCenterPotential, center_index: int,
 def sinh_model_integral(l: float, delta: float, z: float) -> tuple[float, float]:
     """Quadrature of the model profile l / (2 sqrt(t^2 + z^2)) over
     [-delta, delta] next to its closed form l * asinh(delta / z).
-    scipy's adaptive quadrature is the independent oracle here, imported
-    on call so that importing the package does not load scipy."""
-    from scipy.integrate import quad
 
-    val, _ = quad(lambda t: l / (2.0 * math.hypot(t, z)), -delta, delta,
-                  epsabs=1e-13, epsrel=1e-13)
-    return val, l * math.asinh(delta / z)
+    The quadrature is the independent oracle: composite 16-point
+    Gauss-Legendre on [0, delta], doubled by symmetry, over the panels
+    [0, z], [z, 2z], [2z, 4z], ... up to delta, which stay at width
+    comparable to their distance from the poles t = +-iz."""
+    doublings = np.arange(max(math.ceil(math.log2(delta / z)), 0))
+    edges = np.concatenate(([0.0], z * 2.0 ** doublings, [delta]))
+    half = np.diff(edges)[:, None] / 2
+    nodes, weights = _LEGENDRE_16
+    t = edges[:-1, None] + half * (nodes + 1.0)
+    return float(np.sum(half * weights * l / np.hypot(t, z))), l * math.asinh(delta / z)

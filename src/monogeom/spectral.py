@@ -39,7 +39,6 @@ __all__ = [
     "lift_twistor_line",
     "genus_of_spectral_curve",
     "antipodal_conjugate",
-    "multiset_distance",
 ]
 
 
@@ -263,29 +262,6 @@ class DivisorPoint:
     geodesic: OrientedGeodesic
 
 
-def multiset_distance(a, b) -> float:
-    """Largest |a_i - b_j| over the pairs of a minimum-total-distance
-    matching of two multisets of complex numbers (0 for two empty ones,
-    inf when their sizes differ).  Unlike pairing by sorted order, no
-    rounding boundary between nearby values can mis-pair them.  When
-    pairing each a_i with its nearest value of b uses every value as often
-    as b holds it, each pair is a row minimum, so that matching is optimal;
-    otherwise scipy's assignment solver decides, imported on that call."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.size != b.size:
-        return math.inf
-    values, counts = np.unique(b, return_counts=True)
-    cost = np.abs(a[:, None] - values[None, :])
-    nearest = np.argmin(cost, axis=1) if a.size else np.zeros(0, dtype=int)
-    if np.array_equal(np.bincount(nearest, minlength=len(values)), counts):
-        return float(cost[np.arange(a.size), nearest].max(initial=0.0))
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max(initial=0.0))
-
-
 @dataclass(frozen=True)
 class SpectralDataC1:
     """Point of the charge-1 moduli space over a singular configuration:
@@ -309,14 +285,16 @@ class SpectralDataC1:
         return True
 
     def divisor_doubling_defect(self) -> float:
-        """Multiset defect of D + sigma(D) against the divisor of the
-        restricted squared section (exact on root multisets)."""
-        got = [z for d in self.divisor for z in (d.zeta, tau(d.zeta))
-               for _ in range(d.multiplicity)]
+        """Defect of D + sigma(D) against the divisor of the restricted
+        section.  Divisor point i and quadratic i come from the same
+        center, so zeta_i pairs with alpha_i and tau(zeta_i) with beta_i:
+        the largest of those distances, inf when the counts or a
+        multiplicity differ."""
         p = self.pair
-        want = [z for a, b, m in zip(p.alphas, p.betas, p.multiplicities) for z in (a, b)
-                for _ in range(m)]
-        return multiset_distance(got, want)
+        if [d.multiplicity for d in self.divisor] != list(p.multiplicities):
+            return math.inf
+        return max((float(max(abs(d.zeta - a), abs(tau(d.zeta) - b)))
+                    for d, a, b in zip(self.divisor, p.alphas, p.betas)), default=0.0)
 
     def product_residual(self, n: int = 64) -> float:
         """Relative residual of x y against the restricted section

@@ -121,7 +121,7 @@ CHART_ROTATIONS = (np.eye(2, dtype=complex),) + tuple(
 @dataclass(frozen=True)
 class BiDegreeSection:
     """Polynomial section of O(a,b): sum_{j,k} c[j,k] z^j w^k in the
-    standard chart, with explicit coefficient-reversal chart swaps."""
+    standard chart."""
 
     coeffs: np.ndarray  # (a+1, b+1) complex
 
@@ -158,10 +158,6 @@ class BiDegreeSection:
             out = out * self
         return out
 
-    def chart_swap_z(self) -> "BiDegreeSection":
-        """Coefficients in the chart z -> 1/z (weighted reversal)."""
-        return BiDegreeSection(self.coeffs[::-1, :].copy())
-
     def sigma_conjugate(self) -> "BiDegreeSection":
         """Pullback under sigma composed with conjugation and chart weight.
 
@@ -186,32 +182,6 @@ class BiDegreeSection:
     def is_sigma_real(self, tol: float = 1e-10) -> bool:
         scale = max(float(np.max(np.abs(self.coeffs))), 1e-300)
         return self.sigma_reality_defect() <= tol * scale
-
-    def normalize_phase(self) -> "BiDegreeSection":
-        """Canonical representative of the C* (or R* for sigma-real) ray.
-
-        The coefficient scanned first in (total degree, z-degree) order is
-        rotated to the positive real axis; for sigma-real sections only a
-        sign flip is allowed, so the scanned coefficient gets a positive
-        real part (positive imaginary part if its real part vanishes).
-        """
-        c = self.coeffs
-        a, b = self.degrees
-        order = sorted(((j, k) for j in range(a + 1) for k in range(b + 1)),
-                       key=lambda jk: (-(jk[0] + jk[1]), -jk[0]))
-        scale = max(float(np.max(np.abs(c))), 1e-300)
-        lead = next(((j, k) for j, k in order if abs(c[j, k]) > 1e-13 * scale), None)
-        if lead is None:
-            return self
-        v = c[lead]
-        if self.is_sigma_real():
-            s = 1.0
-            if abs(v.real) > 1e-13 * abs(v):
-                s = math.copysign(1.0, v.real)
-            elif v.imag < 0:
-                s = -1.0
-            return BiDegreeSection(c * s)
-        return BiDegreeSection(c * (np.conj(v) / abs(v)))
 
 
 def twistor_line_section(x: PointUHS) -> BiDegreeSection:
@@ -313,8 +283,9 @@ def closest_point_wirtinger(z: complex, w: complex, h: float = 1e-3) -> np.ndarr
 
     Returns a (3, 4) array: rows are the components (x, y, height) of
     the map, columns the derivatives with respect to (z, zbar, w, wbar),
-    computed by complex-step differentiation of the analytic
-    polarization (z, zbar, w, wbar treated as independent variables).
+    computed by `numdiff.holo_partial`: Richardson-paired central
+    differences of the analytic polarization (z, zbar, w, wbar treated
+    as independent variables) along each variable's real direction.
     """
     from .numdiff import holo_partial
 

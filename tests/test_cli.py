@@ -192,28 +192,21 @@ def test_runconfig_validation():
         RunConfig.load(None, {"centers": [[0, 0, 1]], "charges": [1, 2]})
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported only by the calls that need it: the verify
-    # oracle, and the optimal matching on its first use; nor does the
-    # package pull in exact rational or decimal arithmetic
+def test_subcommands_load_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: no subcommand loads scipy, nor
+    # exact rational or decimal arithmetic
     src = os.path.dirname(os.path.dirname(monogeom.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, monogeom.cli; print(sorted(m for m in sys.modules "
+    runs = [["verify"], ["metric"], ["scatter", "--experiment", "abelian_growth"],
+            ["scatter", "--experiment", "ps_scan"], ["spectral"], ["symplectic"]]
+    runs = [args + ["--out", str(tmp_path / f"out{k}")] for k, args in enumerate(runs)]
+    code = ("import sys; from monogeom.cli import main; "
+            f"print([main(args) for args in {runs!r}]); print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'fractions', 'decimal', '_decimal')))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
-
-
-def test_spectral_loads_no_scipy(tmp_path):
-    # the doubling defect's multiset matching pairs nearest values and
-    # needs the assignment solver only when that pairing is contested
-    src = os.path.dirname(os.path.dirname(monogeom.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys; from monogeom.cli import main; "
-            f"assert main(['spectral', '--out', {str(tmp_path / 'sp.json')!r}]) == 0; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
-    assert json.loads((tmp_path / "sp.json").read_text())["doubling_defect"] < 1e-9
+                         capture_output=True, text=True, check=True, timeout=120)
+    codes, modules = out.stdout.strip().splitlines()[-2:]
+    assert codes == "[0, 0, 0, 0, 0, 0]"
+    assert modules == "[]"
+    assert json.loads((tmp_path / "out0").read_text())["all_passed"] is True
+    assert json.loads((tmp_path / "out4").read_text())["doubling_defect"] < 1e-9

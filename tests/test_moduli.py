@@ -229,6 +229,20 @@ def test_potential_matches_green_sum(three_center_gauge):
             V.value(np.array([[0.1, 0.2, 1.0], c.as_array()]))
 
 
+def test_connection_raises_at_centers(three_center_gauge):
+    # at a center the frame components are rounding residues of about
+    # 1e-16, so dividing by them would give components of 1e14-1e16; V
+    # raises there too
+    conn, V = three_center_gauge.conn, three_center_gauge.V
+    for i, c in enumerate(V.centers):
+        with pytest.raises(ZeroDivisionError, match="center"):
+            conn(c.as_array())
+        with pytest.raises(ZeroDivisionError, match="center"):
+            conn(np.array([[0.1, 0.2, 1.0], c.as_array()]))
+        near = np.array(points_off_center(conn, i, 1e-6, 0.5))
+        assert np.all(np.isfinite(conn(near)))
+
+
 def test_gauge_independence_of_curvature():
     V = ONE_CENTER
     p4 = np.array([1.2, 0.3, 1.4, 0.5])

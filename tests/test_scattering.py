@@ -393,6 +393,22 @@ def test_sinh_closed_form_identity():
     assert measure("scattering.sinh-identity", 0) < 1e-10
 
 
+@pytest.mark.parametrize("delta", [0.1, 1.0])
+def test_sinh_quadrature_matches_adaptive_and_mpmath(delta):
+    # the check's 12 (l, z) pairs plus z = 1e-6, against scipy's adaptive
+    # quadrature and l asinh(delta / z) at 30 digits
+    mpmath.mp.dps = 30
+    for l in (1.0, 2.0, 3.0):
+        for z in (1e-6, 1e-4, 1e-3, 1e-2, 3e-2):
+            got, closed = sc.sinh_model_integral(l, delta, z)
+            exact = float(l * mpmath.asinh(mpmath.mpf(delta) / mpmath.mpf(z)))
+            adaptive, _ = quad(lambda t: l / (2.0 * math.hypot(t, z)), -delta, delta,
+                               points=[0.0], epsabs=1e-13, epsrel=1e-13)
+            assert abs(got - exact) <= 1e-14 * exact
+            assert abs(closed - exact) <= 1e-14 * exact
+            assert abs(got - adaptive) <= 1e-14 * exact
+
+
 def test_growth_exponent_l1():
     V = MultiCenterPotential(0.4, (PointUHS(0, 0, 1),), (1,))
     fit = sc.abelian_growth_exponent(V, 0, delta=0.1,

@@ -214,7 +214,7 @@ def test_doubling_defect_pairs_across_rounding_boundary():
     # two divisor roots with real parts 2.5e-10 apart; the first one's real
     # part and its factor root's straddle the 9th-digit rounding boundary,
     # and sorting by rounded coordinates paired each root with the other's
-    # partner (defect 1.5); an optimal matching pairs them to 2e-12
+    # partner (defect 1.5); pairing by center pairs them to 2e-12
     V = MultiCenterPotential.for_su2_charge1(
         [PointUHS(0.3, -0.2, 1.4), PointUHS(-0.8, 0.5, 0.9)], [1, 1], mass=0.7)
     data = sp.lift_twistor_line(PointUHS(0.6, 0.9, 1.1), V)
@@ -225,9 +225,28 @@ def test_doubling_defect_pairs_across_rounding_boundary():
                     for d, z in zip(data.divisor, (z1, z2)))
     moved = dataclasses.replace(data, pair=pair, divisor=divisor)
     assert moved.divisor_doubling_defect() == pytest.approx(2e-12, rel=1e-3)
-    assert sp.multiset_distance([z1, z2], [z2, z1 - 2e-12]) == pytest.approx(2e-12, rel=1e-3)
-    assert sp.multiset_distance([z1], [z1, z2]) == math.inf
-    assert sp.multiset_distance([], []) == 0.0
+
+
+def test_doubling_defect_sees_swapped_betas():
+    # D + sigma(D) pairs tau(zeta_i) with beta_i of the same center; with
+    # equal multiplicities the swapped betas form the same multiset, and
+    # only a pairing by center sees them
+    V = MultiCenterPotential.for_su2_charge1(
+        [PointUHS(0.3, -0.2, 1.4), PointUHS(-0.8, 0.5, 0.9)], [1, 1], mass=0.7)
+    data = sp.lift_twistor_line(PointUHS(0.6, 0.9, 1.1), V)
+    assert data.divisor_doubling_defect() < 1e-12
+    swapped = dataclasses.replace(data.pair, betas=data.pair.betas[::-1])
+    assert dataclasses.replace(data, pair=swapped).divisor_doubling_defect() > 0.1
+
+
+def test_doubling_defect_inf_on_multiplicity_mismatch():
+    V = MultiCenterPotential.for_su2_charge1(
+        [PointUHS(0.3, -0.2, 1.4), PointUHS(-0.8, 0.5, 0.9)], [1, 2], mass=0.7)
+    data = sp.lift_twistor_line(PointUHS(0.6, 0.9, 1.1), V)
+    d0, d1 = data.divisor
+    for divisor in ((dataclasses.replace(d0, multiplicity=d0.multiplicity + 1), d1), (d0,)):
+        moved = dataclasses.replace(data, divisor=divisor)
+        assert moved.divisor_doubling_defect() == math.inf
 
 
 def test_lift_divisor_geodesics_join_q_and_center():
@@ -348,24 +367,3 @@ def test_line_chart_geodesics_match_per_root_reference(rotation):
                               (g.start, _reference_endpoint(Ainv, ze.antipode()))):
                 assert end.at_infinity == want.at_infinity
                 assert chordal_distance(end, want) < 1e-14
-
-
-def test_multiset_distance_matches_optimal_assignment():
-    # nearest-value pairing where it is a bijection, the assignment solver
-    # otherwise: both must give the largest distance of an optimal matching
-    from scipy.optimize import linear_sum_assignment
-
-    rng = np.random.default_rng(60)
-    for size in range(9):
-        for contested in (False, True):
-            for _ in range(20):
-                values = rng.normal(size=max(size, 1)) + 1j * rng.normal(size=max(size, 1))
-                b = values[rng.integers(0, len(values), size=size)]
-                if contested:
-                    a = rng.normal(size=size) + 1j * rng.normal(size=size)
-                else:
-                    a = rng.permutation(b) + 1e-9 * (rng.normal(size=size)
-                                                     + 1j * rng.normal(size=size))
-                cost = np.abs(a[:, None] - b[None, :])
-                rows, cols = linear_sum_assignment(cost)
-                assert sp.multiset_distance(a, b) == cost[rows, cols].max(initial=0.0)
