@@ -192,21 +192,43 @@ def test_runconfig_validation():
         RunConfig.load(None, {"centers": [[0, 0, 1]], "charges": [1, 2]})
 
 
-def test_subcommands_load_no_scipy(tmp_path):
-    # numpy is the only runtime dependency: no subcommand loads scipy, nor
-    # exact rational or decimal arithmetic
+def _no_scipy_run(code, timeout=60):
+    # run code in a fresh interpreter on this checkout and return its stdout lines
     src = os.path.dirname(os.path.dirname(monogeom.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=timeout)
+    return out.stdout.strip().splitlines()
+
+
+_LOADED = ("print(sorted(m for m in sys.modules "
+           "if m.split('.')[0] in ('scipy', 'fractions', 'decimal', '_decimal')))")
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency: importing the CLI loads no scipy,
+    # nor exact rational or decimal arithmetic
+    assert _no_scipy_run("import sys, monogeom.cli; " + _LOADED)[-1] == "[]"
+
+
+def test_spectral_loads_no_scipy(tmp_path):
+    # the doubling defect pairs divisor points and roots by center, with no
+    # assignment solver
+    out = tmp_path / "sp.json"
+    code = ("import sys; from monogeom.cli import main; "
+            f"assert main(['spectral', '--out', {str(out)!r}]) == 0; " + _LOADED)
+    assert _no_scipy_run(code)[-1] == "[]"
+    assert json.loads(out.read_text())["doubling_defect"] < 1e-9
+
+
+def test_subcommands_load_no_scipy(tmp_path):
+    # the other subcommands load no scipy, fractions or decimal either
     runs = [["verify"], ["metric"], ["scatter", "--experiment", "abelian_growth"],
-            ["scatter", "--experiment", "ps_scan"], ["spectral"], ["symplectic"]]
+            ["scatter", "--experiment", "ps_scan"], ["symplectic"]]
     runs = [args + ["--out", str(tmp_path / f"out{k}")] for k, args in enumerate(runs)]
     code = ("import sys; from monogeom.cli import main; "
-            f"print([main(args) for args in {runs!r}]); print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'fractions', 'decimal', '_decimal')))")
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True, timeout=120)
-    codes, modules = out.stdout.strip().splitlines()[-2:]
-    assert codes == "[0, 0, 0, 0, 0, 0]"
+            f"print([main(args) for args in {runs!r}]); " + _LOADED)
+    codes, modules = _no_scipy_run(code, timeout=120)[-2:]
+    assert codes == "[0, 0, 0, 0, 0]"
     assert modules == "[]"
     assert json.loads((tmp_path / "out0").read_text())["all_passed"] is True
-    assert json.loads((tmp_path / "out4").read_text())["doubling_defect"] < 1e-9
