@@ -132,20 +132,19 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_metric(cfg: RunConfig) -> int:
+    import logging   # here: at the top it costs every CLI start about 3 ms and 0.5 MB
+    log = logging.getLogger(__name__)
     V = cfg.potential()
     conn = cfg.connection()
     n = cfg.metric_grid
     xs = np.linspace(-0.8, 0.8, n)
     zs = np.linspace(0.6, 1.8, n)
     rows = []
-    skipped = 0
     for x in xs:
         for y in xs:
             for z in zs:
                 if any(hyp.dist(c, np.array([x, y, z])) < 0.35 for c in V.centers):
-                    skipped += 1
-                    print(f"warning: skipping grid point ({x:.3f},{y:.3f},{z:.3f})"
-                          " near a center", file=sys.stderr)
+                    log.warning("skipping grid point (%.3f,%.3f,%.3f) near a center", x, y, z)
                     continue
                 # the gauge's Dirac strings turned away from the grid point
                 gauge = md.kahler_structure(V, conn, INFINITY, base_for_patches=PointUHS(x, y, z))

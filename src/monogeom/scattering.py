@@ -5,18 +5,21 @@ The first-order system s' = M(t) s has one propagator, numpy only: the
 sixth-order Magnus scheme on three Gauss nodes (Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470 (2009) 151-238; Iserles & Norsett, Phil. Trans. R.
 Soc. A 357 (1999) 983-1019), with each step's exponential in closed form.
-The mesh is refined by step doubling over all pending steps at once, so
-one batched sampler call covers every node of a refinement round; `tol`
-bounds each step's step-doubling difference relative to its norm.  The
-initial mesh is the output times, each interval between them cut into
-steps of at most `_MAX_STEP`.  The steps are accumulated
-as a discrete QR factorization of the fundamental matrix, with the logs
-of R's diagonal kept apart, so exponentially dichotomic systems stay in
+The mesh is refined by step doubling over all pending steps of every
+path propagated together at once, so one batched sampler call covers
+every node of a refinement round; `tol` bounds each step's step-doubling
+difference relative to its norm.  The initial mesh is the output times,
+each interval between them cut into steps of at most `_MAX_STEP`.  The
+steps between output times are multiplied in blocks of at most 64 by
+pairwise products, and the blocks are accumulated, one QR update each,
+as a discrete QR factorization of the fundamental matrix (Dieci, Russell
+& Van Vleck, SIAM J. Numer. Anal. 34 (1997) 402-423), with the logs of
+R's diagonal kept apart, so exponentially dichotomic systems stay in
 floating range over any horizon and the decaying mode is resolved as
 well as the growing one.  Decaying directions at either end are
 extracted by seeding with the asymptotic eigenvector at the horizon and
 integrating toward the midpoint, which damps the seeding error
-exponentially.
+exponentially; both ends share one propagation.
 """
 
 from __future__ import annotations
@@ -171,25 +174,25 @@ _PS_K_SERIES = tuple((4.0 ** n - 2.0) * a for n, a in _XCOTH)
 _PS_SERIES_R = 0.4
 
 
-def _ps_radial(series, closed, r):
-    """The series below _PS_SERIES_R and the closed form above it, for
-    a float or an array of radii; the closed form only ever sees r at
-    or above the switch, so r = 0 raises no warning."""
+def _ps_radial(r):
+    """(2 coth 2r - 1/r)/r and (1/r - 2 csch 2r)/r for a float or an array
+    of radii.  The closed forms take coth 2r = 1 + 2 e^2/(1 - e^2) and
+    csch 2r = 2 e/(1 - e^2) from one e = exp(-2r), which underflows
+    quietly far out, and only ever see r at or above _PS_SERIES_R; the
+    Taylor series runs only at the radii below it."""
     r = np.asarray(r, dtype=float)
-    r2, acc = r * r, 0.0
-    for c in series:
-        acc = acc * r2 + c
-    return np.where(r < _PS_SERIES_R, acc, closed(np.maximum(r, _PS_SERIES_R)))
-
-
-def _ps_h_over_r(r):
-    """(2 coth 2r - 1/r)/r, by its Taylor series near the center."""
-    return _ps_radial(_PS_H_SERIES, lambda r: (2.0 / np.tanh(2.0 * r) - 1.0 / r) / r, r)
-
-
-def _ps_k_over_r(r):
-    """(1/r - 2/sinh 2r)/r, by its Taylor series near the center."""
-    return _ps_radial(_PS_K_SERIES, lambda r: (1.0 / r - 2.0 / np.sinh(2.0 * r)) / r, r)
+    flat = r.reshape(-1)
+    x = np.maximum(flat, _PS_SERIES_R)
+    e, inv = np.exp(-2.0 * x), 1.0 / x
+    d = 2.0 * e / (1.0 - e * e)
+    h, k = (2.0 + 2.0 * e * d - inv) * inv, (inv - 2.0 * d) * inv
+    near = np.flatnonzero(flat < _PS_SERIES_R)
+    if near.size:
+        r2, hs, ks = flat[near] ** 2, 0.0, 0.0
+        for ch, ck in zip(_PS_H_SERIES, _PS_K_SERIES):
+            hs, ks = hs * r2 + ch, ks * r2 + ck
+        h[near], k[near] = hs, ks
+    return h.reshape(r.shape), k.reshape(r.shape)
 
 
 def _read_only(v) -> np.ndarray:
@@ -244,11 +247,11 @@ class PSField(FieldSampler):
 
     def higgs_norm(self, t):
         r = self._offset(t)[3]
-        return 0.5 * _ps_h_over_r(r) * r
+        return 0.5 * _ps_radial(r)[0] * r
 
     def ode_matrix(self, t) -> np.ndarray:
         x, y, z, r = self._offset(t)
-        h, k = -0.5 * _ps_h_over_r(r), -0.5 * _ps_k_over_r(r)
+        h, k = -0.5 * np.stack(_ps_radial(r))
         cx, cy, cz = self._cross
         M = np.empty(r.shape + (2, 2), dtype=complex)
         re, im = M.real, M.imag   # [[w2, w0 - i w1], [w0 + i w1, -w2]]
@@ -308,6 +311,7 @@ _MAX_STEP = 2.0          # longest step of the initial mesh
 # e^6 eps to cancellation
 _MAX_NORM2 = math.exp(6.0)
 _MAX_SPLIT = 64          # most pieces a failing step is cut into in one round
+_BLOCK = 64   # most steps in a block product: its modes then part by at most e^384
 # cosh mu and sinh mu / mu as series in mu^2 below _SERIES_MU2, where
 # the four terms kept are exact to rounding (the next is below 3e-21)
 _SERIES_MU2 = 1e-4
@@ -367,29 +371,32 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                      x10 * y00 + x11 * y10, x10 * y01 + x11 * y11])
 
 
-def _mesh(fields: FieldSampler, ts: np.ndarray, tol: float):
-    """Accepted steps from ts[0] to ts[-1] in the order they are taken,
-    as (m, 4) step matrices by components and their tr Omega, and the
-    number of steps taken before each of `ts`.
+def _mesh(fields: FieldSampler, runs: list, tol: float):
+    """Accepted steps of each run of output times, from its first time
+    to its last: (4, m) step matrices by components and their tr Omega,
+    grouped by run in the order taken, and per run the index of the
+    first step after each of its times.
 
-    The initial mesh is the output times, each interval between them
-    cut into steps of at most _MAX_STEP.  Each round
-    samples every node of every pending step in one ode_matrix call.  A
-    step of length h passes when ||E_h - E_{h/2} E_{h/2}|| <= tol
-    ||E_{h/2} E_{h/2}|| (Frobenius) and its growth stays under
-    _MAX_NORM2, and then contributes the half-step product; a failing
-    step is cut into ceil(1.2 (err/tol)^{1/7}) equal pieces (more if it
-    grows too much), and only those are checked in the next round."""
-    sign = 1.0 if ts[-1] >= ts[0] else -1.0     # the direction of integration
-    marks = sorted(set(ts.tolist()), key=lambda t: sign * t)
-    a, b = [], []
-    for t0, t1 in zip(marks[:-1], marks[1:]):
-        edges = np.linspace(t0, t1, max(1, math.ceil(abs(t1 - t0) / _MAX_STEP)) + 1)
-        a.append(edges[:-1])
-        b.append(edges[1:])
-    a, b = np.concatenate(a or [[]]), np.concatenate(b or [[]])
-    # no steps at all when ts[0] == ts[-1]
-    starts, mats, traces = [np.zeros(0)], [np.zeros((4, 0), complex)], [np.zeros(0, complex)]
+    A run's initial mesh is its output times, each interval between them
+    cut into steps of at most _MAX_STEP.  Each step carries its run's
+    index, and each round samples every node of every pending step in
+    one ode_matrix call.  A step of length h passes when ||E_h - E_{h/2}
+    E_{h/2}|| <= tol ||E_{h/2} E_{h/2}|| (Frobenius) and its growth stays
+    under _MAX_NORM2, and then contributes the half-step product; a
+    failing step is cut into ceil(1.2 (err/tol)^{1/7}) equal pieces (more
+    if it grows too much), and only those are checked in the next round."""
+    signs = np.array([1.0 if ts[-1] >= ts[0] else -1.0 for ts in runs])  # directions
+    a, b, run = [], [], []
+    for i, (ts, sign) in enumerate(zip(runs, signs)):
+        marks = sorted(set(ts.tolist()), key=lambda t: sign * t)
+        for t0, t1 in zip(marks[:-1], marks[1:]):
+            edges = np.linspace(t0, t1, max(1, math.ceil(abs(t1 - t0) / _MAX_STEP)) + 1)
+            a.append(edges[:-1])
+            b.append(edges[1:])
+            run.append(np.full(len(edges) - 1, i))
+    a, b, run = (np.concatenate(x or [np.zeros(0, int)]) for x in (a, b, run))
+    # no steps at all in a run whose times are all equal
+    starts, taken, mats, traces = [[]], [np.zeros(0, int)], [np.zeros((4, 0))], [[]]
     while a.size:
         h = b - a
         nodes = a + h * _NODES[..., None]
@@ -405,74 +412,103 @@ def _mesh(fields: FieldSampler, ts: np.ndarray, tol: float):
             pieces = np.ceil(np.maximum(1.2 * (err[~ok] / tol) ** (1.0 / 7.0),
                                         2.0 * np.log(size[~ok]) / math.log(_MAX_NORM2)))
         starts.append(a[ok])
+        taken.append(run[ok])
         mats.append(half[:, ok])
         traces.append(tr[1, ok] + tr[2, ok])
         k = np.where(np.isfinite(pieces), np.clip(pieces, 2, _MAX_SPLIT), _MAX_SPLIT).astype(int)
-        a, h, b = a[~ok], h[~ok], b[~ok]
+        a, h, b, run = a[~ok], h[~ok], b[~ok], run[~ok]
         stuck = np.abs(h) / k <= 1e-13 * np.maximum(1.0, np.abs(a))
         if np.any(stuck):
             raise RuntimeError(f"integration failed: no step at t = {a[stuck][0]:.6g} "
                                f"meets tol {tol:g}")
         which = np.repeat(np.arange(len(k)), k)
         j = np.arange(len(which)) - np.repeat(np.cumsum(k) - k, k)
-        a, b = (a[which] + h[which] * (j / k[which]),
-                np.where(j + 1 == k[which], b[which], a[which] + h[which] * ((j + 1) / k[which])))
-    starts = sign * np.concatenate(starts)
-    order = np.argsort(starts)
-    return (np.concatenate(mats, axis=1)[:, order].T, np.concatenate(traces)[order],
-            np.searchsorted(starts[order], sign * ts))
+        a, b, run = (a[which] + h[which] * (j / k[which]), np.where(
+            j + 1 == k[which], b[which], a[which] + h[which] * ((j + 1) / k[which])), run[which])
+    run = np.concatenate(taken)
+    starts = signs[run] * np.concatenate(starts)
+    order = np.lexsort((starts, run))
+    starts, bounds = starts[order], np.searchsorted(run[order], np.arange(len(runs) + 1))
+    stops = [lo + np.searchsorted(starts[lo:hi], sign * ts)
+             for ts, sign, lo, hi in zip(runs, signs, bounds[:-1], bounds[1:])]
+    return np.concatenate(mats, axis=1)[:, order], np.concatenate(traces)[order], stops
 
 
-def _propagate(fields: FieldSampler, Q0: np.ndarray, ts: np.ndarray, tol: float):
-    """Solution H of H' = M(t) H with H(ts[0]) = Q0, a unitary 2x2, at
-    each of `ts`, as (mats, logscales, trace integrals) with H equal to
-    exp(logscale) mat, |mat| = 1 (Frobenius), and w = int tr M dt.
+def _propagate(fields: FieldSampler, runs: list, tol: float) -> list:
+    """For each run (Q0, ts), the solution H of H' = M(t) H with H(ts[0])
+    = Q0, a unitary 2x2, at each of `ts`, as (mats, logscales, trace
+    integrals) with H equal to exp(logscale) mat, |mat| = 1 (Frobenius),
+    and w = int tr M dt.
 
     The steps are `_mesh`'s sixth-order Magnus steps, each within `tol`
-    by step doubling (a per-step bound, relative to the step's norm).
-    They are accumulated as a discrete QR factorization H = Q R, with Q
-    unitary and R = exp(L) [[p, rho], [0, q]], where L = log(exp(l1) +
-    exp(l2)), p = exp(l1 - L) and q = exp(l2 - L): for a step E,
-    E Q = Q' R' with R' upper triangular with a positive diagonal, so
-    l_i += log R'_ii, and rho carries R's corner scaled by exp(-L).
-    As det E = exp(tr Omega), R'_11 = |det E| / R'_00 and Q's second
-    column is the unit normal to its first with det Q' = det Q exp(i Im
-    tr Omega).  Each mode's growth is kept in its own log, so nothing
-    overflows whichever column grows, and l1 + l2 = Re int tr M dt."""
-    ts = np.asarray(ts, dtype=float)
-    mats, traces, stops = _mesh(fields, ts, tol)
-    steps = zip(mats.tolist(), traces.tolist())
-    (q00, q01), (q10, q11) = np.asarray(Q0, dtype=complex).tolist()
-    detq = q00 * q11 - q01 * q10
-    detq /= abs(detq)
-    l1 = l2 = 0.0
-    L = math.log(2.0)         # log(exp(l1) + exp(l2))
-    rho = w = 0j
-    path, done = [], 0
-    for stop in stops:
-        for (e00, e01, e10, e11), tr in itertools.islice(steps, stop - done):
-            a00, a10 = e00 * q00 + e01 * q10, e10 * q00 + e11 * q10   # E Q
-            a01, a11 = e00 * q01 + e01 * q11, e10 * q01 + e11 * q11
-            r00 = math.hypot(abs(a00), abs(a10))
-            q00, q10 = a00 / r00, a10 / r00
-            r01 = q00.conjugate() * a01 + q10.conjugate() * a11
-            if tr.imag:
-                detq *= cmath.exp(1j * tr.imag)
-            q01, q11 = -detq * q10.conjugate(), detq * q00.conjugate()
-            g1 = math.log(r00)
-            l1, l2, l2_old, L_old = l1 + g1, l2 + tr.real - g1, l2, L
-            L = max(l1, l2) + math.log1p(math.exp(-abs(l1 - l2)))
-            rho = r00 * rho * math.exp(L_old - L) + r01 * math.exp(l2_old - L)
-            w += tr
-        done = stop
-        path.append((q00, q01, q10, q11, l1, l2, rho, w))
-    q00, q01, q10, q11, l1, l2, rho, w = np.array(path).T
-    R = np.zeros((len(ts), 2, 2), dtype=complex)
-    L = np.logaddexp(l1.real, l2.real)
-    R[:, 0, 0], R[:, 0, 1], R[:, 1, 1] = np.exp(l1.real - L), rho, np.exp(l2.real - L)
-    H = np.stack([q00, q01, q10, q11], axis=-1).reshape(-1, 2, 2) @ R
-    norms = np.linalg.norm(H, axis=(1, 2))
-    return H / norms[:, None, None], L + np.log(norms), w
+    by step doubling (a per-step bound, relative to the step's norm),
+    with every run's steps refined in the same rounds.  The steps between
+    two output times are cut into blocks of at most _BLOCK, and every
+    block's ordered product P = E_last ... E_first is formed at once by
+    pairwise products, each level rescaled by a power of two whose log
+    the block keeps.  The blocks are accumulated as a discrete QR
+    factorization H = Q R, with Q unitary and R = exp(L) [[p, rho], [0,
+    q]], where L = log(exp(l1) + exp(l2)), p = exp(l1 - L) and q =
+    exp(l2 - L): P Q = Q' R' with R' upper triangular with a positive
+    diagonal, so l_i += log R'_ii, and rho carries R's corner scaled by
+    exp(-L).  As det P = exp(tr), tr the block's summed tr Omega, R'_11
+    = |det P| / R'_00 and Q's second column is the unit normal to its
+    first with det Q' = det Q exp(i Im tr).  Each mode's growth is kept
+    in its own log, so nothing overflows whichever column grows, and l1
+    + l2 = Re int tr M dt."""
+    mats, traces, stops = _mesh(fields, [ts for _, ts in runs], tol)
+    lo, hi = np.concatenate([s[:-1] for s in stops]), np.concatenate([s[1:] for s in stops])
+    first = np.concatenate(([0], np.cumsum(-(-(hi - lo) // _BLOCK))))   # per interval
+    step = np.arange(traces.size)
+    k = np.searchsorted(lo, step, "right") - 1                          # each step's interval
+    block, slot = first[k] + (step - lo[k]) // _BLOCK, (step - lo[k]) % _BLOCK
+    width = 1 << (int(np.clip(hi - lo, 1, _BLOCK).max(initial=1)) - 1).bit_length()
+    P = np.zeros((4, first[-1], width), dtype=complex)   # identities pad short blocks
+    P[0] = P[3] = 1.0
+    P[:, block, slot] = mats
+    tr = np.zeros((first[-1], width), dtype=complex)
+    tr[block, slot] = traces
+    scale = np.zeros((first[-1], width))                 # log2 of each product's scale
+    while P.shape[2] > 1:
+        P = _product(P[:, :, 1::2], P[:, :, 0::2])
+        e = np.frexp(np.abs(P).max(axis=0))[1]
+        P, scale = P * np.exp2(-e), scale[:, 1::2] + scale[:, 0::2] + e
+    blocks = zip(P[:, :, 0].T.tolist(), (math.log(2.0) * scale[:, 0]).tolist(),
+                 tr.sum(axis=1).tolist())
+    out = []
+    for (Q0, ts), K in zip(runs, np.cumsum([0] + [len(ts) - 1 for _, ts in runs])):
+        (q00, q01), (q10, q11) = np.asarray(Q0, dtype=complex).tolist()
+        detq = q00 * q11 - q01 * q10
+        detq /= abs(detq)
+        l1 = l2 = 0.0
+        L = math.log(2.0)         # log(exp(l1) + exp(l2))
+        rho = w = 0j
+        path, done = [], first[K]
+        for stop in first[K:K + len(ts)]:
+            for (e00, e01, e10, e11), s, t in itertools.islice(blocks, stop - done):
+                a00, a10 = e00 * q00 + e01 * q10, e10 * q00 + e11 * q10   # P Q
+                a01, a11 = e00 * q01 + e01 * q11, e10 * q01 + e11 * q11
+                r00 = math.hypot(abs(a00), abs(a10))
+                q00, q10 = a00 / r00, a10 / r00
+                r01 = q00.conjugate() * a01 + q10.conjugate() * a11
+                if t.imag:
+                    detq *= cmath.exp(1j * t.imag)
+                q01, q11 = -detq * q10.conjugate(), detq * q00.conjugate()
+                g1 = s + math.log(r00)
+                l1, l2, l2_old, L_old = l1 + g1, l2 + t.real - g1, l2, L
+                L = max(l1, l2) + math.log1p(math.exp(-abs(l1 - l2)))
+                rho = rho * math.exp(g1 + L_old - L) + r01 * math.exp(s + l2_old - L)
+                w += t
+            done = stop
+            path.append((q00, q01, q10, q11, l1, l2, rho, w))
+        q00, q01, q10, q11, l1, l2, rho, w = np.array(path).T
+        R = np.zeros((len(ts), 2, 2), dtype=complex)
+        L = np.logaddexp(l1.real, l2.real)
+        R[:, 0, 0], R[:, 0, 1], R[:, 1, 1] = np.exp(l1.real - L), rho, np.exp(l2.real - L)
+        H = np.stack([q00, q01, q10, q11], axis=-1).reshape(-1, 2, 2) @ R
+        norms = np.linalg.norm(H, axis=(1, 2))
+        out.append((H / norms[:, None, None], L + np.log(norms), w))
+    return out
 
 
 def integrate_fundamental(fields: FieldSampler, t0: float, t1: float,
@@ -481,21 +517,26 @@ def integrate_fundamental(fields: FieldSampler, t0: float, t1: float,
     evenly spaced times, integrated with relative tolerance `tol`; the
     cumulative trace integral rides along for determinant accounting."""
     ts = np.linspace(t0, t1, checkpoints)
-    mats, logs, traces = _propagate(fields, np.eye(2, dtype=complex), ts, tol)
+    mats, logs, traces = _propagate(fields, [(np.eye(2, dtype=complex), ts)], tol)[0]
     return FundamentalSolution(ts, mats, logs, traces)
 
 
-def _asymptotic_seed(fields: FieldSampler, t: float, want_decaying_forward: bool,
-                     gap_tol: float = 1e-3) -> np.ndarray:
-    A = fields.ode_matrix(t)
-    lam, vecs = np.linalg.eig(A)
-    order = np.argsort(lam.real)
-    gap = lam.real[order[-1]] - lam.real[order[0]]
-    if gap < gap_tol:
-        raise IllPosedError("no spectral gap at the horizon: decaying direction ill posed")
-    idx = order[0] if want_decaying_forward else order[-1]
-    v = vecs[:, idx]
-    return v / np.linalg.norm(v)
+def _decaying(fields: FieldSampler, ends, t_horizon: float, tol: float) -> list:
+    """Unit directions at t = 0 of the solutions decaying at each of
+    `ends` (+1 or -1), all in one propagation back from the horizons, each
+    seeded with the asymptotic eigenvector (a unitary start's first column)."""
+    if any(end not in (+1, -1) for end in ends):
+        raise ValueError("end must be +1 or -1")
+    t_far = t_horizon * np.array(ends, dtype=float)
+    lams, vecs = np.linalg.eig(fields.ode_matrix(t_far))
+    runs = []
+    for end, t, lam, V in zip(ends, t_far.tolist(), lams.real, vecs):
+        if lam.max() - lam.min() < 1e-3:
+            raise IllPosedError("no spectral gap at the horizon: decaying direction ill posed")
+        v = V[:, np.argmin(lam) if end == +1 else np.argmax(lam)]   # unit, from eig
+        runs.append((np.array([[v[0], -v[1].conjugate()], [v[1], v[0].conjugate()]]),
+                     np.array([t, 0.0])))
+    return [H[-1][:, 0] / np.linalg.norm(H[-1][:, 0]) for H, _, _ in _propagate(fields, runs, tol)]
 
 
 def decaying_solution(fields: FieldSampler, end: int, t_horizon: float,
@@ -503,13 +544,7 @@ def decaying_solution(fields: FieldSampler, end: int, t_horizon: float,
     """Unit direction at t = 0 of the solution decaying at the chosen end
     (+1 or -1), via backward integration from the horizon seeded with
     the asymptotic eigenvector (the first column of a unitary start)."""
-    if end not in (+1, -1):
-        raise ValueError("end must be +1 or -1")
-    t_far = end * t_horizon
-    v = _asymptotic_seed(fields, t_far, want_decaying_forward=(end == +1))
-    Q0 = np.array([[v[0], -v[1].conjugate()], [v[1], v[0].conjugate()]])
-    s = _propagate(fields, Q0, np.array([t_far, 0.0]), tol)[0][-1][:, 0]
-    return s / np.linalg.norm(s)
+    return _decaying(fields, (end,), t_horizon, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -524,8 +559,7 @@ class DecayingData:
     @staticmethod
     def of(fields: FieldSampler, t_horizon: float = 40.0,
            tol: float = 1e-10) -> "DecayingData":
-        s0 = decaying_solution(fields, +1, t_horizon, tol)
-        s0p = decaying_solution(fields, -1, t_horizon, tol)
+        s0, s0p = _decaying(fields, (+1, -1), t_horizon, tol)
         det = s0[0] * s0p[1] - s0[1] * s0p[0]
         return DecayingData(s0, s0p, complex(det))
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -130,9 +131,21 @@ def test_scatter_abelian(tmp_path):
     assert len(rows) == 4
 
 
+def test_metric_logs_skipped_grid_point(tmp_path, caplog):
+    # of the 8 points of a grid of 2, only (0.8, 0.8, 0.6) lies within
+    # 0.35 of the center: one warning, through logging
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metric_grid": 2, "centers": [[0.8, 0.8, 0.65]],
+                               "charges": [1]}))
+    with caplog.at_level(logging.WARNING, logger="monogeom.cli"):
+        assert run(["metric", "--config", str(cfg), "--out", str(tmp_path / "grid.csv")]) == 0
+    assert [(r.name, r.levelname) for r in caplog.records] == [("monogeom.cli", "WARNING")]
+    assert caplog.records[0].getMessage() == "skipping grid point (0.800,0.800,0.600) near a center"
+
+
 def test_ps_scan_one_decaying_computation_per_geodesic(tmp_path, monkeypatch):
-    # per geodesic: the two decaying directions once, then the fundamental
-    # solution; 5 default impacts
+    # per geodesic: one propagation for both decaying directions, then
+    # the fundamental solution; 5 default impacts
     calls = []
     propagate = sc._propagate
 
@@ -141,7 +154,7 @@ def test_ps_scan_one_decaying_computation_per_geodesic(tmp_path, monkeypatch):
         return propagate(*args, **kw)
     monkeypatch.setattr(sc, "_propagate", counted)
     assert run(["scatter", "--experiment", "ps_scan", "--out", str(tmp_path / "ps.csv")]) == 0
-    assert len(calls) == 3 * len(RunConfig().ps_impacts) == 15
+    assert len(calls) == 2 * len(RunConfig().ps_impacts) == 10
 
 
 def test_spectral_json(tmp_path):

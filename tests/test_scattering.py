@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -38,6 +39,16 @@ def test_growth_led_by_first_column():
     # e2 decays against e1 by 1200 e-folds, past where exp of the
     # log-rate gap overflows: R's corner factor must read 0, not raise
     sol = sc.integrate_fundamental(sc.TrivialU1Field(mass=1.0), -300.0, 300.0)
+    assert abs(sol.log_norm_final() - 600.0) < 1e-8 * 600.0
+    assert np.all(np.isfinite(sol.mats))
+
+
+@pytest.mark.parametrize("mass", (1.0, -1.0))
+def test_long_checkpoint_interval_in_blocks(mass):
+    # 300 steps between the two checkpoints, whose modes part by e^1200:
+    # far past floating range for one product, so the steps must be
+    # multiplied in blocks short enough to keep both modes in range
+    sol = sc.integrate_fundamental(sc.TrivialU1Field(mass=mass), -300.0, 300.0, checkpoints=2)
     assert abs(sol.log_norm_final() - 600.0) < 1e-8 * 600.0
     assert np.all(np.isfinite(sol.mats))
 
@@ -228,8 +239,9 @@ def ps_matrix_reference(f, t):
     # the series/closed-form radial factors see the same r
     p = (f.x0 - f.center) + t * f.u
     r = math.sqrt(p[0] * p[0] + p[1] * p[1] + p[2] * p[2])
-    phi = sc._ps_h_over_r(r) * p
-    a = sc._ps_k_over_r(r) * np.cross(f.u, p)
+    h_over_r, k_over_r = sc._ps_radial(r)
+    phi = h_over_r * p
+    a = k_over_r * np.cross(f.u, p)
     return sum((-0.5 * phi[j] - 0.5j * a[j]) * PAULI[j] for j in range(3))
 
 
@@ -255,20 +267,39 @@ def ps_samples():
 
 def test_ps_radial_factors_match_mpmath():
     # a series stopped at r^4 below r = 0.01 and the cancelling closed
-    # forms above it read 1.2e-12 relative at r = 0.0100001
+    # forms above it read 1.2e-12 relative at r = 0.0100001; far out
+    # exp(-2r) underflows to 0 and the factors tend to 2/r and 1/r^2
     def h_over_r(r):
         return (2 * mpmath.coth(2 * r) - 1 / r) / r
 
     def k_over_r(r):
         return (1 / r - 2 / mpmath.sinh(2 * r)) / r
 
-    rs = np.concatenate([np.geomspace(1e-6, 2.0, 300),
-                         [0.0099999, 0.01, 0.0100001, 0.3999999, 0.4, 0.4000001]])
+    rs = np.concatenate([np.geomspace(1e-6, 400.0, 500),
+                         [0.0099999, 0.01, 0.0100001, 0.3999999, 0.4, 0.4000001, 40.0, 400.0]])
+    batch = sc._ps_radial(rs)
     with mpmath.workdps(40):
-        for r in rs:
+        for i, r in enumerate(rs):
             x = mpmath.mpf(float(r))
-            assert abs(sc._ps_h_over_r(r) / float(h_over_r(x)) - 1) <= 5e-15
-            assert abs(sc._ps_k_over_r(r) / float(k_over_r(x)) - 1) <= 5e-15
+            h, k = sc._ps_radial(r)
+            assert (h, k) == (batch[0][i], batch[1][i])
+            assert abs(h / float(h_over_r(x)) - 1) <= 5e-15
+            assert abs(k / float(k_over_r(x)) - 1) <= 5e-15
+
+
+def test_ps_far_out_raises_no_warning():
+    # exp(-2r) underflows quietly where sinh 2r would overflow; the
+    # values there are the 1/r limits
+    f = sc.PSField(x0=[3.0, 0.0, 0.0], u=[0.0, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        M = f.ode_matrix(400.0)
+        s = sc.decaying_solution(f, +1, 400.0)
+    p, r = np.array([3.0, 0.0, 400.0]), math.hypot(3.0, 400.0)
+    w = -0.5 * ((2.0 - 1.0 / r) / r * p + 1j / (r * r) * np.cross(f.u, p))
+    want = sum(w[j] * PAULI[j] for j in range(3))
+    assert np.linalg.norm(M - want) <= 1e-15 * np.linalg.norm(want)
+    assert np.all(np.isfinite(s))
 
 
 def test_ps_matrix_matches_pauli_sum():
@@ -331,6 +362,50 @@ def test_decaying_direction_horizon_stable():
     a = sc.decaying_solution(f, +1, 25.0)
     b = sc.decaying_solution(f, +1, 50.0)
     assert 1.0 - abs(np.vdot(a, b)) < 1e-8
+
+
+def test_decaying_direction_far_horizon_in_blocks():
+    # 200 steps from the horizon at 400, several blocks, against one at 40;
+    # the two seeds' phases differ, so the directions are compared after
+    # aligning them
+    f = sc.PSField(x0=[1.0, 0.5, 0.0], u=[0.3, -0.6, 0.0])
+    for end in (+1, -1):
+        a, b = sc.decaying_solution(f, end, 40.0), sc.decaying_solution(f, end, 400.0)
+        phase = np.vdot(b, a) / abs(np.vdot(b, a))
+        assert np.abs(a - phase * b).max() <= 1e-14
+
+
+class CountedPS(sc.PSField):
+    def ode_matrix(self, t):
+        self.calls.append(np.size(t))
+        return super().ode_matrix(t)
+
+
+@pytest.mark.parametrize("b", (0.0, 0.5, 3.0))
+def test_decaying_data_matches_one_end_at_a_time(b):
+    # both ends share the refinement rounds: the same nodes in fewer
+    # sampler calls, and the same directions
+    f = CountedPS(x0=[b, 0.0, 0.0], u=[0.0, 0.6, 0.8])
+    object.__setattr__(f, "calls", [])
+    data = sc.DecayingData.of(f)
+    joint, f.calls[:] = list(f.calls), []
+    s0, s0p = sc.decaying_solution(f, +1, 40.0), sc.decaying_solution(f, -1, 40.0)
+    assert np.abs(data.s0 - s0).max() <= 1e-15
+    assert np.abs(data.s0_prime - s0p).max() <= 1e-15
+    assert sum(joint) == sum(f.calls)
+    assert len(joint) < len(f.calls)
+
+
+def test_decaying_data_is_one_propagation(monkeypatch):
+    runs = []
+    propagate = sc._propagate
+
+    def counted(fields, these, tol):
+        runs.append(len(these))
+        return propagate(fields, these, tol)
+    monkeypatch.setattr(sc, "_propagate", counted)
+    sc.DecayingData.of(sc.PSField(x0=[1.0, 0.0, 0.0], u=[0.0, 0.0, 1.0]))
+    assert runs == [2]
 
 
 def test_no_gap_is_ill_posed():
