@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["ExtendedComplex", "INFINITY", "tau", "roots_of_unity"]
+__all__ = ["ExtendedComplex", "INFINITY", "tau", "roots_of_unity", "node_powers"]
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class ExtendedComplex:
             return ExtendedComplex(0j)
         if self.value == 0:
             return INFINITY
-        return ExtendedComplex(-1.0 / np.conj(self.value))
+        return ExtendedComplex(-1.0 / self.value.conjugate())
 
     def unit_sphere(self) -> np.ndarray:
         """Inverse stereographic image on S^2 (infinity -> north pole)."""
@@ -76,12 +76,14 @@ def tau(v):
     """
     if isinstance(v, ExtendedComplex):
         return v.antipode()
-    return -1.0 / np.conj(v)
+    return -1.0 / (v.conjugate() if isinstance(v, (int, float, complex)) and v != 0 else np.conj(v))
 
 
 def chordal_distance(p: ExtendedComplex, q: ExtendedComplex) -> float:
-    """Distance in the round metric's chordal chart, max value 2."""
-    return float(np.linalg.norm(p.unit_sphere() - q.unit_sphere()))
+    """Distance of the unit-sphere images, max value 2: in homogeneous
+    coordinates (v, 1), and (1, 0) at infinity, 2 |p1 q2 - p2 q1| / (|p| |q|)."""
+    (p1, p2), (q1, q2) = ((1.0, 0.0) if u.at_infinity else (u.value, 1.0) for u in (p, q))
+    return 2.0 * abs(p1 * q2 - p2 * q1) / math.hypot(abs(p1), p2) / math.hypot(abs(q1), q2)
 
 
 @lru_cache(maxsize=16)
@@ -91,3 +93,18 @@ def roots_of_unity(n: int) -> np.ndarray:
     zs = np.exp(2j * math.pi * np.arange(n) / n)
     zs.setflags(write=False)
     return zs
+
+
+_POWERS: dict[int, np.ndarray] = {}
+
+
+def node_powers(nodes: int, degree: int) -> np.ndarray:
+    """Read-only (degree + 1, nodes) table of w_j^m for the nodes w_j of
+    `roots_of_unity(nodes)`, row m the node set permuted: one table per
+    node count, rebuilt taller when a higher degree is asked for."""
+    table = _POWERS.get(nodes)
+    if table is None or len(table) <= degree:
+        m, j = np.ogrid[:degree + 1, :nodes]
+        table = _POWERS[nodes] = roots_of_unity(nodes)[(m * j) % nodes]
+        table.setflags(write=False)
+    return table[:degree + 1]

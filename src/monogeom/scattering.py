@@ -371,6 +371,17 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                      x10 * y00 + x11 * y10, x10 * y01 + x11 * y11])
 
 
+def _edges(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intervals [t0_i, t1_i] cut into n_i = max(1, ceil(|t1_i - t0_i| / _MAX_STEP)) equal
+    steps by np.linspace's arithmetic, edges j ((t1 - t0) / n) + t0 and t1 last: starts, ends, n."""
+    n = np.maximum(1, np.ceil(np.abs(t1 - t0) / _MAX_STEP)).astype(int)
+    which, last = np.repeat(np.arange(len(n)), n), np.cumsum(n) - 1
+    a = (np.arange(len(which)) - (last + 1 - n)[which]) * ((t1 - t0) / n)[which] + t0[which]
+    b = np.append(a[1:], t1[-1:])
+    b[last] = t1
+    return a, b, n
+
+
 def _mesh(fields: FieldSampler, runs: list, tol: float):
     """Accepted steps of each run of output times, from its first time
     to its last: (4, m) step matrices by components and their tr Omega,
@@ -386,15 +397,12 @@ def _mesh(fields: FieldSampler, runs: list, tol: float):
     failing step is cut into ceil(1.2 (err/tol)^{1/7}) equal pieces (more
     if it grows too much), and only those are checked in the next round."""
     signs = np.array([1.0 if ts[-1] >= ts[0] else -1.0 for ts in runs])  # directions
-    a, b, run = [], [], []
+    t0, t1, run = [], [], []
     for i, (ts, sign) in enumerate(zip(runs, signs)):
         marks = sorted(set(ts.tolist()), key=lambda t: sign * t)
-        for t0, t1 in zip(marks[:-1], marks[1:]):
-            edges = np.linspace(t0, t1, max(1, math.ceil(abs(t1 - t0) / _MAX_STEP)) + 1)
-            a.append(edges[:-1])
-            b.append(edges[1:])
-            run.append(np.full(len(edges) - 1, i))
-    a, b, run = (np.concatenate(x or [np.zeros(0, int)]) for x in (a, b, run))
+        t0, t1, run = t0 + marks[:-1], t1 + marks[1:], run + [i] * (len(marks) - 1)
+    a, b, n = _edges(np.array(t0, dtype=float), np.array(t1, dtype=float))
+    run = np.repeat(np.array(run, dtype=int), n)
     # no steps at all in a run whose times are all equal
     starts, taken, mats, traces = [[]], [np.zeros(0, int)], [np.zeros((4, 0))], [[]]
     while a.size:

@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential, OrientedGeodesic, PointUHS
-from .projective import INFINITY, ExtendedComplex, roots_of_unity, tau
-from .twistor import CHART_ROTATIONS, BiDegreeSection, matrix_point, point_matrix
+from .projective import INFINITY, ExtendedComplex, node_powers, roots_of_unity, tau
+from .twistor import CHART_ROTATIONS, BiDegreeSection, matrix_point
 
 __all__ = [
     "QuadraticRestriction",
@@ -58,48 +57,57 @@ class LineChart:
     composed with one of a fixed list of SU(2) chart rotations.  The
     transport sends q to the base point, so the geodesics through q
     become the diagonal, coordinatized by their forward endpoint.  The
-    transport A and its inverse are computed once, on first use; each
-    method moves a batch by one A P A^dagger product over a stack.
+    transport A is formed once, as four Python complexes; the methods
+    work on Python scalars, cheaper than numpy calls at a few centers.
     """
 
     q: PointUHS
     su2: np.ndarray = field(default_factory=lambda: np.eye(2, dtype=complex))
 
     @cached_property
-    def _transport(self) -> tuple[np.ndarray, np.ndarray]:
-        # A = su2 h^-1 with h = (Q + I) / sqrt(tr Q + 2) the positive square
-        # root of the det-1 matrix Q of q; h^-1 is the adjugate of h, the
-        # same form with the spatial part negated, and su2^-1 = su2^dagger
-        Y = hyp.embed(self.q) + [1.0, 0.0, 0.0, 0.0]
-        s = math.sqrt(2.0 * Y[0])
-        return (self.su2 @ point_matrix(Y * [1.0, -1.0, -1.0, -1.0]) / s,
-                point_matrix(Y) @ self.su2.conj().T / s)
+    def transport(self) -> tuple[complex, complex, complex, complex]:
+        """(A00, A01, A10, A11) of A = su2 h^-1, h = (Q + I) / sqrt(tr Q + 2) the positive
+        square root of the det-1 matrix Q of q = (x, y, z); h^-1, the adjugate of h, is
+        [[1 + 1/z, -(x - iy)/z], [-(x + iy)/z, 1 + |q|^2/z]] / sqrt(2 + (|q|^2 + 1)/z)."""
+        x, y, z = self.q.x, self.q.y, self.q.z
+        s = x * x + y * y + z * z
+        r = 1.0 / math.sqrt(2.0 + (s + 1.0) / z)
+        h00, h01, h11 = (1.0 + 1.0 / z) * r, complex(-x, y) / z * r, (1.0 + s / z) * r
+        (u00, u01), (u10, u11) = self.su2.tolist()
+        return (u00 * h00 + u01 * h01.conjugate(), u00 * h01 + u01 * h11,
+                u10 * h00 + u11 * h01.conjugate(), u10 * h01 + u11 * h11)
 
-    def quadratics(self, centers: np.ndarray) -> tuple["QuadraticRestriction", ...]:
-        """Quadratics cut out on the line of q by the sections of the
-        centers, an (n, 3) array of points: in the q-centered frame a
-        center X gives a = X1 - i X2 and b = -X3."""
-        A, _ = self._transport
-        X = A @ point_matrix(hyp.embed(centers)) @ A.conj().T
-        a = X[:, 0, 1].tolist()
-        b = ((X[:, 1, 1].real - X[:, 0, 0].real) / 2).tolist()
-        return tuple(QuadraticRestriction(ai, bi) for ai, bi in zip(a, b))
+    def quadratics(self, centers) -> tuple["QuadraticRestriction", ...]:
+        """Quadratics cut out on the line of q by the sections of the centers,
+        (n, 3) rows of points.  A center c = (x, y, z) has point matrix P =
+        [[d, w], [w*, 1/z]], d = |c|^2 / z, w = (x - iy) / z; with A = [[p, q], [r, t]],
+        M = A P A^dagger gives a = M01 = p r* d + q t* / z + p t* w + q r* w* and
+        b = (M11 - M00) / 2 = (|r|^2 - |p|^2) d / 2 + (|t|^2 - |q|^2) / 2z + Re((r t* - p q*) w)."""
+        p, q, r, t = self.transport
+        pr, qt, pt, qr = p * r.conjugate(), q * t.conjugate(), p * t.conjugate(), q * r.conjugate()
+        b_d, b_z = (abs(r) ** 2 - abs(p) ** 2) / 2, (abs(t) ** 2 - abs(q) ** 2) / 2
+        b_w = r * t.conjugate() - p * q.conjugate()
+        out = []
+        for x, y, z in np.asarray(centers, dtype=float).reshape(-1, 3).tolist():
+            d, w = (x * x + y * y + z * z) / z, complex(x, -y) / z
+            out.append(QuadraticRestriction(pr * d + qt / z + pt * w + qr * w.conjugate(),
+                                            b_d * d + b_z / z + (b_w * w).real))
+        return tuple(out)
 
     def geodesics(self, zetas) -> tuple[OrientedGeodesic, ...]:
-        """Geodesics through q with finite chart coordinates zetas:
-        forward endpoint zeta and backward endpoint tau(zeta), whose
-        sphere image is minus that of zeta, both transported back."""
-        _, B = self._transport
-        v = np.asarray(zetas, dtype=complex).reshape(-1)
-        m = np.abs(v) ** 2
-        n = np.stack([2 * v.real, 2 * v.imag, m - 1.0], axis=-1) / (m + 1.0)[:, None]
-        null = np.concatenate([np.ones((2, len(v), 1)), [n, -n]], axis=-1)  # forward, backward
-        N = B @ point_matrix(null) @ B.conj().T
-        pole = np.abs(N[..., 1, 1]) < 1e-13 * np.abs(N[..., 0, 0] + N[..., 1, 1])
-        ends = np.conj(N[..., 0, 1] / np.where(pole, 1.0, N[..., 1, 1]))
-        end, start = ([INFINITY if p else ExtendedComplex(e) for p, e in zip(*row)]
-                      for row in zip(pole.tolist(), ends.tolist()))
-        return tuple(map(OrientedGeodesic, start, end))
+        """Geodesics through q with finite chart coordinates zetas, ends
+        transported back by B = A^-1 = [[b0, b1], [b2, b3]].  A chart value v has
+        null matrix ~ w w^dagger, w = (conj v, 1), so the forward end is
+        (c0 v + c1) / (c2 v + c3) with c = conj(b); the backward end tau(v)
+        has w ~ (-1, v), so it is (c1 conj(v) - c0) / (c3 conj(v) - c2)."""
+        p, q, r, t = self.transport
+        c0, c1, c2, c3 = t.conjugate(), -q.conjugate(), -r.conjugate(), p.conjugate()
+        def endpoint(num, den):  # infinite where |den|^2 < 1e-13 (|num|^2 + |den|^2)
+            d2 = abs(den) ** 2
+            return INFINITY if d2 < 1e-13 * (abs(num) ** 2 + d2) else ExtendedComplex(num / den)
+        return tuple(OrientedGeodesic(start=endpoint(c1 * v.conjugate() - c0, c3 * v.conjugate() - c2),
+                                      end=endpoint(c0 * v + c1, c2 * v + c3))
+                     for v in map(complex, zetas))
 
 
 @dataclass(frozen=True)
@@ -125,13 +133,15 @@ class QuadraticRestriction:
     def alpha(self) -> complex:
         if abs(self.a) < 1e-14:
             raise ChartRotationRequired("a = 0: root at the chart pole")
-        return (-self.b + self.delta) / self.a
+        b, d = self.b, self.delta  # alpha beta = -conj(a) / a spares cancelling b and delta
+        return (d - b) / self.a if b < 0 else self.a.conjugate() / (b + d)
 
     @property
     def beta(self) -> complex:
         if abs(self.a) < 1e-14:
             raise ChartRotationRequired("a = 0: root at the chart pole")
-        return (-self.b - self.delta) / self.a
+        b, d = self.b, self.delta
+        return -(b + d) / self.a if b >= 0 else -self.a.conjugate() / (d - b)
 
     def __call__(self, zeta):
         return (self.a * zeta + 2 * self.b) * zeta - self.a.conjugate()
@@ -202,12 +212,12 @@ class FactorPair:
         return self.x_at(zeta) * self.y_at(zeta)
 
     def reality_defect(self, n: int = 128) -> float:
-        """Max relative defect of x = y* on the unit circle."""
-        zs = roots_of_unity(n)
-        ystar = npoly.polyval(zs, antipodal_conjugate(self.y))
-        xs = npoly.polyval(zs, self.x)
-        scale = max(float(np.max(np.abs(xs))), 1e-300)
-        return float(np.max(np.abs(xs - ystar))) / scale
+        """Max relative defect of x = y* on the unit circle: the rows x
+        and x - y* at the n nodes, in one product with the cached table of
+        the nodes' powers."""
+        C = np.stack([self.x, self.x - antipodal_conjugate(self.y)])
+        vals = np.abs(C @ node_powers(n, C.shape[1] - 1))
+        return float(vals[1].max()) / max(float(vals[0].max()), 1e-300)
 
 
 def factor(quadratics, charges, phase: float = 0.0) -> FactorPair:
@@ -217,7 +227,7 @@ def factor(quadratics, charges, phase: float = 0.0) -> FactorPair:
 
     Since a_i beta_i = -(b_i + delta_i) is real, (zeta - beta_i)* equals
     -conj(beta_i) (zeta - alpha_i), and x = y* fixes the modulus
-    |A|^2 = prod (b_i + delta_i)^{l_i}, positive wherever the alphas are
+    |A|^2 = prod |a_i beta_i|^{l_i}, positive wherever the roots are
     defined (delta_i = hypot(b_i, |a_i|) > -b_i unless a_i = 0).
     """
     quadratics = list(quadratics)
@@ -226,9 +236,7 @@ def factor(quadratics, charges, phase: float = 0.0) -> FactorPair:
         raise ValueError("need one charge per quadratic")
     alphas = [qd.alpha for qd in quadratics]
     betas = [qd.beta for qd in quadratics]
-    # b + delta, as |a|^2 / (delta - b) when b < 0 to avoid cancellation
-    mod2 = math.prod((qd.b + qd.delta if qd.b >= 0 else abs(qd.a) ** 2 / (qd.delta - qd.b)) ** l
-                     for qd, l in zip(quadratics, charges))
+    mod2 = math.prod(abs(qd.a * b) ** l for qd, b, l in zip(quadratics, betas, charges))
     A = math.sqrt(mod2) * cmath.exp(1j * phase)
     prod_a = math.prod(qd.a ** l for qd, l in zip(quadratics, charges))
     x = A * _poly_from_roots(alphas, charges)
@@ -318,8 +326,9 @@ def lift_twistor_line(q: PointUHS, V: MultiCenterPotential,
     constant there, so real powers are unambiguous and taken to be 1)
     and the divisor of x with its geodesic orientations.
     """
-    centers = np.array([c.as_array() for c in V.centers], dtype=float).reshape(-1, 3)
-    if np.any(hyp.dist(q, centers) < 1e-10):
+    centers = [(c.x, c.y, c.z) for c in V.centers]
+    if any(2.0 * math.asinh(math.dist((q.x, q.y, q.z), c) / (2.0 * math.sqrt(q.z * c[2]))) < 1e-10
+           for c in centers):  # the hyperbolic distance from q to a center
         raise DegenerateRestrictionError("q coincides with a singular center")
     for su2 in CHART_ROTATIONS:
         chart = LineChart(q, su2)

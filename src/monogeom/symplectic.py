@@ -13,12 +13,12 @@ the central consistency check of the module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, reduce
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .projective import roots_of_unity
+from .projective import node_powers, roots_of_unity
 
 __all__ = [
     "Series",
@@ -43,7 +43,7 @@ class Series:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs, complex)))
+        object.__setattr__(self, "coeffs", np.array(self.coeffs, complex, copy=None, ndmin=1))
 
     def __call__(self, zeta):
         return npoly.polyval(zeta, self.coeffs)
@@ -90,16 +90,6 @@ def _stack(rows) -> np.ndarray:
     for dst, src in zip(out, rows):
         dst[:len(src)] = src
     return out
-
-
-@lru_cache(maxsize=16)
-def _node_powers(nodes: int, degree: int) -> np.ndarray:
-    """Read-only (degree + 1, nodes) table of w_j^m for the nodes w_j of
-    `roots_of_unity(nodes)`: row m is the node set itself, permuted."""
-    m, j = np.ogrid[:degree + 1, :nodes]
-    table = roots_of_unity(nodes)[(m * j) % nodes]
-    table.setflags(write=False)
-    return table
 
 
 @dataclass(frozen=True)
@@ -169,11 +159,10 @@ class TangentVector:
         object.__setattr__(self, "eta_primes", ep)
         object.__setattr__(self, "u_primes", up)
         if self.marked_at is not None:
-            z0 = self.marked_at
-            worst = max((max(abs(complex(e(z0))), abs(complex(u(z0))))
-                         for e, u in zip(ep, up)), default=0.0)
-            scale = max((max(np.max(np.abs(e.coeffs)), np.max(np.abs(u.coeffs)))
-                         for e, u in zip(ep, up)), default=1.0)
+            z0, coeffs = self.marked_at, [s.coeffs.tolist() for s in ep + up]
+            # each component at z0 by Horner steps on Python scalars
+            worst = max((abs(reduce(lambda v, c: v * z0 + c, cs[::-1], 0j)) for cs in coeffs), default=0.0)
+            scale = max((abs(c) for cs in coeffs for c in cs), default=1.0)
             if worst > 1e-9 * max(scale, 1.0):
                 raise ValueError("marked tangent components must vanish at the marking")
 
@@ -227,7 +216,7 @@ def omega_D_contour(X1: TangentVector, X2: TangentVector, sheets: SheetData,
         raise ValueError(f"a u_i vanishes at |zeta| = {sheets.u_zero_modulus:.6g}, "
                          "not inside the contour")
     C = np.concatenate([C[:k] - C[k:2 * k], C[2 * k:]]) * radius ** np.arange(C.shape[1])
-    vals = C @ _node_powers(nodes, C.shape[1] - 1)
+    vals = C @ node_powers(nodes, C.shape[1] - 1)
     zs = radius * roots_of_unity(nodes)
     return complex(np.mean(np.sum(vals[:k] / vals[k:], axis=0) / (zs / z0 - 1.0) ** 2))
 
@@ -279,12 +268,9 @@ def fiber_coordinates(curve, trivialization, zeta_star: complex,
 
 def random_marked_tangent(k: int, zeta0: complex, rng, degree: int = 3) -> TangentVector:
     """Synthetic marked deformation: each component is (zeta/zeta_0 - 1)
-    times a random polynomial."""
-    factor = MarkedDivisor(zeta0).vanishing_factor()
-
-    def rand_series():
-        c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
-        return factor * Series(c)
-
-    return TangentVector(tuple(rand_series() for _ in range(k)),
-                         tuple(rand_series() for _ in range(k)), marked_at=zeta0)
+    times a random polynomial, the k eta' and then the k u'.  One draw
+    gives the real, then the imaginary coefficients of each in turn."""
+    factor = MarkedDivisor(zeta0).vanishing_factor().coeffs
+    draw = rng.normal(size=(2 * k, 2, degree + 1))
+    parts = [Series(np.convolve(factor, c)) for c in draw[:, 0] + 1j * draw[:, 1]]
+    return TangentVector(tuple(parts[:k]), tuple(parts[k:]), marked_at=zeta0)

@@ -187,6 +187,15 @@ def test_symplectic_json(tmp_path):
     assert json.loads(out2.read_text()) == data
 
 
+def test_symplectic_inputs_unchanged_at_default_config(tmp_path):
+    # the synthetic sheets and tangents are drawn from the seed in a fixed
+    # order; any change to the draws or the coefficient arithmetic moves this
+    out = tmp_path / "sy.json"
+    assert run(["symplectic", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["inputs_sha256"] == (
+        "f9061d72751fa4d40fdad0674d2526aba68545ebe89491685b9e253b75895881")
+
+
 def test_config_errors(tmp_path):
     missing = tmp_path / "missing.json"
     assert run(["verify", "--config", str(missing)]) == 2

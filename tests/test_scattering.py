@@ -496,3 +496,18 @@ def test_growth_range_validation():
     V = MultiCenterPotential(0.4, (PointUHS(0, 0, 1),), (1,))
     with pytest.raises(ValueError):
         sc.abelian_growth_exponent(V, 0, delta=0.1, z_samples=[0.5])
+
+
+def test_initial_mesh_edges_match_linspace_bitwise():
+    # the vectorized initial mesh reproduces one np.linspace per interval
+    # bit for bit, so no propagation result moves
+    rng = np.random.default_rng(3)
+    for m in (0, 1, 2, 7, 40):
+        t0 = rng.uniform(-50.0, 50.0, size=m) * 10.0 ** rng.uniform(-3, 1, size=m)
+        t1 = t0 + rng.choice([-1.0, 1.0], size=m) * rng.uniform(1e-9, 60.0, size=m)
+        a, b, n = sc._edges(t0, t1)
+        edges = [np.linspace(s, e, max(1, math.ceil(abs(e - s) / sc._MAX_STEP)) + 1)
+                 for s, e in zip(t0, t1)]
+        assert n.tolist() == [len(e) - 1 for e in edges]
+        assert a.tobytes() == np.concatenate([e[:-1] for e in edges] + [np.zeros(0)]).tobytes()
+        assert b.tobytes() == np.concatenate([e[1:] for e in edges] + [np.zeros(0)]).tobytes()

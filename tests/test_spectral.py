@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monogeom import spectral as sp
 from monogeom.hyperbolic import (ORIGIN, MultiCenterPotential, PointUHS,
                                  boundary_chart_of_null, dist_to_geodesic, embed,
                                  null_vector, orthonormal_frame_at, point_at)
-from monogeom.projective import INFINITY, ExtendedComplex, chordal_distance, tau
+from monogeom.projective import (INFINITY, ExtendedComplex, chordal_distance, node_powers,
+                                 roots_of_unity, tau)
 from monogeom.twistor import CHART_ROTATIONS, matrix_point, point_matrix, twistor_line_section
 
 
@@ -367,3 +370,124 @@ def test_line_chart_geodesics_match_per_root_reference(rotation):
                               (g.start, _reference_endpoint(Ainv, ze.antipode()))):
                 assert end.at_infinity == want.at_infinity
                 assert chordal_distance(end, want) < 1e-14
+
+
+@pytest.mark.parametrize("rotation", range(len(CHART_ROTATIONS)))
+def test_line_chart_transport_sends_q_to_base_point(rotation):
+    rng = np.random.default_rng(60 + rotation)
+    su2 = CHART_ROTATIONS[rotation]
+    for _ in range(50):
+        q = PointUHS(rng.normal(), rng.normal(), rng.uniform(0.4, 2.0))
+        A = np.array(sp.LineChart(q, su2).transport).reshape(2, 2)
+        assert all(type(entry) is complex for entry in A.ravel().tolist())
+        R = _reference_transport(q, su2)
+        assert np.max(np.abs(A - R)) < 5e-14 * np.max(np.abs(R))
+        Q = point_matrix(embed(q))
+        assert np.max(np.abs(A @ Q @ A.conj().T - np.eye(2))) < 1e-14 * np.max(np.abs(Q))
+        assert abs(np.linalg.det(A) - 1.0) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# roots next to a chart pole, high multiplicities, chordal distance
+# ---------------------------------------------------------------------------
+
+def _center_off_polar_axis(q, offset, sign):
+    # a center 0.8 from q along the frame's polar axis, turned by `offset`
+    E = orthonormal_frame_at(q)
+    u = sign * E[2] + offset * E[0]
+    return point_at(q, u / np.linalg.norm(u), 0.8)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_lift_rotates_chart_for_root_next_to_pole(sign):
+    # the center sits 1e-15 off q's polar axis, so |a| < 1e-14 in the
+    # identity chart and the first CHART_ROTATIONS fallback takes over
+    q = ORIGIN
+    center = _center_off_polar_axis(q, 1e-15, sign)
+    assert 0 < abs(sp.restrict_to_line(center, q).a) < 1e-14
+    V = MultiCenterPotential.for_su2_charge1([center, PointUHS(0.5, 0.3, 1.5)], [1, 2], mass=0.3)
+    data = sp.lift_twistor_line(q, V)
+    assert data.chart.su2 is CHART_ROTATIONS[1]
+    assert data.product_residual() < 1e-13
+    assert data.pair.reality_defect() < 1e-13
+    assert data.divisor_doubling_defect() < 1e-13
+    for d, c in zip(data.divisor, V.centers):
+        assert dist_to_geodesic(q, d.geodesic) < 1e-12
+        assert dist_to_geodesic(c, d.geodesic) < 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("offset", [1e-13, 1e-11, 1e-9, 1e-7, 1e-5])
+def test_lift_accurate_with_root_near_chart_pole(sign, offset):
+    # 1e-14 <= |a| << |b|: no rotation, and the root near the pole or near
+    # zero comes from alpha beta = -conj(a) / a, not from b - delta, which
+    # cancels (that left x y 1e-8 off the section and the doubling inf)
+    q = ORIGIN
+    V = MultiCenterPotential.for_su2_charge1(
+        [_center_off_polar_axis(q, offset, sign), PointUHS(0.5, 0.3, 1.5)], [1, 2], mass=0.3)
+    data = sp.lift_twistor_line(q, V)
+    assert data.chart.su2 is CHART_ROTATIONS[0]
+    assert data.product_residual() < 1e-13
+    assert data.pair.reality_defect() < 1e-13
+    # the defect is a chart difference; the pole-side root has modulus ~ 1/|a|
+    assert data.divisor_doubling_defect() < 1e-14 * max(1.0, *map(abs, data.pair.betas))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.complex_numbers(min_magnitude=1e-3, max_magnitude=3.0),
+                          st.floats(-3.0, 3.0), st.integers(1, 4)), min_size=1, max_size=4),
+       st.floats(0.0, 2 * math.pi))
+def test_factor_with_multiplicities_up_to_4(roots, phase):
+    quads = [sp.QuadraticRestriction(a, b) for a, b, _ in roots]
+    charges = [m for _, _, m in roots]
+    pair = sp.factor(quads, charges, phase=phase)
+    assert len(pair.x) - 1 == len(pair.y) - 1 == sum(charges)
+    assert pair.multiplicities == tuple(charges)
+    zs = np.exp(2j * np.pi * np.arange(32) / 32)
+    target = math.prod((qd(zs) ** m for qd, m in zip(quads, charges)), start=np.ones(32))
+    assert np.max(np.abs(pair.product_at(zs) - target)) < 1e-12 * np.max(np.abs(target))
+    assert pair.reality_defect() < 1e-12
+    for qd, a, b in zip(quads, pair.alphas, pair.betas):
+        assert abs(qd(a)) < 1e-12 * max(1.0, abs(qd.a) * abs(a) ** 2)
+        assert abs(tau(a) - b) < 1e-12 * max(1.0, abs(b))
+
+
+def test_reality_tables_leave_the_contour_table_cached():
+    # reality defects of degrees 2-24 at 128 nodes share one table per node
+    # count, so the pairing's 2048-node table stays cached beside them
+    contour = node_powers(2048, 8)
+    for m in range(1, 13):
+        quads = [sp.QuadraticRestriction(0.5 + 0.2j, 0.3), sp.QuadraticRestriction(0.1j, -0.4)]
+        assert sp.factor(quads, [m, m]).reality_defect() < 1e-12
+    again = node_powers(2048, 8)
+    assert again.base is contour.base
+    table = node_powers(128, 24)
+    assert table.shape == (25, 128) and not table.flags.writeable
+    assert np.array_equal(table, roots_of_unity(128)[np.outer(np.arange(25), np.arange(128)) % 128])
+
+
+_SPHERE_POINTS = ([INFINITY] + [ExtendedComplex(v) for v in (
+    0j, 1.0, -1.0, 1j, 0.3 - 0.7j, 1e-9 + 1e-9j, 1e8 - 3e8j, 1e15j, -2.5e-300)])
+
+
+@pytest.mark.parametrize("p", _SPHERE_POINTS)
+def test_chordal_distance_matches_unit_sphere(p):
+    rng = np.random.default_rng(7)
+    others = _SPHERE_POINTS + [ExtendedComplex(complex(*rng.normal(size=2)) * 10.0 ** e)
+                               for e in rng.uniform(-6, 6, size=40)]
+    for q in others:
+        want = float(np.linalg.norm(p.unit_sphere() - q.unit_sphere()))
+        assert type(chordal_distance(p, q)) is float
+        assert abs(chordal_distance(p, q) - want) < 1e-15
+    assert chordal_distance(p, p) == 0.0
+
+
+def test_tau_and_antipode_on_python_scalars():
+    for v in (0.3 - 0.7j, -2.0, 3):
+        assert tau(v) == -1.0 / complex(v).conjugate()
+        assert type(ExtendedComplex(v).antipode().value) is complex
+    assert type(tau(0.3 - 0.7j)) is complex
+    zs = np.array([1.0 + 1.0j, -0.5j])
+    assert np.array_equal(tau(zs), -1.0 / np.conj(zs))
+    assert ExtendedComplex(0j).antipode() is INFINITY
+    assert tau(INFINITY) == ExtendedComplex(0j)

@@ -279,3 +279,29 @@ def test_roots_of_unity_cached_and_read_only():
     assert roots_of_unity(64) is zs
     assert not zs.flags.writeable
     assert np.array_equal(zs, np.exp(2j * np.pi * np.arange(64) / 64))
+
+
+def test_random_marked_tangent_matches_one_draw_per_polynomial():
+    # one draw for all coefficients gives, bit for bit, the tangent built
+    # one polynomial at a time: real then imaginary parts, eta' then u'
+    for k, degree in ((1, 3), (2, 3), (3, 5)):
+        z0 = 1.9 + 0.3j
+        rng = np.random.default_rng(k)
+        fac = sy.MarkedDivisor(z0).vanishing_factor()
+        want = [fac * sy.Series(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+                for _ in range(2 * k)]
+        got = sy.random_marked_tangent(k, z0, np.random.default_rng(k), degree=degree)
+        assert got.marked_at == z0
+        for g, w in zip(got.eta_primes + got.u_primes, want):
+            assert g.coeffs.tobytes() == w.coeffs.tobytes()
+
+
+def test_marking_check_scales_with_coefficients():
+    # the vanishing check at the marking is relative to the largest coefficient
+    fac = sy.MarkedDivisor(2.0 + 0j).vanishing_factor()
+    big = fac * sy.Series([1e6, -3e5j])
+    sy.TangentVector((big + sy.Series([1e-4]),), (fac,), marked_at=2.0 + 0j)
+    with pytest.raises(ValueError, match="vanish"):
+        sy.TangentVector((big + sy.Series([1e-2]),), (fac,), marked_at=2.0 + 0j)
+    with pytest.raises(ValueError, match="vanish"):
+        sy.TangentVector((fac,), (sy.Series([2e-9]),), marked_at=2.0 + 0j)
