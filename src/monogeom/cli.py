@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import checks
 from . import moduli as md
 from . import scattering as sc
 from . import spectral as sp
@@ -99,6 +98,7 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from . import checks   # here and in cmd_symplectic: the other subcommands never use it
     table = [c for c in checks.TABLE if c.id.startswith(cfg.only or "")]
     if not table:
         print(f"error: --only matched no check: {cfg.only}", file=sys.stderr)
@@ -251,6 +251,7 @@ def _complex_list(arr):
 # ---------------------------------------------------------------------------
 
 def cmd_symplectic(cfg: RunConfig) -> int:
+    from . import checks
     rng = np.random.default_rng(cfg.seed)
     k = cfg.symplectic_sheets
     sheets = checks.random_sheets(k, rng, u0=2.5)

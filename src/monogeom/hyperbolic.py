@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -149,7 +150,12 @@ def apply_lorentz(L: np.ndarray, p: PointUHS) -> PointUHS:
 def dist(p, q):
     """Hyperbolic distance 2 asinh(|p - q| / (2 sqrt(z_p z_q))); accepts
     PointUHS or raw (..., 3) arrays and stays accurate down to coincident
-    points, where arccosh(1 + |p - q|^2 / (2 z_p z_q)) cancels."""
+    points, where arccosh(1 + |p - q|^2 / (2 z_p z_q)) cancels.  Two PointUHS
+    take the same steps on Python scalars, with numpy's arcsinh (math.asinh
+    differs from it in the last bit), so both paths agree bit for bit."""
+    if isinstance(p, PointUHS) and isinstance(q, PointUHS):
+        dx, dy, dz = p.x - q.x, p.y - q.y, p.z - q.z
+        return 2.0 * np.arcsinh(math.sqrt(dx * dx + dy * dy + dz * dz) / (2.0 * math.sqrt(p.z * q.z)))
     a = p.as_array() if isinstance(p, PointUHS) else np.asarray(p, dtype=float)
     b = q.as_array() if isinstance(q, PointUHS) else np.asarray(q, dtype=float)
     d = np.sqrt(np.sum((a - b) ** 2, axis=-1))
@@ -343,10 +349,8 @@ class MultiCenterPotential:
         if any(l <= 0 or int(l) != l for l in self.charges):
             raise ValueError("charges must be positive integers")
         centers = tuple(self.centers)
-        if len(centers) > 1:
-            array, (i, j) = _center_array(centers), _pairs(len(centers))
-            if (dist(array[i], array[j]) < 1e-12).any():
-                raise ValueError("centers must be pairwise distinct")
+        if any(dist(c, d) < 1e-12 for c, d in combinations(centers, 2)):
+            raise ValueError("centers must be pairwise distinct")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "charges", tuple(int(l) for l in self.charges))
 
@@ -355,7 +359,7 @@ class MultiCenterPotential:
         """Read-only (C, 3) center coordinates and (C,) charges, built on
         the first evaluation (potentials that are never evaluated, as in
         a spectral lift, hold no arrays)."""
-        centers = _center_array(self.centers)
+        centers = np.array([(c.x, c.y, c.z) for c in self.centers], dtype=float).reshape(-1, 3)
         charges = np.array(self.charges, dtype=float)
         centers.flags.writeable = charges.flags.writeable = False
         return centers, charges
@@ -406,22 +410,7 @@ def is_geodesically_trapped(x: PointUHS, centers: Sequence[PointUHS],
     Tested through the triangle defect d(p_i,x) + d(x,p_j) - d(p_i,p_j),
     which vanishes exactly on the segment.
     """
-    if len(centers) < 2:
-        return False
-    array = _center_array(centers)
-    i, j = _pairs(len(array))
-    to_x = dist(array, x)
-    return bool((to_x[i] + to_x[j] - dist(array[i], array[j]) <= tol).any())
+    to_x = [dist(c, x) for c in centers]
+    return any(to_x[i] + to_x[j] - dist(centers[i], centers[j]) <= tol
+               for i, j in combinations(range(len(centers)), 2))
 
-
-def _center_array(centers: Sequence[PointUHS]) -> np.ndarray:
-    """(C, 3) coordinates of a sequence of points."""
-    return np.array([(c.x, c.y, c.z) for c in centers], dtype=float).reshape(-1, 3)
-
-
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index arrays (i, j) of the pairs i < j of n items."""
-    i, j = np.triu_indices(n, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j

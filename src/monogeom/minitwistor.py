@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
+
+from .projective import polyval
 
 __all__ = [
     "MiniTwistorPoint",
@@ -81,12 +82,14 @@ class CurveO2k:
         out = np.empty(self.k + 1, dtype=complex)
         out[self.k] = 1.0
         for i, a in enumerate(self.coeff_polys, start=1):
-            out[self.k - i] = npoly.polyval(zeta, a)
+            out[self.k - i] = polyval(a, zeta)
         return out
 
     def sheets_over(self, zeta: complex) -> np.ndarray:
-        """The k values of eta over zeta (with multiplicity)."""
-        return npoly.polyroots(self.eta_poly_at(zeta))
+        """The k values of eta over zeta (with multiplicity), as polyroots sorts them."""
+        companion = np.eye(self.k, k=-1, dtype=complex)
+        companion[:, -1] -= self.eta_poly_at(zeta)[:-1]
+        return np.sort(np.linalg.eigvals(companion))
 
     def reality_defect(self) -> float:
         """Max coefficient defect of the antipodal reality condition
@@ -112,7 +115,7 @@ def curve_eta(curve: CurveO2k, zeta: complex) -> complex:
     """eta(zeta) for a charge-1 curve."""
     if curve.k != 1:
         raise ValueError("single-valued eta only for k = 1")
-    return complex(-npoly.polyval(zeta, curve.coeff_polys[0]))
+    return complex(-polyval(curve.coeff_polys[0], zeta))
 
 
 # ---------------------------------------------------------------------------

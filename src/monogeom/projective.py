@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["ExtendedComplex", "INFINITY", "tau", "roots_of_unity", "node_powers"]
+__all__ = ["ExtendedComplex", "INFINITY", "tau", "chordal_homogeneous", "roots_of_unity",
+           "node_powers", "polyval"]
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,23 @@ def tau(v):
 
 
 def chordal_distance(p: ExtendedComplex, q: ExtendedComplex) -> float:
-    """Distance of the unit-sphere images, max value 2: in homogeneous
-    coordinates (v, 1), and (1, 0) at infinity, 2 |p1 q2 - p2 q1| / (|p| |q|)."""
+    """Distance of the unit-sphere images, max value 2, from (v, 1) and (1, 0) at infinity."""
     (p1, p2), (q1, q2) = ((1.0, 0.0) if u.at_infinity else (u.value, 1.0) for u in (p, q))
-    return 2.0 * abs(p1 * q2 - p2 * q1) / math.hypot(abs(p1), p2) / math.hypot(abs(q1), q2)
+    return chordal_homogeneous(p1, p2, q1, q2)
+
+
+def chordal_homogeneous(p1, p2, q1, q2) -> float:
+    """Chordal distance 2 |p1 q2 - p2 q1| / (|p| |q|) of the points of P^1 with
+    homogeneous coordinates (p1 : p2) and (q1 : q2), on Python scalars."""
+    return 2.0 * abs(p1 * q2 - p2 * q1) / math.hypot(abs(p1), abs(p2)) / math.hypot(abs(q1), abs(q2))
+
+
+def polyval(coeffs, x):
+    """numpy.polynomial's polyval(x, coeffs) step for step, so bit for bit on scalars too."""
+    out = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        out = c + out * x
+    return out
 
 
 @lru_cache(maxsize=16)

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential, OrientedGeodesic, PointUHS
-from .projective import INFINITY, ExtendedComplex, node_powers, roots_of_unity, tau
+from .projective import (INFINITY, ExtendedComplex, chordal_homogeneous, node_powers,
+                         roots_of_unity, tau)
 from .twistor import CHART_ROTATIONS, BiDegreeSection, matrix_point
 
 __all__ = [
@@ -102,9 +103,9 @@ class LineChart:
         has w ~ (-1, v), so it is (c1 conj(v) - c0) / (c3 conj(v) - c2)."""
         p, q, r, t = self.transport
         c0, c1, c2, c3 = t.conjugate(), -q.conjugate(), -r.conjugate(), p.conjugate()
-        def endpoint(num, den):  # infinite where |den|^2 < 1e-13 (|num|^2 + |den|^2)
+        def endpoint(num, den):  # infinite within rounding, |den|^2 < 1e-28 (|num|^2 + |den|^2)
             d2 = abs(den) ** 2
-            return INFINITY if d2 < 1e-13 * (abs(num) ** 2 + d2) else ExtendedComplex(num / den)
+            return INFINITY if d2 < 1e-28 * (abs(num) ** 2 + d2) else ExtendedComplex(num / den)
         return tuple(OrientedGeodesic(start=endpoint(c1 * v.conjugate() - c0, c3 * v.conjugate() - c2),
                                       end=endpoint(c0 * v + c1, c2 * v + c3))
                      for v in map(complex, zetas))
@@ -296,12 +297,14 @@ class SpectralDataC1:
         """Defect of D + sigma(D) against the divisor of the restricted
         section.  Divisor point i and quadratic i come from the same
         center, so zeta_i pairs with alpha_i and tau(zeta_i) with beta_i:
-        the largest of those distances, inf when the counts or a
+        the largest of their chordal distances, with tau(zeta) = (-1 : conj zeta)
+        so that no chart enters, nor tau(0) = inf; inf when the counts or a
         multiplicity differ."""
         p = self.pair
         if [d.multiplicity for d in self.divisor] != list(p.multiplicities):
             return math.inf
-        return max((float(max(abs(d.zeta - a), abs(tau(d.zeta) - b)))
+        return max((max(chordal_homogeneous(d.zeta, 1.0, a, 1.0),
+                        chordal_homogeneous(-1.0, d.zeta.conjugate(), b, 1.0))
                     for d, a, b in zip(self.divisor, p.alphas, p.betas)), default=0.0)
 
     def product_residual(self, n: int = 64) -> float:

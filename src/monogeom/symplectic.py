@@ -13,12 +13,11 @@ the central consistency check of the module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
-from .projective import node_powers, roots_of_unity
+from .projective import node_powers, polyval, roots_of_unity
 
 __all__ = [
     "Series",
@@ -46,7 +45,7 @@ class Series:
         object.__setattr__(self, "coeffs", np.array(self.coeffs, complex, copy=None, ndmin=1))
 
     def __call__(self, zeta):
-        return npoly.polyval(zeta, self.coeffs)
+        return polyval(self.coeffs, zeta)
 
     def __add__(self, other):
         a, b = self.coeffs, Series.of(other).coeffs
@@ -125,8 +124,8 @@ class SheetData:
         for u in us:
             # |u_0| > sum |u_m| leaves no zero in the closed unit disc;
             # otherwise the roots show whether one lies on the circle
-            size = np.abs(u.coeffs)
-            on_circle = size[0] <= np.sum(size[1:]) and bool(np.any(
+            size = list(map(abs, u.coeffs.tolist()))
+            on_circle = size[0] <= sum(size[1:]) and bool(np.any(
                 np.abs(np.abs(np.roots(u.coeffs[::-1])) - 1.0) <= 1e-12))
             if size[0] < 1e-12 or on_circle:
                 raise ValueError("u must be bounded away from zero on the domain")
@@ -160,10 +159,8 @@ class TangentVector:
         object.__setattr__(self, "u_primes", up)
         if self.marked_at is not None:
             z0, coeffs = self.marked_at, [s.coeffs.tolist() for s in ep + up]
-            # each component at z0 by Horner steps on Python scalars
-            worst = max((abs(reduce(lambda v, c: v * z0 + c, cs[::-1], 0j)) for cs in coeffs), default=0.0)
-            scale = max((abs(c) for cs in coeffs for c in cs), default=1.0)
-            if worst > 1e-9 * max(scale, 1.0):
+            worst = max((abs(polyval(cs, z0)) for cs in coeffs), default=0.0)  # on Python scalars
+            if worst > 1e-9 * max(1.0, *map(abs, sum(coeffs, []))):
                 raise ValueError("marked tangent components must vanish at the marking")
 
     @property
@@ -269,8 +266,12 @@ def fiber_coordinates(curve, trivialization, zeta_star: complex,
 def random_marked_tangent(k: int, zeta0: complex, rng, degree: int = 3) -> TangentVector:
     """Synthetic marked deformation: each component is (zeta/zeta_0 - 1)
     times a random polynomial, the k eta' and then the k u'.  One draw
-    gives the real, then the imaginary coefficients of each in turn."""
-    factor = MarkedDivisor(zeta0).vanishing_factor().coeffs
+    gives the real, then the imaginary coefficients of each in turn.  All
+    products at once, summed as np.convolve's dot product sums them:
+    (f.real p_{m-1} - p_m) + i f.imag p_{m-1}, f = 1/zeta_0."""
+    f = 1.0 / MarkedDivisor(zeta0).zeta0
     draw = rng.normal(size=(2 * k, 2, degree + 1))
-    parts = [Series(np.convolve(factor, c)) for c in draw[:, 0] + 1j * draw[:, 1]]
+    p = np.zeros((2 * k, degree + 3), dtype=complex)   # zero-padded at both ends
+    p.real[:, 1:-1], p.imag[:, 1:-1] = draw[:, 0], draw[:, 1]
+    parts = [Series(c) for c in (f.real * p[:, :-1] - p[:, 1:]) + (1j * f.imag) * p[:, :-1]]
     return TangentVector(tuple(parts[:k]), tuple(parts[k:]), marked_at=zeta0)

@@ -233,6 +233,14 @@ def test_cli_import_loads_no_scipy():
     assert _no_scipy_run("import sys, monogeom.cli; " + _LOADED)[-1] == "[]"
 
 
+def test_cli_import_loads_neither_checks_nor_numpy_polynomial():
+    # only verify and symplectic use the check table, and the library's
+    # polynomial evaluation, roots and quadrature table need no numpy.polynomial
+    code = ("import sys, monogeom.cli; print(sorted(m for m in sys.modules if m == "
+            "'monogeom.checks' or m.split('.')[:2] == ['numpy', 'polynomial']))")
+    assert _no_scipy_run(code)[-1] == "[]"
+
+
 def test_spectral_loads_no_scipy(tmp_path):
     # the doubling defect pairs divisor points and roots by center, with no
     # assignment solver

@@ -113,6 +113,26 @@ def test_dist_accurate_near_coincidence():
         assert dist(PointUHS.from_array(p), PointUHS.from_array(q)) == g
 
 
+def test_dist_point_path_matches_array_path_bitwise():
+    # two PointUHS take the scalar path, with numpy's arcsinh (math.asinh
+    # differs from it in the last bit for about one argument in six)
+    rng = np.random.default_rng(31)
+    n = 12000
+    p = np.column_stack([rng.normal(0, 2, n), rng.normal(0, 2, n), rng.uniform(0.05, 5.0, n)])
+    step = rng.normal(size=(n, 3))
+    step *= (10.0 ** rng.uniform(-12, 1, n) / np.linalg.norm(step, axis=1))[:, None]
+    q = p + step
+    q[:, 2] = np.abs(q[:, 2]) + 1e-3
+    ints = rng.integers(-4, 5, size=(2, 2000, 3))
+    ints[..., 2] = np.abs(ints[..., 2]) + 1
+    p, q = np.concatenate([p, ints[0]]), np.concatenate([q, ints[1]])
+    want = dist(p, q)
+    points = [(PointUHS(*a), PointUHS(*b)) for a, b in zip(p.tolist(), q.tolist())]
+    points += [(PointUHS(*a), PointUHS(*b)) for a, b in zip(ints[0].tolist(), ints[1].tolist())]
+    got = np.array([dist(a, b) for a, b in points])
+    assert got.tobytes() == np.concatenate([want, want[n:]]).tobytes()
+
+
 def test_green_next_to_center():
     p, q = separated_pairs([1e-8])
     c = PointUHS.from_array(p[0])

@@ -183,6 +183,23 @@ def test_curve_chart_swap():
     assert abs(swapped.eta + npoly.polyval(swapped.zeta, a1t)) < 1e-12
 
 
+def test_sheets_and_coefficients_match_numpy_polynomial_bitwise():
+    # roots from polyroots' companion matrix, in its order, and each a_i(zeta)
+    # by its Horner steps, for Python and numpy scalars
+    import numpy.polynomial.polynomial as npoly
+
+    rng = np.random.default_rng(13)
+    for k in (1, 2, 3, 4):
+        for _ in range(50):
+            c = mt.CurveO2k(k, tuple(rng.normal(size=2 * i + 1) + 1j * rng.normal(size=2 * i + 1)
+                                     for i in range(1, k + 1)))
+            for z in (complex(*rng.normal(size=2)), np.complex128(complex(*rng.normal(size=2)))):
+                poly = c.eta_poly_at(z)
+                want = [npoly.polyval(z, a) for a in c.coeff_polys[::-1]] + [1.0]
+                assert poly.tobytes() == np.array(want, dtype=complex).tobytes()
+                assert c.sheets_over(z).tobytes() == npoly.polyroots(poly).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # closest point
 # ---------------------------------------------------------------------------

@@ -217,7 +217,8 @@ def test_doubling_defect_pairs_across_rounding_boundary():
     # two divisor roots with real parts 2.5e-10 apart; the first one's real
     # part and its factor root's straddle the 9th-digit rounding boundary,
     # and sorting by rounded coordinates paired each root with the other's
-    # partner (defect 1.5); pairing by center pairs them to 2e-12
+    # partner (chart difference 1.5); pairing by center pairs them to 2e-12,
+    # a chordal distance of 4e-12 / (1 + |z1|^2)
     V = MultiCenterPotential.for_su2_charge1(
         [PointUHS(0.3, -0.2, 1.4), PointUHS(-0.8, 0.5, 0.9)], [1, 1], mass=0.7)
     data = sp.lift_twistor_line(PointUHS(0.6, 0.9, 1.1), V)
@@ -227,7 +228,7 @@ def test_doubling_defect_pairs_across_rounding_boundary():
     divisor = tuple(dataclasses.replace(d, zeta=z, multiplicity=1)
                     for d, z in zip(data.divisor, (z1, z2)))
     moved = dataclasses.replace(data, pair=pair, divisor=divisor)
-    assert moved.divisor_doubling_defect() == pytest.approx(2e-12, rel=1e-3)
+    assert moved.divisor_doubling_defect() == pytest.approx(4e-12 / (1 + abs(z1) ** 2), rel=1e-3)
 
 
 def test_doubling_defect_sees_swapped_betas():
@@ -431,6 +432,44 @@ def test_lift_accurate_with_root_near_chart_pole(sign, offset):
     assert data.pair.reality_defect() < 1e-13
     # the defect is a chart difference; the pole-side root has modulus ~ 1/|a|
     assert data.divisor_doubling_defect() < 1e-14 * max(1.0, *map(abs, data.pair.betas))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("offset", [1e-13, 1e-11, 1e-9, 1e-7, 1e-5])
+def test_lift_divisor_geodesics_exact_with_root_near_chart_pole(sign, offset):
+    # an end within a chordal 6e-7 of infinity was snapped to it, and the
+    # geodesic missed q and the center by about the offset
+    q = ORIGIN
+    V = MultiCenterPotential.for_su2_charge1(
+        [_center_off_polar_axis(q, offset, sign), PointUHS(0.5, 0.3, 1.5)], [1, 2], mass=0.3)
+    data = sp.lift_twistor_line(q, V)
+    for d, c in zip(data.divisor, V.centers):
+        assert dist_to_geodesic(q, d.geodesic) < 1e-12
+        assert dist_to_geodesic(c, d.geodesic) < 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("offset", [1e-13, 1e-11, 1e-9, 1e-7, 1e-5])
+def test_doubling_defect_chart_free_with_root_near_chart_pole(sign, offset):
+    # chart differences read 2.4e-7 at a root of modulus 1.1e9 (offset 1e-9)
+    q = ORIGIN
+    V = MultiCenterPotential.for_su2_charge1(
+        [_center_off_polar_axis(q, offset, sign), PointUHS(0.5, 0.3, 1.5)], [1, 2], mass=0.3)
+    assert sp.lift_twistor_line(q, V).divisor_doubling_defect() <= 1e-12
+
+
+def test_doubling_defect_at_zero_root():
+    # tau(0) is infinity: beta there is the pole root, compared chordally
+    V = MultiCenterPotential.for_su2_charge1(
+        [PointUHS(0.3, -0.2, 1.4), PointUHS(-0.8, 0.5, 0.9)], [1, 1], mass=0.7)
+    data = sp.lift_twistor_line(PointUHS(0.6, 0.9, 1.1), V)
+    d0, d1 = data.divisor
+    pair = dataclasses.replace(data.pair, alphas=(0j, data.pair.alphas[1]),
+                               betas=(1e300 + 0j, data.pair.betas[1]))
+    moved = dataclasses.replace(data, pair=pair, divisor=(dataclasses.replace(d0, zeta=0j), d1))
+    assert moved.divisor_doubling_defect() < 1e-12
+    far = dataclasses.replace(moved, pair=dataclasses.replace(pair, betas=(1.0 + 0j, pair.betas[1])))
+    assert far.divisor_doubling_defect() == pytest.approx(math.sqrt(2), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

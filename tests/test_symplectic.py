@@ -274,6 +274,21 @@ def test_series_product_matches_polymul_bitwise():
             assert got.tobytes() == want.astype(complex).tobytes()
 
 
+def test_series_call_matches_polyval_bitwise():
+    # np.polyval on a 0-d array rounds differently from polyval's scalar steps
+    import numpy.polynomial.polynomial as npoly
+
+    rng = np.random.default_rng(14)
+    for n in range(1, 9):
+        for _ in range(40):
+            s = sy.Series(rng.normal(size=n) + 1j * rng.normal(size=n))
+            for z in (complex(*rng.normal(size=2)), float(rng.normal()),
+                      rng.normal(size=5) + 1j * rng.normal(size=5)):
+                got, want = s(z), npoly.polyval(z, s.coeffs)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_roots_of_unity_cached_and_read_only():
     zs = roots_of_unity(64)
     assert roots_of_unity(64) is zs

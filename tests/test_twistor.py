@@ -317,6 +317,14 @@ def test_gamma_L_integral_value():
     assert val.imag > 0
 
 
+def test_legendre_table_is_leggauss_bitwise():
+    # written out to keep numpy.polynomial off the import
+    from numpy.polynomial.legendre import leggauss
+
+    for got, want in zip(tw._LEGENDRE_16, leggauss(16)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_gamma_L_truncation_tail():
     # value(R) approaches 4 pi with an O(1/R^2) analytic tail
     for R in (10.0, 20.0, 40.0):
