@@ -10,19 +10,17 @@ coordinates and the residue/contour pairing), `scattering` (fundamental
 solutions, spectral-line detection, growth fits) and `cli`.
 """
 
-from . import (diffgeo, hyperbolic, minitwistor, moduli, projective,
-               scattering, spectral, symplectic, twistor)
+from . import diffgeo, hyperbolic, moduli, projective, scattering, spectral, symplectic, twistor
 
-__all__ = [
-    "diffgeo",
-    "hyperbolic",
-    "minitwistor",
-    "moduli",
-    "projective",
-    "scattering",
-    "spectral",
-    "symplectic",
-    "twistor",
-]
+__all__ = ["diffgeo", "hyperbolic", "minitwistor", "moduli", "projective", "scattering",
+           "spectral", "symplectic", "twistor"]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # minitwistor loads on first access (PEP 562): no other import needs it
+    if name == "minitwistor":
+        from importlib import import_module
+        return import_module(".minitwistor", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,7 +23,7 @@ import numpy as np
 from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential, OrientedGeodesic, PointUHS
 from .projective import (INFINITY, ExtendedComplex, chordal_homogeneous, node_powers,
-                         roots_of_unity, tau)
+                         roots_of_unity)
 from .twistor import CHART_ROTATIONS, BiDegreeSection, matrix_point
 
 __all__ = [
@@ -190,35 +190,40 @@ def antipodal_conjugate(coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FactorPair:
-    """Factorization x(zeta) y(zeta) of a product of quadratics with
-    x = y* (antipodal conjugate); the residual U(1) gauge is `phase`.
-    x and y are evaluated in root form, x[-1] prod (zeta - alpha_i)^{l_i}
-    and y[-1] prod (zeta - beta_i)^{l_i}, which stays accurate at high
-    degree where the expanded coefficients round."""
+    """Factorization x(zeta) y(zeta) of a product of quadratics with x = y*
+    (antipodal conjugate), up to the U(1) gauge `phase`, held in root form:
+    x = lead_x prod (zeta - alpha_i)^{l_i}, y = lead_y prod (zeta - beta_i)^{l_i},
+    accurate at high degree where coefficients round.  x and y are built on first read."""
 
-    x: np.ndarray
-    y: np.ndarray
+    lead_x: complex
+    lead_y: complex
     phase: complex
     alphas: tuple[complex, ...]
     betas: tuple[complex, ...]
     multiplicities: tuple[int, ...]
 
+    x = cached_property(lambda self: self.lead_x * _poly_from_roots(self.alphas, self.multiplicities))
+    y = cached_property(lambda self: self.lead_y * _poly_from_roots(self.betas, self.multiplicities))
+
     def x_at(self, zeta):
-        return _root_form(self.x[-1], self.alphas, self.multiplicities, zeta)
+        return _root_form(self.lead_x, self.alphas, self.multiplicities, zeta)
 
     def y_at(self, zeta):
-        return _root_form(self.y[-1], self.betas, self.multiplicities, zeta)
+        return _root_form(self.lead_y, self.betas, self.multiplicities, zeta)
 
     def product_at(self, zeta):
         return self.x_at(zeta) * self.y_at(zeta)
 
     def reality_defect(self, n: int = 128) -> float:
-        """Max relative defect of x = y* on the unit circle: the rows x
-        and x - y* at the n nodes, in one product with the cached table of
-        the nodes' powers."""
-        C = np.stack([self.x, self.x - antipodal_conjugate(self.y)])
-        vals = np.abs(C @ node_powers(n, C.shape[1] - 1))
-        return float(vals[1].max()) / max(float(vals[0].max()), 1e-300)
+        """Max relative defect of x = y* at the n unit-circle nodes, where tau(zeta) = -zeta
+        and y*(zeta) = conj(y(-zeta)) zeta^l: x(zeta) and y(-zeta) = (-1)^l lead_y
+        prod (zeta + beta_i)^{l_i} in one root-form pass, zeta^l from the node powers."""
+        zs, l = roots_of_unity(n), sum(self.multiplicities)
+        roots = np.array([self.alphas, [-b for b in self.betas]], dtype=complex).T[:, :, None]
+        x, y = _root_form(np.array([[self.lead_x], [(-1) ** l * self.lead_y]]), roots,
+                          self.multiplicities, zs)
+        defect = np.abs(x - y.conjugate() * node_powers(n, l)[l]).max()
+        return float(defect) / max(float(np.abs(x).max()), 1e-300)
 
 
 def factor(quadratics, charges, phase: float = 0.0) -> FactorPair:
@@ -235,14 +240,12 @@ def factor(quadratics, charges, phase: float = 0.0) -> FactorPair:
     charges = [int(l) for l in charges]
     if len(quadratics) != len(charges):
         raise ValueError("need one charge per quadratic")
-    alphas = [qd.alpha for qd in quadratics]
-    betas = [qd.beta for qd in quadratics]
+    alphas = tuple(qd.alpha for qd in quadratics)
+    betas = tuple(qd.beta for qd in quadratics)
     mod2 = math.prod(abs(qd.a * b) ** l for qd, b, l in zip(quadratics, betas, charges))
     A = math.sqrt(mod2) * cmath.exp(1j * phase)
     prod_a = math.prod(qd.a ** l for qd, l in zip(quadratics, charges))
-    x = A * _poly_from_roots(alphas, charges)
-    y = (prod_a / A) * _poly_from_roots(betas, charges)
-    return FactorPair(x, y, cmath.exp(1j * phase), tuple(alphas), tuple(betas), tuple(charges))
+    return FactorPair(A, prod_a / A, cmath.exp(1j * phase), alphas, betas, tuple(charges))
 
 
 def _root_form(lead, roots, mults, zeta):
@@ -286,12 +289,9 @@ class SpectralDataC1:
     chart: LineChart
 
     def divisor_supports_disjoint(self, tol: float = 1e-9) -> bool:
-        """Support of D and its sigma image never meet."""
-        for d in self.divisor:
-            for e in self.divisor:
-                if abs(tau(d.zeta) - e.zeta) < tol:
-                    return False
-        return True
+        """Support of D and its sigma image tau(zeta) = (-1 : conj zeta) stay chordally tol apart."""
+        return all(chordal_homogeneous(-1.0, d.zeta.conjugate(), e.zeta, 1.0) >= tol
+                   for d in self.divisor for e in self.divisor)
 
     def divisor_doubling_defect(self) -> float:
         """Defect of D + sigma(D) against the divisor of the restricted

@@ -215,7 +215,8 @@ def omega_D_contour(X1: TangentVector, X2: TangentVector, sheets: SheetData,
     C = np.concatenate([C[:k] - C[k:2 * k], C[2 * k:]]) * radius ** np.arange(C.shape[1])
     vals = C @ node_powers(nodes, C.shape[1] - 1)
     zs = radius * roots_of_unity(nodes)
-    return complex(np.mean(np.sum(vals[:k] / vals[k:], axis=0) / (zs / z0 - 1.0) ** 2))
+    # 1 / (zeta/zeta_0 - 1)^2 = zeta_0^2 / (zeta - zeta_0)^2: a subtraction per node
+    return complex(z0 * z0 * np.mean(np.sum(vals[:k] / vals[k:], axis=0) / (zs - z0) ** 2))
 
 
 def rho_form(zeta, eta, u, v1, v2, v3) -> complex:

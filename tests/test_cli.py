@@ -1,6 +1,7 @@
 """Command-line interface: reports, data files, exit codes."""
 
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -169,6 +170,18 @@ def test_spectral_json(tmp_path):
     assert data["supports_disjoint"] is True
 
 
+def test_spectral_json_unchanged_at_default_config(tmp_path):
+    # the factors stay in root form and x_coeffs, y_coeffs are expanded on
+    # first read with the same arithmetic: every key but the reality defect,
+    # now read in root form, is what the coefficient-form lift wrote
+    out = tmp_path / "sp.json"
+    assert run(["spectral", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data.pop("reality_defect") < 1e-13
+    assert hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest() == (
+        "6f2f51e9782296830f8cdbbb5c89565fbc43af5c2ba128f6dbeab50a3cfb81cd")
+
+
 def test_spectral_rejects_center_point(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"spectral_point": [0.3, -0.2, 1.4]}))
@@ -235,10 +248,20 @@ def test_cli_import_loads_no_scipy():
 
 def test_cli_import_loads_neither_checks_nor_numpy_polynomial():
     # only verify and symplectic use the check table, and the library's
-    # polynomial evaluation, roots and quadrature table need no numpy.polynomial
-    code = ("import sys, monogeom.cli; print(sorted(m for m in sys.modules if m == "
-            "'monogeom.checks' or m.split('.')[:2] == ['numpy', 'polynomial']))")
+    # polynomial evaluation, roots and quadrature table need no numpy.polynomial;
+    # minitwistor loads on first access to monogeom.minitwistor
+    code = ("import sys, monogeom.cli; print(sorted(m for m in sys.modules if m in "
+            "('monogeom.checks', 'monogeom.minitwistor') "
+            "or m.split('.')[:2] == ['numpy', 'polynomial']))")
     assert _no_scipy_run(code)[-1] == "[]"
+
+
+def test_minitwistor_loads_on_first_access():
+    code = ("import sys, monogeom; loaded = 'monogeom.minitwistor' in sys.modules; "
+            "mt = monogeom.minitwistor; from monogeom import minitwistor; "
+            "print(loaded, mt is minitwistor is sys.modules['monogeom.minitwistor'], "
+            "hasattr(mt, 'CurveO2k'), hasattr(monogeom, 'no_such_module'))")
+    assert _no_scipy_run(code)[-1] == "False True True False"
 
 
 def test_spectral_loads_no_scipy(tmp_path):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -503,6 +505,113 @@ def test_reality_tables_leave_the_contour_table_cached():
     table = node_powers(128, 24)
     assert table.shape == (25, 128) and not table.flags.writeable
     assert np.array_equal(table, roots_of_unity(128)[np.outer(np.arange(25), np.arange(128)) % 128])
+
+
+def _coefficient_reality_defect(pair, n=128):
+    # the coefficient form: the rows x and x - antipodal_conjugate(y) at the nodes
+    C = np.stack([pair.x, pair.x - sp.antipodal_conjugate(pair.y)])
+    vals = np.abs(C @ node_powers(n, C.shape[1] - 1))
+    return float(vals[1].max()) / max(float(vals[0].max()), 1e-300)
+
+
+def _two_center_lift(charges=(1, 2)):
+    V = MultiCenterPotential.for_su2_charge1(
+        [PointUHS(0.3, -0.2, 1.4), PointUHS(-0.8, 0.5, 0.9)], list(charges), mass=0.7)
+    return sp.lift_twistor_line(PointUHS(0.6, 0.9, 1.1), V)
+
+
+def test_reality_defect_root_form_matches_coefficient_form():
+    # 800 seeded lifts (1-4 centers, doubled charges 2-6) and one of total
+    # degree 24: the root form at the nodes reads what the coefficients read
+    rng = np.random.default_rng(15)
+    lifts = []
+    for _ in range(800):
+        V = random_config(rng, int(rng.integers(1, 5)), lmax=3, mass=rng.uniform(0.1, 1.0))
+        lifts.append(sp.lift_twistor_line(untrapped_point(rng, V), V))
+    V = MultiCenterPotential.for_su2_charge1(
+        [PointUHS(0.9, 0.2, 1.3), PointUHS(-0.7, 0.4, 0.8), PointUHS(0.1, -1.1, 1.6),
+         PointUHS(-0.2, 0.9, 0.6)], [3, 3, 3, 3], mass=0.4)
+    lifts.append(sp.lift_twistor_line(PointUHS(0.2, 0.1, 1.1), V))
+    assert sum(lifts[-1].pair.multiplicities) == 24
+    for data in lifts:
+        root_form = data.pair.reality_defect()
+        assert root_form < 1e-13
+        assert abs(root_form - _coefficient_reality_defect(data.pair)) <= 1e-13
+
+
+@pytest.mark.parametrize("broken", ["beta", "lead_y", "minus_x"])
+def test_reality_defect_negative_controls(broken):
+    # a root off its antipodal partner, a wrong modulus and a wrong sign
+    # each read well above rounding in both forms
+    p = _two_center_lift().pair
+    assert p.reality_defect() < 1e-13
+    bad = {"beta": lambda: dataclasses.replace(p, betas=(p.betas[0] + 1e-6, p.betas[1])),
+           "lead_y": lambda: dataclasses.replace(p, lead_y=p.lead_y * (1 + 1e-6)),
+           "minus_x": lambda: dataclasses.replace(p, lead_x=-p.lead_x)}[broken]()
+    assert bad.reality_defect() >= 1e-7
+    assert _coefficient_reality_defect(bad) >= 1e-7
+
+
+def test_reality_defect_of_degree_zero_pair():
+    # no centers: x = A and y = 1/A are constants
+    assert sp.factor([], []).reality_defect() == 0.0
+    assert sp.factor([], [], phase=0.7).reality_defect() < 1e-15
+
+
+def test_coefficients_built_on_first_read_bit_for_bit():
+    # x and y are the leads A and prod a_i^{l_i} / A times the expanded root
+    # products, the arrays factor returned when it expanded them itself
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        V = random_config(rng, int(rng.integers(1, 5)), lmax=3, mass=rng.uniform(0.1, 1.0))
+        data = sp.lift_twistor_line(untrapped_point(rng, V), V)
+        p, quads = data.pair, data.quadratics
+        A = math.sqrt(math.prod(abs(qd.a * b) ** l for qd, b, l in
+                                zip(quads, p.betas, p.multiplicities)))
+        prod_a = math.prod(qd.a ** l for qd, l in zip(quads, p.multiplicities))
+        assert (p.lead_x, p.lead_y) == (A, prod_a / A)
+        x = A * sp._poly_from_roots(p.alphas, p.multiplicities)
+        y = (prod_a / A) * sp._poly_from_roots(p.betas, p.multiplicities)
+        assert np.array_equal(p.x, x) and np.array_equal(p.y, y)
+        assert p.x is p.x and p.y is p.y
+
+
+def test_lift_and_its_checks_expand_no_coefficients(monkeypatch):
+    # the lift, product, reality and doubling checks stay in root form; the
+    # coefficients are expanded once, on first read
+    calls = Counter()
+    for name in ("_poly_from_roots", "antipodal_conjugate"):
+        def counted(*args, _f=getattr(sp, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(sp, name, counted)
+    data = _two_center_lift((2, 3))
+    data.product_residual(n=64)
+    data.pair.reality_defect()
+    data.divisor_doubling_defect()
+    assert calls == Counter()
+    _ = data.pair.x, data.pair.y, data.pair.x
+    assert calls == Counter({"_poly_from_roots": 2})
+
+
+def test_divisor_disjointness_is_chart_free():
+    data = _two_center_lift((1, 1))
+    d0, d1 = data.divisor
+    assert data.divisor_supports_disjoint()
+
+    def moved(z0, z1):
+        return dataclasses.replace(data, divisor=(dataclasses.replace(d0, zeta=z0),
+                                                  dataclasses.replace(d1, zeta=z1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # tau(0) is infinity: no division, and a far point is chordally next to it
+        assert moved(0j, d1.zeta).divisor_supports_disjoint()
+        assert not moved(0j, 1e150 + 0j).divisor_supports_disjoint()
+    # tau(1e-9) = -1e9 lies 0.12 from -1e9 + 0.12 in the chart but 2.4e-19
+    # chordally, a collision whichever point is mapped; the same chart gap at
+    # the unit circle is a chordal 0.12
+    assert not moved(1e-9 + 0j, -1e9 + 0.12 + 0j).divisor_supports_disjoint()
+    assert moved(1.0 + 0j, -0.88 + 0j).divisor_supports_disjoint()
 
 
 _SPHERE_POINTS = ([INFINITY] + [ExtendedComplex(v) for v in (
