@@ -248,10 +248,20 @@ def factor(quadratics, charges, phase: float = 0.0) -> FactorPair:
     return FactorPair(A, prod_a / A, cmath.exp(1j * phase), alphas, betas, tuple(charges))
 
 
+def _ipow(z, m: int):
+    """z ** m for an integer m >= 1 by repeated squaring: numpy's complex ** is a slow generic loop."""
+    out = z if m & 1 else None
+    while m := m >> 1:
+        z = z * z
+        if m & 1:
+            out = z if out is None else out * z
+    return out
+
+
 def _root_form(lead, roots, mults, zeta):
     out = lead
     for r, m in zip(roots, mults):
-        out = out * (zeta - r) ** m
+        out = out * _ipow(zeta - r, m)
     return out
 
 
@@ -311,7 +321,7 @@ class SpectralDataC1:
         """Relative residual of x y against the restricted section
         prod q_i^{l_i} on an n-point unit-circle grid of the line of q."""
         zs = roots_of_unity(n)
-        target = math.prod((qd(zs) ** m for qd, m in zip(self.quadratics, self.pair.multiplicities)),
+        target = math.prod((_ipow(qd(zs), m) for qd, m in zip(self.quadratics, self.pair.multiplicities)),
                            start=np.ones_like(zs))
         scale = max(float(np.max(np.abs(target))), 1e-300)
         return float(np.max(np.abs(self.pair.product_at(zs) - target))) / scale

@@ -178,10 +178,6 @@ class BiDegreeSection:
         target = (-1.0) ** a * self.coeffs
         return float(np.max(np.abs(self.sigma_conjugate().coeffs - target)))
 
-    def is_sigma_real(self, tol: float = 1e-10) -> bool:
-        scale = max(float(np.max(np.abs(self.coeffs))), 1e-300)
-        return self.sigma_reality_defect() <= tol * scale
-
 
 def twistor_line_section(x: PointUHS) -> BiDegreeSection:
     """The sigma-real (1,1) section whose zero set is exactly the

@@ -1,7 +1,9 @@
 """Scattering integrators, decaying directions, growth experiments."""
 
 import dataclasses
+import json
 import math
+import pathlib
 import time
 import warnings
 
@@ -222,6 +224,31 @@ def test_fundamental_matches_dop853_reference():
         assert np.linalg.norm(math.exp(ls) * M - H) <= 1e-9 * np.linalg.norm(H)
     want = math.log(np.linalg.norm(Hs[-1], 2))
     assert abs(sol.log_norm_final() / want - 1) <= 1e-9
+
+
+PS_ORACLE = json.loads((pathlib.Path(__file__).parent / "ps_oracle.json").read_text())
+
+
+@pytest.mark.parametrize("tol", (1e-7, 1e-8, 1e-9, 1e-10, 1e-11))
+def test_global_error_within_tol(tol):
+    # what tol means: the global error of log ||H||, that is the relative
+    # error of ||H||, stays within tol against two oracles -- the abelian
+    # closed form int V dt (one center of charge l = 1..3 at 8 impacts from
+    # 1e-5 to 1e-2, over [-0.1, 0.1]) and PS over [-5, 5] from mpmath's
+    # Taylor integrator at 30 digits (tests/ps_oracle.py).  The worst
+    # reading is 0.55 tol; accepting steps at 16 tol would read 4.6 tol
+    lam, delta = 0.4, 0.1
+    cases = []
+    for l in (1, 2, 3):
+        V = MultiCenterPotential(lam, (PointUHS(0, 0, 1),), (l,))
+        for b in np.geomspace(1e-5, 1e-2, 8):
+            want = 2 * lam * delta + l * (math.asinh(math.sqrt(1 + b * b) * math.sinh(delta) / b)
+                                          - delta)
+            cases.append((sc.AbelianField.from_impact(V, 0, b), delta, want))
+    for b, want in PS_ORACLE["log_norm"].items():
+        cases.append((sc.PSField(x0=[float(b), 0.0, 0.0], u=[0.0, 0.0, 1.0]), 5.0, float(want)))
+    for f, T, want in cases:
+        assert abs(sc.integrate_fundamental(f, -T, T, tol=tol).log_norm_final() - want) <= tol
 
 
 # ---------------------------------------------------------------------------

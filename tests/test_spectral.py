@@ -558,6 +558,20 @@ def test_reality_defect_of_degree_zero_pair():
     assert sp.factor([], [], phase=0.7).reality_defect() < 1e-15
 
 
+def test_integer_power_by_squaring_matches_numpy_power():
+    # the root-form factors' powers are repeated products, within rounding
+    # of numpy's complex power, on arrays, on a (2, 1) column against a row
+    # and on Python complexes, for every multiplicity up to three times 6
+    rng = np.random.default_rng(4)
+    z = rng.normal(size=(2, 128)) + 1j * rng.normal(size=(2, 128))
+    col = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
+    for m in range(1, 19):
+        for base in (z, roots_of_unity(64) - col):
+            want = base ** m
+            assert np.abs(sp._ipow(base, m) - want).max() <= 1e-14 * np.abs(want).max()
+        assert abs(sp._ipow(0.3 - 1.1j, m) - (0.3 - 1.1j) ** m) <= 1e-15 * abs(1.1 ** m + 1)
+
+
 def test_coefficients_built_on_first_read_bit_for_bit():
     # x and y are the leads A and prod a_i^{l_i} / A times the expanded root
     # products, the arrays factor returned when it expanded them itself

@@ -119,10 +119,16 @@ def test_theta_dbar_closed():
 # twistor-line sections
 # ---------------------------------------------------------------------------
 
+def is_sigma_real(sec, tol: float = 1e-10) -> bool:
+    """The sigma-reality defect within tol of the largest coefficient."""
+    scale = max(float(np.max(np.abs(sec.coeffs))), 1e-300)
+    return sec.sigma_reality_defect() <= tol * scale
+
+
 def up_to_sign(sec, lead):
     """Coefficients of a sigma-real section, a real ray, with the sign
     that makes the coefficient at `lead` positive."""
-    assert sec.is_sigma_real()
+    assert is_sigma_real(sec)
     return sec.coeffs * math.copysign(1.0, sec.coeffs[lead].real)
 
 
@@ -167,7 +173,7 @@ def test_section_sigma_real():
     rng = np.random.default_rng(4)
     for _ in range(6):
         x = PointUHS(rng.normal(), rng.normal(), rng.uniform(0.3, 2.5))
-        assert tw.twistor_line_section(x).is_sigma_real()
+        assert is_sigma_real(tw.twistor_line_section(x))
 
 
 def test_section_nonincident_nonzero():
@@ -217,7 +223,7 @@ def test_ptilde_two_centers_roots_incident():
     V = MultiCenterPotential(0.0, (p1, p2), (1, 1))
     sec = tw.ptilde(V)
     assert sec.degrees == (2, 2)
-    assert sec.is_sigma_real()
+    assert is_sigma_real(sec)
     hits = 0
     for _ in range(100):
         w = complex(rng.normal(), rng.normal())
