@@ -98,11 +98,9 @@ def sample_point(V: MultiCenterPotential, rng) -> np.ndarray:
 def random_sheets(k: int, rng, u0: float | None = None) -> sy.SheetData:
     """k sheets with cubic eta_i and u_i a constant plus a small cubic;
     the constant is u0, or 2 + U(0.5, 1.5) per sheet when u0 is None."""
-    etas = tuple(sy.Series(rng.normal(size=4) + 1j * rng.normal(size=4)) for _ in range(k))
-    us = tuple(sy.Series(np.concatenate([
-        [(2.0 + rng.uniform(0.5, 1.5) if u0 is None else u0) + 0j],
-        0.1 * (rng.normal(size=3) + 1j * rng.normal(size=3))]))
-        for _ in range(k))
+    etas = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(k)]
+    us = [np.concatenate([[(2.0 + rng.uniform(0.5, 1.5) if u0 is None else u0) + 0j],
+                          0.1 * (rng.normal(size=3) + 1j * rng.normal(size=3))]) for _ in range(k)]
     return sy.SheetData(etas, us)
 
 
@@ -325,9 +323,8 @@ def hand_example():
     the tangents (f, 0), (0, f), f the vanishing factor at 2; the pairing
     is 1."""
     f = sy.MarkedDivisor(2.0 + 0j).vanishing_factor()
-    return (sy.SheetData((sy.Series([0.0]),), (sy.Series([1.0]),)),
-            sy.TangentVector((f,), (sy.Series([0.0]),), marked_at=2.0 + 0j),
-            sy.TangentVector((sy.Series([0.0]),), (f,), marked_at=2.0 + 0j))
+    return (sy.SheetData([[0.0]], [[1.0]]), sy.TangentVector([f], [[0.0]], marked_at=2.0 + 0j),
+            sy.TangentVector([[0.0]], [f], marked_at=2.0 + 0j))
 
 
 @check("symplectic.hand-value", "hand-computed one-sheet pairing", 1e-12)

@@ -76,6 +76,9 @@ class RunConfig:
                 raise ValueError("centers must be (x, y, z) with z > 0")
         if cfg.mass < 0:
             raise ValueError("mass must be nonnegative")
+        for key, least in (("symplectic_sheets", 1), ("symplectic_nodes", 64)):
+            if type(getattr(cfg, key)) is not int or getattr(cfg, key) < least:
+                raise ValueError(f"{key} must be an integer >= {least}")
         return cfg
 
     def potential(self) -> MultiCenterPotential:
@@ -256,13 +259,10 @@ def cmd_symplectic(cfg: RunConfig) -> int:
     k = cfg.symplectic_sheets
     sheets = checks.random_sheets(k, rng, u0=2.5)
     z0 = 1.9 + 0.3j
-    X1 = sy.random_marked_tangent(k, z0, rng)
-    X2 = sy.random_marked_tangent(k, z0, rng)
+    X1, X2 = (sy.random_marked_tangent(k, z0, rng) for _ in range(2))
     r = sy.omega_D_residue(X1, X2, sheets)
     c = sy.omega_D_contour(X1, X2, sheets, nodes=cfg.symplectic_nodes)
-    blob = b"".join(np.ascontiguousarray(s.coeffs).tobytes()
-                    for s in sheets.etas + sheets.us
-                    + X1.eta_primes + X1.u_primes + X2.eta_primes + X2.u_primes)
+    blob = b"".join(m.tobytes() for m in (sheets.coeffs, X1.coeffs, X2.coeffs))
     payload = {
         "seed": cfg.seed,
         "sheets": k,
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
                  if k not in ("command", "config") and v is not None}
     try:
         cfg = RunConfig.load(args.config, overrides)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return _DISPATCH[args.command](cfg)

@@ -3,17 +3,17 @@ holomorphic symplectic pairing.
 
 A lifted curve near the fiber over 0 is a list of sheet graphs
 zeta -> (eta_i(zeta), u_i(zeta)) with u_i nonvanishing; an infinitesimal
-deformation is a list of per-sheet component functions (eta'_i, u'_i).
-For deformations marked at a divisor point zeta_0 (both components
-vanish there) the pairing has two independent evaluations: a residue
-sum at zeta = 0 and a contour integral over a circle, whose agreement is
-the central consistency check of the module.
+deformation is a list of per-sheet component functions (eta'_i, u'_i),
+both held as complex coefficient matrices, rows = sheets.  For deformations
+marked at a divisor point zeta_0 (both components vanish there) the pairing
+has two independent evaluations: a residue sum at zeta = 0 and a contour
+integral over a circle, whose agreement is the central consistency check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,9 +35,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Series:
-    """Truncated power series (ascending coefficients) on a disc whose
-    radius of validity is the caller's responsibility; synthetic data in
-    this package uses polynomials, for which evaluation is exact."""
+    """Truncated power series (ascending coefficients), an input type of the
+    coefficient matrices; its disc of validity is the caller's concern, and
+    synthetic data here uses polynomials, for which evaluation is exact."""
 
     coeffs: np.ndarray
 
@@ -49,8 +49,7 @@ class Series:
 
     def __add__(self, other):
         a, b = self.coeffs, Series.of(other).coeffs
-        n = max(len(a), len(b))
-        out = np.zeros(n, dtype=complex)
+        out = np.zeros(max(len(a), len(b)), dtype=complex)
         out[:len(a)] += a
         out[:len(b)] += b
         return Series(out)
@@ -65,14 +64,7 @@ class Series:
 
     @staticmethod
     def of(v) -> "Series":
-        if isinstance(v, Series):
-            return v
-        if np.isscalar(v):
-            return Series(np.array([v], dtype=complex))
-        return Series(v)
-
-    def at_zero(self) -> complex:
-        return complex(self.coeffs[0])
+        return v if isinstance(v, Series) else Series(v)
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
@@ -81,14 +73,6 @@ def _trim(c: np.ndarray) -> np.ndarray:
         return c
     nz = np.flatnonzero(c)
     return c[:nz[-1] + 1] if nz.size else c[:1]
-
-
-def _stack(rows) -> np.ndarray:
-    """Coefficient arrays as the rows of one zero-padded array."""
-    out = np.zeros((len(rows), max(map(len, rows), default=1)), dtype=complex)
-    for dst, src in zip(out, rows):
-        dst[:len(src)] = src
-    return out
 
 
 @dataclass(frozen=True)
@@ -107,65 +91,66 @@ class MarkedDivisor:
         return Series(np.array([-1.0, 1.0 / self.zeta0], dtype=complex))
 
 
-@dataclass(frozen=True)
-class SheetData:
-    """Sheets of a lifted curve: eta_i and nonvanishing u_i per sheet."""
+class _Rows:
+    """Two fields of k rows each (Series, coefficient arrays or a matrix),
+    held as the halves of one zero-padded complex matrix `coeffs`."""
 
-    etas: tuple[Series, ...]
-    us: tuple[Series, ...]
+    def _hold(self, top: str, bottom: str, unequal: str) -> np.ndarray:
+        a, b = getattr(self, top), getattr(self, bottom)
+        if len(a) != len(b):
+            raise ValueError(unequal)
+        rows = [r.coeffs if isinstance(r, Series) else r for r in (*a, *b)]
+        width = max(map(len, rows), default=1)
+        m = np.array([r if len(r) == width else list(r) + [0] * (width - len(r)) for r in rows],
+                     dtype=complex).reshape(len(rows), width)
+        for name, value in (("coeffs", m), (top, m[:len(a)]), (bottom, m[len(a):])):
+            object.__setattr__(self, name, value)
+        return m
+
+    @property
+    def k(self) -> int:
+        return len(self.coeffs) // 2
+
+
+@dataclass(frozen=True)
+class SheetData(_Rows):
+    """Sheets of a lifted curve: eta_i and nonvanishing u_i, rows of `etas` and `us`."""
+
+    etas: np.ndarray
+    us: np.ndarray
 
     def __post_init__(self):
-        etas = tuple(Series.of(e) for e in self.etas)
-        us = tuple(Series.of(u) for u in self.us)
-        if len(etas) != len(us):
-            raise ValueError("need one u per sheet")
-        object.__setattr__(self, "etas", etas)
-        object.__setattr__(self, "us", us)
-        for u in us:
+        self._hold("etas", "us", "need one u per sheet")
+        for u in self.us.tolist():
             # |u_0| > sum |u_m| leaves no zero in the closed unit disc;
             # otherwise the roots show whether one lies on the circle
-            size = list(map(abs, u.coeffs.tolist()))
+            size = list(map(abs, u))
             on_circle = size[0] <= sum(size[1:]) and bool(np.any(
-                np.abs(np.abs(np.roots(u.coeffs[::-1])) - 1.0) <= 1e-12))
+                np.abs(np.abs(np.roots(u[::-1])) - 1.0) <= 1e-12))
             if size[0] < 1e-12 or on_circle:
                 raise ValueError("u must be bounded away from zero on the domain")
 
     @cached_property
     def u_zero_modulus(self) -> float:
         """Smallest |zeta| where some u_i vanishes (inf when none does)."""
-        return float(min((abs(r) for u in self.us for r in np.roots(u.coeffs[::-1])),
-                         default=np.inf))
-
-    @property
-    def k(self) -> int:
-        return len(self.etas)
+        return float(min((abs(r) for u in self.us for r in np.roots(u[::-1])), default=np.inf))
 
 
 @dataclass(frozen=True)
-class TangentVector:
-    """Deformation components per sheet; `marked_at` records the divisor
-    point where all components vanish."""
+class TangentVector(_Rows):
+    """Deformation components, rows of `eta_primes` and `u_primes`, vanishing at `marked_at`."""
 
-    eta_primes: tuple[Series, ...]
-    u_primes: tuple[Series, ...]
+    eta_primes: np.ndarray
+    u_primes: np.ndarray
     marked_at: complex | None = None
 
     def __post_init__(self):
-        ep = tuple(Series.of(e) for e in self.eta_primes)
-        up = tuple(Series.of(u) for u in self.u_primes)
-        if len(ep) != len(up):
-            raise ValueError("need one u' per sheet")
-        object.__setattr__(self, "eta_primes", ep)
-        object.__setattr__(self, "u_primes", up)
+        m = self._hold("eta_primes", "u_primes", "need one u' per sheet")
         if self.marked_at is not None:
-            z0, coeffs = self.marked_at, [s.coeffs.tolist() for s in ep + up]
-            worst = max((abs(polyval(cs, z0)) for cs in coeffs), default=0.0)  # on Python scalars
-            if worst > 1e-9 * max(1.0, *map(abs, sum(coeffs, []))):
+            # all components at zeta_0 in one product; max(1, |c|) read only past 1e-9
+            worst = np.abs(m @ self.marked_at ** np.arange(m.shape[1])).max(initial=0.0)
+            if worst > 1e-9 and worst > 1e-9 * np.abs(m).max():
                 raise ValueError("marked tangent components must vanish at the marking")
-
-    @property
-    def k(self) -> int:
-        return len(self.eta_primes)
 
 
 def _check_pair(X1: TangentVector, X2: TangentVector, sheets: SheetData):
@@ -181,11 +166,20 @@ def omega_D_residue(X1: TangentVector, X2: TangentVector, sheets: SheetData) -> 
     """Residue-sum evaluation at zeta = 0:
     sum_i (eta'_{i,1}(0) u'_{i,2}(0) - eta'_{i,2}(0) u'_{i,1}(0)) / u_i(0)."""
     _check_pair(X1, X2, sheets)
-    total = 0j
-    for e1, u1, e2, u2, u in zip(X1.eta_primes, X1.u_primes,
-                                 X2.eta_primes, X2.u_primes, sheets.us):
-        total += (e1.at_zero() * u2.at_zero() - e2.at_zero() * u1.at_zero()) / u.at_zero()
-    return total
+    k, a, b = sheets.k, X1.coeffs[:, 0].tolist(), X2.coeffs[:, 0].tolist()
+    return sum(((e1 * u2 - e2 * u1) / u for e1, u1, e2, u2, u in
+                zip(a[:k], a[k:], b[:k], b[k:], sheets.us[:, 0].tolist())), 0j)
+
+
+@lru_cache(maxsize=16)
+def _wedge(n1: int, n2: int) -> np.ndarray:
+    """Read-only 0/+-1 matrix taking a sheet's flattened outer product of (eta'_1,
+    u'_1) with (u'_2, eta'_2) to the coefficients of eta'_1 u'_2 - u'_1 eta'_2."""
+    s, a, b = np.ogrid[:2, :n1, :n2]
+    w = np.zeros((2, n1, n2, n1 + n2 - 1), dtype=complex)
+    w[s, a, b, a + b] = 1 - 2 * s
+    w.setflags(write=False)
+    return w.reshape(2 * n1 * n2, -1)
 
 
 def omega_D_contour(X1: TangentVector, X2: TangentVector, sheets: SheetData,
@@ -193,30 +187,39 @@ def omega_D_contour(X1: TangentVector, X2: TangentVector, sheets: SheetData,
     """Contour evaluation over |zeta| = radius of
     sum_i (eta'_{i,1} u'_{i,2} - eta'_{i,2} u'_{i,1})
           / ((zeta/zeta_0 - 1)^2 u_i) dzeta / (2 pi i zeta),
-    by the trapezoid rule, spectrally accurate for analytic data, from
-    the coefficients of all numerators and u_i times a cached table of
-    the nodes' powers.  A contour through or around a zero of some u_i,
-    a pole the residue sum at 0 does not see, is refused."""
+    by the trapezoid rule, spectrally accurate for analytic data: the k
+    numerators by one row-wise product, their and the u_i's values at the
+    nodes from the cached node powers, one division.  A contour through or
+    around a zero of some u_i, a pole the residue sum does not see, is refused."""
     _check_pair(X1, X2, sheets)
-    if nodes < 64:
-        raise ValueError("use at least 64 quadrature nodes")
+    if not isinstance(nodes, (int, np.integer)) or nodes < 64 or not 0.0 < radius < np.inf:
+        raise ValueError("need an integer of at least 64 nodes and a finite radius > 0")
     z0 = X1.marked_at
     if abs(abs(z0) - radius) < 1e-6:
         raise ValueError("marking point within 1e-6 of the contour: ill conditioned")
-    k = sheets.k
-    C = _stack([np.convolve(e1.coeffs, u2.coeffs) for e1, u2 in zip(X1.eta_primes, X2.u_primes)]
-               + [np.convolve(e2.coeffs, u1.coeffs) for e2, u1 in zip(X2.eta_primes, X1.u_primes)]
-               + [u.coeffs for u in sheets.us])
+    k, us = sheets.k, sheets.us
     # |u_0| > sum_m |u_m| R^m rules out a zero of u in |zeta| <= R without its roots
-    U = np.abs(C[2 * k:]) * (radius + 1e-6) ** np.arange(C.shape[1])
-    if np.any(U[:, 0] <= U[:, 1:].sum(axis=1)) and radius > sheets.u_zero_modulus - 1e-6:
+    if any(abs(u[0]) <= sum(abs(c) * (radius + 1e-6) ** m for m, c in enumerate(u) if m)
+           for u in us.tolist()) and radius > sheets.u_zero_modulus - 1e-6:
         raise ValueError(f"a u_i vanishes at |zeta| = {sheets.u_zero_modulus:.6g}, "
                          "not inside the contour")
-    C = np.concatenate([C[:k] - C[k:2 * k], C[2 * k:]]) * radius ** np.arange(C.shape[1])
-    vals = C @ node_powers(nodes, C.shape[1] - 1)
-    zs = radius * roots_of_unity(nodes)
-    # 1 / (zeta/zeta_0 - 1)^2 = zeta_0^2 / (zeta - zeta_0)^2: a subtraction per node
-    return complex(z0 * z0 * np.mean(np.sum(vals[:k] / vals[k:], axis=0) / (zs - z0) ** 2))
+    p, q = (X.coeffs.reshape(2, k, -1).transpose(1, 0, 2) for X in (X1, X2))
+    num = (p[..., None] * q[:, ::-1, None, :]).reshape(k, -1) @ _wedge(p.shape[2], q.shape[2])
+    c = z0 / radius   # at zeta = radius w: 1 / (zeta/zeta_0 - 1)^2 = c^2 / (w - c)^2
+    terms = [(m * radius ** np.arange(m.shape[1]), node_powers(nodes, m.shape[1] - 1))
+             for m in (num, us)]
+    # nodes in blocks, one buffer < 128 KiB: glibc trims a larger scratch, refaulted every call
+    step = max(1, min(nodes, 7168 // (2 * k + 1)))
+    buf, total = np.empty((2 * k + 1, step), dtype=complex), 0j
+    for a in range(0, nodes, step):
+        n = min(step, nodes - a)
+        N, U, d = buf[:k, :n], buf[k:-1, :n], buf[-1, :n]
+        for (m, P), out in zip(terms, (N, U)):
+            np.matmul(m, P[:, a:a + n], out=out)
+        np.square(np.subtract(roots_of_unity(nodes)[a:a + n], c, out=d), out=d)
+        N /= np.multiply(U, d, out=U)
+        total += N.sum()
+    return complex(c * c / nodes * total)
 
 
 def rho_form(zeta, eta, u, v1, v2, v3) -> complex:
@@ -274,5 +277,5 @@ def random_marked_tangent(k: int, zeta0: complex, rng, degree: int = 3) -> Tange
     draw = rng.normal(size=(2 * k, 2, degree + 1))
     p = np.zeros((2 * k, degree + 3), dtype=complex)   # zero-padded at both ends
     p.real[:, 1:-1], p.imag[:, 1:-1] = draw[:, 0], draw[:, 1]
-    parts = [Series(c) for c in (f.real * p[:, :-1] - p[:, 1:]) + (1j * f.imag) * p[:, :-1]]
-    return TangentVector(tuple(parts[:k]), tuple(parts[k:]), marked_at=zeta0)
+    m = (f.real * p[:, :-1] - p[:, 1:]) + (1j * f.imag) * p[:, :-1]
+    return TangentVector(m[:k], m[k:], marked_at=zeta0)

@@ -220,6 +220,23 @@ def test_config_errors(tmp_path):
     assert run(["verify", "--config", str(unknown)]) == 2
 
 
+@pytest.mark.parametrize("config", [{"symplectic_nodes": 10}, {"symplectic_nodes": 100.5},
+                                    {"symplectic_sheets": 0}, {"symplectic_sheets": True},
+                                    {"mass": "a"}])
+def test_symplectic_config_errors_exit_2(tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["symplectic", "--config", str(cfg), "--out", str(tmp_path / "sy.json")]) == 2
+    assert not (tmp_path / "sy.json").exists()
+
+
+def test_symplectic_at_the_least_node_count(tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "sy.json"
+    cfg.write_text(json.dumps({"symplectic_nodes": 64, "symplectic_sheets": 1}))
+    assert run(["symplectic", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["discrepancy"] < 1e-10
+
+
 def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig.load(None, {"centers": [[0, 0, -1]]})

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from monogeom import minitwistor as mt
 from monogeom import symplectic as sy
 from monogeom.checks import Setting, hand_example, measure, random_sheets
-from monogeom.projective import roots_of_unity
+from monogeom.projective import polyval, roots_of_unity
 
 SHEETS_1_2_3 = Setting(sheets=(1, 2, 3))
 
@@ -202,7 +202,8 @@ def _contour_reference(X1, X2, sheets, nodes, radius=1.0):
     total = np.zeros(nodes, dtype=complex)
     for e1, u1, e2, u2, u in zip(X1.eta_primes, X1.u_primes,
                                  X2.eta_primes, X2.u_primes, sheets.us):
-        total += (e1(zs) * u2(zs) - e2(zs) * u1(zs)) / ((zs / X1.marked_at - 1.0) ** 2 * u(zs))
+        total += ((polyval(e1, zs) * polyval(u2, zs) - polyval(e2, zs) * polyval(u1, zs))
+                  / ((zs / X1.marked_at - 1.0) ** 2 * polyval(u, zs)))
     return complex(np.mean(total))
 
 
@@ -213,13 +214,13 @@ def test_contour_on_sheets_of_different_lengths(nodes):
     rng = np.random.default_rng(11)
     hand, H1, H2 = hand_example()
     cubic = random_sheets(2, rng)
-    sheets = sy.SheetData((cubic.etas[0],) + hand.etas + (cubic.etas[1],),
-                          (cubic.us[0],) + hand.us + (cubic.us[1],))
+    sheets = sy.SheetData((cubic.etas[0], *hand.etas, cubic.etas[1]),
+                          (cubic.us[0], *hand.us, cubic.us[1]))
     R1, R2 = (sy.random_marked_tangent(2, 2.0 + 0j, rng) for _ in range(2))
 
     def mixed(R, H):
-        return sy.TangentVector((R.eta_primes[0],) + H.eta_primes + (R.eta_primes[1],),
-                                (R.u_primes[0],) + H.u_primes + (R.u_primes[1],),
+        return sy.TangentVector((R.eta_primes[0], *H.eta_primes, R.eta_primes[1]),
+                                (R.u_primes[0], *H.u_primes, R.u_primes[1]),
                                 marked_at=2.0 + 0j)
 
     X1, X2 = mixed(R1, H1), mixed(R2, H2)
@@ -227,6 +228,64 @@ def test_contour_on_sheets_of_different_lengths(nodes):
     want = _contour_reference(X1, X2, sheets, nodes)
     assert abs(got - want) < 1e-13 * max(1.0, abs(want))
     assert abs(got - sy.omega_D_residue(X1, X2, sheets)) < 1e-10
+
+
+@pytest.mark.parametrize("nodes", [64, 1000, 2048])
+@pytest.mark.parametrize("radius", [0.8, 1.0, 1.25])
+def test_contour_matches_per_sheet_reference(nodes, radius):
+    rng = np.random.default_rng(15)
+    for k in (1, 2, 3):
+        sheets = random_sheets(k, rng)
+        X1, X2 = (sy.random_marked_tangent(k, 1.9 + 0.3j, rng) for _ in range(2))
+        got = sy.omega_D_contour(X1, X2, sheets, nodes=nodes, radius=radius)
+        want = _contour_reference(X1, X2, sheets, nodes, radius)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("kwargs", [dict(radius=0.0), dict(radius=-1.0), dict(radius=np.nan),
+                                    dict(radius=np.inf), dict(nodes=100.5), dict(nodes=63)])
+def test_contour_rejects_bad_radius_and_node_count(kwargs):
+    # radius 0 would sum the integrand's value at 0 over every node, the
+    # residue sum itself; nan would return nan; 100.5 nodes index no table
+    sheets, X1, X2 = hand_example()
+    with pytest.raises(ValueError, match="radius|nodes"):
+        sy.omega_D_contour(X1, X2, sheets, **kwargs)
+
+
+def test_marking_check_on_a_built_matrix():
+    # the tangent's own matrix passes; one coefficient moved so that its
+    # row reads 1e-6 at the marking fails
+    z0 = 1.9 + 0.3j
+    m = sy.random_marked_tangent(2, z0, np.random.default_rng(16)).coeffs
+    sy.TangentVector(m[:2], m[2:], marked_at=z0)
+    for row, col in ((0, 0), (3, 4)):
+        moved = m.copy()
+        moved[row, col] += 1e-6 / z0 ** col
+        assert abs(polyval(moved[row], z0)) == pytest.approx(1e-6, rel=1e-6)
+        with pytest.raises(ValueError, match="vanish"):
+            sy.TangentVector(moved[:2], moved[2:], marked_at=z0)
+
+
+def test_containers_stack_series_arrays_and_matrices_alike():
+    # the hand example's constant sheet and its degree-1 and constant
+    # tangent components beside a cubic sheet: rows zero-padded to one width
+    rng = np.random.default_rng(17)
+    cubic = rng.normal(size=4) + 1j * rng.normal(size=4)
+    u = np.array([2.5, 0.1, -0.2j, 0.05])
+    want = np.array([[0, 0, 0, 0], cubic, [1, 0, 0, 0], u], dtype=complex)
+    rows = ([0.0], cubic), ([1.0], u)
+    for sheets in (sy.SheetData(*(tuple(map(sy.Series, r)) for r in rows)),
+                   sy.SheetData(*(tuple(np.asarray(c, complex) for c in r) for r in rows)),
+                   sy.SheetData(want[:2], want[2:])):
+        assert sheets.coeffs.dtype == complex and sheets.k == 2
+        assert np.array_equal(sheets.coeffs, want)
+        assert np.array_equal(sheets.etas, want[:2]) and np.array_equal(sheets.us, want[2:])
+    f = sy.MarkedDivisor(2.0 + 0j).vanishing_factor()
+    _, X, _ = hand_example()
+    for got in (X, sy.TangentVector((f.coeffs,), ([0.0],), marked_at=2.0 + 0j),
+                sy.TangentVector(X.coeffs[:1], X.coeffs[1:], marked_at=2.0 + 0j)):
+        assert np.array_equal(got.coeffs, [f.coeffs, [0.0, 0.0]])
+        assert np.array_equal(got.eta_primes, [f.coeffs]) and np.array_equal(got.u_primes, [[0, 0]])
 
 
 def test_contour_refuses_zero_of_u_inside():
@@ -307,8 +366,8 @@ def test_random_marked_tangent_matches_one_draw_per_polynomial():
                 for _ in range(2 * k)]
         got = sy.random_marked_tangent(k, z0, np.random.default_rng(k), degree=degree)
         assert got.marked_at == z0
-        for g, w in zip(got.eta_primes + got.u_primes, want):
-            assert g.coeffs.tobytes() == w.coeffs.tobytes()
+        for g, w in zip(got.coeffs, want):
+            assert g.tobytes() == w.coeffs.tobytes()
 
 
 def test_marking_check_scales_with_coefficients():
