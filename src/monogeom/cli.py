@@ -76,9 +76,15 @@ class RunConfig:
                 raise ValueError("centers must be (x, y, z) with z > 0")
         if cfg.mass < 0:
             raise ValueError("mass must be nonnegative")
-        for key, least in (("symplectic_sheets", 1), ("symplectic_nodes", 64)):
+        for key, least in (("symplectic_sheets", 1), ("symplectic_nodes", 64), ("metric_grid", 1)):
             if type(getattr(cfg, key)) is not int or getattr(cfg, key) < least:
                 raise ValueError(f"{key} must be an integer >= {least}")
+        if not cfg.scatter_delta > 0 or not cfg.ps_horizon > 0:
+            raise ValueError("scatter_delta and ps_horizon must be positive")
+        if any(not 0 < abs(z) < cfg.scatter_delta for z in cfg.scatter_impacts):
+            raise ValueError("scatter_impacts must lie strictly between 0 and scatter_delta")
+        if type(cfg.scatter_center) is not int or not 0 <= cfg.scatter_center < len(cfg.centers):
+            raise ValueError("scatter_center must index one of the centers")
         return cfg
 
     def potential(self) -> MultiCenterPotential:

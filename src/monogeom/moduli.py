@@ -78,19 +78,29 @@ class DiracConnection:
         if any(s not in (-1, +1) for s in self.patches):
             raise ValueError("patch signs are -1 (string at south) or +1 (north)")
         self.extra = extra
-        self._E = np.array([hyp.orthonormal_frame_at(c) for c in V.centers]).reshape(-1, 3, 4)
-        self._sign = np.array(self.patches, dtype=float)
-        self._coef = 0.5 * np.array(V.charges, dtype=float) * self._sign
-        # frame components are affine in (|p|^2, x, y, 1)/z: with
-        # c = E_3 - E_0, e = (|p|^2 c/2 + x E_1 + y E_2 - (E_0 + E_3)/2)/z
-        E0, E1, E2, E3 = self._E.transpose(2, 1, 0)    # Ek[j, i]: component k of E_j of center i
-        self._c = E3 - E0
-        self._affine = (self._c / 2, E1, E2, -(E0 + E3) / 2)
+        # frame components are affine in (|p|^2, x, y, 1)/z and vanish at the center
+        # p_c: with c = E_3 - E_0 and d = p - p_c, e = ((d.(p + p_c)) c/2 + d_x E_1 + d_y E_2)/z
+        E = np.array([hyp.orthonormal_frame_at(c) for c in V.centers]).reshape(-1, 3, 4)
+        E0, E1, E2, E3 = E.transpose(2, 1, 0)    # Ek[j, i]: component k of E_j, center i
+        sign = np.array(self.patches, dtype=float)
+        # one row per constant, one column per center: p_c, c, E_1, E_2, sign, l sign / 2
+        self._rows = np.concatenate([np.array([c.as_array() for c in V.centers]).reshape(-1, 3).T,
+                                     E3 - E0, E1, E2, [sign, 0.5 * np.array(V.charges) * sign]])
+
+    def _frame(self, p: np.ndarray):
+        """Per-center rows shaped against points p (..., 3), and the frame components
+        (3, C, ...) of every center at p: centers lead, so each pass runs along the
+        points, and d.(p + p_c) is summed by hand, so a batch and its rows round alike."""
+        k = self._rows.reshape(self._rows.shape + (1,) * (p.ndim - 1))
+        pt = p.transpose(-1, *range(p.ndim - 1))[:, None]                # (3, 1, ...)
+        d = pt - k[:3]                                                   # (3, C, ...)
+        dq = d * (pt + k[:3])
+        s = 0.5 * (dq[0] + dq[1] + dq[2])                                # d.(p + p_c) / 2
+        return k, (s * k[3:6] + d[0] * k[6:9] + d[1] * k[9:12]) / pt[2]
 
     def cos_polar(self, p, i: int) -> float:
         """cos of the polar angle of p about center i."""
-        X = hyp.embed(np.asarray(p, dtype=float))
-        e1, e2, e3 = (float(hyp.mdot(X, E)) for E in self._E[i])
+        e1, e2, e3 = (float(e[i]) for e in self._frame(np.asarray(p, dtype=float))[1])
         return e3 / max(math.sqrt(e1 * e1 + e2 * e2 + e3 * e3), 1e-300)
 
     def with_patches_for(self, p) -> "DiracConnection":
@@ -105,29 +115,25 @@ class DiracConnection:
         Evaluated through the cancellation-free combination
         (cos theta + s) dphi = s (e1 de2 - e2 de1) / (sh (sh - s e3)),
         which is regular on the whole string-free half-axis; e_j are the
-        frame components of every center at every point.  Their
-        differentials are d_x e = (x c + E_1)/z, d_y e = (y c + E_2)/z
-        and d_z e = c - e/z, so with w = e1 c2 - e2 c1 the numerator is
-        ((x w + e1 E_21 - e2 E_11)/z, (y w + e1 E_22 - e2 E_12)/z, w).
+        frame components of every center at every point, exactly 0 at the
+        center.  Their differentials are d_x e = (x c + E_1)/z,
+        d_y e = (y c + E_2)/z and d_z e = c - e/z, so with w = e1 c2 - e2 c1
+        the numerator is ((x w + e1 E_21 - e2 E_11)/z, (y w + e1 E_22 - e2 E_12)/z, w).
         """
         p = np.asarray(p, dtype=float)
-        x, y, z = (p[..., k, None] for k in range(3))                 # (..., 1) each
-        B0, B1, B2, B3 = self._affine
-        # the four-term sum by hand, so a batch and its rows round alike
-        e = ((x * x + y * y + z * z)[..., None] * B0 + x[..., None] * B1
-             + y[..., None] * B2 + B3) / z[..., None]                   # (..., 3, C)
-        e1, e2, e3 = np.moveaxis(e, -2, 0)
+        k, (e1, e2, e3) = self._frame(p)
+        x, y, z, sign, coef = p[..., 0], p[..., 1], p[..., 2], k[12], k[13]
         sh = np.sqrt(e1 * e1 + e2 * e2 + e3 * e3)
-        den = sh * (sh - self._sign * e3)
-        if np.any(sh < 1e-14):    # sh = sinh rho; V has its pole there too
+        den = sh * (sh - sign * e3)
+        if (sh < 1e-14).any():    # sh = sinh rho; V has its pole there too
             raise ZeroDivisionError("connection pole: evaluation at a center")
-        if np.any(den < 1e-14 * sh * sh):
+        if (den < 1e-14 * sh * sh).any():
             raise ZeroDivisionError("point on a Dirac string; switch the patch")
-        (c1, c2, _), (E11, E21, _), (E12, E22, _) = self._c, B1, B2
-        f = self._coef / den
+        (c1, c2, _), (E11, E21, _), (E12, E22, _) = k[3:6], k[6:9], k[9:12]
+        f = coef / den
         w = f * (e1 * c2 - e2 * c1)
         A = np.stack([(x * w + f * (e1 * E21 - e2 * E11)) / z,
-                      (y * w + f * (e1 * E22 - e2 * E12)) / z, w], axis=-2).sum(axis=-1)
+                      (y * w + f * (e1 * E22 - e2 * E12)) / z, w], axis=-1).sum(axis=0)
         if self.extra is not None:
             A = A + pointwise(self.extra)(p)
         return A

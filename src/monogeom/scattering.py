@@ -52,7 +52,6 @@ __all__ = [
     "decaying_solution",
     "spectral_indicator",
     "m_gamma_norm",
-    "m_gamma_matrix",
     "abelian_growth_exponent",
     "sinh_model_integral",
 ]
@@ -596,14 +595,10 @@ def spectral_indicator(fields: FieldSampler, t_horizon: float = 40.0,
     return DecayingData.of(fields, t_horizon, tol).indicator()
 
 
-def m_gamma_matrix(fields: FieldSampler, t_horizon: float = 40.0,
-                   tol: float = 1e-10) -> np.ndarray:
-    return DecayingData.of(fields, t_horizon, tol).splitting_reflection()
-
-
 def m_gamma_norm(fields: FieldSampler, t_horizon: float = 40.0,
                  tol: float = 1e-10) -> float:
-    return float(np.linalg.norm(m_gamma_matrix(fields, t_horizon, tol), 2))
+    """Spectral norm of the splitting reflection M_gamma at t = 0."""
+    return float(np.linalg.norm(DecayingData.of(fields, t_horizon, tol).splitting_reflection(), 2))
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential, OrientedGeodesic, PointUHS
 from .projective import (INFINITY, ExtendedComplex, chordal_homogeneous, node_powers,
                          roots_of_unity)
-from .twistor import CHART_ROTATIONS, BiDegreeSection, matrix_point
+from .twistor import CHART_ROTATIONS
 
 __all__ = [
     "QuadraticRestriction",
@@ -148,36 +147,12 @@ class QuadraticRestriction:
         return (self.a * zeta + 2 * self.b) * zeta - self.a.conjugate()
 
 
-def restrict_to_line(center, q: PointUHS, su2: np.ndarray | None = None) -> QuadraticRestriction:
+def restrict_to_line(center: PointUHS, q: PointUHS,
+                     su2: np.ndarray | None = None) -> QuadraticRestriction:
     """Quadratic cut out on the line of q by the section of a center.
-
-    `center` may be a PointUHS or a (1,1) BiDegreeSection of one (the
-    center is then read off the coefficients).  The roots are the two
-    oriented geodesics through q and the center.
-    """
-    if isinstance(center, BiDegreeSection):
-        center = center_of_line_section(center)
+    The roots are the two oriented geodesics through q and the center."""
     chart = LineChart(q) if su2 is None else LineChart(q, su2)
     return chart.quadratics(center.as_array()[None])[0]
-
-
-def center_of_line_section(sec: BiDegreeSection) -> PointUHS:
-    """Recover the center point from a (1,1) twistor-line section."""
-    if sec.degrees != (1, 1):
-        raise ValueError("expected a section of bidegree (1,1)")
-    c = sec.coeffs
-    M = np.array([[c[1, 1], c[1, 0]], [c[0, 1], c[0, 0]]])
-    d = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if abs(d) < 1e-300:
-        raise ValueError("degenerate section")
-    M = M / np.sqrt(d)
-    eps_inv = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-    Xh = M @ eps_inv
-    Xh = np.array([[Xh[1, 1], -Xh[0, 1]], [-Xh[1, 0], Xh[0, 0]]])  # adjugate
-    X = matrix_point(Xh)
-    if X[0] < 0:
-        X = -X
-    return PointUHS.from_array(hyp.unembed(X))
 
 
 def antipodal_conjugate(coeffs: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .projective import node_powers, polyval, roots_of_unity
+from .projective import node_powers, roots_of_unity
 
 __all__ = [
     "Series",
@@ -35,44 +35,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Series:
-    """Truncated power series (ascending coefficients), an input type of the
-    coefficient matrices; its disc of validity is the caller's concern, and
-    synthetic data here uses polynomials, for which evaluation is exact."""
+    """Ascending coefficients of one truncated power series: an input row of
+    the coefficient matrices of `SheetData` and `TangentVector`, which hold
+    and evaluate it.  Its disc of validity is the caller's concern;
+    synthetic data here uses polynomials."""
 
     coeffs: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.array(self.coeffs, complex, copy=None, ndmin=1))
-
-    def __call__(self, zeta):
-        return polyval(self.coeffs, zeta)
-
-    def __add__(self, other):
-        a, b = self.coeffs, Series.of(other).coeffs
-        out = np.zeros(max(len(a), len(b)), dtype=complex)
-        out[:len(a)] += a
-        out[:len(b)] += b
-        return Series(out)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return Series(self.coeffs * other)
-        # trimmed as numpy's polymul trims its factors and product
-        return Series(_trim(np.convolve(_trim(self.coeffs), _trim(Series.of(other).coeffs))))
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def of(v) -> "Series":
-        return v if isinstance(v, Series) else Series(v)
-
-
-def _trim(c: np.ndarray) -> np.ndarray:
-    """c without trailing zeros, keeping at least one coefficient."""
-    if c[-1] != 0:
-        return c
-    nz = np.flatnonzero(c)
-    return c[:nz[-1] + 1] if nz.size else c[:1]
 
 
 @dataclass(frozen=True)

@@ -103,10 +103,11 @@ def matrix_point(M: np.ndarray) -> np.ndarray:
                      -M[0, 1].imag, (M[0, 0].real - M[1, 1].real) / 2])
 
 
-# Fixed SU(2) rotations about O, tried in turn wherever a chart value
-# lands on a chart pole (the identity first); g acts on point matrices
-# by X -> g X g^dagger.  Rotations by three angles about one axis n send
-# three distinct points to infinity, so one of them suits any two points.
+# Fixed SU(2) rotations about O, tried in turn by `spectral.lift_twistor_line`
+# wherever a root lands on a chart pole (the identity first); g acts on point
+# matrices by X -> g X g^dagger.  Rotations by three angles about one axis n
+# send three distinct antipodal pairs to {0, inf}, so one of the four charts
+# suits any three centers.
 CHART_ROTATIONS = (np.eye(2, dtype=complex),) + tuple(
     math.cos(a / 2) * np.eye(2, dtype=complex)
     - 1j * math.sin(a / 2) * point_matrix(np.array([0.0, 0.36, 0.48, 0.8]))
@@ -243,34 +244,16 @@ def closest_point_chart(z: complex, w: complex) -> PointUHS:
     return PointUHS(horiz.real, horiz.imag, vert)
 
 
-def _lorentz_of(g: np.ndarray) -> np.ndarray:
-    """Lorentz matrix of X -> g X g^dagger on point matrices."""
-    return np.stack([matrix_point(g @ point_matrix(e) @ g.conj().T) for e in np.eye(4)],
-                    axis=1)
-
-
-def _rotate_boundary(L: np.ndarray, u: ExtendedComplex) -> ExtendedComplex:
-    return hyp.boundary_chart_of_null(L @ hyp.null_vector(u))
-
-
 def closest_point(p: TwistorPoint) -> PointUHS:
     """Point of the geodesic p closest to O.
 
-    Uses the finite-chart closed form; coordinates at infinity are
-    handled by rotating about O into a finite chart and rotating the
-    resulting point back (rotations about O act on both chart values by
-    the same boundary action and commute with the construction).
+    Uses the finite-chart closed form; a geodesic with a coordinate at
+    infinity gets the foot of the perpendicular from O through
+    `hyperbolic.geodesic_point` at t = 0.
     """
     if p.finite:
         return closest_point_chart(p.z.value, p.w.value)
-    for g in CHART_ROTATIONS:
-        L = _lorentz_of(g)
-        z1 = _rotate_boundary(L, p.z)
-        w1 = _rotate_boundary(L, p.w)
-        if z1.finite and w1.finite:
-            q = closest_point_chart(z1.value, w1.value)
-            return hyp.apply_lorentz(L.T, q)
-    raise RuntimeError("no finite chart found (unreachable)")
+    return hyp.geodesic_point(to_geodesic(p), hyp.ORIGIN, 0.0)
 
 
 def closest_point_wirtinger(z: complex, w: complex, h: float = 1e-3) -> np.ndarray:

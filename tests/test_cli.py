@@ -230,6 +230,20 @@ def test_symplectic_config_errors_exit_2(tmp_path, config):
     assert not (tmp_path / "sy.json").exists()
 
 
+@pytest.mark.parametrize("config", [{"scatter_delta": 0.001}, {"scatter_delta": 0.0},
+                                    {"scatter_impacts": [0.0, 1e-3]}, {"scatter_center": 3},
+                                    {"scatter_center": -1}, {"ps_horizon": -5},
+                                    {"metric_grid": 0}])
+def test_scatter_and_metric_config_errors_exit_2(tmp_path, config):
+    # checked at load, whatever the subcommand: these once ended in a traceback
+    # (exit 1) or ran silently (exit 0)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "sc.csv"
+    cfg.write_text(json.dumps(config))
+    for command in ("scatter", "metric"):
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 def test_symplectic_at_the_least_node_count(tmp_path):
     cfg, out = tmp_path / "cfg.json", tmp_path / "sy.json"
     cfg.write_text(json.dumps({"symplectic_nodes": 64, "symplectic_sheets": 1}))

@@ -176,10 +176,10 @@ def three_center_gauge():
 
 
 def frame_condition(conn, q):
-    """|X| / min over centers of (sh - s e3): the frame components e_j are
-    sums of terms of size |X| (the hyperboloid vector), and the connection
-    divides by sh (sh - s e3), so a relative error of about eps times
-    this reaches A in any evaluation of the formula."""
+    """|X| / min over centers of (sh - s e3): the loop reference forms the
+    frame components e_j as sums of terms of size |X| (the hyperboloid
+    vector), and the connection divides by sh (sh - s e3), so a relative
+    error of about eps times this reaches the reference's A."""
     X = md.hyp.embed(q)
     gaps = []
     for c, s in zip(conn.V.centers, conn.patches):
@@ -241,6 +241,71 @@ def test_connection_raises_at_centers(three_center_gauge):
             conn(np.array([[0.1, 0.2, 1.0], c.as_array()]))
         near = np.array(points_off_center(conn, i, 1e-6, 0.5))
         assert np.all(np.isfinite(conn(near)))
+
+
+# a center next to the boundary, far from O: its hyperboloid vector reaches 163
+SHALLOW = MultiCenterPotential(2.0, (PointUHS(0, 0, 1.2), PointUHS(-0.8, 0.3, 0.8),
+                                     PointUHS(3.3, -2.1, 0.05)), (1, 1, 2))
+
+
+def test_connection_raises_at_every_center():
+    # the frame components, formed from p - p_c, are exactly 0 at a center; the
+    # affine form in p left rounding residues, and returned 1e9-1e11 at (3.3, -2.1, 0.05)
+    for V in (ONE_CENTER, TWO_CENTER, THREE_CENTER, SHALLOW):
+        for patch in (-1, +1):
+            conn = md.DiracConnection(V, [patch] * len(V.centers))
+            for c in V.centers:
+                with pytest.raises(ZeroDivisionError, match="center"):
+                    conn(c.as_array())
+
+
+def connection_mpmath(conn, p):
+    """Reference at 40 digits: the connection at one point, the centers' frames
+    by Gram-Schmidt as `orthonormal_frame_at` builds them, and e_j, de_j as
+    Minkowski pairings with the embedding and its Jacobian."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        def embed(x, y, z):
+            s = x * x + y * y + z * z
+            return [(s + 1) / (2 * z), x / z, y / z, (s - 1) / (2 * z)]
+
+        def mdot(a, b):
+            return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+        x, y, z = map(mpmath.mpf, p)
+        s, X = x * x + y * y + z * z, embed(x, y, z)
+        dX = [[x / z, 1 / z, 0, x / z], [y / z, 0, 1 / z, y / z],
+              [1 - (s + 1) / (2 * z * z), -x / (z * z), -y / (z * z), 1 - (s - 1) / (2 * z * z)]]
+        A = [mpmath.mpf(0)] * 3
+        for c, l, sign in zip(conn.V.centers, conn.V.charges, conn.patches):
+            P, E = embed(*map(mpmath.mpf, c.as_array())), []
+            for k in (1, 2, 3):
+                v = [mpmath.mpf(k == m) for m in range(4)]
+                for u in [P] + E:
+                    t = mdot(v, u) * (1 if u is P else -1)
+                    v = [a + t * b for a, b in zip(v, u)]
+                E.append([a / mpmath.sqrt(mdot(v, v)) for a in v])
+            e1, e2, e3 = (mdot(X, e) for e in E)
+            sh = mpmath.sqrt(e1 * e1 + e2 * e2 + e3 * e3)
+            for k in range(3):
+                de1, de2 = mdot(dX[k], E[0]), mdot(dX[k], E[1])
+                A[k] += l * sign * (e1 * de2 - e2 * de1) / (2 * sh * (sh - sign * e3))
+        return np.array([float(a) for a in A])
+
+
+def test_connection_next_to_centers_matches_mpmath():
+    # 1e-1 to 1e-8 z_c from each center of SHALLOW; the affine form in p
+    # read up to 2.2e-2 relative there, the form in p - p_c reads 1.1e-10
+    conn, rng, worst = md.DiracConnection(SHALLOW), np.random.default_rng(4), 0.0
+    for c in SHALLOW.centers:
+        for r in 10.0 ** -np.arange(1, 9):
+            for u in rng.normal(size=(2, 3)):
+                p = c.as_array() + r * c.z * u / np.linalg.norm(u)
+                local = conn.with_patches_for(p)
+                want = connection_mpmath(local, p)
+                worst = max(worst, np.max(np.abs(local(p) - want)) / np.max(np.abs(want)))
+    assert worst <= 1e-9
 
 
 def test_gauge_independence_of_curvature():

@@ -16,7 +16,7 @@ from monogeom.hyperbolic import (ORIGIN, MultiCenterPotential, PointUHS,
                                  null_vector, orthonormal_frame_at, point_at)
 from monogeom.projective import (INFINITY, ExtendedComplex, chordal_distance, node_powers,
                                  roots_of_unity, tau)
-from monogeom.twistor import CHART_ROTATIONS, matrix_point, point_matrix, twistor_line_section
+from monogeom.twistor import CHART_ROTATIONS, matrix_point, point_matrix
 
 
 def random_config(rng, n, lmax=3, mass=None):
@@ -58,15 +58,6 @@ def test_restriction_axis_direction_example():
     assert roots[0] == pytest.approx(-1.0, abs=1e-12)
     assert roots[1] == pytest.approx(+1.0, abs=1e-12)
     assert tau(roots[1]) == pytest.approx(roots[0], abs=1e-12)
-
-
-def test_restriction_accepts_sections():
-    q = PointUHS(0.3, -0.1, 1.2)
-    c = PointUHS(-0.6, 0.8, 0.7)
-    via_point = sp.restrict_to_line(c, q)
-    via_section = sp.restrict_to_line(twistor_line_section(c), q)
-    assert via_section.a == pytest.approx(via_point.a, rel=1e-10)
-    assert via_section.b == pytest.approx(via_point.b, rel=1e-10)
 
 
 def test_restriction_roots_antipodal_and_discriminant():

@@ -318,32 +318,18 @@ def test_sheet_data_rejects_u_vanishing_between_circle_nodes():
         assert sy.SheetData((sy.Series([0.0]),), (sy.Series(u),)).k == 1
 
 
-def test_series_product_matches_polymul_bitwise():
-    # trailing zeros of the factors and of the product are trimmed as
-    # numpy's polymul trims them
-    rng = np.random.default_rng(12)
-    for la, lb in ((1, 1), (2, 5), (4, 4), (5, 2)):
-        a = rng.normal(size=la) + 1j * rng.normal(size=la)
-        b = rng.normal(size=lb) + 1j * rng.normal(size=lb)
-        for pa, pb in ((a, b), (np.append(a, 0.0), b), (a, np.append(b, [0.0, 0.0])),
-                       (np.zeros(la), b)):
-            want = np.polynomial.polynomial.polymul(pa, pb)
-            got = (sy.Series(pa) * sy.Series(pb)).coeffs
-            assert got.shape == want.shape
-            assert got.tobytes() == want.astype(complex).tobytes()
-
-
 def test_series_call_matches_polyval_bitwise():
-    # np.polyval on a 0-d array rounds differently from polyval's scalar steps
+    # projective.polyval, which evaluates the library's coefficient arrays,
+    # against numpy.polynomial; np.polyval on a 0-d array rounds differently
     import numpy.polynomial.polynomial as npoly
 
     rng = np.random.default_rng(14)
     for n in range(1, 9):
         for _ in range(40):
-            s = sy.Series(rng.normal(size=n) + 1j * rng.normal(size=n))
+            c = rng.normal(size=n) + 1j * rng.normal(size=n)
             for z in (complex(*rng.normal(size=2)), float(rng.normal()),
                       rng.normal(size=5) + 1j * rng.normal(size=5)):
-                got, want = s(z), npoly.polyval(z, s.coeffs)
+                got, want = polyval(c, z), npoly.polyval(z, c)
                 assert type(got) is type(want)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
@@ -361,21 +347,21 @@ def test_random_marked_tangent_matches_one_draw_per_polynomial():
     for k, degree in ((1, 3), (2, 3), (3, 5)):
         z0 = 1.9 + 0.3j
         rng = np.random.default_rng(k)
-        fac = sy.MarkedDivisor(z0).vanishing_factor()
-        want = [fac * sy.Series(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+        fac = sy.MarkedDivisor(z0).vanishing_factor().coeffs
+        want = [np.convolve(fac, rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
                 for _ in range(2 * k)]
         got = sy.random_marked_tangent(k, z0, np.random.default_rng(k), degree=degree)
         assert got.marked_at == z0
         for g, w in zip(got.coeffs, want):
-            assert g.tobytes() == w.coeffs.tobytes()
+            assert g.tobytes() == w.tobytes()
 
 
 def test_marking_check_scales_with_coefficients():
     # the vanishing check at the marking is relative to the largest coefficient
     fac = sy.MarkedDivisor(2.0 + 0j).vanishing_factor()
-    big = fac * sy.Series([1e6, -3e5j])
-    sy.TangentVector((big + sy.Series([1e-4]),), (fac,), marked_at=2.0 + 0j)
+    big = np.convolve(fac.coeffs, [1e6, -3e5j])
+    sy.TangentVector((big + [1e-4, 0, 0],), (fac,), marked_at=2.0 + 0j)
     with pytest.raises(ValueError, match="vanish"):
-        sy.TangentVector((big + sy.Series([1e-2]),), (fac,), marked_at=2.0 + 0j)
+        sy.TangentVector((big + [1e-2, 0, 0],), (fac,), marked_at=2.0 + 0j)
     with pytest.raises(ValueError, match="vanish"):
         sy.TangentVector((fac,), (sy.Series([2e-9]),), marked_at=2.0 + 0j)
