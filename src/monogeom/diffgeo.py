@@ -4,18 +4,21 @@ A metric sampler maps a coordinate 4-vector to a symmetric 4x4 matrix.
 Curvature comes from 4th-order stencils of the stencil engine
 (`numdiff.derivatives`) for the first and second metric derivatives,
 assembled into the curvature tensor directly (one level of differencing
-only):
+only), as the symmetric 6x6 matrix of its components on 2-forms:
 
-    R_abcd = (g_bd,ac + g_ac,bd - g_ad,bc - g_bc,ad)/2
-             + g_ef (Gamma^e_ac Gamma^f_bd - Gamma^e_ad Gamma^f_bc)
+    R_abcd = (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac)/2
+             + g_ef (Gamma^e_bc Gamma^f_ad - Gamma^e_bd Gamma^f_ac)
 
-Weyl and its (anti-)self-dual split are computed in an oriented
+Richardson extrapolation pairs steps h and h/2, sampled together so
+their common stencil points are evaluated once, and acts on R alone:
+Ricci, scalar and Weyl are linear in R at the shared center metric.  One
+transform by the 2x2 minors of the frame moves R to an oriented
 orthonormal coframe.  Orientation convention, fixed here once: the
 coordinate order of the sampler is positively oriented, and the duality
 operator on 2-forms uses the Levi-Civita symbol with eps_0123 = +1 in
-that frame.  Richardson extrapolation pairs steps h and h/2, sampled
-together so their common stencil points are evaluated once, on every
-tensor component before norms are taken.
+that frame.  The Riemann norm is read from |Rm|^2 = |W|^2 + 2|Ric|^2 -
+s^2/3 in dimension 4 (Besse, Einstein Manifolds, 1987, 1.G), whose last
+two terms sum to 2|Ric_0|^2 + s^2/6 >= 0, so nothing cancels.
 """
 
 from __future__ import annotations
@@ -64,36 +67,42 @@ def levi_civita_symbol(n: int = 4) -> np.ndarray:
     return eps
 
 
-_EPS4 = levi_civita_symbol(4)
+# T[..., _A, _B, _C, _D] is the 6x6 matrix T_abcd over the pairs (a, b) of
+# its rows and (c, d) of its columns
+_C, _D = np.array(_FRAME_PAIRS).T
+_A, _B = _C[:, None], _D[:, None]
+_DUAL6 = levi_civita_symbol(4)[_A, _B, _C, _D]
+_PROJ_SD, _PROJ_ASD = 0.5 * (np.eye(6) + _DUAL6), 0.5 * (np.eye(6) - _DUAL6)
+# orthonormal basis of 2-forms, three self-dual then three anti-self-dual
+_SD_ASD = math.sqrt(2.0) * np.hstack([_PROJ_SD[:, :3], _PROJ_ASD[:, :3]])
+# R_abcd over the pairs is x[..., _TERMS] @ _WEIGHTS, x the 8x4x4x4 array
+# d2g[i, j, k, l] = g_kl,ij on top of M[b, c, a, d] = gamma_l[p,b,c] Gamma^p_ad,
+# flattened (riemann_tensors)
+_TERMS = np.stack([np.ravel_multi_index(index, (8, 4, 4, 4)) for index in (
+    (_B, _C, _A, _D), (_A, _D, _B, _C), (_B, _D, _A, _C), (_A, _C, _B, _D),
+    (_B + 4, _C, _A, _D), (_B + 4, _D, _A, _C))], axis=-1)
+_WEIGHTS = np.array([0.5, 0.5, -0.5, -0.5, 1.0, -1.0])
+# flat indices of F[a, i], F[b, j], F[b, i] and F[a, j] over the pairs
+# (a, b) and (i, j): the 2x2 minors of a 4x4 matrix F
+_MINORS = np.stack([4 * _A + _C, 4 * _B + _D, 4 * _B + _C, 4 * _A + _D])
 
 
 def riemann_tensors(g, dg, d2g):
-    """All-lower Riemann, Ricci, scalar and Weyl from the metric g and
-    its derivatives dg[a] = g_,a and d2g[a, b] = g_,ab (a `numdiff.Jet`
-    with full second derivatives).  Leading axes are batch axes: g of
-    shape (..., 4, 4) gives a scalar of shape (...), a float when there
-    are none."""
-    ginv = np.linalg.inv(g)
+    """The all-lower Riemann tensor on coordinate 2-forms, the 6x6 matrix
+    R[P, Q] = R_abcd over the pairs P = (a, b) and Q = (c, d) of
+    `_FRAME_PAIRS`, from the metric g and its derivatives dg[a] = g_,a and
+    d2g[a, b] = g_,ab (a `numdiff.Jet` with full second derivatives).
+    Leading axes of dg and d2g are batch axes, and g broadcasts against
+    them: dg of shape (..., 4, 4, 4) gives (..., 6, 6)."""
+    batch = dg.shape[:-3]
     # gamma_l[a,b,d] = (g_ab,d + g_ad,b - g_bd,a)/2 = g_ac Gamma^c_bd
-    gamma_l = 0.5 * (np.einsum("...dab->...abd", dg) + np.einsum("...bad->...abd", dg)
-                     - np.einsum("...abd->...abd", dg))
-    gamma = np.einsum("...ca,...abd->...cbd", ginv, gamma_l)
+    swapped = np.swapaxes(dg, -3, -2)
+    gamma_l = (0.5 * (np.swapaxes(swapped, -2, -1) + swapped - dg)).reshape(batch + (4, 16))
     # R_abcd = (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac)/2
     #          + gamma_l[p,b,c] Gamma^p_ad - gamma_l[p,b,d] Gamma^p_ac
-    term = 0.5 * (np.einsum("...bcad->...abcd", d2g) + np.einsum("...adbc->...abcd", d2g)
-                  - np.einsum("...bdac->...abcd", d2g) - np.einsum("...acbd->...abcd", d2g))
-    quad = np.einsum("...pbc,...pad->...abcd", gamma_l, gamma)
-    riem = term + quad - np.swapaxes(quad, -1, -2)
-    ricci = np.einsum("...ac,...abcd->...bd", ginv, riem)
-    scal = np.einsum("...bd,...bd->...", ginv, ricci)
-    # W = R - (Ric o g)/2 + (scal/12)(g o g), o the Kulkarni-Nomizu product
-    ac, ad = g[..., :, None, :, None], g[..., :, None, None, :]
-    bc, bd = g[..., None, :, :, None], g[..., None, :, None, :]
-    r_bd, r_bc = ricci[..., None, :, None, :], ricci[..., None, :, :, None]
-    r_ad, r_ac = ricci[..., :, None, None, :], ricci[..., :, None, :, None]
-    weyl = riem - 0.5 * (ac * r_bd - ad * r_bc - bc * r_ad + bd * r_ac)
-    weyl = weyl + (scal[..., None, None, None, None] / 6.0) * (ac * bd - ad * bc)
-    return riem, ricci, (float(scal) if scal.ndim == 0 else scal), weyl
+    quad = np.swapaxes(gamma_l, -2, -1) @ np.linalg.solve(g, gamma_l)
+    x = np.concatenate([d2g.reshape(batch + (256,)), quad.reshape(batch + (256,))], axis=-1)
+    return x[..., _TERMS] @ _WEIGHTS
 
 
 def orthonormal_coframe(g: np.ndarray) -> np.ndarray:
@@ -103,51 +112,37 @@ def orthonormal_coframe(g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(L).T
 
 
-def _frame_tensor4(T: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """T_mnpq F^m_a F^n_b F^p_c F^q_d: each contraction moves its index last."""
-    for _ in range(4):
-        T = np.tensordot(T, F, axes=(0, 0))
-    return T
+def _frame_norms(g: np.ndarray, riem: np.ndarray) -> tuple[float, ...]:
+    """Scalar curvature and the norms of Ricci, the self-dual and
+    anti-self-dual Weyl blocks and Riemann, from the metric g and its
+    Riemann tensor on coordinate 2-forms (`riemann_tensors`).
 
-
-_PAIR_A, _PAIR_B = np.array(_FRAME_PAIRS).T
-
-
-def _weyl_operator(weyl_frame: np.ndarray) -> np.ndarray:
-    """The 6x6 matrix T[a, b, c, d] over the frame pairs (a, b), (c, d)."""
-    return weyl_frame[_PAIR_A[:, None], _PAIR_B[:, None], _PAIR_A, _PAIR_B]
-
-
-_DUAL6 = _weyl_operator(_EPS4)
-_PROJ_SD = 0.5 * (np.eye(6) + _DUAL6)
-_PROJ_ASD = 0.5 * (np.eye(6) - _DUAL6)
-
-
-def _sd_asd_norms(F: np.ndarray, weyl: np.ndarray) -> tuple[float, float]:
-    """Frobenius norms of the self-dual and anti-self-dual Weyl blocks in
-    the oriented orthonormal coframe F."""
-    W = _weyl_operator(_frame_tensor4(weyl, F))
-    return (float(np.linalg.norm(_PROJ_SD @ W @ _PROJ_SD)),
-            float(np.linalg.norm(_PROJ_ASD @ W @ _PROJ_ASD)))
+    The minors of the oriented orthonormal coframe F move R to the frame,
+    in the basis `_SD_ASD`, where it is [[W+ + s/12, B], [B^T, W- + s/12]]
+    (Singer & Thorpe 1969): Weyl R - (Ric o I)/2 + (s/12)(I o I) keeps the
+    diagonal blocks less s/12, since the traceless Ricci part of Ric o I
+    maps self-dual to anti-self-dual forms, and |Ric_0| = 2|B|."""
+    f = orthonormal_coframe(g).take(_MINORS)
+    frame = (f[0] * f[1] - f[2] * f[3]) @ _SD_ASD
+    R = frame.T @ riem @ frame
+    scal = 2.0 * float(R.trace())
+    R.flat[::7] -= scal / 12.0
+    (sd2, b2), (_, asd2) = (R * R).reshape(2, 3, 2, 3).sum(axis=(1, 3)).tolist()
+    ric2 = 4.0 * b2 + 0.25 * scal * scal
+    return (scal, math.sqrt(ric2), math.sqrt(sd2), math.sqrt(asd2),
+            math.sqrt(4.0 * (sd2 + asd2) + 2.0 * ric2 - scal * scal / 3.0))
 
 
 def curvature_report(metric, x, step: float) -> CurvatureReport:
-    """Curvature of a metric sampler at x: the tensors at steps h and
-    h/2, from one set of metric samples and one batched Riemann pass,
-    are extrapolated component-wise before any norm is formed."""
+    """Curvature of a metric sampler at x: the Riemann tensors at steps h
+    and h/2, from one set of metric samples and one batched pass, are
+    extrapolated on 2-forms, and the report is read from the result in
+    the coframe, the Riemann norm as sqrt(|W|^2 + 2|Ric|^2 - s^2/3)."""
     jets = derivatives(metric, x, (step, step / 2), second="full")
-    riem, ricci, scal, weyl = (richardson(t[0], t[1]) for t in
-                               riemann_tensors(*(np.stack(a) for a in zip(*jets))))
-    F = orthonormal_coframe(jets[0].value)
-    sd, asd = _sd_asd_norms(F, weyl)
-    return CurvatureReport(
-        scalar=float(scal),
-        ricci_norm=float(np.linalg.norm(F.T @ ricci @ F)),
-        weyl_sd_norm=sd,
-        weyl_asd_norm=asd,
-        riemann_norm=float(np.linalg.norm(_frame_tensor4(riem, F))),
-        step=step,
-    )
+    g = jets[0].value
+    riem = richardson(*riemann_tensors(g, np.stack([j.d1 for j in jets]),
+                                       np.stack([j.d2 for j in jets])))
+    return CurvatureReport(*_frame_norms(g, riem), step=step)
 
 
 # ---------------------------------------------------------------------------

@@ -280,10 +280,9 @@ def nijenhuis_residual(J_sampler, p4, step: float | None = None) -> float:
     if step is None:
         step = default_step(p4)
     J0, dJ, _ = derivatives(J_sampler, p4, (step,))[0]
-    # N^k_{ij} = J^l_i dJ[l][k,j] - J^l_j dJ[l][k,i] - J^k_l (dJ[i][l,j] - dJ[j][l,i])
-    N = (np.einsum("li,lkj->kij", J0, dJ) - np.einsum("lj,lki->kij", J0, dJ)
-         - np.einsum("kl,ilj->kij", J0, dJ) + np.einsum("kl,jli->kij", J0, dJ))
-    return float(np.linalg.norm(N))
+    # N^k_ij = X^k_ij - X^k_ji with X^k_ij = J^l_i dJ[l][k,j] - J^k_l dJ[i][l,j]
+    X = np.einsum("li,lkj->kij", J0, dJ) - np.einsum("kl,ilj->kij", J0, dJ)
+    return float(np.linalg.norm(X - np.swapaxes(X, 1, 2)))
 
 
 def abelian_charge(V: MultiCenterPotential, i: int, rho0: float = 0.2,

@@ -158,14 +158,19 @@ def derivatives(f, x, steps, second: str | None = None, order: int = 4) -> list[
     Jet per step in `steps`.
 
     `order` (4 or 2) selects the first-derivative stencil; `second` is
-    None, "diag" or "full" (4th order).  f is called once, on the (N, d)
-    array of the N distinct stencil points of all steps; x itself is
-    always among them, so every Jet carries f(x).
+    None, "diag" or "full" (4th order).  Any other order or `second`, or a
+    zero or non-finite step, raises ValueError.  f is called once, on the
+    (N, d) array of the N distinct stencil points of all steps; x itself
+    is always among them, so every Jet carries f(x).
     """
     if second not in (None, "diag", "full"):
         raise ValueError("second must be None, 'diag' or 'full'")
-    x = np.asarray(x, dtype=float)
+    if order not in (2, 4):
+        raise ValueError("order must be 2 or 4")
     steps = tuple(steps)
+    if not all(0.0 < abs(h) < np.inf for h in steps):
+        raise ValueError(f"steps must be finite and non-zero, got {steps}")
+    x = np.asarray(x, dtype=float)
     plan = _plan(len(x), order, second, tuple(h / steps[0] for h in steps))
     hs = np.asarray(steps, dtype=float)
     points = np.where(plan.moved, x + plan.K * hs[plan.S, None], x)

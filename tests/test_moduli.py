@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from monogeom import diffgeo
 from monogeom import moduli as md
 from monogeom.hyperbolic import ORIGIN, MultiCenterPotential, PointUHS
 from monogeom.numdiff import pointwise
@@ -369,14 +370,66 @@ def test_flat_fixture_riemann():
         assert abs(rep.scalar) < 1e-5
 
 
+def kulkarni_nomizu(h, k):
+    return (np.einsum("ac,bd->abcd", h, k) + np.einsum("ac,bd->abcd", k, h)
+            - np.einsum("ad,bc->abcd", h, k) - np.einsum("ad,bc->abcd", k, h))
+
+
+def test_frame_norms_match_four_index_contraction():
+    # algebraic curvature tensors as sums of Kulkarni-Nomizu products of
+    # random symmetric matrices, read through every index in the coframe
+    rng = np.random.default_rng(1919)
+    eye = np.eye(4)
+    identity = 0.5 * kulkarni_nomizu(eye, eye)       # the identity on 2-forms
+    eps = diffgeo.levi_civita_symbol(4)
+    def compose(s, t):                               # operators on 2-forms
+        return 0.5 * np.einsum("abef,efcd->abcd", s, t)
+    proj = [0.5 * (identity + eps), 0.5 * (identity - eps)]
+    rows, cols = np.array(diffgeo._FRAME_PAIRS).T
+    for _ in range(40):
+        m = rng.normal(size=(4, 4))
+        g = m @ m.T + 0.3 * eye
+        R = sum(kulkarni_nomizu(h + h.T, k + k.T) for h, k in rng.normal(size=(3, 2, 4, 4)))
+        F = diffgeo.orthonormal_coframe(g)
+        Rf = np.einsum("mnpq,ma,nb,pc,qd->abcd", R, F, F, F, F)
+        ricci = np.einsum("abad->bd", Rf)
+        scal = np.trace(ricci)
+        W = Rf - 0.5 * kulkarni_nomizu(ricci, eye) + scal / 12.0 * kulkarni_nomizu(eye, eye)
+        sd, asd = (0.5 * np.linalg.norm(compose(compose(p, W), p)) for p in proj)
+        want = (np.linalg.norm(ricci), sd, asd, np.linalg.norm(Rf))
+        got = diffgeo._frame_norms(g, R[rows[:, None], cols[:, None], rows, cols])
+        assert got[0] == pytest.approx(scal, rel=1e-13, abs=1e-13 * want[-1])
+        assert got[1:] == pytest.approx(want, rel=1e-13)
+
+
+def closed_form_report(metric, p4, scalar, ricci, weyl_sd, weyl_asd, riemann):
+    rep = md.curvature(pointwise(metric), np.array(p4), step=1e-3)
+    got = (rep.scalar, rep.ricci_norm, rep.weyl_sd_norm, rep.weyl_asd_norm, rep.riemann_norm)
+    assert got == pytest.approx((scalar, ricci, weyl_sd, weyl_asd, riemann), abs=1e-6)
+
+
 def test_round_sphere_product_oracle():
+    # S^2(a) x R^2: one sectional curvature 1/a^2, Ricci diag(1, 1, 0, 0)/a^2
+    # in a frame, and W+ = W- = diag(2, -1, -1)/(6 a^2) on Lambda^+ and Lambda^-
     a = 1.3
-    @pointwise
-    def metric(x):
-        return np.diag([a * a, a * a * math.sin(x[0]) ** 2, 1.0, 1.0])
-    rep = md.curvature(metric, np.array([1.2, 0.4, 0.0, 0.0]), step=1e-3)
-    assert rep.scalar == pytest.approx(2.0 / a ** 2, abs=1e-6)
-    assert rep.ricci_norm == pytest.approx(math.sqrt(2.0) / a ** 2, abs=1e-6)
+    closed_form_report(lambda x: np.diag([a * a, a * a * math.sin(x[0]) ** 2, 1.0, 1.0]),
+                       [1.2, 0.4, 0.0, 0.0], 2.0 / a ** 2, math.sqrt(2.0) / a ** 2,
+                       1.0 / (math.sqrt(6.0) * a ** 2), 1.0 / (math.sqrt(6.0) * a ** 2),
+                       2.0 / a ** 2)
+
+
+def test_hyperbolic_four_space_oracle():
+    # H^4 as delta/w^2 (w the third coordinate): sectional curvature -1,
+    # Ric = -3 g, conformally flat
+    closed_form_report(lambda x: np.eye(4) / x[2] ** 2, [0.3, -0.2, 1.1, 0.5],
+                       -12.0, 6.0, 0.0, 0.0, math.sqrt(24.0))
+
+
+def test_sphere_times_hyperbolic_plane_oracle():
+    # S^2 x H^2 with curvatures +1 and -1: scalar-flat and conformally flat,
+    # Ricci diag(1, 1, -1, -1) in a frame
+    closed_form_report(lambda x: np.diag([1.0, math.sin(x[0]) ** 2, x[2] ** -2, x[2] ** -2]),
+                       [1.2, 0.4, 0.9, 0.3], 0.0, 2.0, 0.0, 0.0, math.sqrt(8.0))
 
 
 def test_hyperbolic_times_circle_oracle():

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from monogeom import diffgeo
 from monogeom import hyperbolic as hyp
 from monogeom import moduli as md
 from monogeom import numdiff
@@ -117,6 +118,27 @@ def test_rejects_unknown_second():
         derivatives(lambda x: 0.0, np.zeros(2), (0.1,), second="mixed")
 
 
+def hyperbolic_four_space(x):
+    return np.eye(4) / np.asarray(x)[..., 2, None, None] ** 2
+
+
+@pytest.mark.parametrize("step", [np.inf, -np.inf, np.nan, 0.0])
+def test_curvature_rejects_degenerate_step(step):
+    # unchecked, inf reads an all-zero ("flat") report and nan all NaN
+    with pytest.raises(ValueError, match="finite and non-zero"):
+        md.curvature(hyperbolic_four_space, np.array([0.3, -0.2, 1.1, 0.5]), step=step)
+
+
+def test_rejects_degenerate_step_among_several():
+    with pytest.raises(ValueError, match="finite and non-zero"):
+        derivatives(lambda x: x[..., 0], np.zeros(2), (0.1, 0.0))
+
+
+def test_rejects_unknown_order():
+    with pytest.raises(ValueError, match="order must be 2 or 4"):
+        derivatives(lambda x: x[..., 0], np.zeros(2), (0.1,), order=3)
+
+
 def reference_derivatives(f, x, steps, second=None, order=4):
     """The stencil engine with its plan built on every call: each point
     keyed by its offsets k h, the weight matrices filled term by term."""
@@ -219,6 +241,21 @@ def test_curvature_report_samples_each_point_once():
     md.curvature(metric, np.array([0.4, -0.3, 1.2, 0.5]))
     assert metric.calls == [193]
     assert len(set(metric.points)) == 193
+
+
+def test_curvature_report_one_sampler_call_one_riemann_pass(monkeypatch):
+    passes = []
+    riemann_tensors = diffgeo.riemann_tensors
+
+    def counted(*args):
+        passes.append(args[1].shape)
+        return riemann_tensors(*args)
+
+    monkeypatch.setattr(diffgeo, "riemann_tensors", counted)
+    metric = Counting(hyperbolic_four_space)
+    md.curvature(metric, np.array([0.3, -0.2, 1.1, 0.5]))
+    assert len(metric.calls) == 1
+    assert passes == [(2, 4, 4, 4)]      # both steps in the one pass
 
 
 def test_residual_stencils_sample_in_one_call():
