@@ -71,12 +71,15 @@ class RunConfig:
             raise ValueError("centers and charges must have equal length")
         if any(int(l) <= 0 for l in cfg.charges):
             raise ValueError("charges must be positive integers")
-        for c in cfg.centers:
-            if len(c) != 3 or c[2] <= 0:
-                raise ValueError("centers must be (x, y, z) with z > 0")
-        if cfg.mass < 0:
-            raise ValueError("mass must be nonnegative")
-        for key, least in (("symplectic_sheets", 1), ("symplectic_nodes", 64), ("metric_grid", 1)):
+        for key, points in (("centers", cfg.centers), ("spectral_point", [cfg.spectral_point])):
+            if any(len(c) != 3 or c[2] <= 0 for c in points):
+                raise ValueError(f"{key} must be (x, y, z) with z > 0")
+        if cfg.mass < 0 or (cfg.lam is not None and cfg.lam < 0):
+            raise ValueError("mass and lam must be nonnegative")
+        if type(cfg.metric_theta) not in (int, float):
+            raise ValueError("metric_theta must be a number")
+        for key, least in (("symplectic_sheets", 1), ("symplectic_nodes", 64), ("metric_grid", 1),
+                           ("seed", 0)):
             if type(getattr(cfg, key)) is not int or getattr(cfg, key) < least:
                 raise ValueError(f"{key} must be an integer >= {least}")
         if not cfg.scatter_delta > 0 or not cfg.ps_horizon > 0:

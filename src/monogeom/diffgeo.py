@@ -1,18 +1,18 @@
 """Finite-difference curvature engine for metric samplers.
 
 A metric sampler maps a coordinate 4-vector to a symmetric 4x4 matrix.
-Curvature comes from 4th-order stencils of the stencil engine
-(`numdiff.derivatives`) for the first and second metric derivatives,
-assembled into the curvature tensor directly (one level of differencing
-only), as the symmetric 6x6 matrix of its components on 2-forms:
+Curvature comes from the first and second metric derivatives of the
+stencil engine (`numdiff.derivatives`) at order 6: 4th-order stencils at
+steps h and h/2, sampled together so their common stencil points are
+evaluated once, and Richardson-extrapolated on the derivatives
+themselves.  They are assembled into the curvature tensor directly (one
+level of differencing only), as the symmetric 6x6 matrix of its
+components on 2-forms:
 
     R_abcd = (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac)/2
              + g_ef (Gamma^e_bc Gamma^f_ad - Gamma^e_bd Gamma^f_ac)
 
-Richardson extrapolation pairs steps h and h/2, sampled together so
-their common stencil points are evaluated once, and acts on R alone:
-Ricci, scalar and Weyl are linear in R at the shared center metric.  One
-transform by the 2x2 minors of the frame moves R to an oriented
+One transform by the 2x2 minors of the frame moves R to an oriented
 orthonormal coframe.  Orientation convention, fixed here once: the
 coordinate order of the sampler is positively oriented, and the duality
 operator on 2-forms uses the Levi-Civita symbol with eps_0123 = +1 in
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numdiff import derivatives, richardson
+from .numdiff import derivatives
 
 __all__ = [
     "CurvatureReport",
@@ -75,7 +75,7 @@ _DUAL6 = levi_civita_symbol(4)[_A, _B, _C, _D]
 _PROJ_SD, _PROJ_ASD = 0.5 * (np.eye(6) + _DUAL6), 0.5 * (np.eye(6) - _DUAL6)
 # orthonormal basis of 2-forms, three self-dual then three anti-self-dual
 _SD_ASD = math.sqrt(2.0) * np.hstack([_PROJ_SD[:, :3], _PROJ_ASD[:, :3]])
-# R_abcd over the pairs is x[..., _TERMS] @ _WEIGHTS, x the 8x4x4x4 array
+# R_abcd over the pairs is x[_TERMS] @ _WEIGHTS, x the 8x4x4x4 array
 # d2g[i, j, k, l] = g_kl,ij on top of M[b, c, a, d] = gamma_l[p,b,c] Gamma^p_ad,
 # flattened (riemann_tensors)
 _TERMS = np.stack([np.ravel_multi_index(index, (8, 4, 4, 4)) for index in (
@@ -91,18 +91,14 @@ def riemann_tensors(g, dg, d2g):
     """The all-lower Riemann tensor on coordinate 2-forms, the 6x6 matrix
     R[P, Q] = R_abcd over the pairs P = (a, b) and Q = (c, d) of
     `_FRAME_PAIRS`, from the metric g and its derivatives dg[a] = g_,a and
-    d2g[a, b] = g_,ab (a `numdiff.Jet` with full second derivatives).
-    Leading axes of dg and d2g are batch axes, and g broadcasts against
-    them: dg of shape (..., 4, 4, 4) gives (..., 6, 6)."""
-    batch = dg.shape[:-3]
+    d2g[a, b] = g_,ab (a `numdiff.Jet` with full second derivatives)."""
     # gamma_l[a,b,d] = (g_ab,d + g_ad,b - g_bd,a)/2 = g_ac Gamma^c_bd
-    swapped = np.swapaxes(dg, -3, -2)
-    gamma_l = (0.5 * (np.swapaxes(swapped, -2, -1) + swapped - dg)).reshape(batch + (4, 16))
+    swapped = dg.swapaxes(0, 1)
+    gamma_l = (0.5 * (swapped.swapaxes(1, 2) + swapped - dg)).reshape(4, 16)
     # R_abcd = (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac)/2
     #          + gamma_l[p,b,c] Gamma^p_ad - gamma_l[p,b,d] Gamma^p_ac
-    quad = np.swapaxes(gamma_l, -2, -1) @ np.linalg.solve(g, gamma_l)
-    x = np.concatenate([d2g.reshape(batch + (256,)), quad.reshape(batch + (256,))], axis=-1)
-    return x[..., _TERMS] @ _WEIGHTS
+    quad = gamma_l.T @ np.linalg.solve(g, gamma_l)
+    return np.concatenate([d2g.ravel(), quad.ravel()])[_TERMS] @ _WEIGHTS
 
 
 def orthonormal_coframe(g: np.ndarray) -> np.ndarray:
@@ -134,15 +130,11 @@ def _frame_norms(g: np.ndarray, riem: np.ndarray) -> tuple[float, ...]:
 
 
 def curvature_report(metric, x, step: float) -> CurvatureReport:
-    """Curvature of a metric sampler at x: the Riemann tensors at steps h
-    and h/2, from one set of metric samples and one batched pass, are
-    extrapolated on 2-forms, and the report is read from the result in
+    """Curvature of a metric sampler at x: the Riemann tensor on 2-forms
+    from the metric's order-6 jet (steps h and h/2, extrapolated), read in
     the coframe, the Riemann norm as sqrt(|W|^2 + 2|Ric|^2 - s^2/3)."""
-    jets = derivatives(metric, x, (step, step / 2), second="full")
-    g = jets[0].value
-    riem = richardson(*riemann_tensors(g, np.stack([j.d1 for j in jets]),
-                                       np.stack([j.d2 for j in jets])))
-    return CurvatureReport(*_frame_norms(g, riem), step=step)
+    g, dg, d2g = derivatives(metric, x, step, second="full", order=6)
+    return CurvatureReport(*_frame_norms(g, riemann_tensors(g, dg, d2g)), step=step)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numdiff import derivatives, pointwise, richardson
+from .numdiff import derivatives, pointwise
 from .projective import INFINITY, ExtendedComplex
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "green",
     "green_from_distance",
     "laplacian",
+    "half_space_only",
     "is_geodesically_trapped",
     "geodesic_point",
     "geodesic_tangent",
@@ -317,16 +318,25 @@ def green(p: PointUHS, x) -> float | np.ndarray:
     return green_from_distance(rho)
 
 
+def half_space_only(f):
+    """The sampler f behind a check that raises ValueError, before f sees
+    them, on points at height z <= 0: a stencil reaching out of the upper
+    half-space."""
+    def checked(p):
+        if np.asarray(p)[..., 2].min() <= 0:
+            raise ValueError("stencil leaves the upper half-space (a point has z <= 0)")
+        return f(p)
+    return checked
+
+
 def laplacian(f, x, h: float = 1e-3) -> float:
     """Laplace-Beltrami operator of the half-space metric applied to a
     scalar sampler of one point at x, z^2 (f_xx + f_yy + f_zz) - z f_z,
-    by 4th-order stencils with step-halving Richardson extrapolation."""
+    from the order-6 derivatives of the stencil engine (4th-order
+    stencils at h and h/2, Richardson-extrapolated)."""
     x = np.asarray(x, dtype=float)
-
-    def at(jet):
-        return x[2] ** 2 * sum(jet.d2) - x[2] * jet.d1[2]
-    jet, jet2 = derivatives(pointwise(f), x, (h, h / 2), second="diag")
-    return float(richardson(at(jet), at(jet2)))
+    jet = derivatives(half_space_only(pointwise(f)), x, h, second="diag", order=6)
+    return float(x[2] ** 2 * sum(jet.d2) - x[2] * jet.d1[2])
 
 
 @dataclass(frozen=True)

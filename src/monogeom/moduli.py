@@ -44,7 +44,6 @@ __all__ = [
     "gibbons_hawking_metric",
     "kahler_structure",
     "curvature",
-    "default_step",
     "dOmega_residual",
     "nijenhuis_residual",
     "abelian_charge",
@@ -145,7 +144,7 @@ def dirac_curvature_residual(conn: DiracConnection, p, h: float | None = None) -
     p = np.asarray(p, dtype=float)
     if h is None:
         h = 1e-4 * p[2]
-    dA = derivatives(conn, p, (h,))[0].d1  # dA[a][b] = d_a A_b
+    dA = derivatives(hyp.half_space_only(conn), p, h).d1  # dA[a][b] = d_a A_b
     curl = np.array([dA[1, 2] - dA[2, 1], dA[2, 0] - dA[0, 2], dA[0, 1] - dA[1, 0]])
     # *dV for h = delta/z^2: (*dV)_{yz} = V_x / z etc.
     grad = conn.V.gradient(p)
@@ -258,17 +257,14 @@ def curvature(metric, p4, step: float | None = None) -> CurvatureReport:
     """Curvature report of a metric sampler at a point of the total
     space; step defaults to 1e-3 scaled by the height."""
     p4 = np.asarray(p4, dtype=float)
-    if step is None:
-        step = default_step(p4)
-        if p4[2] - 2.5 * step <= 0:
-            raise ValueError("stencil would exit the upper half-space")
-    return curvature_report(metric, p4, step)
+    return curvature_report(hyp.half_space_only(metric), p4,
+                            default_step(p4) if step is None else step)
 
 
 def dOmega_residual(omega_sampler, p4, step: float = 1e-4) -> float:
     """Norm of the numerical exterior derivative of a 2-form sampler
     (2nd-order differences, so the residual scales like step^2)."""
-    dOm = derivatives(omega_sampler, p4, (step,), order=2)[0].d1
+    dOm = derivatives(hyp.half_space_only(omega_sampler), p4, step, order=2).d1
     return max(abs(dOm[a, b, c] + dOm[b, c, a] + dOm[c, a, b])
                for a, b, c in itertools.combinations(range(4), 3))
 
@@ -279,7 +275,7 @@ def nijenhuis_residual(J_sampler, p4, step: float | None = None) -> float:
     p4 = np.asarray(p4, dtype=float)
     if step is None:
         step = default_step(p4)
-    J0, dJ, _ = derivatives(J_sampler, p4, (step,))[0]
+    J0, dJ, _ = derivatives(hyp.half_space_only(J_sampler), p4, step)
     # N^k_ij = X^k_ij - X^k_ji with X^k_ij = J^l_i dJ[l][k,j] - J^k_l dJ[i][l,j]
     X = np.einsum("li,lkj->kij", J0, dJ) - np.einsum("kl,ilj->kij", J0, dJ)
     return float(np.linalg.norm(X - np.swapaxes(X, 1, 2)))

@@ -261,9 +261,9 @@ def closest_point_wirtinger(z: complex, w: complex, h: float = 1e-3) -> np.ndarr
 
     Returns a (3, 4) array: rows are the components (x, y, height) of
     the map, columns the derivatives with respect to (z, zbar, w, wbar),
-    computed by `numdiff.holo_partial`: Richardson-paired central
-    differences of the analytic polarization (z, zbar, w, wbar treated
-    as independent variables) along each variable's real direction.
+    computed by `numdiff.holo_partial`: order-6 central differences of
+    the analytic polarization (z, zbar, w, wbar treated as independent
+    variables) along each variable's real direction.
     """
     from .numdiff import holo_partial
 

@@ -218,11 +218,14 @@ def test_config_errors(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text("{\"no_such_key\": 1}")
     assert run(["verify", "--config", str(unknown)]) == 2
+    for command in ("verify", "symplectic"):
+        assert run([command, "--seed", "-1", "--out", str(tmp_path / "out.json")]) == 2
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("config", [{"symplectic_nodes": 10}, {"symplectic_nodes": 100.5},
                                     {"symplectic_sheets": 0}, {"symplectic_sheets": True},
-                                    {"mass": "a"}])
+                                    {"mass": "a"}, {"seed": 1.5}, {"seed": -1}])
 def test_symplectic_config_errors_exit_2(tmp_path, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -233,13 +236,25 @@ def test_symplectic_config_errors_exit_2(tmp_path, config):
 @pytest.mark.parametrize("config", [{"scatter_delta": 0.001}, {"scatter_delta": 0.0},
                                     {"scatter_impacts": [0.0, 1e-3]}, {"scatter_center": 3},
                                     {"scatter_center": -1}, {"ps_horizon": -5},
-                                    {"metric_grid": 0}])
+                                    {"metric_grid": 0}, {"lam": -1}, {"metric_theta": "a"}])
 def test_scatter_and_metric_config_errors_exit_2(tmp_path, config):
     # checked at load, whatever the subcommand: these once ended in a traceback
     # (exit 1) or ran silently (exit 0)
     cfg, out = tmp_path / "cfg.json", tmp_path / "sc.csv"
     cfg.write_text(json.dumps(config))
     for command in ("scatter", "metric"):
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [{"spectral_point": [0.1, 0.2, -1.0]},
+                                    {"spectral_point": [0.1, 0.2]}, {"lam": -1},
+                                    {"seed": 1.5}, {"seed": -1}])
+def test_spectral_and_verify_config_errors_exit_2(tmp_path, config):
+    # these once ended in a traceback (exit 1)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    cfg.write_text(json.dumps(config))
+    for command in ("spectral", "verify"):
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 

@@ -60,7 +60,7 @@ def test_dirac_patch_difference_is_pure_gauge():
     from monogeom.numdiff import derivatives
     diff = lambda q: north(q) - south(q)
     h = 1e-4 * p[2]
-    dA = derivatives(diff, p, (h,))[0].d1
+    dA = derivatives(diff, p, h).d1
     curl = np.array([dA[1, 2] - dA[2, 1], dA[2, 0] - dA[0, 2], dA[0, 1] - dA[1, 0]])
     assert np.max(np.abs(curl)) < 1e-8
 
@@ -403,7 +403,8 @@ def test_frame_norms_match_four_index_contraction():
 
 
 def closed_form_report(metric, p4, scalar, ricci, weyl_sd, weyl_asd, riemann):
-    rep = md.curvature(pointwise(metric), np.array(p4), step=1e-3)
+    # the engine itself: md.curvature takes points of the total space (z > 0)
+    rep = diffgeo.curvature_report(pointwise(metric), np.array(p4), 1e-3)
     got = (rep.scalar, rep.ricci_norm, rep.weyl_sd_norm, rep.weyl_asd_norm, rep.riemann_norm)
     assert got == pytest.approx((scalar, ricci, weyl_sd, weyl_asd, riemann), abs=1e-6)
 

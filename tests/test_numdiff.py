@@ -71,7 +71,8 @@ def test_fourth_order_stencils_exact_on_quartics(second):
         p, grad, hess = random_polynomial(rng, 3, 4)
         x = rng.uniform(-1.0, 1.0, size=3)
         H = hess(x)
-        for jet in derivatives(p, x, (0.1, 0.05), second=second):
+        for h in (0.1, 0.05):
+            jet = derivatives(p, x, h, second=second)
             assert jet.value == p(x)
             assert np.max(np.abs(jet.d1 - grad(x))) < 1e-11
             want = np.diag(H) if second == "diag" else H
@@ -82,7 +83,7 @@ def test_second_order_stencil_exact_on_quadratics():
     rng = np.random.default_rng(12)
     p, grad, _ = random_polynomial(rng, 4, 2)
     x = rng.uniform(-1.0, 1.0, size=4)
-    (jet,) = derivatives(p, x, (0.1,), order=2)
+    jet = derivatives(p, x, 0.1, order=2)
     assert jet.value == p(x) and jet.d2 is None
     assert np.max(np.abs(jet.d1 - grad(x))) < 1e-12
 
@@ -93,12 +94,29 @@ def test_stencils_not_exact_on_higher_degrees():
     rng = np.random.default_rng(13)
     x = rng.uniform(-1.0, 1.0, size=2)
     p5, grad5, hess5 = random_polynomial(rng, 2, 6)
-    (jet,) = derivatives(p5, x, (0.1,), second="full")
+    jet = derivatives(p5, x, 0.1, second="full")
     assert np.max(np.abs(jet.d1 - grad5(x))) > 1e-6
     assert np.max(np.abs(jet.d2 - hess5(x))) > 1e-6
     p3, grad3, _ = random_polynomial(rng, 2, 3)
-    (jet,) = derivatives(p3, x, (0.1,), order=2)
+    jet = derivatives(p3, x, 0.1, order=2)
     assert np.max(np.abs(jet.d1 - grad3(x))) > 1e-6
+
+
+def test_sixth_order_exact_to_degree_six_and_seven():
+    # the pairing of h and h/2 cancels the h^4 terms of the 4th-order
+    # stencils: first derivatives are exact to degree 6, second ones to
+    # degree 7, and neither one degree up
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        x = rng.uniform(-1.0, 1.0, size=2)
+        jets = {}
+        for degree in (6, 7, 8):
+            p, grad, hess = random_polynomial(rng, 2, degree)
+            jet = derivatives(p, x, 0.2, second="full", order=6)
+            assert jet.value == p(x)
+            jets[degree] = (np.max(np.abs(jet.d1 - grad(x))), np.max(np.abs(jet.d2 - hess(x))))
+        assert jets[6][0] < 1e-11 and jets[7][1] < 1e-9 and jets[6][1] < 1e-9
+        assert jets[7][0] > 1e-6 and jets[8][1] > 1e-6
 
 
 def test_array_valued_sampler_keeps_shape():
@@ -106,7 +124,7 @@ def test_array_valued_sampler_keeps_shape():
     def f(x):
         return np.array([[x[0] * x[1], x[1] ** 2], [x[0], 1.0]])
     x = np.array([0.3, -0.7])
-    (jet,) = derivatives(f, x, (1e-2,), second="full")
+    jet = derivatives(f, x, 1e-2, second="full")
     assert jet.d1.shape == (2, 2, 2) and jet.d2.shape == (2, 2, 2, 2)
     assert np.allclose(jet.d1[0], [[x[1], 0.0], [1.0, 0.0]], atol=1e-12)
     assert np.allclose(jet.d2[0, 1], [[1.0, 0.0], [0.0, 0.0]], atol=1e-10)
@@ -115,7 +133,7 @@ def test_array_valued_sampler_keeps_shape():
 
 def test_rejects_unknown_second():
     with pytest.raises(ValueError):
-        derivatives(lambda x: 0.0, np.zeros(2), (0.1,), second="mixed")
+        derivatives(lambda x: 0.0, np.zeros(2), 0.1, second="mixed")
 
 
 def hyperbolic_four_space(x):
@@ -130,20 +148,25 @@ def test_curvature_rejects_degenerate_step(step):
 
 
 def test_rejects_degenerate_step_among_several():
+    # order 6 pairs h with h/2, which underflows to 0 for the least subnormal h
     with pytest.raises(ValueError, match="finite and non-zero"):
-        derivatives(lambda x: x[..., 0], np.zeros(2), (0.1, 0.0))
+        derivatives(lambda x: x[..., 0], np.zeros(2), 5e-324, order=6)
 
 
 def test_rejects_unknown_order():
-    with pytest.raises(ValueError, match="order must be 2 or 4"):
-        derivatives(lambda x: x[..., 0], np.zeros(2), (0.1,), order=3)
+    with pytest.raises(ValueError, match="order must be 2, 4 or 6"):
+        derivatives(lambda x: x[..., 0], np.zeros(2), 0.1, order=3)
 
 
-def reference_derivatives(f, x, steps, second=None, order=4):
+def reference_derivatives(f, x, h, second=None, order=4):
     """The stencil engine with its plan built on every call: each point
-    keyed by its offsets k h, the weight matrices filled term by term."""
+    keyed by its offsets k h, the weight matrices filled term by term;
+    order 6 builds the 4th-order stencils at h and h/2 and combines them
+    after each one's division by its own scale."""
     x = np.asarray(x, dtype=float)
     n = len(x)
+    steps = (h, h / 2) if order == 6 else (h,)
+    order = min(order, 4)
     den1, first = WEIGHTS[1, order]
     den2, table2 = WEIGHTS[2, 4]
     den4, table4 = WEIGHTS[1, 4]
@@ -169,24 +192,24 @@ def reference_derivatives(f, x, steps, second=None, order=4):
         for i, off in key:
             points[row, i] = x[i] + off
     values = np.asarray(f(points))
-    jets = []
+    parts = []
     for plan in plans:
         W = np.zeros((len(plan), len(column)))
         for r, (terms, _) in enumerate(plan.values()):
             for key, w in terms:
                 W[r, column[key]] = w
         scales = np.array([scale for _, scale in plan.values()])
-        combined = (W @ values.reshape(len(column), -1)) / scales[:, None]
-        d = dict(zip(plan, combined.reshape((len(plan),) + values.shape[1:])))
-        d1 = np.array([d[i] for i in range(n)])
-        if second is None:
-            d2 = None
-        elif second == "diag":
-            d2 = np.array([d[i, i] for i in range(n)])
-        else:
-            d2 = np.array([[d[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
-        jets.append(Jet(values[column[()]], d1, d2))
-    return jets
+        parts.append((W @ values.reshape(len(column), -1)) / scales[:, None])
+    combined = parts[0] if len(parts) == 1 else (16.0 * parts[1] - parts[0]) / 15.0
+    d = dict(zip(plans[0], combined.reshape((len(plans[0]),) + values.shape[1:])))
+    d1 = np.array([d[i] for i in range(n)])
+    if second is None:
+        d2 = None
+    elif second == "diag":
+        d2 = np.array([d[i, i] for i in range(n)])
+    else:
+        d2 = np.array([[d[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+    return Jet(values[column[()]], d1, d2)
 
 
 def jet_bytes(jet):
@@ -195,9 +218,10 @@ def jet_bytes(jet):
 
 @pytest.mark.parametrize("halved", [False, True], ids=["h", "h,h/2"])
 @pytest.mark.parametrize("second", [None, "diag", "full"])
-@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("order", [2, 4, 6])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_cached_plan_jets_byte_identical_to_per_call_plan(d, order, second, halved):
+    # halved: the plan is also checked at step h/2
     rng = np.random.default_rng([d, order, halved])
     A = rng.normal(size=(d, 2, 3))
 
@@ -208,26 +232,26 @@ def test_cached_plan_jets_byte_identical_to_per_call_plan(d, order, second, halv
     for _ in range(3):
         x = rng.uniform(-1.0, 1.0, size=d)
         h = rng.uniform(1e-4, 1e-2)
-        steps = (h, h / 2) if halved else (h,)
-        calls = Counting(f)
-        got = derivatives(calls, x, steps, second=second, order=order)
-        want = reference_derivatives(f, x, steps, second=second, order=order)
-        assert [jet_bytes(j) for j in got] == [jet_bytes(j) for j in want]
-        assert len(calls.calls) == 1 and len(set(calls.points)) == calls.calls[0]
+        for step in (h, h / 2) if halved else (h,):
+            calls = Counting(f)
+            got = derivatives(calls, x, step, second=second, order=order)
+            want = reference_derivatives(f, x, step, second=second, order=order)
+            assert jet_bytes(got) == jet_bytes(want)
+            assert len(calls.calls) == 1 and len(set(calls.points)) == calls.calls[0]
 
 
 def test_plans_are_cached_read_only():
     x = np.array([0.3, -0.2, 1.1, 0.4])
     f = lambda p: np.sum(p ** 3, axis=-1)
-    derivatives(f, x, (1e-3, 5e-4), second="full")
+    derivatives(f, x, 1e-3, second="full", order=6)
     misses = numdiff._plan.cache_info().misses
     rng = np.random.default_rng(9)
     for _ in range(5):
-        h = rng.uniform(1e-4, 1e-2)
-        derivatives(f, x + rng.normal(size=4), (h, h / 2), second="full")
+        derivatives(f, x + rng.normal(size=4), rng.uniform(1e-4, 1e-2), second="full", order=6)
     assert numdiff._plan.cache_info().misses == misses
-    plan = numdiff._plan(4, 4, "full", (1.0, 0.5))
-    arrays = [plan.K, plan.S, plan.moved, plan.den, plan.d2, *plan.W]
+    plan = numdiff._plan(4, 6, "full")
+    assert len(plan.W) == 2
+    arrays = [plan.K, plan.moved, plan.den, plan.d2, *plan.W]
     assert all(not a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         plan.W[0][0, 0] = 1.0
@@ -255,7 +279,7 @@ def test_curvature_report_one_sampler_call_one_riemann_pass(monkeypatch):
     metric = Counting(hyperbolic_four_space)
     md.curvature(metric, np.array([0.3, -0.2, 1.1, 0.5]))
     assert len(metric.calls) == 1
-    assert passes == [(2, 4, 4, 4)]      # both steps in the one pass
+    assert passes == [(4, 4, 4)]      # one jet, both steps extrapolated in the engine
 
 
 def test_residual_stencils_sample_in_one_call():
@@ -270,6 +294,31 @@ def test_residual_stencils_sample_in_one_call():
     J = Counting(gauge.complex_structure)
     md.nijenhuis_residual(J, p4)
     assert J.calls == [17] and len(set(J.points)) == 17
+
+
+_TWO_CENTERS = MultiCenterPotential(1.3, (PointUHS(0, 0, 1), PointUHS(0.9, 0.4, 0.7)), (1, 2))
+_GAUGE = md.kahler_structure(_TWO_CENTERS, md.DiracConnection(_TWO_CENTERS), INFINITY)
+_OUT_OF_HALF_SPACE = {
+    "curvature": (_GAUGE.metric, lambda f: md.curvature(f, [0.1, 0.2, 0.4, 0.0], step=0.5)),
+    "nijenhuis": (_GAUGE.complex_structure,
+                  lambda f: md.nijenhuis_residual(f, [0.1, 0.2, 0.4, 0.0], step=1.0)),
+    "dOmega": (_GAUGE.kahler_form, lambda f: md.dOmega_residual(f, [0.1, 0.2, 5e-5, 0.0])),
+    "laplacian": (lambda a: hyp.green(PointUHS(0.2, -0.4, 1.1), a),
+                  lambda f: hyp.laplacian(f, [0.9, 0.3, 0.5], h=1.0)),
+    "dirac": (_GAUGE.conn, lambda f: md.dirac_curvature_residual(f, [0.1, 0.2, 0.4], h=1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OUT_OF_HALF_SPACE))
+def test_stencil_leaving_the_half_space_raises(name):
+    # these once read NaN, and the connection's residual a finite 7.75,
+    # with at most a numpy RuntimeWarning
+    sampler, call = _OUT_OF_HALF_SPACE[name]
+    counted = Counting(sampler)
+    counted.V = getattr(sampler, "V", None)     # dirac_curvature_residual reads conn.V
+    with pytest.raises(ValueError, match="upper half-space"):
+        call(counted)
+    assert counted.calls == []
 
 
 def test_laplacian_samples_each_point_once():
