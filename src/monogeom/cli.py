@@ -67,27 +67,28 @@ class RunConfig:
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config key: {key}")
             setattr(cfg, key, val)
-        if len(cfg.centers) != len(cfg.charges):
-            raise ValueError("centers and charges must have equal length")
-        if any(int(l) <= 0 for l in cfg.charges):
+        if any(type(l) is not int or l <= 0 for l in cfg.charges):
             raise ValueError("charges must be positive integers")
         for key, points in (("centers", cfg.centers), ("spectral_point", [cfg.spectral_point])):
             if any(len(c) != 3 or c[2] <= 0 for c in points):
                 raise ValueError(f"{key} must be (x, y, z) with z > 0")
         if cfg.mass < 0 or (cfg.lam is not None and cfg.lam < 0):
             raise ValueError("mass and lam must be nonnegative")
-        if type(cfg.metric_theta) not in (int, float):
-            raise ValueError("metric_theta must be a number")
+        if type(cfg.metric_theta) not in (int, float) or type(cfg.break_dirac) is not bool:
+            raise ValueError("metric_theta must be a number and break_dirac true or false")
         for key, least in (("symplectic_sheets", 1), ("symplectic_nodes", 64), ("metric_grid", 1),
                            ("seed", 0)):
             if type(getattr(cfg, key)) is not int or getattr(cfg, key) < least:
                 raise ValueError(f"{key} must be an integer >= {least}")
-        if not cfg.scatter_delta > 0 or not cfg.ps_horizon > 0:
-            raise ValueError("scatter_delta and ps_horizon must be positive")
+        if not cfg.scatter_delta > 0 or not 0 < cfg.ps_horizon <= sc.MAX_HORIZON:
+            raise ValueError(f"need scatter_delta > 0 and 0 < ps_horizon <= {sc.MAX_HORIZON:g}")
+        if any(type(b) not in (int, float) or not np.isfinite(b) for b in cfg.ps_impacts):
+            raise ValueError("ps_impacts must be finite numbers")
         if any(not 0 < abs(z) < cfg.scatter_delta for z in cfg.scatter_impacts):
             raise ValueError("scatter_impacts must lie strictly between 0 and scatter_delta")
         if type(cfg.scatter_center) is not int or not 0 <= cfg.scatter_center < len(cfg.centers):
             raise ValueError("scatter_center must index one of the centers")
+        cfg.potential()    # its own checks: one charge per center, distinct centers
         return cfg
 
     def potential(self) -> MultiCenterPotential:

@@ -383,8 +383,8 @@ class MultiCenterPotential:
                                     tuple(2 * int(l) for l in charges), mass)
 
     def value(self, x) -> float | np.ndarray:
-        """V at a point (PointUHS or raw (..., 3) array), of shape (...),
-        from one `dist` call against all centers."""
+        """V at a point (PointUHS or raw (..., 3) array), of shape (...), from one
+        `dist` call against all centers (the moduli samplers read V off the Dirac frame)."""
         a = x.as_array() if isinstance(x, PointUHS) else np.asarray(x, dtype=float)
         centers, charges = self._arrays
         rho = dist(a[..., None, :], centers)

@@ -16,11 +16,12 @@ exact Lorentz rotation of the configuration.
 The samplers keep the batch contract of `numdiff`: the metric, complex
 structure and Kahler form map a (..., 4) array of points to (..., 4, 4)
 values, the connection a (..., 3) array to (..., 3), and a single point
-to one plain value.  Each is thin algebra on one evaluation of the local
-data (V, A, z) of its batch.  A connection's `extra` 1-form is a function
-of one (3,) point; the connection applies it row by row through
-`numdiff.pointwise`.  Samplers are immutable closures; evaluations at
-different points share no state and may run concurrently.
+to one plain value.  Each is thin algebra on the local data (V, omega, z) of
+its batch from one pass over the Dirac frame, whose |e| = sinh rho gives V; the
+Kahler form is v (dy (x) dx - dx (x) dy) + z (omega (x) dz - dz (x) omega).  A
+connection's `extra` 1-form is a function of one (3,) point; the connection
+applies it row by row through `numdiff.pointwise`.  Samplers are immutable
+closures; evaluations at different points share no state and may run concurrently.
 """
 
 from __future__ import annotations
@@ -108,34 +109,38 @@ class DiracConnection:
                  for i in range(len(self.V.centers))]
         return DiracConnection(self.V, signs, self.extra)
 
-    def __call__(self, p) -> np.ndarray:
-        """Components (A_x, A_y, A_z) at base points (..., 3).
+    def _local_data(self, p: np.ndarray):
+        """V (...), omega = dtheta + A (..., 4) and the height z (...) at points p (..., 3),
+        the local data of the samplers, from one `_frame` pass.
 
-        Evaluated through the cancellation-free combination
-        (cos theta + s) dphi = s (e1 de2 - e2 de1) / (sh (sh - s e3)),
-        which is regular on the whole string-free half-axis; e_j are the
-        frame components of every center at every point, exactly 0 at the
-        center.  Their differentials are d_x e = (x c + E_1)/z,
-        d_y e = (y c + E_2)/z and d_z e = c - e/z, so with w = e1 c2 - e2 c1
-        the numerator is ((x w + e1 E_21 - e2 E_11)/z, (y w + e1 E_22 - e2 E_12)/z, w).
+        With sh = |e| = sinh rho, e^{2 rho} - 1 = 2 sh (sh + cosh rho), so V = lambda
+        + sum (l/2) / (sh (sh + sqrt(1 + sh^2))), which cancels neither at a center nor
+        far from one.  A is the cancellation-free combination (cos theta + s) dphi
+        = s (e1 de2 - e2 de1) / (sh (sh - s e3)), regular on the whole string-free
+        half-axis; e_j are exactly 0 at the center.  Their differentials are d_x e =
+        (x c + E_1)/z, d_y e = (y c + E_2)/z and d_z e = c - e/z, so with (w, a1, a2) =
+        e1 (c2, E_21, E_22) - e2 (c1, E_11, E_12) the numerator is (x w + a1, y w + a2, z w)/z.
         """
-        p = np.asarray(p, dtype=float)
         k, (e1, e2, e3) = self._frame(p)
         x, y, z, sign, coef = p[..., 0], p[..., 1], p[..., 2], k[12], k[13]
         sh = np.sqrt(e1 * e1 + e2 * e2 + e3 * e3)
         den = sh * (sh - sign * e3)
-        if (sh < 1e-14).any():    # sh = sinh rho; V has its pole there too
+        if (sh < 1e-14).any():    # sh = sinh rho: the pole of V and of A
             raise ZeroDivisionError("connection pole: evaluation at a center")
         if (den < 1e-14 * sh * sh).any():
             raise ZeroDivisionError("point on a Dirac string; switch the patch")
-        (c1, c2, _), (E11, E21, _), (E12, E22, _) = k[3:6], k[6:9], k[9:12]
+        v = self.V.lam + np.sum(sign * coef / (sh * (sh + np.sqrt(1.0 + sh * sh))), axis=0)
         f = coef / den
-        w = f * (e1 * c2 - e2 * c1)
-        A = np.stack([(x * w + f * (e1 * E21 - e2 * E11)) / z,
-                      (y * w + f * (e1 * E22 - e2 * E12)) / z, w], axis=-1).sum(axis=0)
+        w, a1, a2 = ((f * e1) * k[4:12:3] - (f * e2) * k[3:12:3]).sum(axis=1)  # (c, E_1, E_2)_j
+        om = np.ones(w.shape + (4,))
+        om[..., 0], om[..., 1], om[..., 2] = (x * w + a1) / z, (y * w + a2) / z, w
         if self.extra is not None:
-            A = A + pointwise(self.extra)(p)
-        return A
+            om[..., :3] += pointwise(self.extra)(p)
+        return v, om, z
+
+    def __call__(self, p) -> np.ndarray:
+        """Components (A_x, A_y, A_z) at base points (..., 3)."""
+        return self._local_data(np.asarray(p, dtype=float))[1][..., :3]
 
 
 def dirac_curvature_residual(conn: DiracConnection, p, h: float | None = None) -> float:
@@ -156,48 +161,46 @@ def dirac_curvature_residual(conn: DiracConnection, p, h: float | None = None) -
 # metrics, complex structure, Kahler form
 # ---------------------------------------------------------------------------
 
-def _local_data(V: MultiCenterPotential, conn: DiracConnection, p4):
-    """(v, A, z) at total-space points (..., 4): the potential (...), the
-    connection components (..., 3) and the height (...)."""
-    p = np.asarray(p4, dtype=float)[..., :3]
-    return np.asarray(V.value(p)), conn(p), p[..., 2]
+def _gh(v, w, z) -> np.ndarray:
+    """V h + V^{-1} omega (x) omega from local data: `_lebrun` over z^2."""
+    return _lebrun(v, w, z) / (z * z)[..., None, None]
 
 
-def _gh(v, A, z) -> np.ndarray:
-    """V h + V^{-1} omega (x) omega from local data, omega = dtheta + A."""
-    w = np.concatenate([A, np.ones(v.shape + (1,))], axis=-1)
-    g = w[..., :, None] * w[..., None, :] / v[..., None, None]
-    g[..., :3, :3] += (v / z ** 2)[..., None, None] * np.eye(3)
-    return g
-
-
-def _j(v, A, z) -> np.ndarray:
+def _j(v, w, z) -> np.ndarray:
     """The complex structure pairing (dx, dy) and (dz, z V^{-1} omega)."""
     r = z / v
-    k = A[..., 2] * r
+    k = w[..., 2] * r
     K = np.zeros(v.shape + (4, 4))
     K[..., 0, 1], K[..., 1, 0] = 1.0, -1.0
-    K[..., 2, :3], K[..., 2, 3] = r[..., None] * A, r
-    K[..., 3, 0] = A[..., 1] - k * A[..., 0]
-    K[..., 3, 1] = -A[..., 0] - k * A[..., 1]
-    K[..., 3, 2] = -v / z - k * A[..., 2]
+    K[..., 2, :] = r[..., None] * w
+    K[..., 3, 0] = w[..., 1] - k * w[..., 0]
+    K[..., 3, 1] = -w[..., 0] - k * w[..., 1]
+    K[..., 3, 2] = -v / z - k * w[..., 2]
     K[..., 3, 3] = -k
     return K
 
 
-def _lebrun(v, A, z) -> np.ndarray:
-    """z^2 (V h + V^{-1} omega (x) omega), Kahler for `_j`."""
-    return (z ** 2)[..., None, None] * _gh(v, A, z)
+def _lebrun(v, w, z) -> np.ndarray:
+    """z^2 (V h + V^{-1} omega (x) omega) = v (dx^2 + dy^2 + dz^2) + (z^2 / v) omega^2."""
+    g = w[..., :, None] * (w * (z * z / v)[..., None])[..., None, :]
+    np.einsum("...ii->...i", g)[..., :3] += v[..., None]
+    return g
 
 
-def _omega(v, A, z) -> np.ndarray:
-    """The Kahler form J^T g of `_j` and `_lebrun`."""
-    return np.einsum("...ji,...jk->...ik", _j(v, A, z), _lebrun(v, A, z))
+def _omega(v, w, z) -> np.ndarray:
+    """The Kahler form J^T g of `_j` and `_lebrun` in closed form: written out,
+    the k-terms cancel and Omega = v (dy (x) dx - dx (x) dy) + z (omega (x) dz - dz (x) omega)."""
+    om = np.zeros(v.shape + (4, 4))
+    om[..., 1, 0], om[..., 0, 1], om[..., :, 2] = v, -v, z[..., None] * w
+    om[..., 2, :] -= om[..., :, 2]
+    return om
 
 
 def _sampler(V: MultiCenterPotential, conn: DiracConnection, build):
-    """Batched sampler of build(v, A, z) on total-space points (..., 4)."""
-    return lambda p4: build(*_local_data(V, conn, p4))
+    """Batched sampler of build(v, omega, z) on total-space points (..., 4); V is read from conn."""
+    if conn.V != V:
+        raise ValueError("the connection is built on a different potential than V")
+    return lambda p4: build(*conn._local_data(np.asarray(p4, dtype=float)[..., :3]))
 
 
 def gibbons_hawking_metric(V: MultiCenterPotential, conn: DiracConnection):
@@ -231,6 +234,8 @@ def kahler_structure(V: MultiCenterPotential, conn: DiracConnection,
     with strings rotated away from `base_for_patches` (transported O by
     default).
     """
+    if conn.V != V:
+        raise ValueError("the connection is built on a different potential than V")
     L = hyp.rotation_to_infinity(u)
     centers = tuple(hyp.apply_lorentz(L, c) for c in V.centers)
     Vt = MultiCenterPotential(V.lam, centers, V.charges, V.mass)
@@ -311,11 +316,10 @@ def hodge_identity_residuals(V: MultiCenterPotential, conn: DiracConnection,
     products only (negative controls); the identities require it to be
     the metric's own connection."""
     p4 = np.asarray(p4, dtype=float)
-    v, A, z = _local_data(V, conn, p4)
-    g4 = _gh(v, A, z)
+    v, E4, z = _sampler(V, conn, lambda *local: local)(p4)
+    g4 = _gh(v, E4, z)
     if pairing_conn is not None:
-        A = pairing_conn(p4[:3])
-    E4 = np.append(A, 1.0)
+        E4 = np.append(pairing_conn(p4[:3]), 1.0)
     g3 = np.eye(3) / z ** 2
     ex = np.eye(4)
     worst = 0.0

@@ -308,6 +308,8 @@ class FundamentalSolution:
 _GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 _NODES = np.array([_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS]).T
 _MAX_STEP = 2.0          # longest step of the initial mesh
+_MAX_MESH = 100_000      # most initial-mesh steps (node matrices: 58 MB); more raise ValueError
+MAX_HORIZON = _MAX_MESH * _MAX_STEP / 4   # longest T whose [-T, T] meshes fit, checkpoints too
 # largest squared Frobenius norm of an accepted step: beyond it the
 # decaying component of exp Omega, cosh mu - sinh mu, loses more than
 # e^6 eps to cancellation
@@ -377,7 +379,10 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _edges(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Intervals [t0_i, t1_i] cut into n_i = max(1, ceil(|t1_i - t0_i| / _MAX_STEP)) equal
     steps by np.linspace's arithmetic, edges j ((t1 - t0) / n) + t0 and t1 last: starts, ends, n."""
-    n = np.maximum(1, np.ceil(np.abs(t1 - t0) / _MAX_STEP)).astype(int)
+    n = np.maximum(1, np.ceil(np.abs(t1 - t0) / _MAX_STEP))
+    if not n.sum() <= _MAX_MESH:
+        raise ValueError(f"initial mesh of {n.sum():.3g} steps: more than the cap of {_MAX_MESH}")
+    n = n.astype(int)
     which, last = np.repeat(np.arange(len(n)), n), np.cumsum(n) - 1
     a = (np.arange(len(which)) - (last + 1 - n)[which]) * ((t1 - t0) / n)[which] + t0[which]
     b = np.append(a[1:], t1[-1:])

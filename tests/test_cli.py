@@ -7,6 +7,7 @@ import logging
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -257,6 +258,32 @@ def test_spectral_and_verify_config_errors_exit_2(tmp_path, config):
     for command in ("spectral", "verify"):
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    (["scatter", "--experiment", "ps_scan"], {"ps_impacts": ["a"]}),
+    (["metric"], {"centers": [[0.3, -0.2, 1.4], [0.3, -0.2, 1.4]], "charges": [1, 1]}),
+    (["spectral"], {"charges": [1.5]}),
+    (["verify"], {"break_dirac": "no"})], ids=["ps_impacts", "duplicate", "charge", "break"])
+def test_config_values_of_the_wrong_kind_exit_2(tmp_path, capsys, command, config):
+    # these once ended in a traceback (exit 1), ran a charge 1.5 as 1 (exit 0), or
+    # took "no" as true and ran the negative control (exit 1)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(config))
+    assert run(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_ps_horizon_beyond_the_mesh_cap_exits_2_at_once(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ps_horizon": 1e9}))
+    t0 = time.perf_counter()
+    assert run(["scatter", "--experiment", "ps_scan", "--config", str(cfg)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "ps_horizon" in capsys.readouterr().err
+    assert RunConfig.load(None, {"ps_horizon": sc.MAX_HORIZON}).ps_horizon == sc.MAX_HORIZON
 
 
 def test_symplectic_at_the_least_node_count(tmp_path):

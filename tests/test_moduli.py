@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -228,6 +229,95 @@ def test_potential_matches_green_sum(three_center_gauge):
             V.value(c)
         with pytest.raises(ZeroDivisionError):
             V.value(np.array([[0.1, 0.2, 1.0], c.as_array()]))
+
+
+def mp_potential(V, q):
+    """lambda + sum l / (e^{2 rho} - 1) at 40 digits, rho from the float
+    coordinates of q through the cancellation-free 2 asinh(|q - c| / (2 sqrt(z_q z_c)))."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(V.lam)
+        for c, l in zip(V.centers, V.charges):
+            d2 = sum((mpmath.mpf(float(a)) - b) ** 2 for a, b in zip(q, c.as_array()))
+            rho = 2 * mpmath.asinh(mpmath.sqrt(d2 / (4 * mpmath.mpf(float(q[2])) * c.z)))
+            total += l / mpmath.expm1(2 * rho)
+        return float(total)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+def test_potential_from_the_frame_matches_mpmath(lam):
+    # the sampler's V, read from sinh rho = |e| of the Dirac frame, from 1e-8
+    # off a center out to rho = 30, in six directions off the strings: against
+    # 40 digits and against MultiCenterPotential.value (dist, arcsinh, expm1)
+    V = MultiCenterPotential(lam, (PointUHS(0.2, -0.1, 0.9), PointUHS(0.9, 0.4, 0.7)), (1, 2))
+    conn = md.DiracConnection(V)
+    c = V.centers[0]
+    E = md.hyp.orthonormal_frame_at(c)
+    P = np.array([md.hyp.point_at(c, math.cos(polar) * E[2] + math.sin(polar) * (
+        math.cos(phi) * E[0] + math.sin(phi) * E[1]), rho).as_array()
+        for rho in np.geomspace(1e-8, 30.0, 25) for polar in (0.6, 1.6) for phi in (0, 2, 4)])
+    v = conn._local_data(P)[0]
+    want = np.array([mp_potential(V, q) for q in P])
+    assert np.max(np.abs(v - want) / want) <= 2e-15       # read 5e-16 and 6e-16
+    assert np.max(np.abs(v - V.value(P)) / want) <= 1e-14    # read 3e-15 and 5e-16
+    assert np.max(want) > 1e7 and (lam > 0 or np.min(want) < 1e-20)
+
+
+@pytest.mark.parametrize("extra", [None, lambda p: np.array([0.0, 0.05 * p[0], 0.0])],
+                         ids=["exact", "nonclosed"])
+def test_kahler_form_closed_form_is_transpose_j_times_g(extra):
+    # Omega = v (dy dx - dx dy) + z (omega dz - dz omega) is J^T g written out,
+    # for any connection, so also with a negative control's extra 1-form
+    gauge = md.kahler_structure(THREE_CENTER, md.DiracConnection(THREE_CENTER, extra=extra),
+                                ExtendedComplex(0.7 - 0.4j))
+    rng = np.random.default_rng(11)
+    P = np.array([sample_point(gauge.V, rng) for _ in range(12)])
+    want = np.einsum("...ji,...jk->...ik", gauge.complex_structure(P), gauge.metric(P))
+    got = gauge.kahler_form(P)
+    scale = np.max(np.abs(want), axis=(-2, -1))[:, None, None]
+    assert np.max(np.abs(got - want) / scale) <= 1e-14
+
+
+def test_one_frame_pass_per_sampler_call(three_center_gauge, monkeypatch):
+    # V and A come from one `_frame` pass; neither `dist` nor V.value runs
+    gauge = three_center_gauge
+    samplers = (gauge.metric, gauge.complex_structure, gauge.kahler_form,
+                md.gibbons_hawking_metric(gauge.V, gauge.conn))
+    passes = []
+    frame = md.DiracConnection._frame
+
+    def counted(self, p):
+        passes.append(p.shape)
+        return frame(self, p)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a second distance pass")
+
+    rng = np.random.default_rng(3)
+    P = np.array([sample_point(gauge.V, rng) for _ in range(5)])
+    monkeypatch.setattr(md.DiracConnection, "_frame", counted)
+    monkeypatch.setattr(md.hyp, "dist", forbidden)
+    monkeypatch.setattr(MultiCenterPotential, "value", forbidden)
+    for f in samplers:
+        f(P)
+        f(P[0])
+    assert passes == [(5, 3), (3,)] * len(samplers)
+
+
+def test_samplers_refuse_a_connection_on_another_potential():
+    # the samplers read V from the connection; an equal copy of V is accepted
+    conn = md.DiracConnection(TWO_CENTER)
+    p4 = np.array([0.4, -0.6, 1.5, 0.3])
+    with pytest.raises(ValueError, match="different potential"):
+        md.gibbons_hawking_metric(ONE_CENTER, conn)
+    with pytest.raises(ValueError, match="different potential"):
+        md.kahler_structure(ONE_CENTER, conn, INFINITY)
+    with pytest.raises(ValueError, match="different potential"):
+        md.hodge_identity_residuals(ONE_CENTER, conn, p4)
+    copy = MultiCenterPotential(TWO_CENTER.lam, TWO_CENTER.centers, TWO_CENTER.charges)
+    assert np.array_equal(md.gibbons_hawking_metric(copy, conn)(p4),
+                          md.gibbons_hawking_metric(TWO_CENTER, conn)(p4))
+    assert md.kahler_structure(copy, conn, INFINITY).V == md.kahler_structure(
+        TWO_CENTER, conn, INFINITY).V
 
 
 def test_connection_raises_at_centers(three_center_gauge):

@@ -153,6 +153,23 @@ def test_pole_on_geodesic():
         sc.integrate_fundamental(bad, -1.0, 1.0)
 
 
+def test_initial_mesh_beyond_the_cap_raises_before_sampling():
+    class Unsampled(sc.TrivialU1Field):
+        def ode_matrix(self, t):
+            raise AssertionError("sampled")
+
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="initial mesh of 1e\\+09 steps"):
+        sc.integrate_fundamental(Unsampled(mass=1.0), -1e9, 1e9)
+    assert time.perf_counter() - t0 < 1.0
+    # a ps scan at the longest horizon the CLI accepts fits: [-T, T] at 17
+    # checkpoints, and the two decaying runs from +-T to 0
+    ts = np.linspace(-sc.MAX_HORIZON, sc.MAX_HORIZON, 17)
+    assert sc._edges(ts[:-1], ts[1:])[2].sum() <= sc._MAX_MESH
+    assert sc._edges(np.array([sc.MAX_HORIZON, -sc.MAX_HORIZON]), np.zeros(2))[2].sum() \
+        <= sc._MAX_MESH
+
+
 def test_pole_off_base_point_fails_fast():
     # the geodesic meets the center at t = 0.5, away from every checkpoint
     # and seed: the closed-form closest approach flags it before any step
