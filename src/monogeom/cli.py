@@ -10,11 +10,13 @@ is recorded in every report.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,12 +30,34 @@ from .hyperbolic import MultiCenterPotential, PointUHS
 from .projective import INFINITY, ExtendedComplex
 
 
+EXPERIMENTS = ("abelian_growth", "ps_scan")
+_LEAST = {"seed": 0, "scatter_center": 0, "metric_grid": 1, "symplectic_sheets": 1,
+          "symplectic_nodes": 64}   # each count's least value
+
+
+def _of_kind(value, hint) -> bool:
+    """Whether a JSON value has the kind of a type hint: float a finite number, not a boolean,
+    int an exact int, list[T] a list of T and tuple[T, ...] a list of as many."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        return type(value) is list and all(_of_kind(v, args[0]) for v in value)
+    if origin is tuple:
+        return type(value) is list and len(value) == len(args) and all(map(_of_kind, value, args))
+    if args:     # T | None
+        return any(_of_kind(value, a) for a in args)
+    if hint is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is hint
+
+
 @dataclass
 class RunConfig:
-    """Validated run configuration (file values overridden by flags)."""
+    """Run configuration: file values overridden by flags, of the kinds
+    the fields' types name.  `load` adds the run's objects built from them:
+    `potential`, its Dirac `connection` and the spectral `point`."""
 
-    centers: list = field(default_factory=lambda: [[0.3, -0.2, 1.4]])
-    charges: list = field(default_factory=lambda: [1])
+    centers: list[tuple[float, float, float]] = field(default_factory=lambda: [[0.3, -0.2, 1.4]])
+    charges: list[int] = field(default_factory=lambda: [1])
     mass: float = 0.5
     lam: float | None = None          # defaults to 1 + 2 mass
     seed: int = 0
@@ -41,69 +65,57 @@ class RunConfig:
     metric_theta: float = 0.0
     scatter_experiment: str = "abelian_growth"
     scatter_delta: float = 0.1
-    scatter_impacts: list = field(default_factory=lambda: list(np.geomspace(1e-4, 1e-2, 6)))
+    scatter_impacts: list[float] = field(default_factory=lambda: list(np.geomspace(1e-4, 1e-2, 6)))
     scatter_center: int = 0
-    ps_impacts: list = field(default_factory=lambda: [0.0, 0.5, 1.0, 2.0, 5.0])
+    ps_impacts: list[float] = field(default_factory=lambda: [0.0, 0.5, 1.0, 2.0, 5.0])
     ps_horizon: float = 40.0
     symplectic_sheets: int = 2
     symplectic_nodes: int = 2048
-    spectral_point: list = field(default_factory=lambda: [-0.5, 0.8, 0.7])
+    spectral_point: tuple[float, float, float] = field(default_factory=lambda: [-0.5, 0.8, 0.7])
     break_dirac: bool = False
     only: str | None = None
     out: str | None = None
 
     @staticmethod
     def load(path: str | None, overrides: dict) -> "RunConfig":
+        """The file's values under the flags': their kinds, the counts' bounds and the rules that
+        span keys checked, then the run's objects built, whose types check their own ranges."""
         data = {}
         if path is not None:
             with open(path) as fh:
                 data = json.load(fh)
             if not isinstance(data, dict):
                 raise ValueError("config file must hold a JSON object")
-        cfg = RunConfig()
+        cfg, hints = RunConfig(), typing.get_type_hints(RunConfig)
         for key, val in {**data, **overrides}.items():
             if val is None:
                 continue
-            if not hasattr(cfg, key):
+            if key not in hints:
                 raise ValueError(f"unknown config key: {key}")
+            if not _of_kind(val, hints[key]):
+                raise ValueError(f"{key}: want {RunConfig.__annotations__[key]} (finite numbers, "
+                                 f"exact ints, no booleans), got {val!r}")
             setattr(cfg, key, val)
-        if any(type(l) is not int or l <= 0 for l in cfg.charges):
-            raise ValueError("charges must be positive integers")
-        for key, points in (("centers", cfg.centers), ("spectral_point", [cfg.spectral_point])):
-            if any(len(c) != 3 or c[2] <= 0 for c in points):
-                raise ValueError(f"{key} must be (x, y, z) with z > 0")
-        if cfg.mass < 0 or (cfg.lam is not None and cfg.lam < 0):
-            raise ValueError("mass and lam must be nonnegative")
-        if type(cfg.metric_theta) not in (int, float) or type(cfg.break_dirac) is not bool:
-            raise ValueError("metric_theta must be a number and break_dirac true or false")
-        for key, least in (("symplectic_sheets", 1), ("symplectic_nodes", 64), ("metric_grid", 1),
-                           ("seed", 0)):
-            if type(getattr(cfg, key)) is not int or getattr(cfg, key) < least:
-                raise ValueError(f"{key} must be an integer >= {least}")
-        if not cfg.scatter_delta > 0 or not 0 < cfg.ps_horizon <= sc.MAX_HORIZON:
-            raise ValueError(f"need scatter_delta > 0 and 0 < ps_horizon <= {sc.MAX_HORIZON:g}")
-        if any(type(b) not in (int, float) or not np.isfinite(b) for b in cfg.ps_impacts):
-            raise ValueError("ps_impacts must be finite numbers")
-        if any(not 0 < abs(z) < cfg.scatter_delta for z in cfg.scatter_impacts):
-            raise ValueError("scatter_impacts must lie strictly between 0 and scatter_delta")
-        if type(cfg.scatter_center) is not int or not 0 <= cfg.scatter_center < len(cfg.centers):
-            raise ValueError("scatter_center must index one of the centers")
-        cfg.potential()    # its own checks: one charge per center, distinct centers
+        for holds, rule in (
+                (all(getattr(cfg, k) >= n for k, n in _LEAST.items()), f"counts at least {_LEAST}"),
+                (cfg.scatter_experiment in EXPERIMENTS, f"scatter_experiment in {EXPERIMENTS}"),
+                (cfg.scatter_impacts and all(0 < abs(z) < cfg.scatter_delta
+                                             for z in cfg.scatter_impacts),
+                 "scatter_impacts non-empty and strictly between 0 and scatter_delta"),
+                (cfg.ps_impacts, "ps_impacts non-empty"),
+                (0 < cfg.ps_horizon <= sc.MAX_HORIZON, f"0 < ps_horizon <= {sc.MAX_HORIZON:g}"),
+                (cfg.scatter_center < len(cfg.centers), "scatter_center an index of centers")):
+            if not holds:
+                raise ValueError(f"need {rule}")
+        centers = tuple(PointUHS(*c) for c in cfg.centers)
+        cfg.potential = (MultiCenterPotential.for_su2_charge1(centers, cfg.charges, cfg.mass)
+                         if cfg.lam is None else
+                         MultiCenterPotential(cfg.lam, centers, tuple(cfg.charges), cfg.mass))
+        cfg.point = PointUHS(*cfg.spectral_point)
+        # break_dirac adds the 1-form 0.05 x dy, which breaks dA = *dV (the negative control)
+        cfg.connection = md.DiracConnection(cfg.potential, extra=(
+            lambda p: np.array([0.0, 0.05 * p[0], 0.0])) if cfg.break_dirac else None)
         return cfg
-
-    def potential(self) -> MultiCenterPotential:
-        centers = [PointUHS(*c) for c in self.centers]
-        if self.lam is not None:
-            return MultiCenterPotential(self.lam, tuple(centers),
-                                        tuple(int(l) for l in self.charges), self.mass)
-        return MultiCenterPotential.for_su2_charge1(centers, self.charges, self.mass)
-
-    def connection(self) -> md.DiracConnection:
-        extra = None
-        if self.break_dirac:
-            def extra(p):
-                return np.array([0.0, 0.05 * p[0], 0.0])
-        return md.DiracConnection(self.potential(), extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +129,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         print(f"error: --only matched no check: {cfg.only}", file=sys.stderr)
         return 2
     setting = checks.Setting(
-        connections=(cfg.connection(),),
-        lines=((cfg.potential(), PointUHS(*cfg.spectral_point)),),
+        connections=(cfg.connection,),
+        lines=((cfg.potential, cfg.point),),
         sheets=(cfg.symplectic_sheets,), nodes=cfg.symplectic_nodes,
         delta=cfg.scatter_delta)
     records = []
@@ -147,8 +159,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_metric(cfg: RunConfig) -> int:
     import logging   # here: at the top it costs every CLI start about 3 ms and 0.5 MB
     log = logging.getLogger(__name__)
-    V = cfg.potential()
-    conn = cfg.connection()
+    V = cfg.potential
+    conn = cfg.connection
     n = cfg.metric_grid
     xs = np.linspace(-0.8, 0.8, n)
     zs = np.linspace(0.6, 1.8, n)
@@ -179,35 +191,22 @@ def cmd_scatter(cfg: RunConfig) -> int:
     header = ["experiment", "parameter", "log_norm", "indicator", "m_gamma"]
     fit_payload = {"seed": cfg.seed}
     if cfg.scatter_experiment == "abelian_growth":
-        if not cfg.scatter_impacts:
-            print("error: empty geodesic family", file=sys.stderr)
-            return 2
-        V = cfg.potential()
-        fit = sc.abelian_growth_exponent(V, cfg.scatter_center, cfg.scatter_delta,
+        fit = sc.abelian_growth_exponent(cfg.potential, cfg.scatter_center, cfg.scatter_delta,
                                          cfg.scatter_impacts)
         for z, ln in zip(fit.impacts, fit.log_norms):
             rows.append(["abelian_growth", z, ln, "", ""])
         fit_payload.update({"slope": fit.slope, "intercept": fit.intercept,
                             "r_squared": fit.r_squared,
-                            "expected_slope": float(V.charges[cfg.scatter_center])})
-    elif cfg.scatter_experiment == "ps_scan":
-        if not cfg.ps_impacts:
-            print("error: empty geodesic family", file=sys.stderr)
-            return 2
+                            "expected_slope": float(cfg.potential.charges[cfg.scatter_center])})
+    else:
         for b in cfg.ps_impacts:
             f = sc.PSField(x0=[b, 0.0, 0.0], u=[0.0, 0.0, 1.0])
             data = sc.DecayingData.of(f, cfg.ps_horizon)
             ind = data.indicator()
-            mg = ""
-            if ind > 1e-8:
-                mg = float(np.linalg.norm(data.splitting_reflection(), 2))
+            mg = float(np.linalg.norm(data.splitting_reflection(), 2)) if ind > 1e-8 else ""
             sol = sc.integrate_fundamental(f, -cfg.ps_horizon, cfg.ps_horizon, tol=1e-9)
             rows.append(["ps_scan", b, sol.log_norm_final(), ind, mg])
         fit_payload.update({"experiment": "ps_scan"})
-    else:
-        print(f"error: unknown scatter experiment {cfg.scatter_experiment!r}",
-              file=sys.stderr)
-        return 2
     _emit_csv(header, rows, cfg.out)
     _emit_json(fit_payload, cfg.out + ".fit.json" if cfg.out else None)
     return 0
@@ -222,10 +221,11 @@ def _boundary_repr(b: ExtendedComplex):
 
 
 def cmd_spectral(cfg: RunConfig) -> int:
-    V = cfg.potential()
-    q = PointUHS(*cfg.spectral_point)
+    if cfg.lam is not None:
+        print("config error: spectral needs lambda = 1 + 2 mass: leave lam unset", file=sys.stderr)
+        return 2
     try:
-        data = sp.lift_twistor_line(q, V)
+        data = sp.lift_twistor_line(cfg.point, cfg.potential)
     except sp.DegenerateRestrictionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -234,8 +234,8 @@ def cmd_spectral(cfg: RunConfig) -> int:
         "monopole_point": cfg.spectral_point,
         "mass": cfg.mass,
         "centers": cfg.centers,
-        "charges": [int(l) for l in cfg.charges],
-        "doubled_charges": [int(l) for l in V.charges],
+        "charges": cfg.charges,
+        "doubled_charges": list(cfg.potential.charges),
         "phase": [data.pair.phase.real, data.pair.phase.imag],
         "phase_modulus": abs(data.pair.phase),
         "x_coeffs": _complex_list(data.pair.x),
@@ -291,23 +291,15 @@ def cmd_symplectic(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _emit_json(payload, out: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _emit_csv(header, rows, out: str | None):
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if out:
-            fh.close()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -322,35 +314,29 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", parents=[common], help="run the invariant suite")
     pv.add_argument("--only", help="restrict to the checks whose id starts with this "
                                    "(a group such as metric, or one id)")
-    sub.add_parser("metric", parents=[common], help="curvature samples as CSV")
+    pv.set_defaults(run=cmd_verify)
+    sub.add_parser("metric", parents=[common],
+                   help="curvature samples as CSV").set_defaults(run=cmd_metric)
     psc = sub.add_parser("scatter", parents=[common], help="scattering experiments")
-    psc.add_argument("--experiment", dest="scatter_experiment",
-                     choices=["abelian_growth", "ps_scan"])
-    sub.add_parser("spectral", parents=[common], help="charge-1 spectral data as JSON")
-    sub.add_parser("symplectic", parents=[common], help="pairing cross-check as JSON")
+    psc.add_argument("--experiment", dest="scatter_experiment", choices=EXPERIMENTS)
+    psc.set_defaults(run=cmd_scatter)
+    sub.add_parser("spectral", parents=[common],
+                   help="charge-1 spectral data as JSON").set_defaults(run=cmd_spectral)
+    sub.add_parser("symplectic", parents=[common],
+                   help="pairing cross-check as JSON").set_defaults(run=cmd_symplectic)
     return ap
 
 
-_DISPATCH = {
-    "verify": cmd_verify,
-    "metric": cmd_metric,
-    "scatter": cmd_scatter,
-    "spectral": cmd_spectral,
-    "symplectic": cmd_symplectic,
-}
-
-
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config") and v is not None}
+                 if k not in ("command", "config", "run") and v is not None}
     try:
         cfg = RunConfig.load(args.config, overrides)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return _DISPATCH[args.command](cfg)
+    return args.run(cfg)
 
 
 if __name__ == "__main__":

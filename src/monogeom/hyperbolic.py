@@ -60,15 +60,15 @@ BoundaryPoint = ExtendedComplex
 
 @dataclass(frozen=True)
 class PointUHS:
-    """Point of the upper half-space, z strictly positive."""
+    """Point of the upper half-space: finite x, y and z > 0, else ValueError (NaN too)."""
 
     x: float
     y: float
     z: float
 
     def __post_init__(self):
-        if not (self.z > 0):
-            raise ValueError(f"upper half-space requires z > 0, got z={self.z}")
+        if not (abs(self.x) < math.inf and abs(self.y) < math.inf and 0 < self.z < math.inf):
+            raise ValueError(f"upper half-space requires finite x, y and z > 0, got {self}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
@@ -339,11 +339,18 @@ def laplacian(f, x, h: float = 1e-3) -> float:
     return float(x[2] ** 2 * sum(jet.d2) - x[2] * jet.d1[2])
 
 
+def _positive_integers(charges) -> tuple[int, ...]:
+    if any(isinstance(l, bool) or not (l > 0 and float(l).is_integer()) for l in charges):
+        raise ValueError("charges must be positive integers")
+    return tuple(int(l) for l in charges)
+
+
 @dataclass(frozen=True)
 class MultiCenterPotential:
     """V = lambda + sum_i l_i G_{p_i}: the harmonic function of a singular
-    abelian monopole with centers p_i, positive integer charges l_i and
-    constant part lambda (lambda = 1 + 2m in the charge-1 moduli setup).
+    abelian monopole with pairwise distinct centers p_i, one positive integer
+    charge l_i each (not a boolean), constant part lambda (1 + 2m in the
+    charge-1 moduli setup) and mass m finite and >= 0; else ValueError.
     """
 
     lam: float
@@ -352,17 +359,15 @@ class MultiCenterPotential:
     mass: float = 0.0
 
     def __post_init__(self):
-        if self.lam < 0 or self.mass < 0:
-            raise ValueError("lambda and mass must be nonnegative")
+        if not (0 <= self.lam < math.inf and 0 <= self.mass < math.inf):
+            raise ValueError("lambda and mass must be finite and nonnegative")
         if len(self.centers) != len(self.charges):
             raise ValueError("need one charge per center")
-        if any(l <= 0 or int(l) != l for l in self.charges):
-            raise ValueError("charges must be positive integers")
         centers = tuple(self.centers)
         if any(dist(c, d) < 1e-12 for c, d in combinations(centers, 2)):
             raise ValueError("centers must be pairwise distinct")
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "charges", tuple(int(l) for l in self.charges))
+        object.__setattr__(self, "charges", _positive_integers(self.charges))
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -378,9 +383,9 @@ class MultiCenterPotential:
     def for_su2_charge1(centers: Sequence[PointUHS], charges: Sequence[int],
                         mass: float) -> "MultiCenterPotential":
         """Potential governing the charge-1 moduli space: lambda = 1 + 2m
-        and doubled abelian charges."""
+        and doubled abelian charges (checked before they are doubled)."""
         return MultiCenterPotential(1.0 + 2.0 * mass, tuple(centers),
-                                    tuple(2 * int(l) for l in charges), mass)
+                                    tuple(2 * l for l in _positive_integers(charges)), mass)
 
     def value(self, x) -> float | np.ndarray:
         """V at a point (PointUHS or raw (..., 3) array), of shape (...), from one

@@ -270,8 +270,8 @@ def dOmega_residual(omega_sampler, p4, step: float = 1e-4) -> float:
     """Norm of the numerical exterior derivative of a 2-form sampler
     (2nd-order differences, so the residual scales like step^2)."""
     dOm = derivatives(hyp.half_space_only(omega_sampler), p4, step, order=2).d1
-    return max(abs(dOm[a, b, c] + dOm[b, c, a] + dOm[c, a, b])
-               for a, b, c in itertools.combinations(range(4), 3))
+    return float(np.max(np.abs([dOm[a, b, c] + dOm[b, c, a] + dOm[c, a, b]
+                                for a, b, c in itertools.combinations(range(4), 3)])))
 
 
 def nijenhuis_residual(J_sampler, p4, step: float | None = None) -> float:
@@ -322,20 +322,20 @@ def hodge_identity_residuals(V: MultiCenterPotential, conn: DiracConnection,
         E4 = np.append(pairing_conn(p4[:3]), 1.0)
     g3 = np.eye(3) / z ** 2
     ex = np.eye(4)
-    worst = 0.0
+    defects = []    # of each identity, reduced by np.max, which keeps a NaN
     # identity on base 2-forms
     for a, b in itertools.combinations(range(3), 2):
         al4 = _wedge11(ex[a], ex[b])
         s3 = hodge_star(g3, al4[:3, :3], 2)  # 1-form on the base
         rhs = _wedge11(np.append(s3, 0.0), E4) / v
-        worst = max(worst, float(np.max(np.abs(hodge_star(g4, al4, 2) - rhs))))
+        defects.append(hodge_star(g4, al4, 2) - rhs)
     # identity on base 1-forms wedged with omega
     for a in range(3):
         lhs = hodge_star(g4, _wedge11(ex[a], E4), 2)
         rhs = np.zeros((4, 4))
         rhs[:3, :3] = v * hodge_star(g3, ex[a, :3], 1)  # 2-form on the base
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+        defects.append(lhs - rhs)
+    return float(np.max(np.abs(defects)))
 
 
 def conformal_gauge_factor(u1: BoundaryPoint, u2: BoundaryPoint,

@@ -293,13 +293,13 @@ class FundamentalSolution:
         """Max over the path of |log|det H| - Re int tr M dt|; the
         discrete form of determinant regularity (for traceless systems
         |det H| = 1, so stored dets must balance the accumulated scale)."""
-        worst = 0.0
+        defects = [0.0]    # reduced by np.max, which keeps a NaN
         for M, ls, w in zip(self.mats, self.logscales, self.trace_integrals):
             d = abs(np.linalg.det(M))
             if d == 0:
                 return float("inf")
-            worst = max(worst, abs(math.log(d) + 2.0 * ls - w.real))
-        return worst
+            defects.append(abs(math.log(d) + 2.0 * ls - w.real))
+        return float(np.max(defects))
 
 
 # the Gauss-Legendre nodes of a Magnus step (rows) as fractions of the
@@ -308,7 +308,7 @@ class FundamentalSolution:
 _GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 _NODES = np.array([_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS]).T
 _MAX_STEP = 2.0          # longest step of the initial mesh
-_MAX_MESH = 100_000      # most initial-mesh steps (node matrices: 58 MB); more raise ValueError
+_MAX_MESH = 100_000      # most steps in a round (node matrices: 58 MB); more raise ValueError
 MAX_HORIZON = _MAX_MESH * _MAX_STEP / 4   # longest T whose [-T, T] meshes fit, checkpoints too
 # largest squared Frobenius norm of an accepted step: beyond it the
 # decaying component of exp Omega, cosh mu - sinh mu, loses more than
@@ -438,6 +438,8 @@ def _mesh(fields: FieldSampler, runs: list, tol: float):
         if np.any(stuck):
             raise RuntimeError(f"integration failed: no step at t = {a[stuck][0]:.6g} "
                                f"meets tol {tol:g}")
+        if k.sum() > _MAX_MESH:
+            raise ValueError(f"a round of {k.sum()} steps: more than the cap of {_MAX_MESH}")
         which = np.repeat(np.arange(len(k)), k)
         j = np.arange(len(which)) - np.repeat(np.cumsum(k) - k, k)
         a, b, run = (a[which] + h[which] * (j / k[which]), np.where(

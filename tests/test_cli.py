@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -60,6 +61,14 @@ def test_verify_reports_every_check_once(tmp_path):
     ids = Counter(c["id"] for c in json.loads(out.read_text())["checks"])
     assert ids == Counter(c.id for c in checks.TABLE)
     assert set(ids.values()) == {1}
+
+
+def test_measure_keeps_a_nan_draw():
+    # the builtin max over draws [0.0, nan] read 0.0, which verify passed
+    draws = iter([0.0, float("nan")])
+    entry = checks.Check("test.nan", "a NaN on the second draw", 1.0, lambda s, rng: next(draws))
+    measured = checks.measure(entry, 0, samples=2)
+    assert math.isnan(measured) and not measured <= entry.tol
 
 
 def test_verify_only_matches_full_run(tmp_path):
@@ -274,6 +283,74 @@ def test_config_values_of_the_wrong_kind_exit_2(tmp_path, capsys, command, confi
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+# per RunConfig field, one value of the wrong kind and one out of range
+# (non-finite, for a number that may be any finite value; a second wrong
+# kind for break_dirac, only and out, which have no range), then the rules
+# that span keys; JSON's NaN and Infinity and booleans once got through
+_BAD_CONFIGS = {
+    "centers": ([[0.3, -0.2, math.inf]], [[0.3, -0.2, -1.4]]),
+    "centers-length": ([[0.3, -0.2]], [[0.3, -0.2, 0.0]]),
+    "charges": ([True], [0]),
+    "charges-float": ([1.5], [2.0]),
+    "mass": (True, -0.5),
+    "mass-nan": ("0.5", math.nan),
+    "lam": ("1", math.inf),
+    "seed": (1.5, -1),
+    "metric_grid": (2.0, 0),
+    "metric_theta": ("a", math.nan),
+    "scatter_experiment": (1, "foo"),
+    "scatter_delta": (True, 1e-3),
+    "scatter_impacts": (["a"], []),
+    "scatter_center": (True, 1),
+    "ps_impacts": ([math.nan], []),
+    "ps_horizon": ("40", 1e9),
+    "symplectic_sheets": (True, 0),
+    "symplectic_nodes": (100.5, 10),
+    "spectral_point": ([math.nan, 0.8, 0.7], [0.1, 0.2, -1.0]),
+    "break_dirac": ("no", 0),
+    "only": (5, ["metric"]),
+    "out": (5, False),
+}
+_BAD = [({key.split("-")[0]: v}, f"{key}-{i}") for key, vals in _BAD_CONFIGS.items()
+        for i, v in enumerate(vals)] + [
+    ({"centers": [[0.3, -0.2, 1.4], [0.3, -0.2, 1.4]], "charges": [1, 1]}, "distinct"),
+    ({"centers": [[0.3, -0.2, 1.4]], "charges": [1, 1]}, "one-charge-each"),
+    ({"scatter_impacts": [0.0, 1e-3]}, "impact-0"), ({"no_such_key": 1}, "unknown")]
+
+
+@pytest.mark.parametrize("config", [c for c, _ in _BAD], ids=[i for _, i in _BAD])
+@pytest.mark.parametrize("command", ["verify", "metric", "scatter", "spectral", "symplectic"])
+def test_every_bad_config_value_exits_2_in_every_subcommand(tmp_path, capsys, command, config):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(config))
+    # a file's "out" yields to the flag, so that case runs without one
+    flags = [] if "out" in config else ["--out", str(out)]
+    assert run([command, "--config", str(cfg)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_spectral_refuses_lam(tmp_path, capsys):
+    # with lam set the lift ran on undoubled charges and wrote "doubled_charges": [1]
+    cfg, out = tmp_path / "cfg.json", tmp_path / "sp.json"
+    cfg.write_text(json.dumps({"lam": 3.0}))
+    assert run(["spectral", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "lam" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_experiment_flag_takes_the_names_load_takes():
+    from monogeom import cli
+    parser = cli._build_parser()
+    for name in cli.EXPERIMENTS:
+        assert parser.parse_args(["scatter", "--experiment", name]).scatter_experiment == name
+    with pytest.raises(SystemExit):
+        parser.parse_args(["scatter", "--experiment", "foo"])
 
 
 def test_ps_horizon_beyond_the_mesh_cap_exits_2_at_once(tmp_path, capsys):

@@ -332,6 +332,34 @@ def test_multicenter_validation():
         PointUHS(0, 0, -1.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PointUHS(0, 0, math.inf), lambda: PointUHS(math.nan, 0, 1),
+    lambda: PointUHS(0, -math.inf, 1), lambda: PointUHS(0, 0, math.nan),
+    lambda: MultiCenterPotential(math.nan, (ORIGIN,), (1,)),
+    lambda: MultiCenterPotential(math.inf, (ORIGIN,), (1,)),
+    lambda: MultiCenterPotential(1.0, (ORIGIN,), (1,), mass=math.nan),
+    lambda: MultiCenterPotential(1.0, (ORIGIN,), (True,)),
+    lambda: MultiCenterPotential(1.0, (ORIGIN,), (1.5,)),
+    lambda: MultiCenterPotential(1.0, (ORIGIN,), (math.inf,)),
+    lambda: MultiCenterPotential.for_su2_charge1([ORIGIN], [True], 0.5),
+    lambda: MultiCenterPotential.for_su2_charge1([ORIGIN], [1.5], 0.5),
+    lambda: MultiCenterPotential.for_su2_charge1([ORIGIN], [0], 0.5),
+    lambda: MultiCenterPotential.for_su2_charge1([ORIGIN], [1], math.nan)],
+    ids=["z-inf", "x-nan", "y-inf", "z-nan", "lam-nan", "lam-inf", "mass-nan", "charge-true",
+         "charge-1.5", "charge-inf", "su2-true", "su2-1.5", "su2-0", "su2-mass-nan"])
+def test_non_finite_or_non_integer_input_raises(build):
+    # the doubling in for_su2_charge1 once turned True into the charge 2 and
+    # 1.5 into 2 before any check saw them
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_integer_valued_charges_are_stored_as_ints():
+    V = MultiCenterPotential.for_su2_charge1([ORIGIN], [np.int64(2)], 0.5)
+    assert V.charges == (4,) and type(V.charges[0]) is int
+    assert MultiCenterPotential(1.0, (ORIGIN,), (3.0,)).charges == (3,)
+
+
 def trapped_by_pair_loop(x, centers, tol):
     """Reference: the triangle defect of every pair, one `dist` at a time."""
     for i in range(len(centers)):

@@ -88,6 +88,12 @@ def test_charge1_curve_not_real_for_complexified_point():
     assert c.reality_defect() > 1e-6
 
 
+def test_reality_defect_keeps_a_nan():
+    # the builtin max read 0.0 here, as if the curve were real
+    c = mt.CurveO2k(2, (np.zeros(3), np.array([math.nan, 0, 0, 0, 0])))
+    assert math.isnan(c.reality_defect())
+
+
 def test_charge1_curve_lines_pass_through_point():
     rng = np.random.default_rng(3)
     for _ in range(8):

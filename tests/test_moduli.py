@@ -654,6 +654,25 @@ def test_hodge_identities_negative_control():
     assert md.hodge_identity_residuals(V, conn, p4, pairing_conn=broken) > 1e-2
 
 
+def test_residuals_keep_a_nan():
+    # both once reduced with the builtin max, which keeps a number over a
+    # NaN that comes after it: these read 0.0 and a finite residual
+    conn = md.DiracConnection(ONE_CENTER).with_patches_for(np.array([0.9, 0.6, 1.2]))
+    p4 = np.array([0.9, 0.6, 1.2, 0.3])
+    assert math.isnan(md.hodge_identity_residuals(
+        ONE_CENTER, conn, p4, pairing_conn=lambda p: np.array([np.nan, 0.0, 0.0])))
+    gauge = md.kahler_structure(ONE_CENTER, conn, INFINITY)
+
+    @pointwise
+    def nan_in_dtheta(q):
+        # NaN in the (x, theta) entries only: the first cyclic sum, over
+        # (x, y, z), stays finite and the second is NaN
+        Om = gauge.kahler_form(q).copy()
+        Om[0, 3] = Om[3, 0] = math.nan
+        return Om
+    assert math.isnan(md.dOmega_residual(nan_in_dtheta, p4))
+
+
 def test_conformal_gauge_factor():
     V = ONE_CENTER
     conn = md.DiracConnection(V)

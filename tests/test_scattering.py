@@ -112,6 +112,14 @@ def test_det_balance_band():
     assert sol.log_norm_final() > 15.0  # the growth this balances against
 
 
+def test_det_balance_keeps_a_nan():
+    # the builtin max over the path kept 0.0 ahead of a NaN logscale
+    sol = sc.integrate_fundamental(sc.TrivialU1Field(mass=0.5), -1.0, 1.0)
+    spoiled = dataclasses.replace(sol, logscales=np.append(sol.logscales[:-1], math.nan))
+    assert sol.det_balance_defect() < 1e-12
+    assert math.isnan(spoiled.det_balance_defect())
+
+
 def test_integration_tolerance_consistency():
     # the solution is scheme- and tolerance-stable well beyond 10x tol
     f = sc.PSField(x0=[1.5, 0.0, 0.0], u=[0.0, 0.0, 1.0])
@@ -168,6 +176,16 @@ def test_initial_mesh_beyond_the_cap_raises_before_sampling():
     assert sc._edges(ts[:-1], ts[1:])[2].sum() <= sc._MAX_MESH
     assert sc._edges(np.array([sc.MAX_HORIZON, -sc.MAX_HORIZON]), np.zeros(2))[2].sum() \
         <= sc._MAX_MESH
+
+
+def test_refinement_round_beyond_the_cap_raises():
+    # every step of growth e^{2e6} fails and is cut into 64 pieces a round:
+    # without a cap on each round, 48 -> 3,072 -> 196,608 -> 12,582,912
+    # pending steps, and several GB of node matrices in round 4
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="more than the cap of 100000"):
+        sc.integrate_fundamental(sc.TrivialU1Field(mass=1e6), -40.0, 40.0)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_pole_off_base_point_fails_fast():
