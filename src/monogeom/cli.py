@@ -99,9 +99,9 @@ class RunConfig:
         for holds, rule in (
                 (all(getattr(cfg, k) >= n for k, n in _LEAST.items()), f"counts at least {_LEAST}"),
                 (cfg.scatter_experiment in EXPERIMENTS, f"scatter_experiment in {EXPERIMENTS}"),
-                (cfg.scatter_impacts and all(0 < abs(z) < cfg.scatter_delta
-                                             for z in cfg.scatter_impacts),
-                 "scatter_impacts non-empty and strictly between 0 and scatter_delta"),
+                (len({abs(z) for z in cfg.scatter_impacts}) >= 2
+                 and all(0 < abs(z) < cfg.scatter_delta for z in cfg.scatter_impacts),
+                 "scatter_impacts two or more distinct, strictly between 0 and scatter_delta"),
                 (cfg.ps_impacts, "ps_impacts non-empty"),
                 (0 < cfg.ps_horizon <= sc.MAX_HORIZON, f"0 < ps_horizon <= {sc.MAX_HORIZON:g}"),
                 (cfg.scatter_center < len(cfg.centers), "scatter_center an index of centers")):

@@ -21,8 +21,15 @@ Russell & Van Vleck, SIAM J. Numer. Anal. 34 (1997) 402-423) with the logs of
 R's diagonal kept apart, so exponentially dichotomic systems stay in floating
 range over any horizon and the decaying mode is resolved as well as the
 growing one.  Decaying directions at either end are extracted by seeding with
-the asymptotic eigenvector at the horizon and integrating toward the midpoint,
-which damps the seeding error exponentially; both ends share one propagation.
+the asymptotic eigenvector at the horizon, in closed form, and integrating
+toward the midpoint, which damps the seeding error exponentially; both ends
+share one propagation.  For such a run `tol` is the accuracy of its one
+output, the unit direction at t = 0.  Integrating toward 0 makes the wanted
+mode dominant, so an error made at t reaches 0 shrunk by about exp(-G(t)), G
+the gap 2 |Re mu| of M (mu^2 = d^2 + pq of its traceless part) integrated from
+0 to t: an exponential dichotomy (Coppel, Dichotomies in Stability Theory, LNM
+629, 1978).  So each step's step-doubling difference is weighted by exp(-G/2)
+at its end nearer 0, and far steps are taken longer.
 """
 
 from __future__ import annotations
@@ -390,7 +397,25 @@ def _edges(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return a, b, n
 
 
-def _mesh(fields: FieldSampler, runs: list, tol: float):
+def _damping(A: np.ndarray, a: np.ndarray, b: np.ndarray, run: np.ndarray,
+             signs: np.ndarray) -> list:
+    """Per run with steps, (i, sign t, G) at the edges of its whole
+    first-round mesh, sign t increasing for np.interp, with G(t) = int
+    2 |Re mu| from t to the run's last time.  The frozen gap 2 |Re mu| of
+    M, mu^2 = d^2 + pq of its traceless part, is read at each step's
+    middle Gauss node, A (m, 2, 2), and held over the step."""
+    d = 0.5 * (A[:, 0, 0] - A[:, 1, 1])
+    c = 2.0 * np.sqrt(d * d + A[:, 0, 1] * A[:, 1, 0]).real * np.abs(b - a)
+    tables = []
+    for i, sign in enumerate(signs):
+        mine = np.flatnonzero(run == i)
+        if mine.size:
+            G = np.append(np.cumsum(c[mine][::-1])[::-1], 0.0)
+            tables.append((i, sign * np.append(a[mine[:1]], b[mine]), G))
+    return tables
+
+
+def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
     """Accepted steps of each run of output times, from its first time
     to its last: (4, m) step matrices by components and their tr Omega,
     grouped by run in the order taken, and per run the index of the
@@ -403,7 +428,12 @@ def _mesh(fields: FieldSampler, runs: list, tol: float):
     (_ACCEPT tol ||P||) (Frobenius), a step passes when err <= 1 and ||P||^2
     <= _MAX_NORM2, and contributes P + (P - E_h)/63 and the halves' tr
     Omega; a failing step is cut into ceil(1.2 err^{1/7}) equal pieces (more
-    if it grows too much), and only those are checked in the next round."""
+    if it grows too much), and only those are checked in the next round.
+
+    `damped` is for runs whose only output is the direction at their last
+    time (module docstring): err is weighted by exp(-G/2), G from
+    `_damping` at the step's end nearer that time, half the rate because
+    the frozen gap overstates the dichotomy where M turns fast."""
     signs = np.array([1.0 if ts[-1] >= ts[0] else -1.0 for ts in runs])  # directions
     t0, t1, run = [], [], []
     for i, (ts, sign) in enumerate(zip(runs, signs)):
@@ -413,6 +443,7 @@ def _mesh(fields: FieldSampler, runs: list, tol: float):
     run = np.repeat(np.array(run, dtype=int), n)
     # no steps at all in a run whose times are all equal
     starts, taken, mats, traces = [[]], [np.zeros(0, int)], [np.zeros((4, 0))], [[]]
+    tables = None
     while a.size:
         h = b - a
         nodes = a + h * _NODES[..., None]
@@ -423,6 +454,12 @@ def _mesh(fields: FieldSampler, runs: list, tol: float):
             diff = half - E[:, 0]
             size = np.sum(np.abs(half) ** 2, axis=0)
             err = np.sqrt(np.sum(np.abs(diff) ** 2, axis=0) / size) / (_ACCEPT * tol)
+            if damped:
+                if tables is None:   # the first round covers every run whole
+                    tables = _damping(A[1, 0], a, b, run, signs)
+                for i, edges, G in tables:
+                    mine = run == i
+                    err[mine] *= np.exp(-0.5 * np.interp(signs[i] * b[mine], edges, G))
             ok = (err <= 1.0) & (size <= _MAX_NORM2)
             # enough pieces for the error bound, and for each piece's
             # log size to be about half the cap
@@ -453,7 +490,7 @@ def _mesh(fields: FieldSampler, runs: list, tol: float):
     return np.concatenate(mats, axis=1)[:, order], np.concatenate(traces)[order], stops
 
 
-def _propagate(fields: FieldSampler, runs: list, tol: float) -> list:
+def _propagate(fields: FieldSampler, runs: list, tol: float, damped: bool = False) -> list:
     """For each run (Q0, ts), the solution H of H' = M(t) H with H(ts[0])
     = Q0, a unitary 2x2, at each of `ts`, as (mats, logscales, trace
     integrals) with H equal to exp(logscale) mat, |mat| = 1 (Frobenius),
@@ -474,7 +511,7 @@ def _propagate(fields: FieldSampler, runs: list, tol: float) -> list:
     first with det Q' = det Q exp(i Im tr).  Each mode's growth is kept
     in its own log, so nothing overflows whichever column grows, and l1
     + l2 = Re int tr M dt."""
-    mats, traces, stops = _mesh(fields, [ts for _, ts in runs], tol)
+    mats, traces, stops = _mesh(fields, [ts for _, ts in runs], tol, damped)
     lo, hi = np.concatenate([s[:-1] for s in stops]), np.concatenate([s[1:] for s in stops])
     first = np.concatenate(([0], np.cumsum(-(-(hi - lo) // _BLOCK))))   # per interval
     step = np.arange(traces.size)
@@ -539,29 +576,47 @@ def integrate_fundamental(fields: FieldSampler, t0: float, t1: float,
     return FundamentalSolution(ts, mats, logs, traces)
 
 
+def _asymptotic_eigenvectors(M: np.ndarray, ends) -> np.ndarray:
+    """Unit eigenvectors (k, 2) of M (k, 2, 2) for the eigenvalue of least
+    real part where the end is +1 and greatest where it is -1, in closed
+    form: lambda = tr/2 + m with m = -+mu, mu = sqrt(d^2 + pq) (Re mu >= 0)
+    from the traceless part [[d, p], [q, -d]], and the kernel of
+    [[d - m, p], [q, -d - m]] read from whichever of (p, m - d) and
+    (m + d, q) is longer.  Raises IllPosedError where 2 |Re mu|, the gap
+    between the two real parts, is below 1e-3."""
+    d, p, q = 0.5 * (M[:, 0, 0] - M[:, 1, 1]), M[:, 0, 1], M[:, 1, 0]
+    mu = np.sqrt(d * d + p * q)
+    if not np.all(2.0 * mu.real >= 1e-3):
+        raise IllPosedError("no spectral gap at the horizon: decaying direction ill posed")
+    m = -np.asarray(ends, dtype=float) * mu
+    row, col = np.stack([p, m - d], axis=-1), np.stack([m + d, q], axis=-1)
+    v = np.where((np.linalg.norm(row, axis=-1) >= np.linalg.norm(col, axis=-1))[:, None], row, col)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
 def _decaying(fields: FieldSampler, ends, t_horizon: float, tol: float) -> list:
     """Unit directions at t = 0 of the solutions decaying at each of
     `ends` (+1 or -1), all in one propagation back from the horizons, each
-    seeded with the asymptotic eigenvector (a unitary start's first column)."""
+    seeded with the asymptotic eigenvector (a unitary start's first column)
+    and refined for the direction at 0 (`_mesh`'s `damped`)."""
     if any(end not in (+1, -1) for end in ends):
         raise ValueError("end must be +1 or -1")
     t_far = t_horizon * np.array(ends, dtype=float)
-    lams, vecs = np.linalg.eig(fields.ode_matrix(t_far))
-    runs = []
-    for end, t, lam, V in zip(ends, t_far.tolist(), lams.real, vecs):
-        if lam.max() - lam.min() < 1e-3:
-            raise IllPosedError("no spectral gap at the horizon: decaying direction ill posed")
-        v = V[:, np.argmin(lam) if end == +1 else np.argmax(lam)]   # unit, from eig
-        runs.append((np.array([[v[0], -v[1].conjugate()], [v[1], v[0].conjugate()]]),
-                     np.array([t, 0.0])))
-    return [H[-1][:, 0] / np.linalg.norm(H[-1][:, 0]) for H, _, _ in _propagate(fields, runs, tol)]
+    runs = [(np.array([[v0, -v1.conjugate()], [v1, v0.conjugate()]]), np.array([t, 0.0]))
+            for t, (v0, v1) in zip(t_far.tolist(),
+                                   _asymptotic_eigenvectors(fields.ode_matrix(t_far), ends))]
+    return [H[-1][:, 0] / np.linalg.norm(H[-1][:, 0])
+            for H, _, _ in _propagate(fields, runs, tol, damped=True)]
 
 
 def decaying_solution(fields: FieldSampler, end: int, t_horizon: float,
                       tol: float = 1e-10) -> np.ndarray:
     """Unit direction at t = 0 of the solution decaying at the chosen end
     (+1 or -1), via backward integration from the horizon seeded with
-    the asymptotic eigenvector (the first column of a unitary start)."""
+    the asymptotic eigenvector (the first column of a unitary start).
+    `tol` is the accuracy of that direction: a step at t may err by
+    exp(G(t)/2) tol, G the gap of M integrated from 0 to t (module
+    docstring), since its error is damped on the way to 0."""
     return _decaying(fields, (end,), t_horizon, tol)[0]
 
 
@@ -577,6 +632,9 @@ class DecayingData:
     @staticmethod
     def of(fields: FieldSampler, t_horizon: float = 40.0,
            tol: float = 1e-10) -> "DecayingData":
+        """Both ends from one propagation, with `tol` the accuracy of the
+        directions at t = 0: far steps have their errors weighted by
+        exp(-G/2), G the gap integrated from 0 (`decaying_solution`)."""
         s0, s0p = _decaying(fields, (+1, -1), t_horizon, tol)
         det = s0[0] * s0p[1] - s0[1] * s0p[0]
         return DecayingData(s0, s0p, complex(det))
@@ -627,10 +685,14 @@ def abelian_growth_exponent(V: MultiCenterPotential, center_index: int,
     the impact parameter: log ||H(z)|| fitted against log(1/|z|) over
     geodesics at impact |z| from the chosen center, each integrated over
     the window [-delta, delta].  The slope estimates the center's
-    abelian charge."""
+    abelian charge.  Impacts that are not finite and strictly between 0
+    and delta, or fewer than two distinct ones, raise ValueError before
+    any integration."""
     zs = [float(abs(z)) for z in z_samples]
-    if any(z <= 0 or z >= delta for z in zs):
+    if not all(0.0 < z < delta for z in zs):   # a NaN compares False
         raise ValueError("impact samples must lie strictly between 0 and delta")
+    if len(set(zs)) < 2:
+        raise ValueError(f"{len(set(zs))} distinct impact samples: a slope needs two")
     lognorms = []
     for z in zs:
         f = AbelianField.from_impact(V, center_index, z)

@@ -317,7 +317,8 @@ _BAD = [({key.split("-")[0]: v}, f"{key}-{i}") for key, vals in _BAD_CONFIGS.ite
         for i, v in enumerate(vals)] + [
     ({"centers": [[0.3, -0.2, 1.4], [0.3, -0.2, 1.4]], "charges": [1, 1]}, "distinct"),
     ({"centers": [[0.3, -0.2, 1.4]], "charges": [1, 1]}, "one-charge-each"),
-    ({"scatter_impacts": [0.0, 1e-3]}, "impact-0"), ({"no_such_key": 1}, "unknown")]
+    ({"scatter_impacts": [0.0, 1e-3]}, "impact-0"),
+    ({"scatter_impacts": [1e-3, -1e-3]}, "impact-one-distinct"), ({"no_such_key": 1}, "unknown")]
 
 
 @pytest.mark.parametrize("config", [c for c, _ in _BAD], ids=[i for _, i in _BAD])

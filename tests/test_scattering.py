@@ -462,12 +462,29 @@ def test_decaying_data_is_one_propagation(monkeypatch):
     runs = []
     propagate = sc._propagate
 
-    def counted(fields, these, tol):
+    def counted(fields, these, *args, **kw):
         runs.append(len(these))
-        return propagate(fields, these, tol)
+        return propagate(fields, these, *args, **kw)
     monkeypatch.setattr(sc, "_propagate", counted)
     sc.DecayingData.of(sc.PSField(x0=[1.0, 0.0, 0.0], u=[0.0, 0.0, 1.0]))
     assert runs == [2]
+
+
+@pytest.mark.parametrize("name", sampler_fixtures())
+def test_asymptotic_eigenvectors_match_eig(name):
+    # the closed-form seeds against np.linalg.eig's vectors, up to phase, at
+    # both ends of several horizons; the trivial and abelian fields give a
+    # diagonal M, and diag(-1, 1) flips which entry holds the larger part
+    f = sampler_fixtures()[name]
+    mats = [(f.ode_matrix(end * T), end) for T in (0.5, 3.0, 15.0, 40.0) for end in (+1, -1)]
+    mats += [(np.diag([-1.0, 1.0]).astype(complex), end) for end in (+1, -1)]
+    for M, end in mats:
+        lam, vecs = np.linalg.eig(M)
+        want = vecs[:, np.argmin(lam.real) if end == +1 else np.argmax(lam.real)]
+        got = sc._asymptotic_eigenvectors(M[None], (end,))[0]
+        assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-15)
+        phase = np.vdot(want, got) / abs(np.vdot(want, got))
+        assert np.abs(got - phase * want).max() <= 1e-14
 
 
 def test_no_gap_is_ill_posed():
@@ -479,6 +496,51 @@ def test_no_gap_is_ill_posed():
 # ---------------------------------------------------------------------------
 # spectral indicator and the splitting norm
 # ---------------------------------------------------------------------------
+
+def _rotation(rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+PS_SCAN_IMPACTS = (0.0, 0.5, 1.0, 2.0, 5.0, 8.0, 12.0, 16.0, 20.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_decaying_data_within_1e12_of_a_tight_reference(seed):
+    # tol is the accuracy of the direction at t = 0, for which steps far
+    # from 0 may err by exp(G/2) more (module docstring); the indicator
+    # and ||M_gamma|| at the ps_scan impacts, on seeded rotations of their
+    # lines, against tol 1e-13.  Through the center the indicator is 0 and
+    # M_gamma undefined, so there the indicator is compared absolutely
+    R = _rotation(np.random.default_rng([seed, 3]))
+    for b in PS_SCAN_IMPACTS:
+        f = sc.PSField(x0=R @ [b, 0.0, 0.0], u=R @ [0.0, 0.0, 1.0])
+        got, ref = sc.DecayingData.of(f), sc.DecayingData.of(f, tol=1e-13)
+        if b == 0.0:
+            assert abs(got.indicator() - ref.indicator()) <= 1e-12
+            continue
+        assert abs(got.indicator() / ref.indicator() - 1.0) <= 1e-12
+        norms = [np.linalg.norm(d.splitting_reflection(), 2) for d in (got, ref)]
+        assert abs(norms[0] / norms[1] - 1.0) <= 1e-12
+
+
+def test_ps_scan_pass_samples_at_most_45000_nodes():
+    # one pass of the benchmark's ps_scan: per line the indicator, the
+    # splitting norm off the spectral line, each from its own decaying
+    # data, and the fundamental matrix over [-40, 40] at tol 1e-9.
+    # Uniform step control sampled 80,782 nodes here, 58,138 of them in
+    # decaying data
+    total = 0
+    for b in PS_SCAN_IMPACTS:
+        f = CountedPS(x0=[b, 0.0, 0.0], u=[0.0, 0.0, 1.0])
+        object.__setattr__(f, "calls", [])
+        if sc.spectral_indicator(f, 40.0) > 1e-8:
+            sc.m_gamma_norm(f, 40.0)
+        sc.integrate_fundamental(f, -40.0, 40.0, tol=1e-9)
+        total += sum(f.calls)
+    assert total <= 45_000
+
 
 def test_trivial_indicator_and_norm():
     f = sc.TrivialU1Field(mass=1.0)
@@ -558,6 +620,38 @@ def test_growth_range_validation():
     V = MultiCenterPotential(0.4, (PointUHS(0, 0, 1),), (1,))
     with pytest.raises(ValueError):
         sc.abelian_growth_exponent(V, 0, delta=0.1, z_samples=[0.5])
+
+
+@pytest.mark.parametrize("z_samples, match", [
+    ([1e-3, math.nan], "strictly between"), ([math.inf, 1e-3], "strictly between"),
+    ([1e-3, -math.inf], "strictly between"), ([], "0 distinct"),
+    ([1e-3], "1 distinct"), ([1e-3, -1e-3, 1e-3], "1 distinct")],
+    ids=["nan", "inf", "minus-inf", "empty", "one", "one-distinct"])
+def test_growth_impacts_refused_before_integrating(monkeypatch, z_samples, match):
+    # a NaN once ran to the refinement cap, an empty list ended in numpy's
+    # TypeError and one distinct impact fitted a line with a RankWarning
+    def unused(*args, **kw):
+        raise AssertionError("integrated")
+    monkeypatch.setattr(sc, "integrate_fundamental", unused)
+    V = MultiCenterPotential(0.4, (PointUHS(0, 0, 1),), (1,))
+    with pytest.raises(ValueError, match=match):
+        sc.abelian_growth_exponent(V, 0, delta=0.1, z_samples=z_samples)
+
+
+def test_growth_fit_node_count_unchanged(monkeypatch):
+    # fundamental matrices keep uniform step control: the fit of
+    # test_growth_exponent_l1 samples the nodes it sampled before decaying
+    # data were refined for their direction at t = 0
+    nodes = []
+    ode_matrix = sc.AbelianField.ode_matrix
+
+    def counted(self, t):
+        nodes.append(np.size(t))
+        return ode_matrix(self, t)
+    monkeypatch.setattr(sc.AbelianField, "ode_matrix", counted)
+    V = MultiCenterPotential(0.4, (PointUHS(0, 0, 1),), (1,))
+    sc.abelian_growth_exponent(V, 0, delta=0.1, z_samples=np.geomspace(1e-5, 1e-2, 6))
+    assert (sum(nodes), len(nodes)) == (7416, 21)
 
 
 def test_initial_mesh_edges_match_linspace_bitwise():
