@@ -386,7 +386,7 @@ def _trivial_growth(s, rng):
 check("scattering.sinh-identity", "model-profile quadrature identity", 1e-10,
       lambda s, rng: _worst(abs(np.subtract(*sc.sinh_model_integral(l, s.delta, z)))
                             for l in (1.0, 2.0, 3.0) for z in (1e-4, 1e-3, 1e-2, 3e-2)))
-check("scattering.det-balance", "determinant-trace balance", math.log(1e3),
+check("scattering.det-balance", "determinant balance", math.log(1e3),
       lambda s, rng: _constant_mass_run(rng)[1].det_balance_defect())
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "horospherical_height",
     "green",
     "green_from_distance",
+    "green_from_sinh2",
     "laplacian",
     "half_space_only",
     "is_geodesically_trapped",
@@ -304,18 +305,31 @@ def _rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Green's function and multi-center potentials
 # ---------------------------------------------------------------------------
 
+def green_from_sinh2(x2):
+    """G = 1/(e^{2 rho} - 1) = 0.5 / (x2 + sqrt(x2 (1 + x2))) from x2 = sinh^2 rho, free of
+    cancellation (e^{2 rho} - 1 = 2 sinh rho e^rho); past rho ~ 177, G < 1e-154 reads 0."""
+    return 0.5 / (x2 + np.sqrt(x2 * (1.0 + x2)))
+
+
 def green_from_distance(rho):
     """Green's function of the hyperbolic Laplacian as a function of distance."""
-    rho = np.asarray(rho, dtype=float)
-    return 1.0 / np.expm1(2.0 * rho)
+    return green_from_sinh2(np.sinh(np.asarray(rho, dtype=float)) ** 2)
+
+
+def _sinh2(a: np.ndarray, b: np.ndarray):
+    """u = |a - b|^2 / (z_a z_b) = 2 (cosh rho - 1) and x2 = sinh^2 rho = u (1 + u/4) between
+    coordinate arrays (..., 3); ZeroDivisionError where sinh rho < 1e-14, the pole of G."""
+    u = np.sum((a - b) ** 2, axis=-1) / (a[..., 2] * b[..., 2])
+    x2 = u * (1.0 + 0.25 * u)
+    if (x2 < 1e-28).any():
+        raise ZeroDivisionError("Green's function pole: evaluation at its center")
+    return u, x2
 
 
 def green(p: PointUHS, x) -> float | np.ndarray:
     """G_p(x) = 1/(e^{2 rho(p,x)} - 1); positive, pole at x = p."""
-    rho = dist(p, x)
-    if np.any(rho < 1e-14):
-        raise ZeroDivisionError("Green's function pole: evaluation at its center")
-    return green_from_distance(rho)
+    a = x.as_array() if isinstance(x, PointUHS) else np.asarray(x, dtype=float)
+    return green_from_sinh2(_sinh2(a, p.as_array())[1])
 
 
 def half_space_only(f):
@@ -388,34 +402,23 @@ class MultiCenterPotential:
                                     tuple(2 * l for l in _positive_integers(charges)), mass)
 
     def value(self, x) -> float | np.ndarray:
-        """V at a point (PointUHS or raw (..., 3) array), of shape (...), from one
-        `dist` call against all centers (the moduli samplers read V off the Dirac frame)."""
+        """V at a point (PointUHS or raw (..., 3) array), of shape (...), against all centers
+        at once (the moduli samplers read V off the Dirac frame)."""
         a = x.as_array() if isinstance(x, PointUHS) else np.asarray(x, dtype=float)
         centers, charges = self._arrays
-        rho = dist(a[..., None, :], centers)
-        if (rho < 1e-14).any():
-            raise ZeroDivisionError("Green's function pole: evaluation at its center")
-        out = self.lam + np.sum(charges * green_from_distance(rho), axis=-1)
+        out = self.lam + np.sum(charges * green_from_sinh2(_sinh2(a[..., None, :], centers)[1]),
+                                axis=-1)
         return float(out) if out.ndim == 0 else out
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Coordinate gradient (dV/dx, dV/dy, dV/dz), closed form."""
+        """Coordinate gradient (dV/dx, dV/dy, dV/dz) at a point (3,), closed form over all
+        centers: dG/dx2 = -1 / (4 x2 sqrt(x2 (1 + x2))) and dx2 = (1 + u/2) du (`_sinh2`)."""
         x = np.asarray(x, dtype=float)
-        g = np.zeros(3)
-        for c, l in zip(self.centers, self.charges):
-            ca = c.as_array()
-            d2 = np.sum((x - ca) ** 2)
-            zz = x[2] * ca[2]
-            # d cosh(rho) in coordinates
-            dch = (x - ca) / zz
-            dch[2] -= d2 / (2 * zz * x[2])
-            # sinh rho and e^{2 rho} - 1 from s = sinh(rho / 2), as in `dist`
-            s = math.sqrt(d2 / (4 * zz))
-            sh = 2.0 * s * math.sqrt(1.0 + s * s)
-            em = math.expm1(4.0 * math.asinh(s))
-            dG = -2.0 * (em + 1.0) / (em * em) / sh
-            g += l * dG * dch
-        return g
+        centers, charges = self._arrays
+        u, x2 = _sinh2(x, centers)
+        du = 2.0 * (x - centers) / (x[2] * centers[:, 2])[:, None]
+        du[:, 2] -= u / x[2]
+        return (charges * (1.0 + 0.5 * u) / (-4.0 * x2 * np.sqrt(x2 * (1.0 + x2)))) @ du
 
 
 def is_geodesically_trapped(x: PointUHS, centers: Sequence[PointUHS],

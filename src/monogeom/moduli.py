@@ -83,9 +83,9 @@ class DiracConnection:
         E = np.array([hyp.orthonormal_frame_at(c) for c in V.centers]).reshape(-1, 3, 4)
         E0, E1, E2, E3 = E.transpose(2, 1, 0)    # Ek[j, i]: component k of E_j, center i
         sign = np.array(self.patches, dtype=float)
-        # one row per constant, one column per center: p_c, c, E_1, E_2, sign, l sign / 2
+        # one row per constant, one column per center: p_c, c, E_1, E_2, sign, l sign / 2, l
         self._rows = np.concatenate([np.array([c.as_array() for c in V.centers]).reshape(-1, 3).T,
-                                     E3 - E0, E1, E2, [sign, 0.5 * np.array(V.charges) * sign]])
+                                     E3 - E0, E1, E2, [sign, 0.5 * sign * V.charges, V.charges]])
 
     def _frame(self, p: np.ndarray):
         """Per-center rows shaped against points p (..., 3), and the frame components
@@ -113,23 +113,22 @@ class DiracConnection:
         """V (...), omega = dtheta + A (..., 4) and the height z (...) at points p (..., 3),
         the local data of the samplers, from one `_frame` pass.
 
-        With sh = |e| = sinh rho, e^{2 rho} - 1 = 2 sh (sh + cosh rho), so V = lambda
-        + sum (l/2) / (sh (sh + sqrt(1 + sh^2))), which cancels neither at a center nor
-        far from one.  A is the cancellation-free combination (cos theta + s) dphi
+        With sh = |e| = sinh rho, V = lambda + sum l G(sh^2) (`hyp.green_from_sinh2`).
+        A is the cancellation-free combination (cos theta + s) dphi
         = s (e1 de2 - e2 de1) / (sh (sh - s e3)), regular on the whole string-free
         half-axis; e_j are exactly 0 at the center.  Their differentials are d_x e =
         (x c + E_1)/z, d_y e = (y c + E_2)/z and d_z e = c - e/z, so with (w, a1, a2) =
         e1 (c2, E_21, E_22) - e2 (c1, E_11, E_12) the numerator is (x w + a1, y w + a2, z w)/z.
         """
         k, (e1, e2, e3) = self._frame(p)
-        x, y, z, sign, coef = p[..., 0], p[..., 1], p[..., 2], k[12], k[13]
+        x, y, z, sign, coef, l = p[..., 0], p[..., 1], p[..., 2], k[12], k[13], k[14]
         sh = np.sqrt(e1 * e1 + e2 * e2 + e3 * e3)
         den = sh * (sh - sign * e3)
         if (sh < 1e-14).any():    # sh = sinh rho: the pole of V and of A
             raise ZeroDivisionError("connection pole: evaluation at a center")
         if (den < 1e-14 * sh * sh).any():
             raise ZeroDivisionError("point on a Dirac string; switch the patch")
-        v = self.V.lam + np.sum(sign * coef / (sh * (sh + np.sqrt(1.0 + sh * sh))), axis=0)
+        v = self.V.lam + np.sum(l * hyp.green_from_sinh2(sh * sh), axis=0)
         f = coef / den
         w, a1, a2 = ((f * e1) * k[4:12:3] - (f * e2) * k[3:12:3]).sum(axis=1)  # (c, E_1, E_2)_j
         om = np.ones(w.shape + (4,))

@@ -17,24 +17,27 @@ sweep).  The initial mesh is the output times, each interval cut into steps of
 at most `_MAX_STEP`.  The steps between output times are multiplied in blocks
 of at most 64 by pairwise products, and the blocks are accumulated, one QR
 update each, as a discrete QR factorization of the fundamental matrix (Dieci,
-Russell & Van Vleck, SIAM J. Numer. Anal. 34 (1997) 402-423) with the logs of
+Russell & Van Vleck, SIAM J. Numer. Anal. 34 (1997) 402-423) with the log of
 R's diagonal kept apart, so exponentially dichotomic systems stay in floating
 range over any horizon and the decaying mode is resolved as well as the
-growing one.  Decaying directions at either end are extracted by seeding with
-the asymptotic eigenvector at the horizon, in closed form, and integrating
-toward the midpoint, which damps the seeding error exponentially; both ends
-share one propagation.  For such a run `tol` is the accuracy of its one
-output, the unit direction at t = 0.  Integrating toward 0 makes the wanted
-mode dominant, so an error made at t reaches 0 shrunk by about exp(-G(t)), G
-the gap 2 |Re mu| of M (mu^2 = d^2 + pq of its traceless part) integrated from
-0 to t: an exponential dichotomy (Coppel, Dichotomies in Stability Theory, LNM
-629, 1978).  So each step's step-doubling difference is weighted by exp(-G/2)
-at its end nearer 0, and far steps are taken longer.
+growing one.  M is traceless, as an su(2) monopole's scattering equation is (M11
+= -M00 in every sampler; |tr M| > 1e-12 |M| raises ValueError), so each Magnus
+step and H lie in SL(2, C) (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numer.
+9 (2000) 215-365) and R's diagonal is (e^l1, e^-l1): one log growth rate, l1.
+Decaying directions at either end are extracted by seeding with the asymptotic
+eigenvector at the horizon, in closed form, and integrating toward the
+midpoint, which damps the seeding error exponentially; both ends share one
+propagation.  For such a run `tol` is the accuracy of its one output, the unit
+direction at t = 0.  Integrating toward 0 makes the wanted mode dominant, so an
+error made at t reaches 0 shrunk by about exp(-G(t)), G the gap 2 |Re mu| of M
+= [[d, p], [q, -d]] (mu^2 = d^2 + pq) integrated from 0 to t: an exponential
+dichotomy (Coppel, Dichotomies in Stability Theory, LNM 629, 1978).  So each
+step's step-doubling difference is weighted by exp(-G/2) at its end nearer 0,
+and far steps are taken longer.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -78,7 +81,8 @@ class FieldSampler:
     Subclasses provide ode_matrix(t), the 2x2 complex right-hand side of
     s' = M(t) s, and higgs_norm(t).  Both take a batch: a float t gives
     one (2, 2) matrix or one float, and an (n,) array of times gives
-    (n, 2, 2) matrices or (n,) floats.
+    (n, 2, 2) matrices or (n,) floats.  M must be traceless (M11 =
+    -M00); the propagator refuses a traced M with ValueError.
     """
 
     def ode_matrix(self, t) -> np.ndarray:
@@ -142,9 +146,10 @@ class AbelianField(FieldSampler):
                     impact: float) -> "AbelianField":
         """Geodesic whose closest point to the chosen center is at
         hyperbolic distance asinh(impact); cosh of the running distance
-        to the center is then sqrt(1 + impact^2) cosh t exactly."""
-        if impact <= 0:
-            raise ValueError("impact parameter must be positive")
+        to the center is then sqrt(1 + impact^2) cosh t exactly.  An
+        impact that is not finite and > 0 raises ValueError (NaN too)."""
+        if not 0.0 < impact < math.inf:
+            raise ValueError(f"impact parameter must be finite and positive, got {impact}")
         p = V.centers[center_index]
         E = hyp.orthonormal_frame_at(p)
         x0 = math.cosh(math.asinh(impact)) * hyp.embed(p) + impact * E[0]
@@ -155,8 +160,7 @@ class AbelianField(FieldSampler):
             raise PoleOnGeodesicError("geodesic passes through a center")
         t = np.asarray(t, dtype=float)[..., None]
         w = self._b * np.cosh(t) + self._a * np.sinh(t)
-        x2 = self._s2 + w * w     # l / (e^{2 rho} - 1) from sinh^2 rho
-        return self.V.lam + np.sum(0.5 * self._l / (x2 + np.sqrt(x2 * (1.0 + x2))), axis=-1)
+        return self.V.lam + np.sum(self._l * hyp.green_from_sinh2(self._s2 + w * w), axis=-1)
 
     def ode_matrix(self, t) -> np.ndarray:
         return _diagonal(self.higgs_norm(t))
@@ -223,8 +227,9 @@ class PSField(FieldSampler):
     M(t) is built in closed form, by components over a batch of times:
     with p = x0 - center + t u and r = |p|, the Higgs field is
     phi = h(r) p and the connection a = k(r) u x p = k(r) u x (x0 -
-    center), and M = w . sigma with w = -(phi + i a)/2.  The line is
-    held in read-only copies and cached as float tuples at construction.
+    center), and M = w . sigma with w = -(phi + i a)/2, traceless.  The
+    line is held in read-only copies and cached as float tuples; a zero or
+    non-finite u, or a non-finite x0 or center, raises ValueError.
     """
 
     x0: np.ndarray
@@ -236,6 +241,8 @@ class PSField(FieldSampler):
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
+        if not (0.0 < np.linalg.norm(u) < math.inf and np.isfinite([self.x0, self.center]).all()):
+            raise ValueError("PS line needs a finite nonzero direction u and finite x0 and center")
         x0, u, center = map(_read_only, (self.x0, u / np.linalg.norm(u), self.center))
         (px, py, pz), (ux, uy, uz) = (x0 - center).tolist(), u.tolist()
         cross = (uy * pz - uz * py, uz * px - ux * pz, ux * py - uy * px)
@@ -280,13 +287,17 @@ class FundamentalSolution:
     """Log-scaled path of the fundamental matrix: H(t_j) equals
     exp(logscale_j) M_j, with each stored M_j of unit Frobenius norm.
     The path comes from `_propagate`'s sixth-order Magnus steps, its log
-    norm within about `tol` (module docstring), and the trace integral
-    is the sum of the steps' tr Omega."""
+    norm within about `tol` (module docstring).  M is traceless, so H is
+    in SL(2, C): det M_j = exp(-2 logscale_j)."""
 
     ts: np.ndarray
     mats: np.ndarray        # (n, 2, 2)
     logscales: np.ndarray   # (n,)
-    trace_integrals: np.ndarray  # (n,) complex, int of tr M dt
+
+    @property
+    def trace_integrals(self) -> np.ndarray:
+        """int tr M dt to each checkpoint, (n,) complex zeros: M is traceless."""
+        return np.zeros(len(self.ts), dtype=complex)
 
     @property
     def final(self):
@@ -297,15 +308,15 @@ class FundamentalSolution:
         return ls + math.log(float(np.linalg.norm(M, 2)))
 
     def det_balance_defect(self) -> float:
-        """Max over the path of |log|det H| - Re int tr M dt|; the
-        discrete form of determinant regularity (for traceless systems
-        |det H| = 1, so stored dets must balance the accumulated scale)."""
+        """Max over the path of |log|det H||: |det H| = 1, so each stored
+        |det M_j| must balance exp(-2 logscale_j), which past 15-20 units
+        of growth is below rounding."""
         defects = [0.0]    # reduced by np.max, which keeps a NaN
-        for M, ls, w in zip(self.mats, self.logscales, self.trace_integrals):
+        for M, ls in zip(self.mats, self.logscales):
             d = abs(np.linalg.det(M))
             if d == 0:
                 return float("inf")
-            defects.append(abs(math.log(d) + 2.0 * ls - w.real))
+            defects.append(abs(math.log(d) + 2.0 * ls))
         return float(np.max(defects))
 
 
@@ -338,18 +349,17 @@ def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([px * qy - py * qx, 2.0 * (dx * py - dy * px), 2.0 * (dy * qx - dx * qy)])
 
 
-def _magnus_steps(A: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _magnus_steps(A: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Sixth-order Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep.
     470 (2009), the three-node Gauss scheme) of lengths h (...), from
-    M at each step's Gauss nodes, A (3, ..., 2, 2): exp Omega by its
-    components (E00, E01, E10, E11) along the first axis, and tr Omega.
+    traceless M at each step's Gauss nodes, A (3, ..., 2, 2): exp Omega
+    by its components (E00, E01, E10, E11) along the first axis.
 
-    The commutators see only traceless parts, so each matrix is carried
-    as its trace and (d, p, q) with d = (X00 - X11)/2, p = X01, q = X10.
-    exp Omega is closed form: with N = Omega - tr/2 I, N^2 = mu^2 I and
-    exp Omega = e^{tr/2} (cosh mu I + (sinh mu / mu) N)."""
+    Omega is traceless, so each matrix is carried as (d, p, q) with d =
+    (X00 - X11)/2, p = X01, q = X10, and exp Omega is in SL(2, C) and in
+    closed form: Omega^2 = mu^2 I and exp Omega = cosh mu I + (sinh mu /
+    mu) Omega."""
     a00, a01, a10, a11 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
-    t = h * (a00 + a11)
     X = np.array([(0.5 * h) * (a00 - a11), h * a01, h * a10])
     a1 = X[:, 1]
     a2 = (math.sqrt(15.0) / 3.0) * (X[:, 2] - X[:, 0])
@@ -357,7 +367,6 @@ def _magnus_steps(A: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     c1 = _commutator(a1, a2)
     c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
     d, p, q = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-    tr = t[1] + (10.0 / 36.0) * (t[2] - 2.0 * t[1] + t[0])
     mu2 = d * d + p * q
     small = np.abs(mu2) < _SERIES_MU2
     mu = np.sqrt(np.where(small, 1.0, mu2))
@@ -369,10 +378,7 @@ def _magnus_steps(A: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     cx, sx, cy, sy = np.cosh(x), np.sinh(x), np.cos(y), np.sin(y)
     ch = np.where(small, ch, cx * cy + 1j * (sx * sy))
     shc = np.where(small, shc, (sx * cy + 1j * (cx * sy)) / mu)
-    if np.any(tr):
-        scale = np.exp(0.5 * tr)
-        ch, shc = scale * ch, scale * shc
-    return np.array([ch + shc * d, shc * p, shc * q, ch - shc * d]), tr
+    return np.array([ch + shc * d, shc * p, shc * q, ch - shc * d])
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -402,7 +408,7 @@ def _damping(A: np.ndarray, a: np.ndarray, b: np.ndarray, run: np.ndarray,
     """Per run with steps, (i, sign t, G) at the edges of its whole
     first-round mesh, sign t increasing for np.interp, with G(t) = int
     2 |Re mu| from t to the run's last time.  The frozen gap 2 |Re mu| of
-    M, mu^2 = d^2 + pq of its traceless part, is read at each step's
+    M = [[d, p], [q, -d]], mu^2 = d^2 + pq, is read at each step's
     middle Gauss node, A (m, 2, 2), and held over the step."""
     d = 0.5 * (A[:, 0, 0] - A[:, 1, 1])
     c = 2.0 * np.sqrt(d * d + A[:, 0, 1] * A[:, 1, 0]).real * np.abs(b - a)
@@ -417,18 +423,19 @@ def _damping(A: np.ndarray, a: np.ndarray, b: np.ndarray, run: np.ndarray,
 
 def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
     """Accepted steps of each run of output times, from its first time
-    to its last: (4, m) step matrices by components and their tr Omega,
-    grouped by run in the order taken, and per run the index of the
-    first step after each of its times.
+    to its last: (4, m) step matrices by components, grouped by run in
+    the order taken, and per run the index of the first step after each
+    of its times.
 
     A run's initial mesh is its output times, each interval between them
     cut into steps of at most _MAX_STEP.  Each step carries its run's
     index, and each round samples every node of every pending step in
     one ode_matrix call.  With P = E_{h/2} E_{h/2} and err = ||P - E_h|| /
     (_ACCEPT tol ||P||) (Frobenius), a step passes when err <= 1 and ||P||^2
-    <= _MAX_NORM2, and contributes P + (P - E_h)/63 and the halves' tr
-    Omega; a failing step is cut into ceil(1.2 err^{1/7}) equal pieces (more
-    if it grows too much), and only those are checked in the next round.
+    <= _MAX_NORM2, and contributes P + (P - E_h)/63; a failing step is cut
+    into ceil(1.2 err^{1/7}) equal pieces (more if it grows too much), and
+    only those are checked in the next round.  A sampled M with |tr M|
+    above 1e-12 |M| (Frobenius) raises ValueError.
 
     `damped` is for runs whose only output is the direction at their last
     time (module docstring): err is weighted by exp(-G/2), G from
@@ -442,14 +449,17 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
     a, b, n = _edges(np.array(t0, dtype=float), np.array(t1, dtype=float))
     run = np.repeat(np.array(run, dtype=int), n)
     # no steps at all in a run whose times are all equal
-    starts, taken, mats, traces = [[]], [np.zeros(0, int)], [np.zeros((4, 0))], [[]]
+    starts, taken, mats = [[]], [np.zeros(0, int)], [np.zeros((4, 0))]
     tables = None
     while a.size:
         h = b - a
         nodes = a + h * _NODES[..., None]
         A = np.asarray(fields.ode_matrix(nodes.ravel())).reshape(3, 3, -1, 2, 2)
+        trace = A[..., 0, 0] + A[..., 1, 1]
+        if np.any(trace) and np.any(np.abs(trace) > 1e-12 * np.linalg.norm(A, axis=(-2, -1))):
+            raise ValueError("M(t) must be traceless: the propagator keeps H in SL(2, C)")
         with np.errstate(over="ignore", invalid="ignore"):
-            E, tr = _magnus_steps(A, h * np.array([[1.0], [0.5], [0.5]]))
+            E = _magnus_steps(A, h * np.array([[1.0], [0.5], [0.5]]))
             half = _product(E[:, 2], E[:, 1])
             diff = half - E[:, 0]
             size = np.sum(np.abs(half) ** 2, axis=0)
@@ -468,7 +478,6 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
         starts.append(a[ok])
         taken.append(run[ok])
         mats.append(half[:, ok] + diff[:, ok] / 63.0)
-        traces.append(tr[1, ok] + tr[2, ok])
         k = np.where(np.isfinite(pieces), np.clip(pieces, 2, _MAX_SPLIT), _MAX_SPLIT).astype(int)
         a, h, b, run = a[~ok], h[~ok], b[~ok], run[~ok]
         stuck = np.abs(h) / k <= 1e-13 * np.maximum(1.0, np.abs(a))
@@ -487,14 +496,14 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
     starts, bounds = starts[order], np.searchsorted(run[order], np.arange(len(runs) + 1))
     stops = [lo + np.searchsorted(starts[lo:hi], sign * ts)
              for ts, sign, lo, hi in zip(runs, signs, bounds[:-1], bounds[1:])]
-    return np.concatenate(mats, axis=1)[:, order], np.concatenate(traces)[order], stops
+    return np.concatenate(mats, axis=1)[:, order], stops
 
 
 def _propagate(fields: FieldSampler, runs: list, tol: float, damped: bool = False) -> list:
-    """For each run (Q0, ts), the solution H of H' = M(t) H with H(ts[0])
-    = Q0, a unitary 2x2, at each of `ts`, as (mats, logscales, trace
-    integrals) with H equal to exp(logscale) mat, |mat| = 1 (Frobenius),
-    and w = int tr M dt.
+    """For each run (v, ts), v a unit 2-vector, the solution H of H' =
+    M(t) H at each of `ts` from the SU(2) start H(ts[0]) = [[v0, -conj
+    v1], [v1, conj v0]], as (mats, logscales) with H equal to
+    exp(logscale) mat, |mat| = 1 (Frobenius).
 
     The steps are `_mesh`'s locally extrapolated sixth-order Magnus
     steps, every run's refined in the same rounds.  The steps between
@@ -502,88 +511,75 @@ def _propagate(fields: FieldSampler, runs: list, tol: float, damped: bool = Fals
     block's ordered product P = E_last ... E_first is formed at once by
     pairwise products, each level rescaled by a power of two whose log
     the block keeps.  The blocks are accumulated as a discrete QR
-    factorization H = Q R, with Q unitary and R = exp(L) [[p, rho], [0,
-    q]], where L = log(exp(l1) + exp(l2)), p = exp(l1 - L) and q =
-    exp(l2 - L): P Q = Q' R' with R' upper triangular with a positive
-    diagonal, so l_i += log R'_ii, and rho carries R's corner scaled by
-    exp(-L).  As det P = exp(tr), tr the block's summed tr Omega, R'_11
-    = |det P| / R'_00 and Q's second column is the unit normal to its
-    first with det Q' = det Q exp(i Im tr).  Each mode's growth is kept
-    in its own log, so nothing overflows whichever column grows, and l1
-    + l2 = Re int tr M dt."""
-    mats, traces, stops = _mesh(fields, [ts for _, ts in runs], tol, damped)
+    factorization H = Q R, with Q in SU(2) and R = exp(L) [[p, rho], [0,
+    q]], where L = log(exp(l1) + exp(-l1)), p = exp(l1 - L) and q =
+    exp(-l1 - L): P Q = Q' R' with R' upper triangular with a positive
+    diagonal, so l1 += log R'_00, and rho carries R's corner scaled by
+    exp(-L).  M is traceless, so det P = 1: R'_11 = 1 / R'_00, and Q's
+    second column is (-conj q10, conj q00).  The growth is kept in its
+    log, so nothing overflows whichever column grows."""
+    mats, stops = _mesh(fields, [ts for _, ts in runs], tol, damped)
     lo, hi = np.concatenate([s[:-1] for s in stops]), np.concatenate([s[1:] for s in stops])
     first = np.concatenate(([0], np.cumsum(-(-(hi - lo) // _BLOCK))))   # per interval
-    step = np.arange(traces.size)
+    step = np.arange(mats.shape[1])
     k = np.searchsorted(lo, step, "right") - 1                          # each step's interval
     block, slot = first[k] + (step - lo[k]) // _BLOCK, (step - lo[k]) % _BLOCK
     width = 1 << (int(np.clip(hi - lo, 1, _BLOCK).max(initial=1)) - 1).bit_length()
     P = np.zeros((4, first[-1], width), dtype=complex)   # identities pad short blocks
     P[0] = P[3] = 1.0
     P[:, block, slot] = mats
-    tr = np.zeros((first[-1], width), dtype=complex)
-    tr[block, slot] = traces
     scale = np.zeros((first[-1], width))                 # log2 of each product's scale
     while P.shape[2] > 1:
         P = _product(P[:, :, 1::2], P[:, :, 0::2])
         e = np.frexp(np.abs(P).max(axis=0))[1]
         P, scale = P * np.exp2(-e), scale[:, 1::2] + scale[:, 0::2] + e
-    blocks = zip(P[:, :, 0].T.tolist(), (math.log(2.0) * scale[:, 0]).tolist(),
-                 tr.sum(axis=1).tolist())
+    blocks = zip(P[:, :, 0].T.tolist(), (math.log(2.0) * scale[:, 0]).tolist())
     out = []
-    for (Q0, ts), K in zip(runs, np.cumsum([0] + [len(ts) - 1 for _, ts in runs])):
-        (q00, q01), (q10, q11) = np.asarray(Q0, dtype=complex).tolist()
-        detq = q00 * q11 - q01 * q10
-        detq /= abs(detq)
-        l1 = l2 = 0.0
-        L = math.log(2.0)         # log(exp(l1) + exp(l2))
-        rho = w = 0j
+    for (v, ts), K in zip(runs, np.cumsum([0] + [len(ts) - 1 for _, ts in runs])):
+        q00, q10 = complex(v[0]), complex(v[1])
+        l1, L, rho = 0.0, math.log(2.0), 0j
         path, done = [], first[K]
         for stop in first[K:K + len(ts)]:
-            for (e00, e01, e10, e11), s, t in itertools.islice(blocks, stop - done):
+            for (e00, e01, e10, e11), s in itertools.islice(blocks, stop - done):
+                q01, q11 = -q10.conjugate(), q00.conjugate()
                 a00, a10 = e00 * q00 + e01 * q10, e10 * q00 + e11 * q10   # P Q
                 a01, a11 = e00 * q01 + e01 * q11, e10 * q01 + e11 * q11
                 r00 = math.hypot(abs(a00), abs(a10))
                 q00, q10 = a00 / r00, a10 / r00
                 r01 = q00.conjugate() * a01 + q10.conjugate() * a11
-                if t.imag:
-                    detq *= cmath.exp(1j * t.imag)
-                q01, q11 = -detq * q10.conjugate(), detq * q00.conjugate()
                 g1 = s + math.log(r00)
-                l1, l2, l2_old, L_old = l1 + g1, l2 + t.real - g1, l2, L
-                L = max(l1, l2) + math.log1p(math.exp(-abs(l1 - l2)))
-                rho = rho * math.exp(g1 + L_old - L) + r01 * math.exp(s + l2_old - L)
-                w += t
+                l1, l1_old, L_old = l1 + g1, l1, L
+                L = abs(l1) + math.log1p(math.exp(-2.0 * abs(l1)))
+                rho = rho * math.exp(g1 + L_old - L) + r01 * math.exp(s - l1_old - L)
             done = stop
-            path.append((q00, q01, q10, q11, l1, l2, rho, w))
-        q00, q01, q10, q11, l1, l2, rho, w = np.array(path).T
+            path.append((q00, q10, rho, l1, L))
+        q00, q10, rho, l1, L = np.array(path).T
+        l1, L = l1.real, L.real
         R = np.zeros((len(ts), 2, 2), dtype=complex)
-        L = np.logaddexp(l1.real, l2.real)
-        R[:, 0, 0], R[:, 0, 1], R[:, 1, 1] = np.exp(l1.real - L), rho, np.exp(l2.real - L)
-        H = np.stack([q00, q01, q10, q11], axis=-1).reshape(-1, 2, 2) @ R
+        R[:, 0, 0], R[:, 0, 1], R[:, 1, 1] = np.exp(l1 - L), rho, np.exp(-l1 - L)
+        H = np.stack([q00, -q10.conj(), q10, q00.conj()], axis=-1).reshape(-1, 2, 2) @ R
         norms = np.linalg.norm(H, axis=(1, 2))
-        out.append((H / norms[:, None, None], L + np.log(norms), w))
+        out.append((H / norms[:, None, None], L + np.log(norms)))
     return out
 
 
 def integrate_fundamental(fields: FieldSampler, t0: float, t1: float,
                           tol: float = 1e-10, checkpoints: int = 17) -> FundamentalSolution:
     """Fundamental matrix of s' = M(t) s with H(t0) = I at `checkpoints`
-    evenly spaced times, log ||H|| within about `tol` (module docstring);
-    the cumulative trace integral rides along for determinant accounting."""
+    evenly spaced times, log ||H|| within about `tol` (module docstring).
+    M must be traceless (ValueError otherwise), so H is in SL(2, C)."""
     ts = np.linspace(t0, t1, checkpoints)
-    mats, logs, traces = _propagate(fields, [(np.eye(2, dtype=complex), ts)], tol)[0]
-    return FundamentalSolution(ts, mats, logs, traces)
+    return FundamentalSolution(ts, *_propagate(fields, [((1.0, 0.0), ts)], tol)[0])
 
 
 def _asymptotic_eigenvectors(M: np.ndarray, ends) -> np.ndarray:
     """Unit eigenvectors (k, 2) of M (k, 2, 2) for the eigenvalue of least
     real part where the end is +1 and greatest where it is -1, in closed
-    form: lambda = tr/2 + m with m = -+mu, mu = sqrt(d^2 + pq) (Re mu >= 0)
-    from the traceless part [[d, p], [q, -d]], and the kernel of
-    [[d - m, p], [q, -d - m]] read from whichever of (p, m - d) and
-    (m + d, q) is longer.  Raises IllPosedError where 2 |Re mu|, the gap
-    between the two real parts, is below 1e-3."""
+    form: lambda = m = -+mu, mu = sqrt(d^2 + pq) (Re mu >= 0) for M =
+    [[d, p], [q, -d]], and the kernel of [[d - m, p], [q, -d - m]] read
+    from whichever of (p, m - d) and (m + d, q) is longer.  Raises
+    IllPosedError where 2 |Re mu|, the gap between the two real parts, is
+    below 1e-3."""
     d, p, q = 0.5 * (M[:, 0, 0] - M[:, 1, 1]), M[:, 0, 1], M[:, 1, 0]
     mu = np.sqrt(d * d + p * q)
     if not np.all(2.0 * mu.real >= 1e-3):
@@ -597,26 +593,27 @@ def _asymptotic_eigenvectors(M: np.ndarray, ends) -> np.ndarray:
 def _decaying(fields: FieldSampler, ends, t_horizon: float, tol: float) -> list:
     """Unit directions at t = 0 of the solutions decaying at each of
     `ends` (+1 or -1), all in one propagation back from the horizons, each
-    seeded with the asymptotic eigenvector (a unitary start's first column)
-    and refined for the direction at 0 (`_mesh`'s `damped`)."""
+    seeded with the asymptotic eigenvector and refined for the direction
+    at 0 (`_mesh`'s `damped`).  A horizon that is not finite and > 0
+    raises ValueError before any sampling."""
     if any(end not in (+1, -1) for end in ends):
         raise ValueError("end must be +1 or -1")
+    if not 0.0 < t_horizon < math.inf:    # a NaN compares False
+        raise ValueError(f"horizon must be finite and positive, got {t_horizon}")
     t_far = t_horizon * np.array(ends, dtype=float)
-    runs = [(np.array([[v0, -v1.conjugate()], [v1, v0.conjugate()]]), np.array([t, 0.0]))
-            for t, (v0, v1) in zip(t_far.tolist(),
-                                   _asymptotic_eigenvectors(fields.ode_matrix(t_far), ends))]
-    return [H[-1][:, 0] / np.linalg.norm(H[-1][:, 0])
-            for H, _, _ in _propagate(fields, runs, tol, damped=True)]
+    seeds = _asymptotic_eigenvectors(fields.ode_matrix(t_far), ends)
+    return [H[-1][:, 0] / np.linalg.norm(H[-1][:, 0]) for H, _ in _propagate(
+        fields, [(v, np.array([t, 0.0])) for t, v in zip(t_far.tolist(), seeds)], tol, damped=True)]
 
 
 def decaying_solution(fields: FieldSampler, end: int, t_horizon: float,
                       tol: float = 1e-10) -> np.ndarray:
     """Unit direction at t = 0 of the solution decaying at the chosen end
-    (+1 or -1), via backward integration from the horizon seeded with
-    the asymptotic eigenvector (the first column of a unitary start).
-    `tol` is the accuracy of that direction: a step at t may err by
-    exp(G(t)/2) tol, G the gap of M integrated from 0 to t (module
-    docstring), since its error is damped on the way to 0."""
+    (+1 or -1), via backward integration from the horizon (finite and
+    > 0, else ValueError) seeded with the asymptotic eigenvector.  `tol`
+    is the accuracy of that direction: a step at t may err by exp(G(t)/2)
+    tol, G the gap of M integrated from 0 to t (module docstring), since
+    its error is damped on the way to 0."""
     return _decaying(fields, (end,), t_horizon, tol)[0]
 
 

@@ -175,6 +175,8 @@ def test_gradient_accurate_near_center():
             want = np.array([float(mpmath.diff(
                 lambda v: mp_potential(*xs[:i], v, *xs[i + 1:]), xs[i])) for i in range(3)])
         assert np.max(np.abs(V.gradient(x) - want)) <= 1e-13 * np.linalg.norm(want)
+    with pytest.raises(ZeroDivisionError):
+        V.gradient(c)
 
 
 posreal = st.floats(min_value=0.1, max_value=4.0, allow_nan=False)

@@ -247,7 +247,7 @@ def mp_potential(V, q):
 def test_potential_from_the_frame_matches_mpmath(lam):
     # the sampler's V, read from sinh rho = |e| of the Dirac frame, from 1e-8
     # off a center out to rho = 30, in six directions off the strings: against
-    # 40 digits and against MultiCenterPotential.value (dist, arcsinh, expm1)
+    # 40 digits and against MultiCenterPotential.value, both from G of sinh^2 rho
     V = MultiCenterPotential(lam, (PointUHS(0.2, -0.1, 0.9), PointUHS(0.9, 0.4, 0.7)), (1, 2))
     conn = md.DiracConnection(V)
     c = V.centers[0]
@@ -257,8 +257,9 @@ def test_potential_from_the_frame_matches_mpmath(lam):
         for rho in np.geomspace(1e-8, 30.0, 25) for polar in (0.6, 1.6) for phi in (0, 2, 4)])
     v = conn._local_data(P)[0]
     want = np.array([mp_potential(V, q) for q in P])
-    assert np.max(np.abs(v - want) / want) <= 2e-15       # read 5e-16 and 6e-16
-    assert np.max(np.abs(v - V.value(P)) / want) <= 1e-14    # read 3e-15 and 5e-16
+    assert np.max(np.abs(v - want) / want) <= 1e-15           # read 5.4e-16 twice
+    assert np.max(np.abs(V.value(P) - want) / want) <= 1e-15  # read 4.3e-16 and 4.4e-16
+    assert np.max(np.abs(v - V.value(P)) / want) <= 1e-15     # read 6.0e-16 and 5.4e-16
     assert np.max(want) > 1e7 and (lam > 0 or np.min(want) < 1e-20)
 
 

@@ -118,6 +118,8 @@ def test_det_balance_keeps_a_nan():
     spoiled = dataclasses.replace(sol, logscales=np.append(sol.logscales[:-1], math.nan))
     assert sol.det_balance_defect() < 1e-12
     assert math.isnan(spoiled.det_balance_defect())
+    # M is traceless: its integrals, kept for determinant readers, are zeros
+    assert sol.trace_integrals.tolist() == [0j] * len(sol.ts)
 
 
 def test_integration_tolerance_consistency():
@@ -188,6 +190,58 @@ def test_refinement_round_beyond_the_cap_raises():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_traced_field_refused():
+    # the propagator keeps H in SL(2, C), so a user sampler with a trace
+    # is refused rather than integrated; rounding-sized traces pass
+    @dataclasses.dataclass(frozen=True)
+    class Traced(sc.TrivialU1Field):
+        trace: complex = 0.0
+
+        def ode_matrix(self, t):
+            return super().ode_matrix(t) + self.trace * np.eye(2)
+
+    for trace in (0.3, 1e-6j):
+        with pytest.raises(ValueError, match="traceless"):
+            sc.integrate_fundamental(Traced(trace=trace), -1.0, 1.0)
+        with pytest.raises(ValueError, match="traceless"):
+            sc.decaying_solution(Traced(trace=trace), +1, 10.0)
+    sol = sc.integrate_fundamental(Traced(trace=1e-14), -1.0, 1.0)
+    assert abs(sol.log_norm_final() - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("horizon", (-40.0, 0.0, math.inf, math.nan))
+def test_unworkable_horizon_refused_before_sampling(horizon):
+    # -40 returned the direction decaying at the other end, 0 the seed
+    # itself, and inf and NaN ended in IllPosedError after a RuntimeWarning
+    class Unsampled(sc.TrivialU1Field):
+        def ode_matrix(self, t):
+            raise AssertionError("sampled")
+
+    f = Unsampled(mass=1.0)
+    for run in (sc.DecayingData.of, sc.spectral_indicator, sc.m_gamma_norm,
+                lambda f, horizon: sc.decaying_solution(f, +1, horizon)):
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            run(f, horizon)
+
+
+@pytest.mark.parametrize("impact", (math.nan, math.inf, 0.0, -1e-3))
+def test_impact_not_finite_and_positive_refused(impact):
+    # NaN and inf once passed `impact <= 0` and ran to the refinement cap
+    V = MultiCenterPotential(0.4, (PointUHS(0, 0, 1),), (1,))
+    with pytest.raises(ValueError, match="impact parameter must be finite and positive"):
+        sc.AbelianField.from_impact(V, 0, impact)
+
+
+@pytest.mark.parametrize("line", [dict(u=[0.0, 0.0, 0.0]), dict(u=[0.0, math.nan, 1.0]),
+                                  dict(u=[math.inf, 0.0, 1.0]), dict(x0=[math.nan, 0.0, 0.0]),
+                                  dict(center=[0.0, 0.0, math.inf])],
+                         ids=["zero_u", "nan_u", "inf_u", "nan_x0", "inf_center"])
+def test_ps_line_not_finite_refused(line):
+    # these once sampled NaN and ran to the refinement cap
+    with pytest.raises(ValueError, match="PS line needs"):
+        sc.PSField(**{"x0": [1.0, 0.0, 0.0], "u": [0.0, 0.0, 1.0], **line})
+
+
 def test_pole_off_base_point_fails_fast():
     # the geodesic meets the center at t = 0.5, away from every checkpoint
     # and seed: the closed-form closest approach flags it before any step
@@ -228,6 +282,7 @@ def test_batched_ode_matrix_matches_scalar_calls(name):
     assert batch.shape == (len(ts), 2, 2) and batch.dtype == complex
     assert one.shape == batch.shape
     assert np.all(np.abs(batch - one) <= 1e-15 * np.abs(one).max(axis=(1, 2), keepdims=True))
+    assert np.array_equal(batch[:, 1, 1], -batch[:, 0, 0])   # traceless, exactly
     norms = f.higgs_norm(ts)
     assert norms.shape == ts.shape
     assert np.all(np.abs(norms - [f.higgs_norm(t) for t in ts]) <= 1e-15 * np.abs(norms))
@@ -241,10 +296,9 @@ def test_magnus_step_of_constant_matrix_is_expm(scale):
     rng = np.random.default_rng(5)
     M = scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     M -= 0.5 * np.trace(M) * np.eye(2)
-    E, tr = sc._magnus_steps(np.broadcast_to(M, (3, 2, 2)), np.float64(0.7))
+    E = sc._magnus_steps(np.broadcast_to(M, (3, 2, 2)), np.float64(0.7))
     want = expm(0.7 * M)
     assert np.linalg.norm(E.reshape(2, 2) - want) <= 1e-14 * np.linalg.norm(want)
-    assert abs(tr) < 1e-15
 
 
 def test_fundamental_matches_dop853_reference():
