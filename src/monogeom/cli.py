@@ -96,6 +96,8 @@ class RunConfig:
                 raise ValueError(f"{key}: want {RunConfig.__annotations__[key]} (finite numbers, "
                                  f"exact ints, no booleans), got {val!r}")
             setattr(cfg, key, val)
+        centers = tuple(PointUHS(*c) for c in cfg.centers)
+        cfg.point = PointUHS(*cfg.spectral_point)
         for holds, rule in (
                 (all(getattr(cfg, k) >= n for k, n in _LEAST.items()), f"counts at least {_LEAST}"),
                 (cfg.scatter_experiment in EXPERIMENTS, f"scatter_experiment in {EXPERIMENTS}"),
@@ -104,14 +106,14 @@ class RunConfig:
                  "scatter_impacts two or more distinct, strictly between 0 and scatter_delta"),
                 (cfg.ps_impacts, "ps_impacts non-empty"),
                 (0 < cfg.ps_horizon <= sc.MAX_HORIZON, f"0 < ps_horizon <= {sc.MAX_HORIZON:g}"),
-                (cfg.scatter_center < len(cfg.centers), "scatter_center an index of centers")):
+                (cfg.scatter_center < len(cfg.centers), "scatter_center an index of centers"),
+                (all(hyp.dist(c, cfg.point) >= 1e-10 for c in centers),   # as lift_twistor_line
+                 "spectral_point at least 1e-10 from every center")):
             if not holds:
                 raise ValueError(f"need {rule}")
-        centers = tuple(PointUHS(*c) for c in cfg.centers)
         cfg.potential = (MultiCenterPotential.for_su2_charge1(centers, cfg.charges, cfg.mass)
                          if cfg.lam is None else
                          MultiCenterPotential(cfg.lam, centers, tuple(cfg.charges), cfg.mass))
-        cfg.point = PointUHS(*cfg.spectral_point)
         # break_dirac adds the 1-form 0.05 x dy, which breaks dA = *dV (the negative control)
         cfg.connection = md.DiracConnection(cfg.potential, extra=(
             lambda p: np.array([0.0, 0.05 * p[0], 0.0])) if cfg.break_dirac else None)
@@ -224,11 +226,7 @@ def cmd_spectral(cfg: RunConfig) -> int:
     if cfg.lam is not None:
         print("config error: spectral needs lambda = 1 + 2 mass: leave lam unset", file=sys.stderr)
         return 2
-    try:
-        data = sp.lift_twistor_line(cfg.point, cfg.potential)
-    except sp.DegenerateRestrictionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    data = sp.lift_twistor_line(cfg.point, cfg.potential)
     payload = {
         "seed": cfg.seed,
         "monopole_point": cfg.spectral_point,

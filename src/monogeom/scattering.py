@@ -328,13 +328,13 @@ _NODES = np.array([_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS]).T
 _MAX_STEP = 2.0          # longest step of the initial mesh
 _MAX_MESH = 100_000      # most steps in a round (node matrices: 58 MB); more raise ValueError
 MAX_HORIZON = _MAX_MESH * _MAX_STEP / 4   # longest T whose [-T, T] meshes fit, checkpoints too
-# largest squared Frobenius norm of an accepted step: beyond it the
-# decaying component of exp Omega, cosh mu - sinh mu, loses more than
-# e^6 eps to cancellation
+# largest squared Frobenius norm of an accepted step, of its half steps' product
+# and of the step stored: beyond it the decaying component of exp Omega, cosh mu
+# - sinh mu, loses more than e^6 eps to cancellation
 _MAX_NORM2 = math.exp(6.0)
 _MAX_SPLIT = 64          # most pieces a failing step is cut into in one round
 _ACCEPT = 8.0  # step acceptance in units of tol: the largest power of 2 keeping the oracles within tol
-_BLOCK = 64   # most steps in a block product: its modes then part by at most e^384
+_BLOCK = 64   # most steps in a block product: below e^192 unscaled, its modes part by at most e^384
 # cosh mu and sinh mu / mu as series in mu^2 below _SERIES_MU2, where
 # the four terms kept are exact to rounding (the next is below 3e-21)
 _SERIES_MU2 = 1e-4
@@ -358,7 +358,7 @@ def _magnus_steps(A: np.ndarray, h: np.ndarray) -> np.ndarray:
     Omega is traceless, so each matrix is carried as (d, p, q) with d =
     (X00 - X11)/2, p = X01, q = X10, and exp Omega is in SL(2, C) and in
     closed form: Omega^2 = mu^2 I and exp Omega = cosh mu I + (sinh mu /
-    mu) Omega."""
+    mu) Omega, both factors by series only at the steps with |mu^2| < _SERIES_MU2."""
     a00, a01, a10, a11 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
     X = np.array([(0.5 * h) * (a00 - a11), h * a01, h * a10])
     a1 = X[:, 1]
@@ -366,19 +366,21 @@ def _magnus_steps(A: np.ndarray, h: np.ndarray) -> np.ndarray:
     a3 = (10.0 / 3.0) * (X[:, 2] - 2.0 * X[:, 1] + X[:, 0])
     c1 = _commutator(a1, a2)
     c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
-    d, p, q = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-    mu2 = d * d + p * q
-    small = np.abs(mu2) < _SERIES_MU2
-    mu = np.sqrt(np.where(small, 1.0, mu2))
-    ch, shc = 0.0, 0.0
-    for c, s in zip(_COSH, _SINHC):
-        ch, shc = ch * mu2 + c, shc * mu2 + s
+    d, p, q = (a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0).reshape(3, -1)
+    mu2 = d * d + p * q   # flat, as one step's would be scalars
+    small = np.flatnonzero(np.abs(mu2) < _SERIES_MU2)
+    mu = np.sqrt(mu2)
+    mu[small] = 1.0
     # cosh and sinh of mu = x + iy from real functions, 4x faster than complex
     x, y = mu.real, mu.imag
     cx, sx, cy, sy = np.cosh(x), np.sinh(x), np.cos(y), np.sin(y)
-    ch = np.where(small, ch, cx * cy + 1j * (sx * sy))
-    shc = np.where(small, shc, (sx * cy + 1j * (cx * sy)) / mu)
-    return np.array([ch + shc * d, shc * p, shc * q, ch - shc * d])
+    ch, shc = cx * cy + 1j * (sx * sy), (sx * cy + 1j * (cx * sy)) / mu
+    if small.size:   # the series only where mu^2 is small
+        z, cs, ss = mu2[small], 0.0, 0.0
+        for c, s in zip(_COSH, _SINHC):
+            cs, ss = cs * z + c, ss * z + s
+        ch[small], shc[small] = cs, ss
+    return np.array([ch + shc * d, shc * p, shc * q, ch - shc * d]).reshape((4,) + X.shape[2:])
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -431,11 +433,11 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
     cut into steps of at most _MAX_STEP.  Each step carries its run's
     index, and each round samples every node of every pending step in
     one ode_matrix call.  With P = E_{h/2} E_{h/2} and err = ||P - E_h|| /
-    (_ACCEPT tol ||P||) (Frobenius), a step passes when err <= 1 and ||P||^2
-    <= _MAX_NORM2, and contributes P + (P - E_h)/63; a failing step is cut
-    into ceil(1.2 err^{1/7}) equal pieces (more if it grows too much), and
-    only those are checked in the next round.  A sampled M with |tr M|
-    above 1e-12 |M| (Frobenius) raises ValueError.
+    (_ACCEPT tol ||P||) (Frobenius), a step passes when err <= 1 and both
+    ||P||^2 and ||S||^2 <= _MAX_NORM2, and contributes S = P + (P - E_h)/63;
+    a failing step is cut into ceil(1.2 err^{1/7}) equal pieces (more if it
+    grows too much), and only those are checked in the next round, until one
+    passes them all.  A sampled M with |tr M| above 1e-12 |M| raises ValueError.
 
     `damped` is for runs whose only output is the direction at their last
     time (module docstring): err is weighted by exp(-G/2), G from
@@ -462,6 +464,7 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
             E = _magnus_steps(A, h * np.array([[1.0], [0.5], [0.5]]))
             half = _product(E[:, 2], E[:, 1])
             diff = half - E[:, 0]
+            step = half + diff / 63.0
             size = np.sum(np.abs(half) ** 2, axis=0)
             err = np.sqrt(np.sum(np.abs(diff) ** 2, axis=0) / size) / (_ACCEPT * tol)
             if damped:
@@ -470,14 +473,16 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
                 for i, edges, G in tables:
                     mine = run == i
                     err[mine] *= np.exp(-0.5 * np.interp(signs[i] * b[mine], edges, G))
-            ok = (err <= 1.0) & (size <= _MAX_NORM2)
+            ok = (err <= 1.0) & (np.maximum(size, np.sum(np.abs(step) ** 2, axis=0)) <= _MAX_NORM2)
+            starts.append(a[ok])
+            taken.append(run[ok])
+            mats.append(step[:, ok])
+            if ok.all():
+                break
             # enough pieces for the error bound, and for each piece's
             # log size to be about half the cap
             pieces = np.ceil(np.maximum(1.2 * err[~ok] ** (1.0 / 7.0),
                                         2.0 * np.log(size[~ok]) / math.log(_MAX_NORM2)))
-        starts.append(a[ok])
-        taken.append(run[ok])
-        mats.append(half[:, ok] + diff[:, ok] / 63.0)
         k = np.where(np.isfinite(pieces), np.clip(pieces, 2, _MAX_SPLIT), _MAX_SPLIT).astype(int)
         a, h, b, run = a[~ok], h[~ok], b[~ok], run[~ok]
         stuck = np.abs(h) / k <= 1e-13 * np.maximum(1.0, np.abs(a))
@@ -505,35 +510,34 @@ def _propagate(fields: FieldSampler, runs: list, tol: float, damped: bool = Fals
     v1], [v1, conj v0]], as (mats, logscales) with H equal to
     exp(logscale) mat, |mat| = 1 (Frobenius).
 
-    The steps are `_mesh`'s locally extrapolated sixth-order Magnus
-    steps, every run's refined in the same rounds.  The steps between
-    two output times are cut into blocks of at most _BLOCK, and every
-    block's ordered product P = E_last ... E_first is formed at once by
-    pairwise products, each level rescaled by a power of two whose log
-    the block keeps.  The blocks are accumulated as a discrete QR
-    factorization H = Q R, with Q in SU(2) and R = exp(L) [[p, rho], [0,
-    q]], where L = log(exp(l1) + exp(-l1)), p = exp(l1 - L) and q =
+    The steps are `_mesh`'s locally extrapolated sixth-order Magnus steps,
+    every run's refined in the same rounds.  The steps between two output times
+    are cut into blocks of at most _BLOCK, and every block's ordered product
+    P = E_last ... E_first is formed at once by pairwise products, below e^192
+    as each stored step is below e^3 (_MAX_NORM2), then rescaled once by a
+    power of two whose log the block keeps.  The blocks are accumulated as a
+    discrete QR factorization H = Q R, with Q in SU(2) and R = exp(L) [[p,
+    rho], [0, q]], where L = log(exp(l1) + exp(-l1)), p = exp(l1 - L) and q =
     exp(-l1 - L): P Q = Q' R' with R' upper triangular with a positive
     diagonal, so l1 += log R'_00, and rho carries R's corner scaled by
-    exp(-L).  M is traceless, so det P = 1: R'_11 = 1 / R'_00, and Q's
-    second column is (-conj q10, conj q00).  The growth is kept in its
-    log, so nothing overflows whichever column grows."""
+    exp(-L).  M is traceless, so det P = 1: R'_11 = 1 / R'_00, and Q's second
+    column is (-conj q10, conj q00).  The growth is kept in its log, so nothing
+    overflows whichever column grows."""
     mats, stops = _mesh(fields, [ts for _, ts in runs], tol, damped)
     lo, hi = np.concatenate([s[:-1] for s in stops]), np.concatenate([s[1:] for s in stops])
     first = np.concatenate(([0], np.cumsum(-(-(hi - lo) // _BLOCK))))   # per interval
     step = np.arange(mats.shape[1])
     k = np.searchsorted(lo, step, "right") - 1                          # each step's interval
     block, slot = first[k] + (step - lo[k]) // _BLOCK, (step - lo[k]) % _BLOCK
-    width = 1 << (int(np.clip(hi - lo, 1, _BLOCK).max(initial=1)) - 1).bit_length()
+    width = 1 << (min(int((hi - lo).max(initial=1)), _BLOCK) - 1).bit_length()
     P = np.zeros((4, first[-1], width), dtype=complex)   # identities pad short blocks
     P[0] = P[3] = 1.0
     P[:, block, slot] = mats
-    scale = np.zeros((first[-1], width))                 # log2 of each product's scale
     while P.shape[2] > 1:
         P = _product(P[:, :, 1::2], P[:, :, 0::2])
-        e = np.frexp(np.abs(P).max(axis=0))[1]
-        P, scale = P * np.exp2(-e), scale[:, 1::2] + scale[:, 0::2] + e
-    blocks = zip(P[:, :, 0].T.tolist(), (math.log(2.0) * scale[:, 0]).tolist())
+    # log2 of each block's scale; blocks of one step (width 1) are below e^3 and keep theirs
+    e = np.frexp(np.abs(P[:, :, 0]).max(axis=0))[1] * (width > 1)
+    blocks = zip((P[:, :, 0] * np.exp2(-e)).T.tolist(), (math.log(2.0) * e).tolist())
     out = []
     for (v, ts), K in zip(runs, np.cumsum([0] + [len(ts) - 1 for _, ts in runs])):
         q00, q10 = complex(v[0]), complex(v[1])
@@ -558,7 +562,7 @@ def _propagate(fields: FieldSampler, runs: list, tol: float, damped: bool = Fals
         R = np.zeros((len(ts), 2, 2), dtype=complex)
         R[:, 0, 0], R[:, 0, 1], R[:, 1, 1] = np.exp(l1 - L), rho, np.exp(-l1 - L)
         H = np.stack([q00, -q10.conj(), q10, q00.conj()], axis=-1).reshape(-1, 2, 2) @ R
-        norms = np.linalg.norm(H, axis=(1, 2))
+        norms = np.sqrt(np.add.reduce((H.conj() * H).real, axis=(1, 2)))   # as np.linalg.norm
         out.append((H / norms[:, None, None], L + np.log(norms)))
     return out
 
@@ -586,8 +590,9 @@ def _asymptotic_eigenvectors(M: np.ndarray, ends) -> np.ndarray:
         raise IllPosedError("no spectral gap at the horizon: decaying direction ill posed")
     m = -np.asarray(ends, dtype=float) * mu
     row, col = np.stack([p, m - d], axis=-1), np.stack([m + d, q], axis=-1)
-    v = np.where((np.linalg.norm(row, axis=-1) >= np.linalg.norm(col, axis=-1))[:, None], row, col)
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    nr, nc = (np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1)) for x in (row, col))
+    v = np.where((nr >= nc)[:, None], row, col)     # norms by np.linalg.norm's arithmetic
+    return v / np.sqrt(np.add.reduce((v.conj() * v).real, axis=-1))[:, None]
 
 
 def _decaying(fields: FieldSampler, ends, t_horizon: float, tol: float) -> list:
@@ -602,8 +607,9 @@ def _decaying(fields: FieldSampler, ends, t_horizon: float, tol: float) -> list:
         raise ValueError(f"horizon must be finite and positive, got {t_horizon}")
     t_far = t_horizon * np.array(ends, dtype=float)
     seeds = _asymptotic_eigenvectors(fields.ode_matrix(t_far), ends)
-    return [H[-1][:, 0] / np.linalg.norm(H[-1][:, 0]) for H, _ in _propagate(
+    cols = [H[-1][:, 0] for H, _ in _propagate(
         fields, [(v, np.array([t, 0.0])) for t, v in zip(t_far.tolist(), seeds)], tol, damped=True)]
+    return [v / np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)) for v in cols]   # as linalg.norm
 
 
 def decaying_solution(fields: FieldSampler, end: int, t_horizon: float,
@@ -659,8 +665,13 @@ def spectral_indicator(fields: FieldSampler, t_horizon: float = 40.0,
 
 def m_gamma_norm(fields: FieldSampler, t_horizon: float = 40.0,
                  tol: float = 1e-10) -> float:
-    """Spectral norm of the splitting reflection M_gamma at t = 0."""
-    return float(np.linalg.norm(DecayingData.of(fields, t_horizon, tol).splitting_reflection(), 2))
+    """Spectral norm of the splitting reflection M_gamma at t = 0: with the indicator delta = sin
+    theta, theta the angle between the decaying lines, its singular values are cot(theta/2) and
+    tan(theta/2).  ZeroDivisionError below delta = 1e-12, as `DecayingData.splitting_reflection`."""
+    delta = spectral_indicator(fields, t_horizon, tol)
+    if delta < 1e-12:
+        raise ZeroDivisionError("spectral line: splitting degenerates")
+    return (1.0 + math.sqrt((1.0 - delta) * (1.0 + delta))) / delta
 
 
 # ---------------------------------------------------------------------------

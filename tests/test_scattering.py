@@ -288,17 +288,27 @@ def test_batched_ode_matrix_matches_scalar_calls(name):
     assert np.all(np.abs(norms - [f.higgs_norm(t) for t in ts]) <= 1e-15 * np.abs(norms))
 
 
-@pytest.mark.parametrize("scale", (1.0, 1e-3))
-def test_magnus_step_of_constant_matrix_is_expm(scale):
+@pytest.mark.parametrize("steps", ([(1.0, 0.7)], [(1e-3, 0.7)],
+                                   [(1.0, 0.7), (1e-3, 0.7), (1.0, 0.0)] * 5),
+                         ids=["1.0", "0.001", "batch"])
+def test_magnus_step_of_constant_matrix_is_expm(steps):
     # for constant M every commutator vanishes and Omega = h M; scale
-    # 1e-3 puts mu^2 below the switch to the cosh and sinhc series
+    # 1e-3 puts mu^2 below the switch to the cosh and sinhc series.  A
+    # batch mixing both scales and zero steps takes the series at some
+    # entries only, and each of its steps must equal that step alone
     from scipy.linalg import expm
-    rng = np.random.default_rng(5)
-    M = scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    M -= 0.5 * np.trace(M) * np.eye(2)
-    E = sc._magnus_steps(np.broadcast_to(M, (3, 2, 2)), np.float64(0.7))
-    want = expm(0.7 * M)
-    assert np.linalg.norm(E.reshape(2, 2) - want) <= 1e-14 * np.linalg.norm(want)
+    Ms = []
+    for scale, _ in steps:
+        rng = np.random.default_rng(5)
+        M = scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        Ms.append(M - 0.5 * np.trace(M) * np.eye(2))
+    hs = np.array([h for _, h in steps])
+    batch = sc._magnus_steps(np.broadcast_to(np.array(Ms), (3, len(steps), 2, 2)), hs)
+    for i, (M, h) in enumerate(zip(Ms, hs)):
+        E = sc._magnus_steps(np.broadcast_to(M, (3, 2, 2)), h)
+        assert np.array_equal(batch[:, i], E)
+        want = expm(h * M)
+        assert np.linalg.norm(E.reshape(2, 2) - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_fundamental_matches_dop853_reference():
@@ -577,6 +587,24 @@ def test_decaying_data_within_1e12_of_a_tight_reference(seed):
         assert abs(got.indicator() / ref.indicator() - 1.0) <= 1e-12
         norms = [np.linalg.norm(d.splitting_reflection(), 2) for d in (got, ref)]
         assert abs(norms[0] / norms[1] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_m_gamma_closed_form_matches_the_reflection(seed):
+    # ||M_gamma|| from the indicator alone against the spectral norm of
+    # the reflection matrix built from the same decaying data
+    R = _rotation(np.random.default_rng([seed, 3]))
+    for b in PS_SCAN_IMPACTS:
+        f = sc.PSField(x0=R @ [b, 0.0, 0.0], u=R @ [0.0, 0.0, 1.0])
+        data = sc.DecayingData.of(f, 40.0)
+        if data.indicator() < 1e-12:
+            with pytest.raises(ZeroDivisionError):
+                sc.m_gamma_norm(f, 40.0)
+            with pytest.raises(ZeroDivisionError):
+                data.splitting_reflection()
+            continue
+        want = np.linalg.norm(data.splitting_reflection(), 2)
+        assert abs(sc.m_gamma_norm(f, 40.0) / want - 1.0) <= 1e-13
 
 
 def test_ps_scan_pass_samples_at_most_45000_nodes():
