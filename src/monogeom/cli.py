@@ -107,7 +107,7 @@ class RunConfig:
                 (cfg.ps_impacts, "ps_impacts non-empty"),
                 (0 < cfg.ps_horizon <= sc.MAX_HORIZON, f"0 < ps_horizon <= {sc.MAX_HORIZON:g}"),
                 (cfg.scatter_center < len(cfg.centers), "scatter_center an index of centers"),
-                (all(hyp.dist(c, cfg.point) >= 1e-10 for c in centers),   # as lift_twistor_line
+                (all(hyp.dist(cfg.point, c) >= 1e-10 for c in centers),   # as lift_twistor_line
                  "spectral_point at least 1e-10 from every center")):
             if not holds:
                 raise ValueError(f"need {rule}")
@@ -205,7 +205,7 @@ def cmd_scatter(cfg: RunConfig) -> int:
             f = sc.PSField(x0=[b, 0.0, 0.0], u=[0.0, 0.0, 1.0])
             data = sc.DecayingData.of(f, cfg.ps_horizon)
             ind = data.indicator()
-            mg = float(np.linalg.norm(data.splitting_reflection(), 2)) if ind > 1e-8 else ""
+            mg = data.reflection_norm() if ind > 1e-8 else ""
             sol = sc.integrate_fundamental(f, -cfg.ps_horizon, cfg.ps_horizon, tol=1e-9)
             rows.append(["ps_scan", b, sol.log_norm_final(), ind, mg])
         fit_payload.update({"experiment": "ps_scan"})

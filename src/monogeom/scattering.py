@@ -562,7 +562,7 @@ def _propagate(fields: FieldSampler, runs: list, tol: float, damped: bool = Fals
         R = np.zeros((len(ts), 2, 2), dtype=complex)
         R[:, 0, 0], R[:, 0, 1], R[:, 1, 1] = np.exp(l1 - L), rho, np.exp(-l1 - L)
         H = np.stack([q00, -q10.conj(), q10, q00.conj()], axis=-1).reshape(-1, 2, 2) @ R
-        norms = np.sqrt(np.add.reduce((H.conj() * H).real, axis=(1, 2)))   # as np.linalg.norm
+        norms = np.linalg.norm(H, axis=(1, 2))
         out.append((H / norms[:, None, None], L + np.log(norms)))
     return out
 
@@ -590,9 +590,8 @@ def _asymptotic_eigenvectors(M: np.ndarray, ends) -> np.ndarray:
         raise IllPosedError("no spectral gap at the horizon: decaying direction ill posed")
     m = -np.asarray(ends, dtype=float) * mu
     row, col = np.stack([p, m - d], axis=-1), np.stack([m + d, q], axis=-1)
-    nr, nc = (np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1)) for x in (row, col))
-    v = np.where((nr >= nc)[:, None], row, col)     # norms by np.linalg.norm's arithmetic
-    return v / np.sqrt(np.add.reduce((v.conj() * v).real, axis=-1))[:, None]
+    v = np.where((np.linalg.norm(row, axis=-1) >= np.linalg.norm(col, axis=-1))[:, None], row, col)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def _decaying(fields: FieldSampler, ends, t_horizon: float, tol: float) -> list:
@@ -607,9 +606,8 @@ def _decaying(fields: FieldSampler, ends, t_horizon: float, tol: float) -> list:
         raise ValueError(f"horizon must be finite and positive, got {t_horizon}")
     t_far = t_horizon * np.array(ends, dtype=float)
     seeds = _asymptotic_eigenvectors(fields.ode_matrix(t_far), ends)
-    cols = [H[-1][:, 0] for H, _ in _propagate(
+    return [H[-1][:, 0] / np.linalg.norm(H[-1][:, 0]) for H, _ in _propagate(
         fields, [(v, np.array([t, 0.0])) for t, v in zip(t_far.tolist(), seeds)], tol, damped=True)]
-    return [v / np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)) for v in cols]   # as linalg.norm
 
 
 def decaying_solution(fields: FieldSampler, end: int, t_horizon: float,
@@ -655,6 +653,14 @@ class DecayingData:
         S = np.column_stack([self.s0, self.s0_prime])
         return S @ np.diag([1.0, -1.0]) @ np.linalg.inv(S)
 
+    def reflection_norm(self) -> float:
+        """||splitting_reflection()||_2 = cot(theta/2) = (1 + cos theta) / sin theta, with sin theta
+        the indicator and cos theta 0 where it rounds above 1.  ZeroDivisionError below 1e-12."""
+        delta = self.indicator()
+        if delta < 1e-12:
+            raise ZeroDivisionError("spectral line: splitting degenerates")
+        return (1.0 + math.sqrt(max(0.0, (1.0 - delta) * (1.0 + delta)))) / delta
+
 
 def spectral_indicator(fields: FieldSampler, t_horizon: float = 40.0,
                        tol: float = 1e-10) -> float:
@@ -665,13 +671,8 @@ def spectral_indicator(fields: FieldSampler, t_horizon: float = 40.0,
 
 def m_gamma_norm(fields: FieldSampler, t_horizon: float = 40.0,
                  tol: float = 1e-10) -> float:
-    """Spectral norm of the splitting reflection M_gamma at t = 0: with the indicator delta = sin
-    theta, theta the angle between the decaying lines, its singular values are cot(theta/2) and
-    tan(theta/2).  ZeroDivisionError below delta = 1e-12, as `DecayingData.splitting_reflection`."""
-    delta = spectral_indicator(fields, t_horizon, tol)
-    if delta < 1e-12:
-        raise ZeroDivisionError("spectral line: splitting degenerates")
-    return (1.0 + math.sqrt((1.0 - delta) * (1.0 + delta))) / delta
+    """||M_gamma|| at t = 0, in closed form (`DecayingData.reflection_norm`)."""
+    return DecayingData.of(fields, t_horizon, tol).reflection_norm()
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential, OrientedGeodesic, PointUHS
 from .projective import (INFINITY, ExtendedComplex, chordal_homogeneous, node_powers,
                          roots_of_unity)
@@ -314,10 +315,9 @@ def lift_twistor_line(q: PointUHS, V: MultiCenterPotential,
     constant there, so real powers are unambiguous and taken to be 1)
     and the divisor of x with its geodesic orientations.
     """
-    centers = [(c.x, c.y, c.z) for c in V.centers]
-    if any(2.0 * math.asinh(math.dist((q.x, q.y, q.z), c) / (2.0 * math.sqrt(q.z * c[2]))) < 1e-10
-           for c in centers):  # the hyperbolic distance from q to a center
+    if any(hyp.dist(q, c) < 1e-10 for c in V.centers):   # RunConfig.load refuses these too
         raise DegenerateRestrictionError("q coincides with a singular center")
+    centers = [(c.x, c.y, c.z) for c in V.centers]
     for su2 in CHART_ROTATIONS:
         chart = LineChart(q, su2)
         try:

@@ -379,6 +379,29 @@ def test_runconfig_validation():
         RunConfig.load(None, {"centers": [[0, 0, 1]], "charges": [1, 2]})
 
 
+def test_spectral_point_rule_agrees_with_the_lift():
+    # points within a few ulp of 1e-10 from a center, on both sides, and
+    # one whose distance reads 1e-10 by math.asinh but just below it by
+    # np.arcsinh: load refuses exactly the ones lift_twistor_line raises on
+    from monogeom import spectral as sp
+    cases = [([0, 0, 1], [0, 0, 1.0 + 1e-10 + k * 2.0 ** -52]) for k in range(-20, 21)]
+    cases.append(([0.0, -0.41, 1.84], [-1.4767328904466015e-10, -0.4099999999261633,
+                                       1.8400000000812204]))
+    refused = []
+    for center, point in cases:
+        V = RunConfig.load(None, {"centers": [center]}).potential
+        try:
+            RunConfig.load(None, {"centers": [center], "spectral_point": point})
+            sp.lift_twistor_line(sp.PointUHS(*point), V)
+            refused.append(False)
+        except ValueError as exc:
+            refused.append(True)
+            assert "spectral_point" in str(exc)
+            with pytest.raises(sp.DegenerateRestrictionError):
+                sp.lift_twistor_line(sp.PointUHS(*point), V)
+    assert any(refused) and not all(refused) and refused[-1]
+
+
 def _no_scipy_run(code, timeout=60):
     # run code in a fresh interpreter on this checkout and return its stdout lines
     src = os.path.dirname(os.path.dirname(monogeom.__file__))

@@ -576,35 +576,21 @@ def test_decaying_data_within_1e12_of_a_tight_reference(seed):
     # from 0 may err by exp(G/2) more (module docstring); the indicator
     # and ||M_gamma|| at the ps_scan impacts, on seeded rotations of their
     # lines, against tol 1e-13.  Through the center the indicator is 0 and
-    # M_gamma undefined, so there the indicator is compared absolutely
+    # M_gamma undefined, so there the indicator is compared absolutely.
+    # The closed-form norm must match the reflection matrix's
     R = _rotation(np.random.default_rng([seed, 3]))
     for b in PS_SCAN_IMPACTS:
         f = sc.PSField(x0=R @ [b, 0.0, 0.0], u=R @ [0.0, 0.0, 1.0])
         got, ref = sc.DecayingData.of(f), sc.DecayingData.of(f, tol=1e-13)
         if b == 0.0:
             assert abs(got.indicator() - ref.indicator()) <= 1e-12
+            with pytest.raises(ZeroDivisionError):
+                got.reflection_norm()
             continue
         assert abs(got.indicator() / ref.indicator() - 1.0) <= 1e-12
         norms = [np.linalg.norm(d.splitting_reflection(), 2) for d in (got, ref)]
         assert abs(norms[0] / norms[1] - 1.0) <= 1e-12
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_m_gamma_closed_form_matches_the_reflection(seed):
-    # ||M_gamma|| from the indicator alone against the spectral norm of
-    # the reflection matrix built from the same decaying data
-    R = _rotation(np.random.default_rng([seed, 3]))
-    for b in PS_SCAN_IMPACTS:
-        f = sc.PSField(x0=R @ [b, 0.0, 0.0], u=R @ [0.0, 0.0, 1.0])
-        data = sc.DecayingData.of(f, 40.0)
-        if data.indicator() < 1e-12:
-            with pytest.raises(ZeroDivisionError):
-                sc.m_gamma_norm(f, 40.0)
-            with pytest.raises(ZeroDivisionError):
-                data.splitting_reflection()
-            continue
-        want = np.linalg.norm(data.splitting_reflection(), 2)
-        assert abs(sc.m_gamma_norm(f, 40.0) / want - 1.0) <= 1e-13
+        assert abs(got.reflection_norm() / norms[0] - 1.0) <= 1e-13
 
 
 def test_ps_scan_pass_samples_at_most_45000_nodes():
@@ -628,6 +614,35 @@ def test_trivial_indicator_and_norm():
     f = sc.TrivialU1Field(mass=1.0)
     assert sc.spectral_indicator(f, 15.0) == pytest.approx(1.0, abs=1e-10)
     assert sc.m_gamma_norm(f, 15.0) == pytest.approx(1.0, abs=1e-10)
+
+
+class ConjugatedTrivialField(sc.FieldSampler):
+    """TrivialU1Field in the gauge U diag(m, -m) U^dagger: its decaying
+    lines are orthogonal and complex."""
+
+    def __init__(self, U):
+        self.U = U
+
+    def ode_matrix(self, t):
+        return self.U @ sc.TrivialU1Field().ode_matrix(t) @ self.U.conj().T
+
+    def higgs_norm(self, t):
+        return sc.TrivialU1Field().higgs_norm(t)
+
+
+def test_orthogonal_complex_decaying_lines_have_unit_norm():
+    # unit directions only to a few ulp: seeds 4, 5 and 7 read the
+    # indicator above 1, where the closed form's cos theta must not fail
+    indicators = []
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        data = sc.DecayingData.of(ConjugatedTrivialField(U), 15.0)
+        indicators.append(data.indicator())
+        assert data.reflection_norm() == pytest.approx(1.0, abs=1e-10)
+        assert data.reflection_norm() == pytest.approx(
+            np.linalg.norm(data.splitting_reflection(), 2), rel=1e-13)
+    assert max(indicators) > 1.0
 
 
 def test_decaying_data_record():
