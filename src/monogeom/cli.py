@@ -128,7 +128,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     from . import checks   # here and in cmd_symplectic: the other subcommands never use it
     table = [c for c in checks.TABLE if c.id.startswith(cfg.only or "")]
     if not table:
-        print(f"error: --only matched no check: {cfg.only}", file=sys.stderr)
+        print(f"config error: --only matched no check: {cfg.only}", file=sys.stderr)
         return 2
     setting = checks.Setting(
         connections=(cfg.connection,),

@@ -304,8 +304,11 @@ class FundamentalSolution:
         return self.mats[-1], float(self.logscales[-1])
 
     def log_norm_final(self) -> float:
-        M, ls = self.final
-        return ls + math.log(float(np.linalg.norm(M, 2)))
+        """log ||H||_2 at the end: sigma_max(M)^2 in closed form, nothing cancelled under the root."""
+        (a, b), (c, d) = self.mats[-1].tolist()   # M^dagger M = [[A, B], [B*, D]]
+        A, D = abs(a) ** 2 + abs(c) ** 2, abs(b) ** 2 + abs(d) ** 2
+        B = a.conjugate() * b + c.conjugate() * d
+        return float(self.logscales[-1]) + 0.5 * math.log((A + D + math.hypot(A - D, 2 * abs(B))) / 2)
 
     def det_balance_defect(self) -> float:
         """Max over the path of |log|det H||: |det H| = 1, so each stored

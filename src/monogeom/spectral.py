@@ -294,13 +294,14 @@ class SpectralDataC1:
                     for d, a, b in zip(self.divisor, p.alphas, p.betas)), default=0.0)
 
     def product_residual(self, n: int = 64) -> float:
-        """Relative residual of x y against the restricted section
-        prod q_i^{l_i} on an n-point unit-circle grid of the line of q."""
-        zs = roots_of_unity(n)
-        target = math.prod((_ipow(qd(zs), m) for qd, m in zip(self.quadratics, self.pair.multiplicities)),
-                           start=np.ones_like(zs))
+        """Relative residual of x y = lead_x lead_y prod ((zeta - alpha_i)(zeta - beta_i))^{l_i} against
+        prod q_i^{l_i} at n unit-circle nodes, each center's two rows from one node-power product."""
+        p = self.pair
+        rows = np.array([((-qd.a.conjugate(), 2.0 * qd.b, qd.a), (a * b, -(a + b), 1.0))
+                         for qd, a, b in zip(self.quadratics, p.alphas, p.betas)]) @ node_powers(n, 2)
+        target, xy = math.prod(map(_ipow, rows, p.multiplicities))
         scale = max(float(np.max(np.abs(target))), 1e-300)
-        return float(np.max(np.abs(self.pair.product_at(zs) - target))) / scale
+        return float(np.max(np.abs(p.lead_x * p.lead_y * xy - target))) / scale
 
 
 def lift_twistor_line(q: PointUHS, V: MultiCenterPotential,

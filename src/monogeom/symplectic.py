@@ -158,10 +158,11 @@ def omega_D_contour(X1: TangentVector, X2: TangentVector, sheets: SheetData,
     """Contour evaluation over |zeta| = radius of
     sum_i (eta'_{i,1} u'_{i,2} - eta'_{i,2} u'_{i,1})
           / ((zeta/zeta_0 - 1)^2 u_i) dzeta / (2 pi i zeta),
-    by the trapezoid rule, spectrally accurate for analytic data: the k
-    numerators by one row-wise product, their and the u_i's values at the
-    nodes from the cached node powers, one division.  A contour through or
-    around a zero of some u_i, a pole the residue sum does not see, is refused."""
+    by the trapezoid rule, spectrally accurate for analytic data.  The sheets sum to F / G,
+    G = prod_l u_l, F = sum_i N_i prod_{l != i} u_l for the numerators N_i, convolved from
+    the coefficient rows, scaled to the radius and read at the nodes from the cached node
+    powers; then G (w - c)^2, one division, one sum.  A contour through or around a zero
+    of some u_i, a pole the residue sum does not see, is refused."""
     _check_pair(X1, X2, sheets)
     if not isinstance(nodes, (int, np.integer)) or nodes < 64 or not 0.0 < radius < np.inf:
         raise ValueError("need an integer of at least 64 nodes and a finite radius > 0")
@@ -176,21 +177,16 @@ def omega_D_contour(X1: TangentVector, X2: TangentVector, sheets: SheetData,
                          "not inside the contour")
     p, q = (X.coeffs.reshape(2, k, -1).transpose(1, 0, 2) for X in (X1, X2))
     num = (p[..., None] * q[:, ::-1, None, :]).reshape(k, -1) @ _wedge(p.shape[2], q.shape[2])
+    F, G = num[0], us[0]
+    for n, u in zip(num[1:], us[1:]):   # F / G + n / u = (F u + n G) / (G u), both of one length
+        F, G = np.convolve(F, u) + np.convolve(n, G), np.convolve(G, u)
+    s = radius ** np.arange(max(len(F), len(G)))   # F(radius w) has coefficients F_m radius^m
+    w = node_powers(nodes, len(s) - 1)
     c = z0 / radius   # at zeta = radius w: 1 / (zeta/zeta_0 - 1)^2 = c^2 / (w - c)^2
-    terms = [(m * radius ** np.arange(m.shape[1]), node_powers(nodes, m.shape[1] - 1))
-             for m in (num, us)]
-    # nodes in blocks, one buffer < 128 KiB: glibc trims a larger scratch, refaulted every call
-    step = max(1, min(nodes, 7168 // (2 * k + 1)))
-    buf, total = np.empty((2 * k + 1, step), dtype=complex), 0j
-    for a in range(0, nodes, step):
-        n = min(step, nodes - a)
-        N, U, d = buf[:k, :n], buf[k:-1, :n], buf[-1, :n]
-        for (m, P), out in zip(terms, (N, U)):
-            np.matmul(m, P[:, a:a + n], out=out)
-        np.square(np.subtract(roots_of_unity(nodes)[a:a + n], c, out=d), out=d)
-        N /= np.multiply(U, d, out=U)
-        total += N.sum()
-    return complex(c * c / nodes * total)
+    d = np.subtract(roots_of_unity(nodes), c)
+    d *= d
+    d *= (G * s[:len(G)]) @ w[:len(G)]
+    return complex(c * c / nodes * np.divide((F * s[:len(F)]) @ w[:len(F)], d, out=d).sum())
 
 
 def rho_form(zeta, eta, u, v1, v2, v3) -> complex:

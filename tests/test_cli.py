@@ -47,12 +47,13 @@ def test_verify_negative_control(tmp_path):
     assert "metric.dirac-curvature" in failed
 
 
-def test_verify_only_filter(tmp_path):
+def test_verify_only_filter(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["verify", "--only", "symplectic", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert all(c["id"].startswith("symplectic") for c in report["checks"])
     assert run(["verify", "--only", "nonexistent", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: --only matched no check: nonexistent\n"
 
 
 def test_verify_reports_every_check_once(tmp_path):
@@ -182,14 +183,16 @@ def test_spectral_json(tmp_path):
 
 def test_spectral_json_unchanged_at_default_config(tmp_path):
     # the factors stay in root form and x_coeffs, y_coeffs are expanded on
-    # first read with the same arithmetic: every key but the reality defect,
-    # now read in root form, is what the coefficient-form lift wrote
+    # first read with the same arithmetic: every key but the two residuals,
+    # read in root form and from node-power rows, is what the
+    # coefficient-form lift wrote
     out = tmp_path / "sp.json"
     assert run(["spectral", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data.pop("reality_defect") < 1e-13
+    assert data.pop("product_residual") <= 1e-15
     assert hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest() == (
-        "6f2f51e9782296830f8cdbbb5c89565fbc43af5c2ba128f6dbeab50a3cfb81cd")
+        "3bfe06cd7d0544dc06a4324250222ee1527cfd77976623c8743c8d0dbad53f84")
 
 
 def test_spectral_rejects_center_point(tmp_path):

@@ -325,6 +325,25 @@ def test_fundamental_matches_dop853_reference():
     assert abs(sol.log_norm_final() / want - 1) <= 1e-9
 
 
+@pytest.mark.parametrize("kind", ["random", "near-rank-1", "near-unitary"])
+def test_log_norm_final_closed_form_matches_svd(kind):
+    # the 2x2 spectral norm in closed form against LAPACK's SVD, |det M| down
+    # to 1e-30, and at nearly equal singular values, where the form
+    # sqrt((f - 2|det|)(f + 2|det|)) loses half the digits (1.7e-8 relative)
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        M = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        if kind == "near-rank-1":
+            u, v = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2))
+            M = np.outer(u, v) + 10.0 ** rng.uniform(-30, -8) * M
+        elif kind == "near-unitary":
+            M = np.linalg.qr(M)[0] * (1 + 1e-12 * rng.normal(size=(2, 2)))
+        M /= np.linalg.norm(M)
+        sol = sc.FundamentalSolution(np.zeros(1), M[None], np.full(1, 3.0))
+        want = np.linalg.norm(M, 2)
+        assert abs(math.exp(sol.log_norm_final() - 3.0) / want - 1) <= 1e-15
+
+
 PS_ORACLE = json.loads((pathlib.Path(__file__).parent / "ps_oracle.json").read_text())
 
 

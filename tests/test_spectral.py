@@ -206,6 +206,26 @@ def test_product_at_total_degree_20():
     assert data.product_residual(n=64) < 1e-10
 
 
+def test_product_residual_sees_a_moved_root_lead_or_multiplicity():
+    # negative controls: one beta moved by 1e-6, lead_y scaled by 1 + 1e-6,
+    # one multiplicity off by one; each reads at least 1e-7, and what the
+    # root form and the quadratics read node by node
+    def reference(data, zs=roots_of_unity(64)):
+        target = np.prod([qd(zs) ** m for qd, m in zip(data.quadratics, data.pair.multiplicities)], 0)
+        return np.max(np.abs(data.pair.product_at(zs) - target)) / np.max(np.abs(target))
+
+    data = _two_center_lift((2, 3))
+    p = data.pair
+    assert data.product_residual() < 1e-14
+    for broken in (dataclasses.replace(p, betas=(p.betas[0] + 1e-6, *p.betas[1:])),
+                   dataclasses.replace(p, lead_y=p.lead_y * (1 + 1e-6)),
+                   dataclasses.replace(p, multiplicities=(p.multiplicities[0] + 1,
+                                                          *p.multiplicities[1:]))):
+        broken = dataclasses.replace(data, pair=broken)
+        assert broken.product_residual() >= 1e-7
+        assert broken.product_residual() == pytest.approx(reference(broken), rel=1e-6)
+
+
 def test_doubling_defect_pairs_across_rounding_boundary():
     # two divisor roots with real parts 2.5e-10 apart; the first one's real
     # part and its factor root's straddle the 9th-digit rounding boundary,

@@ -233,12 +233,26 @@ def test_contour_on_sheets_of_different_lengths(nodes):
 @pytest.mark.parametrize("nodes", [64, 1000, 2048])
 @pytest.mark.parametrize("radius", [0.8, 1.0, 1.25])
 def test_contour_matches_per_sheet_reference(nodes, radius):
+    # up to k = 8: the cleared numerator F has degree 8 + 3 (k - 1) = 29
     rng = np.random.default_rng(15)
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4, 5, 8):
         sheets = random_sheets(k, rng)
         X1, X2 = (sy.random_marked_tangent(k, 1.9 + 0.3j, rng) for _ in range(2))
         got = sy.omega_D_contour(X1, X2, sheets, nodes=nodes, radius=radius)
         want = _contour_reference(X1, X2, sheets, nodes, radius)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("radius", [0.8, 1.25])
+def test_contour_with_numerators_shorter_than_the_sheets(radius):
+    # linear tangent components: numerators of degree 2 under cubic u_i,
+    # so the denominator G is longer than the numerator F
+    rng = np.random.default_rng(18)
+    for k in (1, 2, 3):
+        sheets = random_sheets(k, rng)
+        X1, X2 = (sy.random_marked_tangent(k, 1.9 + 0.3j, rng, degree=0) for _ in range(2))
+        got = sy.omega_D_contour(X1, X2, sheets, nodes=64, radius=radius)
+        want = _contour_reference(X1, X2, sheets, 64, radius)
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
