@@ -115,10 +115,15 @@ _POWERS: dict[int, np.ndarray] = {}
 def node_powers(nodes: int, degree: int) -> np.ndarray:
     """Read-only (degree + 1, nodes) table of w_j^m for the nodes w_j of
     `roots_of_unity(nodes)`, row m the node set permuted: one table per
-    node count, rebuilt taller when a higher degree is asked for."""
+    node count, grown row by row below its old rows when a higher degree is asked for."""
     table = _POWERS.get(nodes)
-    if table is None or len(table) <= degree:
-        m, j = np.ogrid[:degree + 1, :nodes]
-        table = _POWERS[nodes] = roots_of_unity(nodes)[(m * j) % nodes]
-        table.setflags(write=False)
+    have = 0 if table is None else len(table)
+    if have <= degree:
+        grown = np.empty((degree + 1, nodes), complex)
+        if have:
+            grown[:have] = table
+        for m in range(have, degree + 1):   # row m is w[m j mod nodes]
+            np.take(roots_of_unity(nodes), m * np.arange(nodes), out=grown[m], mode="wrap")
+        grown.setflags(write=False)
+        table = _POWERS[nodes] = grown
     return table[:degree + 1]

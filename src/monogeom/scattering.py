@@ -658,11 +658,11 @@ class DecayingData:
 
     def reflection_norm(self) -> float:
         """||splitting_reflection()||_2 = cot(theta/2) = (1 + cos theta) / sin theta, with sin theta
-        the indicator and cos theta 0 where it rounds above 1.  ZeroDivisionError below 1e-12."""
+        the indicator and cos theta = |<s0, s0'>|, where nothing cancels.  ZeroDivisionError below 1e-12."""
         delta = self.indicator()
         if delta < 1e-12:
             raise ZeroDivisionError("spectral line: splitting degenerates")
-        return (1.0 + math.sqrt(max(0.0, (1.0 - delta) * (1.0 + delta)))) / delta
+        return (1.0 + float(abs(np.vdot(self.s0, self.s0_prime)))) / delta
 
 
 def spectral_indicator(fields: FieldSampler, t_horizon: float = 40.0,

@@ -131,18 +131,14 @@ class QuadraticRestriction:
         return math.hypot(self.b, abs(self.a))
 
     @property
-    def alpha(self) -> complex:
-        if abs(self.a) < 1e-14:
+    def roots(self) -> tuple[complex, complex]:
+        """(alpha, beta) from one delta; alpha beta = -conj(a) / a spares cancelling b and delta."""
+        a, b, d = self.a, self.b, self.delta
+        if abs(a) < 1e-14:
             raise ChartRotationRequired("a = 0: root at the chart pole")
-        b, d = self.b, self.delta  # alpha beta = -conj(a) / a spares cancelling b and delta
-        return (d - b) / self.a if b < 0 else self.a.conjugate() / (b + d)
-
-    @property
-    def beta(self) -> complex:
-        if abs(self.a) < 1e-14:
-            raise ChartRotationRequired("a = 0: root at the chart pole")
-        b, d = self.b, self.delta
-        return -(b + d) / self.a if b >= 0 else -self.a.conjugate() / (d - b)
+        if b < 0:
+            return (d - b) / a, -a.conjugate() / (d - b)
+        return a.conjugate() / (b + d), -(b + d) / a
 
     def __call__(self, zeta):
         return (self.a * zeta + 2 * self.b) * zeta - self.a.conjugate()
@@ -216,8 +212,7 @@ def factor(quadratics, charges, phase: float = 0.0) -> FactorPair:
     charges = [int(l) for l in charges]
     if len(quadratics) != len(charges):
         raise ValueError("need one charge per quadratic")
-    alphas = tuple(qd.alpha for qd in quadratics)
-    betas = tuple(qd.beta for qd in quadratics)
+    alphas, betas = tuple(zip(*(qd.roots for qd in quadratics))) or ((), ())
     mod2 = math.prod(abs(qd.a * b) ** l for qd, b, l in zip(quadratics, betas, charges))
     A = math.sqrt(mod2) * cmath.exp(1j * phase)
     prod_a = math.prod(qd.a ** l for qd, l in zip(quadratics, charges))
@@ -252,12 +247,14 @@ def _poly_from_roots(roots, mults) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DivisorPoint:
-    """One point of the divisor: chart root, multiplicity, and the
-    oriented geodesic it selects in the ambient coordinates."""
+    """One point of the divisor: chart root, multiplicity, and the line chart of q;
+    the oriented geodesic it selects in the ambient coordinates is built on first read."""
 
     zeta: complex
     multiplicity: int
-    geodesic: OrientedGeodesic
+    chart: LineChart = field(compare=False, repr=False)
+
+    geodesic = cached_property(lambda self: self.chart.geodesics((self.zeta,))[0])
 
 
 @dataclass(frozen=True)
@@ -314,7 +311,7 @@ def lift_twistor_line(q: PointUHS, V: MultiCenterPotential,
     result holds the chart pair (x, y) in the q-adapted trivialization
     (the line trivialization of the mass bundle restricts to a positive
     constant there, so real powers are unambiguous and taken to be 1)
-    and the divisor of x with its geodesic orientations.
+    and the divisor of x; each divisor point builds its geodesic orientation on first read.
     """
     if any(hyp.dist(q, c) < 1e-10 for c in V.centers):   # RunConfig.load refuses these too
         raise DegenerateRestrictionError("q coincides with a singular center")
@@ -328,9 +325,7 @@ def lift_twistor_line(q: PointUHS, V: MultiCenterPotential,
         except ChartRotationRequired:
             if su2 is CHART_ROTATIONS[-1]:
                 raise
-    divisor = tuple(
-        DivisorPoint(zeta=a, multiplicity=m, geodesic=g)
-        for a, m, g in zip(pair.alphas, pair.multiplicities, chart.geodesics(pair.alphas)))
+    divisor = tuple(DivisorPoint(a, m, chart) for a, m in zip(pair.alphas, pair.multiplicities))
     return SpectralDataC1(q=q, mass=V.mass, pair=pair, quadratics=quadratics,
                           divisor=divisor, chart=chart)
 

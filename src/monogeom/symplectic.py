@@ -153,6 +153,15 @@ def _wedge(n1: int, n2: int) -> np.ndarray:
     return w.reshape(2 * n1 * n2, -1)
 
 
+@lru_cache(maxsize=16)
+def _zero_screen(R: float, n: int) -> np.ndarray:
+    """Read-only (-1, R, ..., R^(n-1)): a row of |u_m| times it is sum_{m>0} |u_m| R^m - |u_0|.
+    Cached, because building it and slicing u_0 off per call cost three times the per-row sum."""
+    v = np.array([-1.0, *(R ** m for m in range(1, n))])
+    v.setflags(write=False)
+    return v
+
+
 def omega_D_contour(X1: TangentVector, X2: TangentVector, sheets: SheetData,
                     nodes: int = 2048, radius: float = 1.0) -> complex:
     """Contour evaluation over |zeta| = radius of
@@ -170,9 +179,9 @@ def omega_D_contour(X1: TangentVector, X2: TangentVector, sheets: SheetData,
     if abs(abs(z0) - radius) < 1e-6:
         raise ValueError("marking point within 1e-6 of the contour: ill conditioned")
     k, us = sheets.k, sheets.us
-    # |u_0| > sum_m |u_m| R^m rules out a zero of u in |zeta| <= R without its roots
-    if any(abs(u[0]) <= sum(abs(c) * (radius + 1e-6) ** m for m, c in enumerate(u) if m)
-           for u in us.tolist()) and radius > sheets.u_zero_modulus - 1e-6:
+    # |u_0| > sum_m |u_m| R^m rules out a zero of u in |zeta| <= R (at a rounding tie, in |zeta| < R)
+    if max((np.abs(us) @ _zero_screen(radius + 1e-6, us.shape[1])).tolist()) >= 0 \
+            and radius > sheets.u_zero_modulus - 1e-6:
         raise ValueError(f"a u_i vanishes at |zeta| = {sheets.u_zero_modulus:.6g}, "
                          "not inside the contour")
     p, q = (X.coeffs.reshape(2, k, -1).transpose(1, 0, 2) for X in (X1, X2))
@@ -180,13 +189,14 @@ def omega_D_contour(X1: TangentVector, X2: TangentVector, sheets: SheetData,
     F, G = num[0], us[0]
     for n, u in zip(num[1:], us[1:]):   # F / G + n / u = (F u + n G) / (G u), both of one length
         F, G = np.convolve(F, u) + np.convolve(n, G), np.convolve(G, u)
-    s = radius ** np.arange(max(len(F), len(G)))   # F(radius w) has coefficients F_m radius^m
-    w = node_powers(nodes, len(s) - 1)
+    if radius != 1.0:   # F(radius w) has coefficients F_m radius^m
+        F, G = (P * radius ** np.arange(len(P)) for P in (F, G))
+    w = node_powers(nodes, max(len(F), len(G)) - 1)
     c = z0 / radius   # at zeta = radius w: 1 / (zeta/zeta_0 - 1)^2 = c^2 / (w - c)^2
     d = np.subtract(roots_of_unity(nodes), c)
     d *= d
-    d *= (G * s[:len(G)]) @ w[:len(G)]
-    return complex(c * c / nodes * np.divide((F * s[:len(F)]) @ w[:len(F)], d, out=d).sum())
+    d *= G @ w[:len(G)]
+    return complex(c * c / nodes * np.divide(F @ w[:len(F)], d, out=d).sum())
 
 
 def rho_form(zeta, eta, u, v1, v2, v3) -> complex:

@@ -651,7 +651,7 @@ class ConjugatedTrivialField(sc.FieldSampler):
 
 def test_orthogonal_complex_decaying_lines_have_unit_norm():
     # unit directions only to a few ulp: seeds 4, 5 and 7 read the
-    # indicator above 1, where the closed form's cos theta must not fail
+    # indicator above 1
     indicators = []
     for seed in range(8):
         rng = np.random.default_rng(seed)
@@ -662,6 +662,17 @@ def test_orthogonal_complex_decaying_lines_have_unit_norm():
         assert data.reflection_norm() == pytest.approx(
             np.linalg.norm(data.splitting_reflection(), 2), rel=1e-13)
     assert max(indicators) > 1.0
+
+
+def test_reflection_norm_of_exactly_orthogonal_unit_pairs_is_one():
+    # 2000 orthogonal unit pairs, columns of a complex QR (true norm 1): cos theta read
+    # as sqrt((1 - delta)(1 + delta)) from the indicator read up to 4.7e-8 off, read as
+    # |<s0, s0'>| from the directions nothing cancels
+    rng = np.random.default_rng(27)
+    for _ in range(2000):
+        U = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        data = sc.DecayingData(U[:, 0], U[:, 1], complex(U[0, 0] * U[1, 1] - U[1, 0] * U[0, 1]))
+        assert abs(data.reflection_norm() - 1.0) <= 1e-14
 
 
 def test_decaying_data_record():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -54,7 +55,7 @@ def test_restriction_axis_direction_example():
     assert quad.b == pytest.approx(0.0, abs=1e-14)
     assert quad.a.imag == pytest.approx(0.0, abs=1e-14)
     assert quad.a.real > 0
-    roots = sorted([quad.alpha, quad.beta], key=lambda v: v.real)
+    roots = sorted(quad.roots, key=lambda v: v.real)
     assert roots[0] == pytest.approx(-1.0, abs=1e-12)
     assert roots[1] == pytest.approx(+1.0, abs=1e-12)
     assert tau(roots[1]) == pytest.approx(roots[0], abs=1e-12)
@@ -70,7 +71,8 @@ def test_restriction_roots_antipodal_and_discriminant():
             assert quad.delta ** 2 == pytest.approx(
                 quad.b ** 2 + abs(quad.a) ** 2, rel=1e-12)
             assert quad.delta > 0
-            assert tau(quad.alpha) == pytest.approx(quad.beta, rel=1e-9, abs=1e-9)
+            alpha, beta = quad.roots
+            assert tau(alpha) == pytest.approx(beta, rel=1e-9, abs=1e-9)
             # delta is sinh of the distance to the center
             from monogeom.hyperbolic import dist
             assert quad.delta == pytest.approx(math.sinh(dist(q, c)), rel=1e-10)
@@ -171,7 +173,28 @@ def test_factor_chart_rotation_error():
     # root at the chart pole: a = 0
     quad = sp.QuadraticRestriction(0j, 1.0)
     with pytest.raises(sp.ChartRotationRequired):
-        _ = quad.alpha
+        _ = quad.roots
+
+
+def test_roots_match_per_root_reference():
+    # both roots from one delta, bit for bit against each root formed on its own
+    # delta, on both signs of b, at b = 0 and next to the chart pole
+    def alpha(qd):
+        b, d = qd.b, math.hypot(qd.b, abs(qd.a))
+        return (d - b) / qd.a if b < 0 else qd.a.conjugate() / (b + d)
+
+    def beta(qd):
+        b, d = qd.b, math.hypot(qd.b, abs(qd.a))
+        return -(b + d) / qd.a if b >= 0 else -qd.a.conjugate() / (d - b)
+
+    rng = np.random.default_rng(27)
+    a = rng.normal(size=200) + 1j * rng.normal(size=200)
+    b = rng.normal(size=200) * 10.0 ** rng.integers(-3, 4, size=200)
+    quads = [sp.QuadraticRestriction(complex(x), float(y)) for x, y in zip(a, b)]
+    quads += [sp.QuadraticRestriction(0.6 - 0.8j, 0.0), sp.QuadraticRestriction(0.6 - 0.8j, -0.0),
+              sp.QuadraticRestriction(2e-14j, 1.0), sp.QuadraticRestriction(2e-14j, -1.0)]
+    for qd in quads:
+        assert qd.roots == (alpha(qd), beta(qd))
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +265,9 @@ def test_doubling_defect_pairs_across_rounding_boundary():
                     for d, z in zip(data.divisor, (z1, z2)))
     moved = dataclasses.replace(data, pair=pair, divisor=divisor)
     assert moved.divisor_doubling_defect() == pytest.approx(4e-12 / (1 + abs(z1) ** 2), rel=1e-3)
+    # a replaced point keeps the chart and selects the geodesic of its new root
+    for d, z in zip(divisor, (z1, z2)):
+        assert d.geodesic == data.chart.geodesics((z,))[0]
 
 
 def test_doubling_defect_sees_swapped_betas():
@@ -264,6 +290,7 @@ def test_doubling_defect_inf_on_multiplicity_mismatch():
     for divisor in ((dataclasses.replace(d0, multiplicity=d0.multiplicity + 1), d1), (d0,)):
         moved = dataclasses.replace(data, divisor=divisor)
         assert moved.divisor_doubling_defect() == math.inf
+        assert divisor[0].geodesic == data.chart.geodesics((d0.zeta,))[0]
 
 
 def test_lift_divisor_geodesics_join_q_and_center():
@@ -275,6 +302,57 @@ def test_lift_divisor_geodesics_join_q_and_center():
     for d, center in zip(data.divisor, V.centers):
         assert dist_to_geodesic(q, d.geodesic) < 1e-12
         assert dist_to_geodesic(center, d.geodesic) < 1e-12
+
+
+def test_divisor_geodesics_built_on_first_read_match_the_eager_ones():
+    # 800 seeded lifts: each point's geodesic, built from the chart on first read, is
+    # the one chart.geodesics(pair.alphas) builds for all roots at once
+    for seed in (11, 12):
+        rng = np.random.default_rng(seed)
+        for _ in range(400):
+            V = random_config(rng, int(rng.integers(1, 5)), lmax=3, mass=rng.uniform(0.1, 1.0))
+            data = sp.lift_twistor_line(untrapped_point(rng, V), V)
+            eager = data.chart.geodesics(data.pair.alphas)
+            assert [d.geodesic for d in data.divisor] == list(eager)
+            assert all(d.chart is data.chart for d in data.divisor)
+
+
+def test_divisor_point_equality_and_hash_ignore_the_chart():
+    # the same root and multiplicity in two charts: equal, one hash, the chart
+    # left out of the repr; the geodesics differ, each read in its own chart
+    charts = [sp.LineChart(PointUHS(0.6, 0.9, 1.1)), sp.LineChart(PointUHS(-0.2, 0.4, 0.7))]
+    d0, d1 = (sp.DivisorPoint(0.3 + 0.4j, 2, chart) for chart in charts)
+    assert d0 == d1 and hash(d0) == hash(d1) and len({d0, d1}) == 1
+    assert repr(d0) == repr(d1) == "DivisorPoint(zeta=(0.3+0.4j), multiplicity=2)"
+    assert d0.geodesic != d1.geodesic
+    assert d0 != dataclasses.replace(d0, multiplicity=3)
+
+
+def test_lift_counts_geodesics_and_hypots(monkeypatch):
+    # machine-independent counts of the lift path: no OrientedGeodesic is built
+    # until a divisor point's geodesic is read, then exactly one per point, once;
+    # factor takes one math.hypot per center
+    counts = Counter()
+
+    class Counted(sp.OrientedGeodesic):
+        def __init__(self, *args, **kwargs):
+            counts["geodesic"] += 1
+            super().__init__(*args, **kwargs)
+
+    def hypot(*args, _f=math.hypot):
+        counts["hypot"] += 1
+        return _f(*args)
+
+    monkeypatch.setattr(sp, "OrientedGeodesic", Counted)
+    monkeypatch.setattr(math, "hypot", hypot)
+    data = _two_center_lift((2, 3))
+    assert counts["geodesic"] == 0
+    counts.clear()
+    sp.factor(data.quadratics, data.pair.multiplicities)
+    assert counts == Counter({"hypot": 2})
+    for _ in range(2):
+        assert all(isinstance(d.geodesic, Counted) for d in data.divisor)
+        assert counts["geodesic"] == 2
 
 
 def test_lift_massless_empty_is_trivial():
@@ -299,6 +377,8 @@ def test_lift_rotates_chart_when_needed():
     d = data.divisor[0]
     assert dist_to_geodesic(q, d.geodesic) < 1e-12
     assert dist_to_geodesic(center, d.geodesic) < 1e-12
+    assert d.chart is data.chart and d.chart.su2 is not CHART_ROTATIONS[0]
+    assert d.geodesic == data.chart.geodesics(data.pair.alphas)[0]
 
 
 def test_lift_rejects_center_point():
@@ -516,6 +596,28 @@ def test_reality_tables_leave_the_contour_table_cached():
     table = node_powers(128, 24)
     assert table.shape == (25, 128) and not table.flags.writeable
     assert np.array_equal(table, roots_of_unity(128)[np.outer(np.arange(25), np.arange(128)) % 128])
+
+
+def test_node_powers_grow_within_the_new_table_plus_64_kib():
+    # growing 2000 nodes from degree 8 to 14 copies the old rows and fills the new
+    # ones row by row: tracemalloc's peak stays within the new 469 KiB table plus
+    # 64 KiB (index arrays as large as the table peaked 720 KiB above), and the
+    # entries are the gathered roots of unity, bit for bit
+    from monogeom import projective
+
+    projective._POWERS.pop(2000, None)
+    old = node_powers(2000, 8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = node_powers(2000, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= table.nbytes + 64 * 1024
+    assert np.array_equal(table[:9], old) and not table.flags.writeable
+    reference = roots_of_unity(2000)[np.outer(np.arange(15), np.arange(2000)) % 2000]
+    assert np.array_equal(table, reference)
 
 
 def _coefficient_reality_defect(pair, n=128):

@@ -1,5 +1,8 @@
 """Deformation pairing: residue vs contour, coordinates, volume form."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -318,6 +321,92 @@ def test_contour_refuses_zero_of_u_inside():
         with pytest.raises(ValueError, match="vanishes"):
             sy.omega_D_contour(X1, X2, sheets, radius=radius)
     assert abs(sy.omega_D_contour(X1, X2, sheets, radius=0.3) - residue) < 1e-12
+
+
+def _zero_test_refuses(us, radius, rng):
+    # the contour's outcome on sheets us whose zero is reported at modulus 0: it
+    # refuses exactly where its zero test cannot rule a zero out
+    sheets = sy.SheetData(tuple(np.zeros((len(us), 1))), tuple(us))
+    sheets.__dict__["u_zero_modulus"] = 0.0
+    X1, X2 = (sy.random_marked_tangent(len(us), 3.0 + 0j, rng) for _ in range(2))
+    try:
+        sy.omega_D_contour(X1, X2, sheets, nodes=64, radius=radius)
+    except ValueError as e:
+        assert "vanishes" in str(e)
+        return True
+    return False
+
+
+def _per_row_zero_test(us, radius):
+    # the reference: |u_0| <= sum_m |u_m| R^m, row by row in Python
+    return any(abs(u[0]) <= sum(abs(c) * (radius + 1e-6) ** m for m, c in enumerate(u) if m)
+               for u in np.asarray(us).tolist())
+
+
+def test_contour_zero_test_decides_as_the_per_row_sum_beyond_rounding():
+    # random rows with |u_0| within 10% of the bound, rows placed at the bound (dyadic
+    # moduli and R = radius + 1e-6, so both sides are exact) and one ulp either side,
+    # rows at a rounded bound, and u with a single coefficient, which no zero test refuses
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        k, n = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+        radius = float(rng.choice([0.5, 0.8, 1.0, 1.25]))
+        us = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+        bound = np.abs(us[:, 1:]) @ (radius + 1e-6) ** np.arange(1, n)
+        us[:, 0] *= rng.uniform(0.9, 1.1, size=k) * bound / np.abs(us[:, 0])
+        assert _zero_test_refuses(us, radius, rng) == _per_row_zero_test(us, radius)
+    for R in (0.5, 1.0, 2.0):
+        radius = R - 1e-6
+        assert radius + 1e-6 == R
+        tail = np.array([1.0, -0.5j, 2.0])
+        at = float(np.sum(np.abs(tail) * R ** np.arange(1, 4)))
+        for u0 in (at, -1j * at, np.nextafter(at, 0.0), np.nextafter(at, np.inf)):
+            for us in ([[u0, *tail]], [[4 * at, *tail], [u0, *tail]]):
+                refused = _zero_test_refuses(np.array(us), radius, rng)
+                assert refused == _per_row_zero_test(us, radius) == (abs(u0) <= at)
+    # |u_0| = S (1 + j eps), S the per-row sum rounded: numpy's modulus and product may
+    # each round otherwise, so the two may differ within n eps of S and agree beyond it,
+    # and a tie is sound either way, since u has no zero within the radius
+    eps, split = 2.0 ** -52, Counter()
+    for _ in range(300):
+        n, radius = int(rng.integers(2, 9)), float(rng.choice([0.5, 0.8, 1.0, 1.25]))
+        u = rng.normal(size=n) + 1j * rng.normal(size=n)
+        S = sum(abs(c) * (radius + 1e-6) ** m for m, c in enumerate(u.tolist()) if m)
+        for j in range(-8, 9):
+            u[0] = S * (1 + j * eps) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            refused, ref = _zero_test_refuses(u[None], radius, rng), _per_row_zero_test(u[None], radius)
+            split[refused, ref] += 1
+            if abs(abs(complex(u[0])) - S) > n * eps * S:
+                assert refused == ref
+            else:
+                assert np.abs(np.roots(u[::-1])).min() > radius
+    assert split[True, True] and split[False, False]   # the rows straddle the bound
+    for us in ([[1.0]], [[2.0], [-0.5j]]):
+        assert not _zero_test_refuses(np.array(us, dtype=complex), 1.0, rng)
+        assert not _per_row_zero_test(us, 1.0)
+
+
+def test_contour_zero_test_makes_no_python_pass_over_the_rows():
+    # builtin abs runs three times a call, on the marking points, at k = 1, 2 and 3: the
+    # zero test takes the moduli of all k rows of n coefficients in one array call, where
+    # the per-row sum made k n more calls
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is abs:
+            calls["abs"] += 1
+
+    rng = np.random.default_rng(29)
+    for k in (1, 2, 3):
+        sheets = random_sheets(k, rng)
+        X1, X2 = (sy.random_marked_tangent(k, 1.9 + 0.3j, rng) for _ in range(2))
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            sy.omega_D_contour(X1, X2, sheets, nodes=64)
+        finally:
+            sys.setprofile(None)
+        assert calls == Counter({"abs": 3})
 
 
 def test_sheet_data_rejects_u_vanishing_between_circle_nodes():
