@@ -203,7 +203,11 @@ def cmd_scatter(cfg: RunConfig) -> int:
     else:
         for b in cfg.ps_impacts:
             f = sc.PSField(x0=[b, 0.0, 0.0], u=[0.0, 0.0, 1.0])
-            data = sc.DecayingData.of(f, cfg.ps_horizon)
+            try:
+                data = sc.DecayingData.of(f, cfg.ps_horizon)
+            except sc.IllPosedError as exc:
+                print(f"config error: ps_horizon too short at impact {b:g}: {exc}", file=sys.stderr)
+                return 2
             ind = data.indicator()
             mg = data.reflection_norm() if ind > 1e-8 else ""
             sol = sc.integrate_fundamental(f, -cfg.ps_horizon, cfg.ps_horizon, tol=1e-9)

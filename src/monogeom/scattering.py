@@ -24,16 +24,16 @@ growing one.  M is traceless, as an su(2) monopole's scattering equation is (M11
 = -M00 in every sampler; |tr M| > 1e-12 |M| raises ValueError), so each Magnus
 step and H lie in SL(2, C) (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numer.
 9 (2000) 215-365) and R's diagonal is (e^l1, e^-l1): one log growth rate, l1.
-Decaying directions at either end are extracted by seeding with the asymptotic
-eigenvector at the horizon, in closed form, and integrating toward the
-midpoint, which damps the seeding error exponentially; both ends share one
-propagation.  For such a run `tol` is the accuracy of its one output, the unit
-direction at t = 0.  Integrating toward 0 makes the wanted mode dominant, so an
-error made at t reaches 0 shrunk by about exp(-G(t)), G the gap 2 |Re mu| of M
-= [[d, p], [q, -d]] (mu^2 = d^2 + pq) integrated from 0 to t: an exponential
-dichotomy (Coppel, Dichotomies in Stability Theory, LNM 629, 1978).  So each
-step's step-doubling difference is weighted by exp(-G/2) at its end nearer 0,
-and far steps are taken longer.
+The direction at t = 0 of the solution decaying as t -> +-infinity is the least
+right singular vector of Phi(+-T, 0) (Greene & Kim, Physica D 24 (1987) 213-225),
+read off a run out from H(0) = I within about its own horizon error sigma_2 /
+sigma_1 = exp(-2 l1(T)); a horizon where that exceeds `tol` raises IllPosedError.
+Both ends share one propagation, and `tol` is the accuracy of that one output:
+going back to 0 the wanted mode dominates, so an error made at t reaches 0 shrunk
+by about exp(-G(t)), G the gap 2 |Re mu| of M = [[d, p], [q, -d]] (mu^2 = d^2 +
+pq) integrated from 0 to t, an exponential dichotomy (Coppel, Dichotomies in
+Stability Theory, LNM 629, 1978).  So each step's step-doubling difference is
+weighted by exp(-G/2) at its end nearer 0, and far steps are taken longer.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential
-from .twistor import _LEGENDRE_16
+from .projective import _LEGENDRE_16
 
 __all__ = [
     "FieldSampler",
@@ -68,7 +68,11 @@ __all__ = [
 
 
 class IllPosedError(ValueError):
-    """No spectral gap at the requested end."""
+    """A horizon too short for the decaying direction: its own error
+    exp(-2 l1(T)), the end matrix's sigma_2/sigma_1, exceeds `tol`.  That is
+    all the rule reads, so it cannot tell polynomial growth from a gap: a
+    gapless shear M = [[0, p], [0, 0]] passes once p T is above about
+    tol^-1/2, and its bounded direction is returned."""
 
 
 class PoleOnGeodesicError(ValueError):
@@ -412,7 +416,7 @@ def _damping(A: np.ndarray, a: np.ndarray, b: np.ndarray, run: np.ndarray,
              signs: np.ndarray) -> list:
     """Per run with steps, (i, sign t, G) at the edges of its whole
     first-round mesh, sign t increasing for np.interp, with G(t) = int
-    2 |Re mu| from t to the run's last time.  The frozen gap 2 |Re mu| of
+    2 |Re mu| from the run's first time to t.  The frozen gap 2 |Re mu| of
     M = [[d, p], [q, -d]], mu^2 = d^2 + pq, is read at each step's
     middle Gauss node, A (m, 2, 2), and held over the step."""
     d = 0.5 * (A[:, 0, 0] - A[:, 1, 1])
@@ -421,7 +425,7 @@ def _damping(A: np.ndarray, a: np.ndarray, b: np.ndarray, run: np.ndarray,
     for i, sign in enumerate(signs):
         mine = np.flatnonzero(run == i)
         if mine.size:
-            G = np.append(np.cumsum(c[mine][::-1])[::-1], 0.0)
+            G = np.append(0.0, np.cumsum(c[mine]))
             tables.append((i, sign * np.append(a[mine[:1]], b[mine]), G))
     return tables
 
@@ -442,10 +446,11 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
     grows too much), and only those are checked in the next round, until one
     passes them all.  A sampled M with |tr M| above 1e-12 |M| raises ValueError.
 
-    `damped` is for runs whose only output is the direction at their last
-    time (module docstring): err is weighted by exp(-G/2), G from
-    `_damping` at the step's end nearer that time, half the rate because
-    the frozen gap overstates the dichotomy where M turns fast."""
+    `damped` is for runs whose only output is the least amplified
+    direction at their first time (module docstring): err is weighted by
+    exp(-G/2), G from `_damping` at the step's end nearer that time, half
+    the rate because the frozen gap overstates the dichotomy where M turns
+    fast."""
     signs = np.array([1.0 if ts[-1] >= ts[0] else -1.0 for ts in runs])  # directions
     t0, t1, run = [], [], []
     for i, (ts, sign) in enumerate(zip(runs, signs)):
@@ -475,7 +480,7 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
                     tables = _damping(A[1, 0], a, b, run, signs)
                 for i, edges, G in tables:
                     mine = run == i
-                    err[mine] *= np.exp(-0.5 * np.interp(signs[i] * b[mine], edges, G))
+                    err[mine] *= np.exp(-0.5 * np.interp(signs[i] * a[mine], edges, G))
             ok = (err <= 1.0) & (np.maximum(size, np.sum(np.abs(step) ** 2, axis=0)) <= _MAX_NORM2)
             starts.append(a[ok])
             taken.append(run[ok])
@@ -508,9 +513,8 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
 
 
 def _propagate(fields: FieldSampler, runs: list, tol: float, damped: bool = False) -> list:
-    """For each run (v, ts), v a unit 2-vector, the solution H of H' =
-    M(t) H at each of `ts` from the SU(2) start H(ts[0]) = [[v0, -conj
-    v1], [v1, conj v0]], as (mats, logscales) with H equal to
+    """For each run of output times ts, the solution H of H' = M(t) H at
+    each of them from H(ts[0]) = I, as (mats, logscales) with H equal to
     exp(logscale) mat, |mat| = 1 (Frobenius).
 
     The steps are `_mesh`'s locally extrapolated sixth-order Magnus steps,
@@ -526,7 +530,7 @@ def _propagate(fields: FieldSampler, runs: list, tol: float, damped: bool = Fals
     exp(-L).  M is traceless, so det P = 1: R'_11 = 1 / R'_00, and Q's second
     column is (-conj q10, conj q00).  The growth is kept in its log, so nothing
     overflows whichever column grows."""
-    mats, stops = _mesh(fields, [ts for _, ts in runs], tol, damped)
+    mats, stops = _mesh(fields, runs, tol, damped)
     lo, hi = np.concatenate([s[:-1] for s in stops]), np.concatenate([s[1:] for s in stops])
     first = np.concatenate(([0], np.cumsum(-(-(hi - lo) // _BLOCK))))   # per interval
     step = np.arange(mats.shape[1])
@@ -542,9 +546,8 @@ def _propagate(fields: FieldSampler, runs: list, tol: float, damped: bool = Fals
     e = np.frexp(np.abs(P[:, :, 0]).max(axis=0))[1] * (width > 1)
     blocks = zip((P[:, :, 0] * np.exp2(-e)).T.tolist(), (math.log(2.0) * e).tolist())
     out = []
-    for (v, ts), K in zip(runs, np.cumsum([0] + [len(ts) - 1 for _, ts in runs])):
-        q00, q10 = complex(v[0]), complex(v[1])
-        l1, L, rho = 0.0, math.log(2.0), 0j
+    for ts, K in zip(runs, np.cumsum([0] + [len(ts) - 1 for ts in runs])):
+        q00, q10, l1, L, rho = 1 + 0j, 0j, 0.0, math.log(2.0), 0j
         path, done = [], first[K]
         for stop in first[K:K + len(ts)]:
             for (e00, e01, e10, e11), s in itertools.islice(blocks, stop - done):
@@ -576,51 +579,37 @@ def integrate_fundamental(fields: FieldSampler, t0: float, t1: float,
     evenly spaced times, log ||H|| within about `tol` (module docstring).
     M must be traceless (ValueError otherwise), so H is in SL(2, C)."""
     ts = np.linspace(t0, t1, checkpoints)
-    return FundamentalSolution(ts, *_propagate(fields, [((1.0, 0.0), ts)], tol)[0])
-
-
-def _asymptotic_eigenvectors(M: np.ndarray, ends) -> np.ndarray:
-    """Unit eigenvectors (k, 2) of M (k, 2, 2) for the eigenvalue of least
-    real part where the end is +1 and greatest where it is -1, in closed
-    form: lambda = m = -+mu, mu = sqrt(d^2 + pq) (Re mu >= 0) for M =
-    [[d, p], [q, -d]], and the kernel of [[d - m, p], [q, -d - m]] read
-    from whichever of (p, m - d) and (m + d, q) is longer.  Raises
-    IllPosedError where 2 |Re mu|, the gap between the two real parts, is
-    below 1e-3."""
-    d, p, q = 0.5 * (M[:, 0, 0] - M[:, 1, 1]), M[:, 0, 1], M[:, 1, 0]
-    mu = np.sqrt(d * d + p * q)
-    if not np.all(2.0 * mu.real >= 1e-3):
-        raise IllPosedError("no spectral gap at the horizon: decaying direction ill posed")
-    m = -np.asarray(ends, dtype=float) * mu
-    row, col = np.stack([p, m - d], axis=-1), np.stack([m + d, q], axis=-1)
-    v = np.where((np.linalg.norm(row, axis=-1) >= np.linalg.norm(col, axis=-1))[:, None], row, col)
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return FundamentalSolution(ts, *_propagate(fields, [ts], tol)[0])
 
 
 def _decaying(fields: FieldSampler, ends, t_horizon: float, tol: float) -> list:
-    """Unit directions at t = 0 of the solutions decaying at each of
-    `ends` (+1 or -1), all in one propagation back from the horizons, each
-    seeded with the asymptotic eigenvector and refined for the direction
-    at 0 (`_mesh`'s `damped`).  A horizon that is not finite and > 0
-    raises ValueError before any sampling."""
+    """Unit directions at t = 0 of the solutions decaying at each of `ends`
+    (+1 or -1), from one propagation out from 0 under `_mesh`'s `damped`
+    control: the least right singular vector of Phi(end T, 0), (r1, -r0)/|r|
+    for the longer row r of its unit end matrix, within exp(-2 logscale) of
+    the exact one.  A horizon that is not finite and > 0 raises ValueError
+    before any sampling."""
     if any(end not in (+1, -1) for end in ends):
         raise ValueError("end must be +1 or -1")
     if not 0.0 < t_horizon < math.inf:    # a NaN compares False
         raise ValueError(f"horizon must be finite and positive, got {t_horizon}")
-    t_far = t_horizon * np.array(ends, dtype=float)
-    seeds = _asymptotic_eigenvectors(fields.ode_matrix(t_far), ends)
-    return [H[-1][:, 0] / np.linalg.norm(H[-1][:, 0]) for H, _ in _propagate(
-        fields, [(v, np.array([t, 0.0])) for t, v in zip(t_far.tolist(), seeds)], tol, damped=True)]
+    out = []
+    for mats, logscales in _propagate(fields, [np.array([0.0, end * t_horizon]) for end in ends],
+                                      tol, damped=True):
+        if (error := math.exp(-2.0 * logscales[-1])) > tol:
+            raise IllPosedError(f"horizon {t_horizon:g}: exp(-2 l1) = {error:.2g} > tol {tol:g}")
+        r = max(mats[-1], key=np.linalg.norm)
+        out.append(np.array([r[1], -r[0]]) / np.linalg.norm(r))
+    return out
 
 
 def decaying_solution(fields: FieldSampler, end: int, t_horizon: float,
                       tol: float = 1e-10) -> np.ndarray:
     """Unit direction at t = 0 of the solution decaying at the chosen end
-    (+1 or -1), via backward integration from the horizon (finite and
-    > 0, else ValueError) seeded with the asymptotic eigenvector.  `tol`
-    is the accuracy of that direction: a step at t may err by exp(G(t)/2)
-    tol, G the gap of M integrated from 0 to t (module docstring), since
-    its error is damped on the way to 0."""
+    (+1 or -1), read off one run out from 0 to the horizon (finite and > 0,
+    else ValueError; IllPosedError if too short for `tol`).  `tol` is the
+    accuracy of that direction: a step at t may err by exp(G(t)/2) tol, G
+    the gap of M integrated from 0 to t (module docstring)."""
     return _decaying(fields, (end,), t_horizon, tol)[0]
 
 
@@ -636,9 +625,8 @@ class DecayingData:
     @staticmethod
     def of(fields: FieldSampler, t_horizon: float = 40.0,
            tol: float = 1e-10) -> "DecayingData":
-        """Both ends from one propagation, with `tol` the accuracy of the
-        directions at t = 0: far steps have their errors weighted by
-        exp(-G/2), G the gap integrated from 0 (`decaying_solution`)."""
+        """Both ends from one propagation of two runs out from 0, with
+        `tol` the accuracy of the directions at t = 0 (`decaying_solution`)."""
         s0, s0p = _decaying(fields, (+1, -1), t_horizon, tol)
         det = s0[0] * s0p[1] - s0[1] * s0p[0]
         return DecayingData(s0, s0p, complex(det))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential, OrientedGeodesic, PointUHS
-from .projective import ExtendedComplex
+from .projective import _LEGENDRE_16, ExtendedComplex
 
 __all__ = [
     "TwistorPoint",
@@ -300,15 +300,6 @@ def cosh_rho_endpoints(z, w) -> float:
 # ---------------------------------------------------------------------------
 # the 4 pi i integral
 # ---------------------------------------------------------------------------
-
-# leggauss(16) bit for bit without importing numpy.polynomial: positive nodes, weights
-_NODES = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
-                   0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
-_WEIGHTS = np.array([0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
-                     0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
-                     0.062253523938647456, 0.027152459411754176])
-_LEGENDRE_16 = (np.concatenate([-_NODES[::-1], _NODES]), np.concatenate([_WEIGHTS[::-1], _WEIGHTS]))
-
 
 def gamma_L_integral(radius: float | None = None) -> complex:
     """Integral of 2/(1+|zeta|^2)^2 over the plane (optionally a disc of

@@ -368,6 +368,18 @@ def test_ps_horizon_beyond_the_mesh_cap_exits_2_at_once(tmp_path, capsys):
     assert RunConfig.load(None, {"ps_horizon": sc.MAX_HORIZON}).ps_horizon == sc.MAX_HORIZON
 
 
+def test_ps_horizon_too_short_for_tol_exits_2(tmp_path, capsys):
+    # decaying directions off a horizon whose own error exp(-2 l1) exceeds
+    # tol are refused: one config error line naming the key, no output
+    cfg, out = tmp_path / "cfg.json", tmp_path / "ps.csv"
+    cfg.write_text(json.dumps({"ps_horizon": 8}))
+    assert run(["scatter", "--experiment", "ps_scan", "--config", str(cfg),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ps_horizon")
+    assert not out.exists()
+
+
 def test_symplectic_at_the_least_node_count(tmp_path):
     cfg, out = tmp_path / "cfg.json", tmp_path / "sy.json"
     cfg.write_text(json.dumps({"symplectic_nodes": 64, "symplectic_sheets": 1}))

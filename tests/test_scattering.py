@@ -173,10 +173,10 @@ def test_initial_mesh_beyond_the_cap_raises_before_sampling():
         sc.integrate_fundamental(Unsampled(mass=1.0), -1e9, 1e9)
     assert time.perf_counter() - t0 < 1.0
     # a ps scan at the longest horizon the CLI accepts fits: [-T, T] at 17
-    # checkpoints, and the two decaying runs from +-T to 0
+    # checkpoints, and the two decaying runs from 0 to +-T
     ts = np.linspace(-sc.MAX_HORIZON, sc.MAX_HORIZON, 17)
     assert sc._edges(ts[:-1], ts[1:])[2].sum() <= sc._MAX_MESH
-    assert sc._edges(np.array([sc.MAX_HORIZON, -sc.MAX_HORIZON]), np.zeros(2))[2].sum() \
+    assert sc._edges(np.zeros(2), np.array([sc.MAX_HORIZON, -sc.MAX_HORIZON]))[2].sum() \
         <= sc._MAX_MESH
 
 
@@ -553,27 +553,61 @@ def test_decaying_data_is_one_propagation(monkeypatch):
     assert runs == [2]
 
 
-@pytest.mark.parametrize("name", sampler_fixtures())
-def test_asymptotic_eigenvectors_match_eig(name):
-    # the closed-form seeds against np.linalg.eig's vectors, up to phase, at
-    # both ends of several horizons; the trivial and abelian fields give a
-    # diagonal M, and diag(-1, 1) flips which entry holds the larger part
-    f = sampler_fixtures()[name]
-    mats = [(f.ode_matrix(end * T), end) for T in (0.5, 3.0, 15.0, 40.0) for end in (+1, -1)]
-    mats += [(np.diag([-1.0, 1.0]).astype(complex), end) for end in (+1, -1)]
-    for M, end in mats:
-        lam, vecs = np.linalg.eig(M)
-        want = vecs[:, np.argmin(lam.real) if end == +1 else np.argmax(lam.real)]
-        got = sc._asymptotic_eigenvectors(M[None], (end,))[0]
-        assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-15)
-        phase = np.vdot(want, got) / abs(np.vdot(want, got))
-        assert np.abs(got - phase * want).max() <= 1e-14
-
-
 def test_no_gap_is_ill_posed():
     f = sc.TrivialU1Field(mass=0.0)
     with pytest.raises(sc.IllPosedError):
         sc.decaying_solution(f, +1, 10.0)
+
+
+class ShearField(sc.FieldSampler):
+    """M = [[0, p], [0, 0]]: no gap, H(t) = [[1, p t], [0, 1]]."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def ode_matrix(self, t):
+        M = np.zeros(np.shape(t) + (2, 2), dtype=complex)
+        M[..., 0, 1] = self.p
+        return M
+
+    def higgs_norm(self, t):
+        return np.zeros(np.shape(t))[()]
+
+
+def test_gapless_shear_passes_once_its_growth_reaches_tol():
+    # the rule reads only sigma_2/sigma_1 = exp(-2 l1(T)), about (p T)^-2
+    # here: it refuses a slow shear, and passes a fast one, whose least
+    # amplified directions at both ends are the bounded (1, -+1/(p T))
+    with pytest.raises(sc.IllPosedError):
+        sc.DecayingData.of(ShearField(1.0), 10.0)
+    data = sc.DecayingData.of(ShearField(1e4), 10.0)
+    assert np.abs(data.s0 - np.array([1.0, -1e-5])).max() < 1e-9
+    assert np.abs(data.s0_prime + np.array([1.0, 1e-5])).max() < 1e-9
+    assert data.indicator() == pytest.approx(2e-5, rel=1e-6)
+
+
+@pytest.mark.parametrize("tol", (1e-6, 1e-8, 1e-10, 1e-12))
+def test_short_horizon_refused_or_within_tol(tol):
+    # a horizon T leaves the least amplified direction of Phi(+-T, 0) about
+    # exp(-2 l1(T)) from the decaying one: each run either refuses its
+    # horizon or is within tol of a far, tight reference, up to phase, and
+    # both happen at every tol
+    outcomes = []
+    for b in (0.0, 1.0, 5.0):
+        f = sc.PSField(x0=[b, 0.0, 0.0], u=[0.0, 0.6, 0.8])
+        ref = sc.DecayingData.of(f, 40.0, 1e-13)
+        for T in range(3, 31, 3):
+            try:
+                data = sc.DecayingData.of(f, float(T), tol)
+            except sc.IllPosedError:
+                outcomes.append(None)
+                continue
+            for got, want in ((data.s0, ref.s0), (data.s0_prime, ref.s0_prime)):
+                phase = np.vdot(want, got) / abs(np.vdot(want, got))
+                outcomes.append(np.abs(got - phase * want).max())
+    assert None in outcomes
+    accepted = [e for e in outcomes if e is not None]
+    assert accepted and max(accepted) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -617,16 +651,18 @@ def test_ps_scan_pass_samples_at_most_45000_nodes():
     # splitting norm off the spectral line, each from its own decaying
     # data, and the fundamental matrix over [-40, 40] at tol 1e-9.
     # Uniform step control sampled 80,782 nodes here, 58,138 of them in
-    # decaying data
-    total = 0
+    # decaying data; seeding each decaying run at the horizon took 72
+    # sampler calls a pass
+    total, calls = 0, 0
     for b in PS_SCAN_IMPACTS:
         f = CountedPS(x0=[b, 0.0, 0.0], u=[0.0, 0.0, 1.0])
         object.__setattr__(f, "calls", [])
         if sc.spectral_indicator(f, 40.0) > 1e-8:
             sc.m_gamma_norm(f, 40.0)
         sc.integrate_fundamental(f, -40.0, 40.0, tol=1e-9)
-        total += sum(f.calls)
+        total, calls = total + sum(f.calls), calls + len(f.calls)
     assert total <= 45_000
+    assert calls <= 55
 
 
 def test_trivial_indicator_and_norm():

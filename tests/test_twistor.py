@@ -11,7 +11,7 @@ from monogeom.checks import measure
 from monogeom.hyperbolic import (ORIGIN, MultiCenterPotential, OrientedGeodesic,
                                  PointUHS, dist, dist_to_geodesic, geodesic_point)
 from monogeom.numdiff import wirtinger
-from monogeom.projective import INFINITY, ExtendedComplex
+from monogeom.projective import _LEGENDRE_16, INFINITY, ExtendedComplex
 
 
 def dist_to_geodesic_oracle(x: PointUHS, g: OrientedGeodesic) -> float:
@@ -326,7 +326,7 @@ def test_legendre_table_is_leggauss_bitwise():
     # written out to keep numpy.polynomial off the import
     from numpy.polynomial.legendre import leggauss
 
-    for got, want in zip(tw._LEGENDRE_16, leggauss(16)):
+    for got, want in zip(_LEGENDRE_16, leggauss(16)):
         assert got.tobytes() == want.tobytes()
 
 
