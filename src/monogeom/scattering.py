@@ -271,14 +271,15 @@ class PSField(FieldSampler):
 
     def ode_matrix(self, t) -> np.ndarray:
         x, y, z, r = self._offset(t)
-        h, k = -0.5 * np.stack(_ps_radial(r))
+        h, k = (-0.5 * v for v in _ps_radial(r))
         cx, cy, cz = self._cross
+        hx, hy, kx, ky = h * x, h * y, k * cx, k * cy
         M = np.empty(r.shape + (2, 2), dtype=complex)
         re, im = M.real, M.imag   # [[w2, w0 - i w1], [w0 + i w1, -w2]]
         re[..., 0, 0], im[..., 0, 0] = h * z, k * cz
-        re[..., 0, 1], im[..., 0, 1] = h * x + k * cy, k * cx - h * y
-        re[..., 1, 0], im[..., 1, 0] = h * x - k * cy, k * cx + h * y
-        re[..., 1, 1], im[..., 1, 1] = -re[..., 0, 0], -im[..., 0, 0]
+        re[..., 0, 1], im[..., 0, 1] = hx + ky, kx - hy
+        re[..., 1, 0], im[..., 1, 0] = hx - ky, kx + hy
+        M[..., 1, 1] = -M[..., 0, 0]
         return M
 
 
@@ -362,18 +363,20 @@ def _magnus_steps(A: np.ndarray, h: np.ndarray) -> np.ndarray:
     traceless M at each step's Gauss nodes, A (3, ..., 2, 2): exp Omega
     by its components (E00, E01, E10, E11) along the first axis.
 
-    Omega is traceless, so each matrix is carried as (d, p, q) with d =
-    (X00 - X11)/2, p = X01, q = X10, and exp Omega is in SL(2, C) and in
-    closed form: Omega^2 = mu^2 I and exp Omega = cosh mu I + (sinh mu /
-    mu) Omega, both factors by series only at the steps with |mu^2| < _SERIES_MU2."""
-    a00, a01, a10, a11 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
-    X = np.array([(0.5 * h) * (a00 - a11), h * a01, h * a10])
+    Omega is traceless, so each matrix is carried as (d, p, q) with d = (X00 - X11)/2, p = X01,
+    q = X10, and exp Omega is in SL(2, C) and in closed form: Omega^2 = mu^2 I and exp Omega =
+    cosh mu I + (sinh mu / mu) Omega, both factors by series only at |mu^2| < _SERIES_MU2, written
+    in place into one array: (sinh mu / mu) (d, p, q), E11 = cosh mu - E00, then E00 += cosh mu."""
+    X = np.empty((3,) + A.shape[:-2], dtype=complex)   # (d, p, q) at each node
+    np.multiply(0.5 * h, A[..., 0, 0] - A[..., 1, 1], out=X[0])
+    np.multiply(h, A[..., 0, 1], out=X[1])
+    np.multiply(h, A[..., 1, 0], out=X[2])
     a1 = X[:, 1]
     a2 = (math.sqrt(15.0) / 3.0) * (X[:, 2] - X[:, 0])
     a3 = (10.0 / 3.0) * (X[:, 2] - 2.0 * X[:, 1] + X[:, 0])
     c1 = _commutator(a1, a2)
     c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
-    d, p, q = (a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0).reshape(3, -1)
+    d, p, q = om = (a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0).reshape(3, -1)
     mu2 = d * d + p * q   # flat, as one step's would be scalars
     small = np.flatnonzero(np.abs(mu2) < _SERIES_MU2)
     mu = np.sqrt(mu2)
@@ -387,15 +390,23 @@ def _magnus_steps(A: np.ndarray, h: np.ndarray) -> np.ndarray:
         for c, s in zip(_COSH, _SINHC):
             cs, ss = cs * z + c, ss * z + s
         ch[small], shc[small] = cs, ss
-    return np.array([ch + shc * d, shc * p, shc * q, ch - shc * d]).reshape((4,) + X.shape[2:])
+    E = np.empty((4, om.shape[1]), dtype=complex)
+    np.multiply(shc, om, out=E[:3])
+    E[3] = ch - E[0]
+    E[0] += ch
+    return E.reshape((4,) + X.shape[2:])
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """X Y for 2x2 matrices given by components (M00, M01, M10, M11)
-    along the first axis."""
-    (x00, x01, x10, x11), (y00, y01, y10, y11) = x, y
-    return np.array([x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
-                     x10 * y00 + x11 * y10, x10 * y01 + x11 * y11])
+    """X Y for 2x2 matrices given by components (M00, M01, M10, M11) along the
+    first axis, by broadcasting on (2, 2, ...) views: (X Y)_ij = X_i0 Y_0j + X_i1 Y_1j."""
+    xr, yr = x.reshape((2, 2) + x.shape[1:]), y.reshape((2, 2) + y.shape[1:])
+    return (xr[:, :1] * yr[0] + xr[:, 1:] * yr[1]).reshape(x.shape)
+
+
+def _norm2(z: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of complex components along the first axis, without a hypot."""
+    return (z.real ** 2 + z.imag ** 2).sum(axis=0)
 
 
 def _edges(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -412,21 +423,20 @@ def _edges(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return a, b, n
 
 
-def _damping(A: np.ndarray, a: np.ndarray, b: np.ndarray, run: np.ndarray,
+def _damping(A: np.ndarray, a: np.ndarray, b: np.ndarray, bounds: list,
              signs: np.ndarray) -> list:
-    """Per run with steps, (i, sign t, G) at the edges of its whole
-    first-round mesh, sign t increasing for np.interp, with G(t) = int
-    2 |Re mu| from the run's first time to t.  The frozen gap 2 |Re mu| of
-    M = [[d, p], [q, -d]], mu^2 = d^2 + pq, is read at each step's
-    middle Gauss node, A (m, 2, 2), and held over the step."""
+    """Per run i with steps, a[bounds[i]:bounds[i + 1]], (i, sign t, G) at
+    the edges of its whole first-round mesh, sign t increasing for
+    np.interp, with G(t) = int 2 |Re mu| from the run's first time to t.
+    The frozen gap 2 |Re mu| of M = [[d, p], [q, -d]], mu^2 = d^2 + pq, is
+    read at each step's middle Gauss node, A (m, 2, 2), and held over it."""
     d = 0.5 * (A[:, 0, 0] - A[:, 1, 1])
     c = 2.0 * np.sqrt(d * d + A[:, 0, 1] * A[:, 1, 0]).real * np.abs(b - a)
     tables = []
-    for i, sign in enumerate(signs):
-        mine = np.flatnonzero(run == i)
-        if mine.size:
-            G = np.append(0.0, np.cumsum(c[mine]))
-            tables.append((i, sign * np.append(a[mine[:1]], b[mine]), G))
+    for i, (sign, lo, hi) in enumerate(zip(signs, bounds[:-1], bounds[1:])):
+        if hi > lo:
+            G = np.append(0.0, np.cumsum(c[lo:hi]))
+            tables.append((i, sign * np.append(a[lo], b[lo:hi]), G))
     return tables
 
 
@@ -444,13 +454,16 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
     ||P||^2 and ||S||^2 <= _MAX_NORM2, and contributes S = P + (P - E_h)/63;
     a failing step is cut into ceil(1.2 err^{1/7}) equal pieces (more if it
     grows too much), and only those are checked in the next round, until one
-    passes them all.  A sampled M with |tr M| above 1e-12 |M| raises ValueError.
+    passes them all.  A sampled M with |tr M| above 1e-12 |M| raises ValueError,
+    and so does, before any sampling, a tol that is not finite and > 0.
 
     `damped` is for runs whose only output is the least amplified
     direction at their first time (module docstring): err is weighted by
     exp(-G/2), G from `_damping` at the step's end nearer that time, half
     the rate because the frozen gap overstates the dichotomy where M turns
     fast."""
+    if not 0.0 < tol < math.inf:   # a NaN compares False
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     signs = np.array([1.0 if ts[-1] >= ts[0] else -1.0 for ts in runs])  # directions
     t0, t1, run = [], [], []
     for i, (ts, sign) in enumerate(zip(runs, signs)):
@@ -473,15 +486,16 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
             half = _product(E[:, 2], E[:, 1])
             diff = half - E[:, 0]
             step = half + diff / 63.0
-            size = np.sum(np.abs(half) ** 2, axis=0)
-            err = np.sqrt(np.sum(np.abs(diff) ** 2, axis=0) / size) / (_ACCEPT * tol)
-            if damped:
+            size = _norm2(half)
+            err = np.sqrt(_norm2(diff) / size) / (_ACCEPT * tol)
+            if damped:   # steps stay grouped by run, so each run's are one slice
+                bounds = np.searchsorted(run, np.arange(len(runs) + 1)).tolist()
                 if tables is None:   # the first round covers every run whole
-                    tables = _damping(A[1, 0], a, b, run, signs)
+                    tables = _damping(A[1, 0], a, b, bounds, signs)
                 for i, edges, G in tables:
-                    mine = run == i
+                    mine = slice(bounds[i], bounds[i + 1])
                     err[mine] *= np.exp(-0.5 * np.interp(signs[i] * a[mine], edges, G))
-            ok = (err <= 1.0) & (np.maximum(size, np.sum(np.abs(step) ** 2, axis=0)) <= _MAX_NORM2)
+            ok = (err <= 1.0) & (np.maximum(size, _norm2(step)) <= _MAX_NORM2)
             starts.append(a[ok])
             taken.append(run[ok])
             mats.append(step[:, ok])
@@ -489,10 +503,11 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
                 break
             # enough pieces for the error bound, and for each piece's
             # log size to be about half the cap
-            pieces = np.ceil(np.maximum(1.2 * err[~ok] ** (1.0 / 7.0),
-                                        2.0 * np.log(size[~ok]) / math.log(_MAX_NORM2)))
+            bad = ~ok
+            pieces = np.ceil(np.maximum(1.2 * err[bad] ** (1.0 / 7.0),
+                                        2.0 * np.log(size[bad]) / math.log(_MAX_NORM2)))
         k = np.where(np.isfinite(pieces), np.clip(pieces, 2, _MAX_SPLIT), _MAX_SPLIT).astype(int)
-        a, h, b, run = a[~ok], h[~ok], b[~ok], run[~ok]
+        a, h, b, run = a[bad], h[bad], b[bad], run[bad]
         stuck = np.abs(h) / k <= 1e-13 * np.maximum(1.0, np.abs(a))
         if np.any(stuck):
             raise RuntimeError(f"integration failed: no step at t = {a[stuck][0]:.6g} "
@@ -501,8 +516,8 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
             raise ValueError(f"a round of {k.sum()} steps: more than the cap of {_MAX_MESH}")
         which = np.repeat(np.arange(len(k)), k)
         j = np.arange(len(which)) - np.repeat(np.cumsum(k) - k, k)
-        a, b, run = (a[which] + h[which] * (j / k[which]), np.where(
-            j + 1 == k[which], b[which], a[which] + h[which] * ((j + 1) / k[which])), run[which])
+        a, h, b, k = a[which], h[which], b[which], k[which]
+        a, b, run = a + h * (j / k), np.where(j + 1 == k, b, a + h * ((j + 1) / k)), run[which]
     run = np.concatenate(taken)
     starts = signs[run] * np.concatenate(starts)
     order = np.lexsort((starts, run))
@@ -577,7 +592,11 @@ def integrate_fundamental(fields: FieldSampler, t0: float, t1: float,
                           tol: float = 1e-10, checkpoints: int = 17) -> FundamentalSolution:
     """Fundamental matrix of s' = M(t) s with H(t0) = I at `checkpoints`
     evenly spaced times, log ||H|| within about `tol` (module docstring).
-    M must be traceless (ValueError otherwise), so H is in SL(2, C)."""
+    M must be traceless (ValueError otherwise), so H is in SL(2, C).  A t0 or t1 not finite,
+    checkpoints not an integer >= 2 or tol not finite and > 0 raise ValueError before sampling."""
+    if not (math.isfinite(t0) and math.isfinite(t1)
+            and isinstance(checkpoints, (int, np.integer)) and checkpoints >= 2):
+        raise ValueError(f"need finite t0, t1, integer checkpoints >= 2: {t0}, {t1}, {checkpoints}")
     ts = np.linspace(t0, t1, checkpoints)
     return FundamentalSolution(ts, *_propagate(fields, [ts], tol)[0])
 
@@ -587,8 +606,8 @@ def _decaying(fields: FieldSampler, ends, t_horizon: float, tol: float) -> list:
     (+1 or -1), from one propagation out from 0 under `_mesh`'s `damped`
     control: the least right singular vector of Phi(end T, 0), (r1, -r0)/|r|
     for the longer row r of its unit end matrix, within exp(-2 logscale) of
-    the exact one.  A horizon that is not finite and > 0 raises ValueError
-    before any sampling."""
+    the exact one.  A horizon or tol that is not finite and > 0 raises
+    ValueError before any sampling."""
     if any(end not in (+1, -1) for end in ends):
         raise ValueError("end must be +1 or -1")
     if not 0.0 < t_horizon < math.inf:    # a NaN compares False
@@ -606,8 +625,8 @@ def _decaying(fields: FieldSampler, ends, t_horizon: float, tol: float) -> list:
 def decaying_solution(fields: FieldSampler, end: int, t_horizon: float,
                       tol: float = 1e-10) -> np.ndarray:
     """Unit direction at t = 0 of the solution decaying at the chosen end
-    (+1 or -1), read off one run out from 0 to the horizon (finite and > 0,
-    else ValueError; IllPosedError if too short for `tol`).  `tol` is the
+    (+1 or -1), read off one run out from 0 to the horizon (finite and > 0, as `tol`
+    is, else ValueError; IllPosedError if too short for `tol`).  `tol` is the
     accuracy of that direction: a step at t may err by exp(G(t)/2) tol, G
     the gap of M integrated from 0 to t (module docstring)."""
     return _decaying(fields, (end,), t_horizon, tol)[0]
@@ -687,7 +706,7 @@ def abelian_growth_exponent(V: MultiCenterPotential, center_index: int,
     the window [-delta, delta].  The slope estimates the center's
     abelian charge.  Impacts that are not finite and strictly between 0
     and delta, or fewer than two distinct ones, raise ValueError before
-    any integration."""
+    any integration, and a tol or delta not finite and > 0 before any sampling."""
     zs = [float(abs(z)) for z in z_samples]
     if not all(0.0 < z < delta for z in zs):   # a NaN compares False
         raise ValueError("impact samples must lie strictly between 0 and delta")

@@ -1,6 +1,7 @@
 """Scattering integrators, decaying directions, growth experiments."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import pathlib
@@ -224,6 +225,45 @@ def test_unworkable_horizon_refused_before_sampling(horizon):
             run(f, horizon)
 
 
+def _unsampled(self, t):
+    raise AssertionError("sampled")
+
+
+_GROWTH_V = MultiCenterPotential(0.4, (PointUHS(0, 0, 1),), (1,))
+_TRIVIAL = sc.TrivialU1Field(mass=1.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    *((lambda tol=tol: sc.integrate_fundamental(_TRIVIAL, -10.0, 10.0, tol=tol), "tol must")
+      for tol in (-1e-9, 0.0, math.nan, math.inf)),
+    *((lambda t0=t0, t1=t1: sc.integrate_fundamental(_TRIVIAL, t0, t1), "need finite t0")
+      for t0, t1 in ((math.nan, 1.0), (-math.inf, 1.0), (-1.0, math.inf))),
+    *((lambda n=n: sc.integrate_fundamental(_TRIVIAL, -1.0, 1.0, checkpoints=n), "need finite t0")
+      for n in (0, 1, 2.5, True)),
+    *((lambda tol=tol: sc.DecayingData.of(_TRIVIAL, 10.0, tol=tol), "tol must")
+      for tol in (-1.0, 0.0, math.nan, math.inf)),
+    (lambda: sc.decaying_solution(_TRIVIAL, +1, 10.0, tol=-1.0), "tol must"),
+    *((lambda tol=tol: sc.abelian_growth_exponent(_GROWTH_V, 0, 0.1, [1e-3, 1e-2], tol=tol),
+       "tol must") for tol in (-1e-9, 0.0, math.nan)),
+    (lambda: sc.abelian_growth_exponent(_GROWTH_V, 0, math.inf, [1e-3, 1e-2]), "need finite t0")],
+    ids=[*(f"fundamental-tol-{v}" for v in ("negative", "zero", "nan", "inf")),
+         "t0-nan", "t0-minus-inf", "t1-inf", *(f"checkpoints-{v}" for v in (0, 1, 2.5, True)),
+         *(f"decaying-data-tol-{v}" for v in ("negative", "zero", "nan", "inf")),
+         "decaying-solution-tol-negative",
+         *(f"growth-tol-{v}" for v in ("negative", "zero", "nan")), "growth-delta-inf"])
+def test_unworkable_tol_times_or_checkpoints_refused_before_sampling(monkeypatch, call, match):
+    # tol -1e-9 was accepted, every step passing at the initial mesh, so a PS
+    # line over [-10, 10] read log_norm_final 8.3e-8 relative off tol 1e-9's;
+    # tol 0 divided by zero, and a NaN tol ran to the refinement cap; a
+    # negative tol in decaying data ended in IllPosedError; checkpoints 0
+    # raised IndexError and t1 = inf an initial mesh of nan steps
+    monkeypatch.setattr(sc.TrivialU1Field, "ode_matrix", _unsampled)
+    monkeypatch.setattr(sc.AbelianField, "ode_matrix", _unsampled)
+    with pytest.raises(ValueError, match=match) as raised:
+        call()
+    assert not isinstance(raised.value, sc.IllPosedError)
+
+
 @pytest.mark.parametrize("impact", (math.nan, math.inf, 0.0, -1e-3))
 def test_impact_not_finite_and_positive_refused(impact):
     # NaN and inf once passed `impact <= 0` and ran to the refinement cap
@@ -309,6 +349,68 @@ def test_magnus_step_of_constant_matrix_is_expm(steps):
         assert np.array_equal(batch[:, i], E)
         want = expm(h * M)
         assert np.linalg.norm(E.reshape(2, 2) - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def _random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("shape", ((), (7,), (3, 7), (5, 8)),
+                         ids=["one", "flat", "round", "block-chain"])
+def test_product_by_broadcasting_matches_eight_products_bitwise(shape):
+    # the eight products on arrays: a lone matrix's components would be numpy
+    # scalars, whose complex multiply is not fused where the array loops' is,
+    # so its reference is taken on (4, 1) arrays
+    rng = np.random.default_rng(11)
+    x, y = _random_complex(rng, 4, *shape), _random_complex(rng, 4, *shape)
+    if len(shape) == 2:   # a round's (step, halves) slices, or the block chain's slots
+        x, y = (x[:, 2], x[:, 1]) if shape[0] == 3 else (x[:, :, 1::2], x[:, :, 0::2])
+    (x00, x01, x10, x11), (y00, y01, y10, y11) = x.reshape(4, -1), y.reshape(4, -1)
+    want = np.array([x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+                     x10 * y00 + x11 * y10, x10 * y01 + x11 * y11]).reshape(x.shape)
+    got = sc._product(x, y)
+    assert got.shape == x.shape and got.tobytes() == want.tobytes()
+
+
+def _magnus_steps_by_stacks(A, h):
+    # the Magnus step with Omega's components and exp Omega assembled by
+    # np.array stacks, the form the in-place one must reproduce bit for bit
+    a00, a01, a10, a11 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    X = np.array([(0.5 * h) * (a00 - a11), h * a01, h * a10])
+    a1 = X[:, 1]
+    a2 = (math.sqrt(15.0) / 3.0) * (X[:, 2] - X[:, 0])
+    a3 = (10.0 / 3.0) * (X[:, 2] - 2.0 * X[:, 1] + X[:, 0])
+    c1 = sc._commutator(a1, a2)
+    c2 = sc._commutator(a1, 2.0 * a3 + c1) / -60.0
+    d, p, q = (a1 + a3 / 12.0 + sc._commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0).reshape(3, -1)
+    mu2 = d * d + p * q
+    small = np.abs(mu2) < sc._SERIES_MU2
+    mu = np.where(small, 1.0, np.sqrt(mu2))
+    x, y = mu.real, mu.imag
+    cx, sx, cy, sy = np.cosh(x), np.sinh(x), np.cos(y), np.sin(y)
+    ch, shc = cx * cy + 1j * (sx * sy), (sx * cy + 1j * (cx * sy)) / mu
+    cs, ss = 0.0, 0.0
+    for c, s in zip(sc._COSH, sc._SINHC):
+        cs, ss = cs * mu2 + c, ss * mu2 + s
+    ch, shc = np.where(small, cs, ch), np.where(small, ss, shc)
+    return np.array([ch + shc * d, shc * p, shc * q, ch - shc * d]).reshape((4,) + X.shape[2:])
+
+
+def test_magnus_steps_in_place_match_stacked_assembly_bitwise():
+    # a refinement round's shape, nodes x (step, halves) x steps, with
+    # entries on both sides of the series switch, and one 0-d step
+    rng = np.random.default_rng(12)
+    scale = np.where(np.arange(40) % 3 == 0, 1e-4, 1.0)   # every third by series
+    M = scale[:, None, None] * _random_complex(rng, 3, 3, 40, 2, 2)
+    M[..., 1, 1] = -M[..., 0, 0]
+    h = rng.uniform(0.1, 1.5, size=40) * np.array([[1.0], [0.5], [0.5]])
+    got, want = sc._magnus_steps(M, h), _magnus_steps_by_stacks(M, h)
+    mu2 = np.abs(want[0] + want[3]) ** 2 / 4.0 - 1.0   # cosh^2 mu - 1, about mu^2 where small
+    assert np.any(np.abs(mu2) < 1e-3) and np.any(np.abs(mu2) > 1e-2)
+    assert got.shape == (4, 3, 40) and got.tobytes() == want.tobytes()
+    one = M[:, 0, 0]
+    got, want = sc._magnus_steps(one, 0.7), _magnus_steps_by_stacks(one, 0.7)
+    assert got.shape == (4,) and got.tobytes() == want.tobytes()
 
 
 def test_fundamental_matches_dop853_reference():
@@ -644,6 +746,25 @@ def test_decaying_data_within_1e12_of_a_tight_reference(seed):
         norms = [np.linalg.norm(d.splitting_reflection(), 2) for d in (got, ref)]
         assert abs(norms[0] / norms[1] - 1.0) <= 1e-12
         assert abs(got.reflection_norm() / norms[0] - 1.0) <= 1e-13
+
+
+def test_propagator_outputs_unchanged():
+    # the 9 ps_scan lines at one seeded rotation, their decaying data and
+    # fundamental matrices over [-40, 40], and one growth fit, hashed as the
+    # stacked-product propagator wrote them: a change meant to keep the
+    # arithmetic must keep every bit
+    R = _rotation(np.random.default_rng([0, 3]))
+    digest = hashlib.sha256()
+    for b in PS_SCAN_IMPACTS:
+        f = sc.PSField(x0=R @ [b, 0.0, 0.0], u=R @ [0.0, 0.0, 1.0])
+        data = sc.DecayingData.of(f, 40.0, tol=1e-10)
+        sol = sc.integrate_fundamental(f, -40.0, 40.0, tol=1e-9)
+        for v in (data.s0, data.s0_prime, data.pairing, sol.ts, sol.mats, sol.logscales):
+            digest.update(np.ascontiguousarray(v).tobytes())
+    fit = sc.abelian_growth_exponent(_GROWTH_V, 0, delta=0.1, z_samples=np.geomspace(1e-5, 1e-2, 6))
+    digest.update(repr((fit.slope, fit.intercept, fit.r_squared, fit.log_norms)).encode())
+    assert digest.hexdigest() == (
+        "9bbc95b99f4654c1b4d2d9f1cdc090ebe6aa36faee8563c3d23f28b4c992749a")
 
 
 def test_ps_scan_pass_samples_at_most_45000_nodes():
