@@ -88,8 +88,6 @@ class RunConfig:
                 raise ValueError("config file must hold a JSON object")
         cfg, hints = RunConfig(), typing.get_type_hints(RunConfig)
         for key, val in {**data, **overrides}.items():
-            if val is None:
-                continue
             if key not in hints:
                 raise ValueError(f"unknown config key: {key}")
             if not _of_kind(val, hints[key]):

@@ -182,18 +182,10 @@ def _geodesic_scaled(g: OrientedGeodesic, base: PointUHS):
     return np.sqrt(mu * r) * Ne, np.sqrt(mu / r) * Ns
 
 
-def geodesic_point(g: OrientedGeodesic, base: PointUHS, t) -> PointUHS | np.ndarray:
-    """Arc-length point on g, with t = 0 at the closest point to `base`.
-
-    Scalar t gives a PointUHS; an array of t gives raw (..., 3) arrays.
-    """
+def geodesic_point(g: OrientedGeodesic, base: PointUHS, t: float) -> PointUHS:
+    """Arc-length point on g, with t = 0 at the closest point to `base`."""
     A, B = _geodesic_scaled(g, base)
-    t_arr = np.asarray(t, dtype=float)
-    X = np.exp(t_arr)[..., None] * A + np.exp(-t_arr)[..., None] * B
-    out = unembed(X)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return PointUHS.from_array(out)
-    return out
+    return PointUHS.from_array(unembed(np.exp(t) * A + np.exp(-t) * B))
 
 
 def geodesic_tangent(g: OrientedGeodesic, base: PointUHS, t: float) -> np.ndarray:

@@ -34,8 +34,6 @@ class ExtendedComplex:
     def of(v) -> "ExtendedComplex":
         if isinstance(v, ExtendedComplex):
             return v
-        if v is None:
-            return INFINITY
         return ExtendedComplex(complex(v))
 
     @property

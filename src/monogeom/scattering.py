@@ -15,19 +15,18 @@ against closed-form and 30-digit oracles (tests/test_scattering.py) it read
 grazing center's closest approach can fool the estimate (3.8 tol on a denser
 sweep).  The initial mesh is the output times, each interval cut into steps of
 at most `_MAX_STEP`.  The steps between output times are multiplied in blocks
-of at most 64 by pairwise products, and the blocks are accumulated, one QR
-update each, as a discrete QR factorization of the fundamental matrix (Dieci,
-Russell & Van Vleck, SIAM J. Numer. Anal. 34 (1997) 402-423) with the log of
-R's diagonal kept apart, so exponentially dichotomic systems stay in floating
-range over any horizon and the decaying mode is resolved as well as the
-growing one.  M is traceless, as an su(2) monopole's scattering equation is (M11
-= -M00 in every sampler; |tr M| > 1e-12 |M| raises ValueError), so each Magnus
-step and H lie in SL(2, C) (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numer.
-9 (2000) 215-365) and R's diagonal is (e^l1, e^-l1): one log growth rate, l1.
-The direction at t = 0 of the solution decaying as t -> +-infinity is the least
-right singular vector of Phi(+-T, 0) (Greene & Kim, Physica D 24 (1987) 213-225),
-read off a run out from H(0) = I within about its own horizon error sigma_2 /
-sigma_1 = exp(-2 l1(T)); a horizon where that exceeds `tol` raises IllPosedError.
+of at most 64 by pairwise products, and each path's blocks in order into one
+running product, rescaled exactly by a power of two after each block, so
+growing solutions stay in floating range over any horizon.  M is traceless, as
+an su(2) monopole's scattering equation is (M11 = -M00 in every sampler; |tr M|
+> 1e-12 |M| raises ValueError), so each Magnus step and H lie in SL(2, C)
+(Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numer. 9 (2000) 215-365): sigma_2
+= 1 / sigma_1, one log growth rate.  Every reader takes H's dominant part, the
+part the rescaled product resolves: its norm, and the direction at t = 0 of the
+solution decaying as t -> +-infinity, the least right singular vector of
+Phi(+-T, 0) (Greene & Kim, Physica D 24 (1987) 213-225), read off a run out from
+H(0) = I within about its own horizon error sigma_2 / sigma_1 = exp(-2
+logscale(T)); a horizon where that exceeds `tol` raises IllPosedError.
 Both ends share one propagation, and `tol` is the accuracy of that one output:
 going back to 0 the wanted mode dominates, so an error made at t reaches 0 shrunk
 by about exp(-G(t)), G the gap 2 |Re mu| of M = [[d, p], [q, -d]] (mu^2 = d^2 +
@@ -69,7 +68,7 @@ __all__ = [
 
 class IllPosedError(ValueError):
     """A horizon too short for the decaying direction: its own error
-    exp(-2 l1(T)), the end matrix's sigma_2/sigma_1, exceeds `tol`.  That is
+    exp(-2 logscale(T)), about the end matrix's sigma_2/sigma_1, exceeds `tol`.  That is
     all the rule reads, so it cannot tell polynomial growth from a gap: a
     gapless shear M = [[0, p], [0, 0]] passes once p T is above about
     tol^-1/2, and its bounded direction is returned."""
@@ -255,9 +254,6 @@ class PSField(FieldSampler):
                             ("_cross", cross)):
             object.__setattr__(self, name, value)
 
-    def point(self, t: float) -> np.ndarray:
-        return self.x0 + t * self.u
-
     def _offset(self, t):
         """p = x0 - center + t u by components, and r = |p|."""
         (px, py, pz), (ux, uy, uz) = self._p0, self._dir
@@ -342,7 +338,7 @@ MAX_HORIZON = _MAX_MESH * _MAX_STEP / 4   # longest T whose [-T, T] meshes fit, 
 _MAX_NORM2 = math.exp(6.0)
 _MAX_SPLIT = 64          # most pieces a failing step is cut into in one round
 _ACCEPT = 8.0  # step acceptance in units of tol: the largest power of 2 keeping the oracles within tol
-_BLOCK = 64   # most steps in a block product: below e^192 unscaled, its modes part by at most e^384
+_BLOCK = 64   # most steps in a block product: below e^192 unscaled, so the rescaled product stays in range
 # cosh mu and sinh mu / mu as series in mu^2 below _SERIES_MU2, where
 # the four terms kept are exact to rounding (the next is below 3e-21)
 _SERIES_MU2 = 1e-4
@@ -366,8 +362,11 @@ def _magnus_steps(A: np.ndarray, h: np.ndarray) -> np.ndarray:
     Omega is traceless, so each matrix is carried as (d, p, q) with d = (X00 - X11)/2, p = X01,
     q = X10, and exp Omega is in SL(2, C) and in closed form: Omega^2 = mu^2 I and exp Omega =
     cosh mu I + (sinh mu / mu) Omega, both factors by series only at |mu^2| < _SERIES_MU2, written
-    in place into one array: (sinh mu / mu) (d, p, q), E11 = cosh mu - E00, then E00 += cosh mu."""
-    X = np.empty((3,) + A.shape[:-2], dtype=complex)   # (d, p, q) at each node
+    in place into one array: (sinh mu / mu) (d, p, q), E11 = cosh mu - E00, then E00 += cosh mu.
+    The steps run flattened, so a lone step takes the same array arithmetic as a batch's."""
+    shape, h = np.shape(h), np.reshape(h, -1)
+    A = A.reshape((3, -1, 2, 2))
+    X = np.empty((3, 3, h.size), dtype=complex)   # (d, p, q) at each node
     np.multiply(0.5 * h, A[..., 0, 0] - A[..., 1, 1], out=X[0])
     np.multiply(h, A[..., 0, 1], out=X[1])
     np.multiply(h, A[..., 1, 0], out=X[2])
@@ -376,8 +375,8 @@ def _magnus_steps(A: np.ndarray, h: np.ndarray) -> np.ndarray:
     a3 = (10.0 / 3.0) * (X[:, 2] - 2.0 * X[:, 1] + X[:, 0])
     c1 = _commutator(a1, a2)
     c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
-    d, p, q = om = (a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0).reshape(3, -1)
-    mu2 = d * d + p * q   # flat, as one step's would be scalars
+    d, p, q = om = a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    mu2 = d * d + p * q
     small = np.flatnonzero(np.abs(mu2) < _SERIES_MU2)
     mu = np.sqrt(mu2)
     mu[small] = 1.0
@@ -390,11 +389,11 @@ def _magnus_steps(A: np.ndarray, h: np.ndarray) -> np.ndarray:
         for c, s in zip(_COSH, _SINHC):
             cs, ss = cs * z + c, ss * z + s
         ch[small], shc[small] = cs, ss
-    E = np.empty((4, om.shape[1]), dtype=complex)
+    E = np.empty((4, h.size), dtype=complex)
     np.multiply(shc, om, out=E[:3])
     E[3] = ch - E[0]
     E[0] += ch
-    return E.reshape((4,) + X.shape[2:])
+    return E.reshape((4,) + shape)
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -536,15 +535,13 @@ def _propagate(fields: FieldSampler, runs: list, tol: float, damped: bool = Fals
     every run's refined in the same rounds.  The steps between two output times
     are cut into blocks of at most _BLOCK, and every block's ordered product
     P = E_last ... E_first is formed at once by pairwise products, below e^192
-    as each stored step is below e^3 (_MAX_NORM2), then rescaled once by a
-    power of two whose log the block keeps.  The blocks are accumulated as a
-    discrete QR factorization H = Q R, with Q in SU(2) and R = exp(L) [[p,
-    rho], [0, q]], where L = log(exp(l1) + exp(-l1)), p = exp(l1 - L) and q =
-    exp(-l1 - L): P Q = Q' R' with R' upper triangular with a positive
-    diagonal, so l1 += log R'_00, and rho carries R's corner scaled by
-    exp(-L).  M is traceless, so det P = 1: R'_11 = 1 / R'_00, and Q's second
-    column is (-conj q10, conj q00).  The growth is kept in its log, so nothing
-    overflows whichever column grows."""
+    as each stored step is below e^3 (_MAX_NORM2).  Each run multiplies its
+    blocks in order into one running product H = 2^n h, and after each block
+    rescales h exactly by the power of two that brings its largest entry into
+    [1/2, 1), so h P stays below 2 e^192 and nothing overflows however far H
+    grows.  Only H's dominant part is resolved: its other singular value,
+    1 / sigma_1 as det H = 1, falls below h's rounding once H grows past
+    about 1e8, and every reader takes the dominant part alone."""
     mats, stops = _mesh(fields, runs, tol, damped)
     lo, hi = np.concatenate([s[:-1] for s in stops]), np.concatenate([s[1:] for s in stops])
     first = np.concatenate(([0], np.cumsum(-(-(hi - lo) // _BLOCK))))   # per interval
@@ -557,34 +554,24 @@ def _propagate(fields: FieldSampler, runs: list, tol: float, damped: bool = Fals
     P[:, block, slot] = mats
     while P.shape[2] > 1:
         P = _product(P[:, :, 1::2], P[:, :, 0::2])
-    # log2 of each block's scale; blocks of one step (width 1) are below e^3 and keep theirs
-    e = np.frexp(np.abs(P[:, :, 0]).max(axis=0))[1] * (width > 1)
-    blocks = zip((P[:, :, 0] * np.exp2(-e)).T.tolist(), (math.log(2.0) * e).tolist())
+    blocks = iter(P[:, :, 0].T.tolist())
     out = []
     for ts, K in zip(runs, np.cumsum([0] + [len(ts) - 1 for ts in runs])):
-        q00, q10, l1, L, rho = 1 + 0j, 0j, 0.0, math.log(2.0), 0j
-        path, done = [], first[K]
+        h00, h01, h10, h11, n = 1 + 0j, 0j, 0j, 1 + 0j, 0
+        path, ns, done = [], [], first[K]
         for stop in first[K:K + len(ts)]:
-            for (e00, e01, e10, e11), s in itertools.islice(blocks, stop - done):
-                q01, q11 = -q10.conjugate(), q00.conjugate()
-                a00, a10 = e00 * q00 + e01 * q10, e10 * q00 + e11 * q10   # P Q
-                a01, a11 = e00 * q01 + e01 * q11, e10 * q01 + e11 * q11
-                r00 = math.hypot(abs(a00), abs(a10))
-                q00, q10 = a00 / r00, a10 / r00
-                r01 = q00.conjugate() * a01 + q10.conjugate() * a11
-                g1 = s + math.log(r00)
-                l1, l1_old, L_old = l1 + g1, l1, L
-                L = abs(l1) + math.log1p(math.exp(-2.0 * abs(l1)))
-                rho = rho * math.exp(g1 + L_old - L) + r01 * math.exp(s - l1_old - L)
+            for e00, e01, e10, e11 in itertools.islice(blocks, stop - done):
+                h00, h01, h10, h11 = (e00 * h00 + e01 * h10, e00 * h01 + e01 * h11,
+                                      e10 * h00 + e11 * h10, e10 * h01 + e11 * h11)
+                e = math.frexp(max(abs(h00), abs(h01), abs(h10), abs(h11)))[1]
+                f, n = 2.0 ** -e, n + e
+                h00, h01, h10, h11 = h00 * f, h01 * f, h10 * f, h11 * f
             done = stop
-            path.append((q00, q10, rho, l1, L))
-        q00, q10, rho, l1, L = np.array(path).T
-        l1, L = l1.real, L.real
-        R = np.zeros((len(ts), 2, 2), dtype=complex)
-        R[:, 0, 0], R[:, 0, 1], R[:, 1, 1] = np.exp(l1 - L), rho, np.exp(-l1 - L)
-        H = np.stack([q00, -q10.conj(), q10, q00.conj()], axis=-1).reshape(-1, 2, 2) @ R
+            path.append((h00, h01, h10, h11))
+            ns.append(n)
+        H = np.array(path).reshape(-1, 2, 2)
         norms = np.linalg.norm(H, axis=(1, 2))
-        out.append((H / norms[:, None, None], L + np.log(norms)))
+        out.append((H / norms[:, None, None], math.log(2.0) * np.array(ns) + np.log(norms)))
     return out
 
 
@@ -616,7 +603,7 @@ def _decaying(fields: FieldSampler, ends, t_horizon: float, tol: float) -> list:
     for mats, logscales in _propagate(fields, [np.array([0.0, end * t_horizon]) for end in ends],
                                       tol, damped=True):
         if (error := math.exp(-2.0 * logscales[-1])) > tol:
-            raise IllPosedError(f"horizon {t_horizon:g}: exp(-2 l1) = {error:.2g} > tol {tol:g}")
+            raise IllPosedError(f"horizon {t_horizon:g}: exp(-2 logscale) = {error:.2g} > tol {tol:g}")
         r = max(mats[-1], key=np.linalg.norm)
         out.append(np.array([r[1], -r[0]]) / np.linalg.norm(r))
     return out

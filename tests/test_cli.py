@@ -231,6 +231,11 @@ def test_config_errors(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text("{\"no_such_key\": 1}")
     assert run(["verify", "--config", str(unknown)]) == 2
+    listed = tmp_path / "listed.json"
+    listed.write_text("[{\"seed\": 1}]")
+    with pytest.raises(ValueError, match="must hold a JSON object"):
+        RunConfig.load(str(listed), {})
+    assert run(["verify", "--config", str(listed)]) == 2
     for command in ("verify", "symplectic"):
         assert run([command, "--seed", "-1", "--out", str(tmp_path / "out.json")]) == 2
     assert not (tmp_path / "out.json").exists()
@@ -339,6 +344,21 @@ def test_every_bad_config_value_exits_2_in_every_subcommand(tmp_path, capsys, co
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("key", sorted(RunConfig.__annotations__))
+def test_null_config_value_is_judged_by_its_kind(tmp_path, capsys, key):
+    # a null once meant the default for every key, so {"centers": null} ran on the
+    # default centers (exit 0); only the fields typed X | None take it
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    cfg.write_text(json.dumps({key: None}))
+    if key in ("lam", "only", "out"):
+        assert getattr(RunConfig.load(str(cfg), {}), key) is None
+        return
+    assert run(["symplectic", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: want ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_spectral_refuses_lam(tmp_path, capsys):
     # with lam set the lift ran on undoubled charges and wrote "doubled_charges": [1]
     cfg, out = tmp_path / "cfg.json", tmp_path / "sp.json"
@@ -369,7 +389,7 @@ def test_ps_horizon_beyond_the_mesh_cap_exits_2_at_once(tmp_path, capsys):
 
 
 def test_ps_horizon_too_short_for_tol_exits_2(tmp_path, capsys):
-    # decaying directions off a horizon whose own error exp(-2 l1) exceeds
+    # decaying directions off a horizon whose own error exp(-2 logscale) exceeds
     # tol are refused: one config error line naming the key, no output
     cfg, out = tmp_path / "cfg.json", tmp_path / "ps.csv"
     cfg.write_text(json.dumps({"ps_horizon": 8}))

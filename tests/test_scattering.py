@@ -40,7 +40,7 @@ def test_growth_led_by_second_column():
 
 def test_growth_led_by_first_column():
     # e2 decays against e1 by 1200 e-folds, past where exp of the
-    # log-rate gap overflows: R's corner factor must read 0, not raise
+    # log-rate gap overflows: the decaying entry must underflow to 0, not raise
     sol = sc.integrate_fundamental(sc.TrivialU1Field(mass=1.0), -300.0, 300.0)
     assert abs(sol.log_norm_final() - 600.0) < 1e-8 * 600.0
     assert np.all(np.isfinite(sol.mats))
@@ -50,7 +50,7 @@ def test_growth_led_by_first_column():
 def test_long_checkpoint_interval_in_blocks(mass):
     # 300 steps between the two checkpoints, whose modes part by e^1200:
     # far past floating range for one product, so the steps must be
-    # multiplied in blocks short enough to keep both modes in range
+    # multiplied in blocks short enough for one product to stay in range
     sol = sc.integrate_fundamental(sc.TrivialU1Field(mass=mass), -300.0, 300.0, checkpoints=2)
     assert abs(sol.log_norm_final() - 600.0) < 1e-8 * 600.0
     assert np.all(np.isfinite(sol.mats))
@@ -119,6 +119,9 @@ def test_det_balance_keeps_a_nan():
     spoiled = dataclasses.replace(sol, logscales=np.append(sol.logscales[:-1], math.nan))
     assert sol.det_balance_defect() < 1e-12
     assert math.isnan(spoiled.det_balance_defect())
+    # a singular stored matrix has no log determinant to balance
+    singular = dataclasses.replace(sol, mats=np.append(sol.mats[:-1], np.ones((1, 2, 2)), axis=0))
+    assert singular.det_balance_defect() == math.inf
     # M is traceless: its integrals, kept for determinant readers, are zeros
     assert sol.trace_integrals.tolist() == [0j] * len(sol.ts)
 
@@ -413,6 +416,18 @@ def test_magnus_steps_in_place_match_stacked_assembly_bitwise():
     assert got.shape == (4,) and got.tobytes() == want.tobytes()
 
 
+def test_lone_magnus_step_matches_its_round_bitwise():
+    # a lone step's commutators must run on arrays as a round's do: on numpy
+    # complex scalars, whose products are not fused, they read a few last bits off
+    rng = np.random.default_rng(13)
+    M = _random_complex(rng, 3, 3, 50, 2, 2)
+    M[..., 1, 1] = -M[..., 0, 0]
+    h = rng.uniform(0.1, 1.5, size=50) * np.array([[1.0], [0.5], [0.5]])
+    batch = sc._magnus_steps(M, h)
+    for j, i in np.ndindex(h.shape):
+        assert sc._magnus_steps(M[:, j, i], h[j, i]).tobytes() == batch[:, j, i].tobytes()
+
+
 def test_fundamental_matches_dop853_reference():
     # reference: DOP853 at tolerance 1e-12 on the plain linear system
     f = sc.PSField(x0=[1.0, 0.0, 0.0], u=[0.0, 0.0, 1.0])
@@ -677,7 +692,7 @@ class ShearField(sc.FieldSampler):
 
 
 def test_gapless_shear_passes_once_its_growth_reaches_tol():
-    # the rule reads only sigma_2/sigma_1 = exp(-2 l1(T)), about (p T)^-2
+    # the rule reads only sigma_2/sigma_1 = exp(-2 logscale(T)), about (p T)^-2
     # here: it refuses a slow shear, and passes a fast one, whose least
     # amplified directions at both ends are the bounded (1, -+1/(p T))
     with pytest.raises(sc.IllPosedError):
@@ -691,7 +706,7 @@ def test_gapless_shear_passes_once_its_growth_reaches_tol():
 @pytest.mark.parametrize("tol", (1e-6, 1e-8, 1e-10, 1e-12))
 def test_short_horizon_refused_or_within_tol(tol):
     # a horizon T leaves the least amplified direction of Phi(+-T, 0) about
-    # exp(-2 l1(T)) from the decaying one: each run either refuses its
+    # exp(-2 logscale(T)) from the decaying one: each run either refuses its
     # horizon or is within tol of a far, tight reference, up to phase, and
     # both happen at every tol
     outcomes = []
@@ -751,7 +766,7 @@ def test_decaying_data_within_1e12_of_a_tight_reference(seed):
 def test_propagator_outputs_unchanged():
     # the 9 ps_scan lines at one seeded rotation, their decaying data and
     # fundamental matrices over [-40, 40], and one growth fit, hashed as the
-    # stacked-product propagator wrote them: a change meant to keep the
+    # rescaled-product propagator wrote them: a change meant to keep the
     # arithmetic must keep every bit
     R = _rotation(np.random.default_rng([0, 3]))
     digest = hashlib.sha256()
@@ -764,7 +779,7 @@ def test_propagator_outputs_unchanged():
     fit = sc.abelian_growth_exponent(_GROWTH_V, 0, delta=0.1, z_samples=np.geomspace(1e-5, 1e-2, 6))
     digest.update(repr((fit.slope, fit.intercept, fit.r_squared, fit.log_norms)).encode())
     assert digest.hexdigest() == (
-        "9bbc95b99f4654c1b4d2d9f1cdc090ebe6aa36faee8563c3d23f28b4c992749a")
+        "339cfba25a024cc79969b3c8a3300fe68a7bbf4fdb09858026e0e4b070feb1c7")
 
 
 def test_ps_scan_pass_samples_at_most_45000_nodes():
