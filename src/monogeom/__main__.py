@@ -1,0 +1,4 @@
+"""`python -m monogeom`: the `monogeom` command line (`monogeom.cli`)."""
+from .cli import main
+if __name__ == "__main__":
+    raise SystemExit(main())

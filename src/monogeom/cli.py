@@ -128,11 +128,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     if not table:
         print(f"config error: --only matched no check: {cfg.only}", file=sys.stderr)
         return 2
-    setting = checks.Setting(
-        connections=(cfg.connection,),
-        lines=((cfg.potential, cfg.point),),
-        sheets=(cfg.symplectic_sheets,), nodes=cfg.symplectic_nodes,
-        delta=cfg.scatter_delta)
+    setting = checks.Setting(connections=(cfg.connection,), lines=((cfg.potential, cfg.point),),
+                             sheets=(cfg.symplectic_sheets,), nodes=cfg.symplectic_nodes)
     records = []
     for check in table:
         t0 = time.perf_counter()
@@ -337,7 +334,3 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return args.run(cfg)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

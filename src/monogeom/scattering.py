@@ -1,5 +1,6 @@
-"""Scattering along geodesics: fundamental solutions, decaying
-directions, spectral-line detection and growth experiments.
+"""Scattering along geodesics: fundamental solutions, decaying directions, spectral-line
+detection and the abelian growth fit, in closed form (`AbelianField.log_growth`, the
+propagator's oracle in the check `scattering.abelian-closed-form`).
 
 The first-order system s' = M(t) s has one propagator, numpy only: the
 sixth-order Magnus scheme on three Gauss nodes (Blanes, Casas, Oteo & Ros,
@@ -45,7 +46,6 @@ import numpy as np
 
 from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential
-from .projective import _LEGENDRE_16
 
 __all__ = [
     "FieldSampler",
@@ -62,7 +62,6 @@ __all__ = [
     "spectral_indicator",
     "m_gamma_norm",
     "abelian_growth_exponent",
-    "sinh_model_integral",
 ]
 
 
@@ -167,6 +166,27 @@ class AbelianField(FieldSampler):
 
     def ode_matrix(self, t) -> np.ndarray:
         return _diagonal(self.higgs_norm(t))
+
+    def log_growth(self, t0: float, t1: float) -> float:
+        """I = int V dt from t0 to t1 in closed form, so H = diag(e^I, e^-I) and log ||H|| = |I|.
+        Each center adds l (coth rho - 1)/2, and w' = cosh rho > 0 (w'^2 = 1 + s^2 + w^2 = 1 + r^2,
+        r = sinh rho; w'(0) = a > 0), so d/dt asinh(w/s) = coth rho and I = lam (t1 - t0) + sum_i
+        (l_i/2) [asinh(w_i/s_i) - t] between t0 and t1.  Where w keeps its sign the two asinh are
+        one, asinh((w1 - w0)(w1 + w0) / (w1 r0 + w0 r1)), w1 - w0 = 2 sinh((t1 - t0)/2) w'((t0 +
+        t1)/2): nothing cancels.  ValueError for a non-finite t0 or t1, PoleOnGeodesicError on a
+        line through a center."""
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise ValueError(f"need finite t0, t1: {t0}, {t1}")
+        if self._through_center:
+            raise PoleOnGeodesicError("geodesic passes through a center")
+        l, a, b, s2 = self._l, self._a, self._b, self._s2
+        w0, w1 = (b * math.cosh(t) + a * math.sinh(t) for t in (t0, t1))
+        r0, r1 = np.sqrt(s2 + w0 * w0), np.sqrt(s2 + w1 * w1)
+        m, same = 0.5 * (t0 + t1), w0 * w1 > 0
+        dw = 2.0 * math.sinh(0.5 * (t1 - t0)) * (b * math.sinh(m) + a * math.cosh(m))
+        rise = np.where(same, np.arcsinh(dw * (w1 + w0) / np.where(same, w1 * r0 + w0 * r1, 1.0)),
+                        np.arcsinh(w1 / np.sqrt(s2)) - np.arcsinh(w0 / np.sqrt(s2)))
+        return float(self.V.lam * (t1 - t0) + np.sum(0.5 * l * (rise - (t1 - t0))))
 
 
 def _xcoth_taylor(count: int) -> list[float]:
@@ -300,10 +320,6 @@ class FundamentalSolution:
         """int tr M dt to each checkpoint, (n,) complex zeros: M is traceless."""
         return np.zeros(len(self.ts), dtype=complex)
 
-    @property
-    def final(self):
-        return self.mats[-1], float(self.logscales[-1])
-
     def log_norm_final(self) -> float:
         """log ||H||_2 at the end: sigma_max(M)^2 in closed form, nothing cancelled under the root."""
         (a, b), (c, d) = self.mats[-1].tolist()   # M^dagger M = [[A, B], [B*, D]]
@@ -314,14 +330,10 @@ class FundamentalSolution:
     def det_balance_defect(self) -> float:
         """Max over the path of |log|det H||: |det H| = 1, so each stored
         |det M_j| must balance exp(-2 logscale_j), which past 15-20 units
-        of growth is below rounding."""
-        defects = [0.0]    # reduced by np.max, which keeps a NaN
-        for M, ls in zip(self.mats, self.logscales):
-            d = abs(np.linalg.det(M))
-            if d == 0:
-                return float("inf")
-            defects.append(abs(math.log(d) + 2.0 * ls))
-        return float(np.max(defects))
+        of growth is below rounding.  A singular M_j reads inf, and a NaN is kept."""
+        with np.errstate(divide="ignore"):   # log 0 = -inf
+            logdet = np.log(np.abs(np.linalg.det(self.mats)))
+        return float(np.max(np.abs(logdet + 2.0 * self.logscales), initial=0.0))
 
 
 # the Gauss-Legendre nodes of a Magnus step (rows) as fractions of the
@@ -512,7 +524,8 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
             raise RuntimeError(f"integration failed: no step at t = {a[stuck][0]:.6g} "
                                f"meets tol {tol:g}")
         if k.sum() > _MAX_MESH:
-            raise ValueError(f"a round of {k.sum()} steps: more than the cap of {_MAX_MESH}")
+            raise ValueError(f"a round of {k.sum()} steps over t in [{min(a.min(), b.min()):.6g}, "
+                             f"{max(a.max(), b.max()):.6g}]: more than the cap of {_MAX_MESH}")
         which = np.repeat(np.arange(len(k)), k)
         j = np.arange(len(which)) - np.repeat(np.cumsum(k) - k, k)
         a, h, b, k = a[which], h[which], b[which], k[which]
@@ -686,44 +699,22 @@ class GrowthFit:
 
 
 def abelian_growth_exponent(V: MultiCenterPotential, center_index: int,
-                            delta: float, z_samples, tol: float = 1e-10) -> GrowthFit:
-    """Least-squares exponent of the fundamental-solution growth against
-    the impact parameter: log ||H(z)|| fitted against log(1/|z|) over
-    geodesics at impact |z| from the chosen center, each integrated over
-    the window [-delta, delta].  The slope estimates the center's
-    abelian charge.  Impacts that are not finite and strictly between 0
-    and delta, or fewer than two distinct ones, raise ValueError before
-    any integration, and a tol or delta not finite and > 0 before any sampling."""
+                            delta: float, z_samples) -> GrowthFit:
+    """Least-squares exponent of log ||H(z)|| = |I| (`AbelianField.log_growth`, no propagation)
+    against log(1/|z|) over geodesics at impact |z| from the chosen center, each over [-delta,
+    delta]: the slope estimates the center's abelian charge.  Impacts not finite and strictly
+    between 0 and delta, fewer than two distinct ones, or a delta not finite raise ValueError
+    before any integral."""
     zs = [float(abs(z)) for z in z_samples]
     if not all(0.0 < z < delta for z in zs):   # a NaN compares False
         raise ValueError("impact samples must lie strictly between 0 and delta")
     if len(set(zs)) < 2:
         raise ValueError(f"{len(set(zs))} distinct impact samples: a slope needs two")
-    lognorms = []
-    for z in zs:
-        f = AbelianField.from_impact(V, center_index, z)
-        sol = integrate_fundamental(f, -delta, delta, tol=tol)
-        lognorms.append(sol.log_norm_final())
-    xs = np.log(1.0 / np.asarray(zs))
-    ys = np.asarray(lognorms)
+    lognorms = [abs(AbelianField.from_impact(V, center_index, z).log_growth(-delta, delta))
+                for z in zs]
+    xs, ys = np.log(1.0 / np.asarray(zs)), np.asarray(lognorms)
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
     return GrowthFit(float(slope), float(intercept), r2, tuple(zs), tuple(lognorms))
-
-
-def sinh_model_integral(l: float, delta: float, z: float) -> tuple[float, float]:
-    """Quadrature of the model profile l / (2 sqrt(t^2 + z^2)) over
-    [-delta, delta] next to its closed form l * asinh(delta / z).
-
-    The quadrature is the independent oracle: composite 16-point
-    Gauss-Legendre on [0, delta], doubled by symmetry, over the panels
-    [0, z], [z, 2z], [2z, 4z], ... up to delta, which stay at width
-    comparable to their distance from the poles t = +-iz."""
-    doublings = np.arange(max(math.ceil(math.log2(delta / z)), 0))
-    edges = np.concatenate(([0.0], z * 2.0 ** doublings, [delta]))
-    half = np.diff(edges)[:, None] / 2
-    nodes, weights = _LEGENDRE_16
-    t = edges[:-1, None] + half * (nodes + 1.0)
-    return float(np.sum(half * weights * l / np.hypot(t, z))), l * math.asinh(delta / z)

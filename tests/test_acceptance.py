@@ -166,11 +166,12 @@ def test_accept_10_l2_triviality():
 def test_accept_11_growth_law():
     t0 = time.perf_counter()
     slope = measure("scattering.growth-slope", 111)
-    ident = measure("scattering.sinh-identity", 111)
+    closed = measure("scattering.abelian-closed-form", 111)
     elapsed = time.perf_counter() - t0
-    ok = slope < 0.05 and ident < 1e-10 and elapsed < 120.0
+    ok = slope < 0.05 and closed <= 0.5 and elapsed < 120.0
     report(11, "growth-law", ok,
-           f"relative slope defect {slope:.1e}, identity {ident:.1e}, {elapsed:.1f}s")
+           f"relative slope defect {slope:.1e}, propagator {closed:.2f} tol off the closed form, "
+           f"{elapsed:.1f}s")
 
 
 def test_accept_12_splitting_norm():

@@ -437,13 +437,28 @@ def test_spectral_point_rule_agrees_with_the_lift():
     assert any(refused) and not all(refused) and refused[-1]
 
 
-def _no_scipy_run(code, timeout=60):
-    # run code in a fresh interpreter on this checkout and return its stdout lines
+def _on_this_checkout(args, timeout=60):
+    # run a fresh interpreter on this checkout
     src = os.path.dirname(os.path.dirname(monogeom.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True, timeout=timeout)
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def _no_scipy_run(code, timeout=60):
+    # run code in a fresh interpreter on this checkout and return its stdout lines
+    out = _on_this_checkout(["-c", code], timeout)
+    out.check_returncode()
     return out.stdout.strip().splitlines()
+
+
+def test_python_m_monogeom_runs_the_cli(tmp_path):
+    report = tmp_path / "report.json"
+    out = _on_this_checkout(["-m", "monogeom", "verify", "--only", "scattering.abelian",
+                             "--out", str(report)])
+    assert out.returncode == 0, out.stderr
+    assert [c["id"] for c in json.loads(report.read_text())["checks"]] == [
+        "scattering.abelian-closed-form"]
 
 
 _LOADED = ("print(sorted(m for m in sys.modules "

@@ -25,9 +25,19 @@ class _Pole(sc.FieldSampler):
         return sc._diagonal(1.0 / np.abs(np.asarray(t) - 0.3))
 
 
+class _SquaredPole(sc.FieldSampler):
+    """diag(v, -v), v = 1 / |t - 0.3|^2: the steps next to t = 0.3 are split past the round cap."""
+
+    def ode_matrix(self, t):
+        return sc._diagonal(1.0 / np.abs(np.asarray(t) - 0.3) ** 2)
+
+
 _REFUSALS = {
     "mesh-stuck-at-a-pole": (lambda: sc.integrate_fundamental(_Pole(), -1.0, 1.0, tol=1e-9),
                              RuntimeError, "no step at t = 0.3 meets tol"),
+    "mesh-round-cap-names-t": (
+        lambda: sc.integrate_fundamental(_SquaredPole(), -1.0, 1.0, tol=1e-9), ValueError,
+        r"a round of \d+ steps over t in \[0\.29995, 0\.30005\]: more than the cap of 100000"),
     "decaying-end": (lambda: sc.decaying_solution(sc.TrivialU1Field(), 0, 10.0),
                      ValueError, "end must be"),
     "splitting-on-spectral-line": (
