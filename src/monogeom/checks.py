@@ -28,7 +28,7 @@ from . import symplectic as sy
 from . import twistor as tw
 from .hyperbolic import ORIGIN, MultiCenterPotential, PointUHS
 from .numdiff import holo_partial
-from .projective import INFINITY, ExtendedComplex, roots_of_unity
+from .projective import INFINITY, ExtendedComplex, polyval, roots_of_unity
 
 __all__ = ["Setting", "Check", "TABLE", "GAUGES", "measure", "random_sheets",
            "sample_point", "hand_example"]
@@ -215,6 +215,33 @@ def _a2_plus_a4(s, rng):
     return abs(complex(J[:, 0] @ om @ J[:, 3]) + complex(J[:, 0] @ om @ J[:, 1]))
 
 
+@check("twistor.ptilde-sigma-real", "multi-center section is sigma-real", 3e-11)
+def _ptilde_sigma_real(s, rng):
+    # relative to the largest coefficient, on each configuration's potential; 2.6e-12 at
+    # worst over 6000 acceptance-style configurations of up to 4 centers and degree 24
+    def defect(V):
+        section = tw.ptilde(V)
+        return section.sigma_reality_defect() / float(np.max(np.abs(section.coeffs)))
+    return _worst(defect(V) for V, _ in s.lines)
+
+
+@check("twistor.closest-point-distance", "cosh of the distance from O to a geodesic", 6e-15)
+def _closest_point_distance(s, rng):
+    # the endpoint closed form against the closest point hyperbolic builds on the geodesic,
+    # on a finite pair, on pairs with a chart value at infinity and on their reversals; the
+    # relative defect per unit of cosh^2 rho, as that point, built from the geodesic's two
+    # null vectors, loses about eps cosh^2 rho far from O, where they nearly coincide:
+    # 5.7e-16 at worst over 60000 draws
+    z, w = _complex(rng), _complex(rng)
+
+    def defect(p):
+        want = math.cosh(hyp.dist(ORIGIN, hyp.geodesic_point(tw.to_geodesic(p), ORIGIN, 0.0)))
+        return abs(tw.cosh_rho_endpoints(p.z, p.w) - want) / want ** 3
+    pairs = ((z, w), (INFINITY, w), (z, INFINITY), (INFINITY, INFINITY))
+    return _worst(defect(q) for p in (tw.TwistorPoint.of(*pair) for pair in pairs)
+                  for q in (p, tw.sigma(p)))
+
+
 @check("minitwistor.euclidean-closest-point",
        "Euclidean closest-point map holomorphic on the zero section", 1e-8)
 def _euclidean_closest_point(s, rng):
@@ -231,6 +258,20 @@ def _l2_overlap(s, rng):
     lhs = np.array([u1(1.0 / z) for z in zs])
     rhs = np.array([np.exp(-2.0 * mt.curve_eta(curve, z) / z) * u0(z) for z in zs])
     return float(np.max(np.abs(lhs - rhs) / np.abs(lhs)))
+
+
+@check("minitwistor.curve-reality", "curve of the lines through real points is real", 2e-13)
+def _curve_reality(s, rng):
+    # the charge-2 curve (eta + a)(eta + b) = 0 of the lines through two random points: its
+    # coefficients meet the reality condition, and tau_T sends its sheets over zeta onto it
+    # (relative residuals): 1.3e-14 at worst over 30000 draws
+    a, b = (mt.charge1_curve(rng.normal(size=3)).coeff_polys[0] for _ in range(2))
+    curve = mt.CurveO2k(2, (a + b, np.convolve(a, b)))
+    zeta = _complex(rng)
+    images = [mt.tau_T(mt.MiniTwistorPoint(zeta, eta)) for eta in curve.sheets_over(zeta)]
+    poly = curve.eta_poly_at(images[0].zeta)
+    residuals = [abs(polyval(poly, p.eta)) / polyval(np.abs(poly), abs(p.eta)) for p in images]
+    return _worst([curve.reality_defect()] + residuals)
 
 
 _ZEU = (0.7 + 0.2j, -0.3 + 1.1j, 2.0 - 0.5j)

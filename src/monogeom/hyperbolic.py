@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .numdiff import derivatives, pointwise
-from .projective import INFINITY, ExtendedComplex
+from .projective import ExtendedComplex
 
 __all__ = [
     "PointUHS",
@@ -35,19 +35,15 @@ __all__ = [
     "busemann",
     "horospherical_height",
     "green",
-    "green_from_distance",
     "green_from_sinh2",
     "laplacian",
     "half_space_only",
     "is_geodesically_trapped",
     "geodesic_point",
-    "geodesic_tangent",
-    "dist_to_geodesic",
     "embed",
     "unembed",
     "mdot",
     "null_vector",
-    "boundary_chart_of_null",
     "tangent_toward_boundary",
     "point_at",
     "orthonormal_frame_at",
@@ -132,15 +128,6 @@ def null_vector(u: BoundaryPoint) -> np.ndarray:
     return np.array([1.0, n[0], n[1], n[2]])
 
 
-def boundary_chart_of_null(N) -> BoundaryPoint:
-    """Chart value of a future null ray; inverse of `null_vector` up to scale."""
-    N = np.asarray(N, dtype=float)
-    den = N[0] - N[3]
-    if abs(den) <= 1e-14 * abs(N[0]):
-        return INFINITY
-    return ExtendedComplex(complex(N[1] / den, N[2] / den))
-
-
 def apply_lorentz(L: np.ndarray, p: PointUHS) -> PointUHS:
     return PointUHS.from_array(unembed(L @ embed(p)))
 
@@ -186,22 +173,6 @@ def geodesic_point(g: OrientedGeodesic, base: PointUHS, t: float) -> PointUHS:
     """Arc-length point on g, with t = 0 at the closest point to `base`."""
     A, B = _geodesic_scaled(g, base)
     return PointUHS.from_array(unembed(np.exp(t) * A + np.exp(-t) * B))
-
-
-def geodesic_tangent(g: OrientedGeodesic, base: PointUHS, t: float) -> np.ndarray:
-    """Unit tangent (hyperboloid components) along g at parameter t."""
-    A, B = _geodesic_scaled(g, base)
-    return math.exp(t) * A - math.exp(-t) * B
-
-
-def dist_to_geodesic(p: PointUHS, g: OrientedGeodesic) -> float:
-    """Distance from a point to a complete geodesic: asinh sqrt<n, n>,
-    with n the part of p's hyperboloid vector normal to the geodesic's
-    plane, so no cosh - 1 cancels near the geodesic."""
-    Ne, Ns, ip = _geodesic_null_pair(g)
-    X = embed(p)
-    n = X - (mdot(X, Ns) / ip) * Ne - (mdot(X, Ne) / ip) * Ns
-    return math.asinh(math.sqrt(max(float(mdot(n, n)), 0.0)))
 
 
 def tangent_toward_boundary(p: PointUHS, u: BoundaryPoint) -> np.ndarray:
@@ -301,11 +272,6 @@ def green_from_sinh2(x2):
     """G = 1/(e^{2 rho} - 1) = 0.5 / (x2 + sqrt(x2 (1 + x2))) from x2 = sinh^2 rho, free of
     cancellation (e^{2 rho} - 1 = 2 sinh rho e^rho); past rho ~ 177, G < 1e-154 reads 0."""
     return 0.5 / (x2 + np.sqrt(x2 * (1.0 + x2)))
-
-
-def green_from_distance(rho):
-    """Green's function of the hyperbolic Laplacian as a function of distance."""
-    return green_from_sinh2(np.sinh(np.asarray(rho, dtype=float)) ** 2)
 
 
 def _sinh2(a: np.ndarray, b: np.ndarray):

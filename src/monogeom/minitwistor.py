@@ -20,14 +20,11 @@ __all__ = [
     "CurveO2k",
     "LPatchBundle",
     "tau_T",
-    "theta01_T",
     "charge1_curve",
     "l2_trivialization",
-    "closest_point_euc",
     "closest_point_euc_polarized",
     "l2_patch_transition",
     "l2_patch_transition_inverse",
-    "line_from_minitwistor",
     "minitwistor_of_line",
 ]
 
@@ -48,12 +45,6 @@ def tau_T(p: MiniTwistorPoint) -> MiniTwistorPoint:
     if zb == 0:
         raise ZeroDivisionError("antipode of the chart pole; swap charts first")
     return MiniTwistorPoint(-1.0 / zb, -np.conj(p.eta) / zb ** 2)
-
-
-def theta01_T(zeta: complex, eta: complex) -> complex:
-    """Coefficient of dzetabar in the (0,1) part of the tautological
-    1-form: 2 eta / (1 + |zeta|^2)^2.  Vanishes on the zero section."""
-    return 2.0 * eta / (1.0 + abs(zeta) ** 2) ** 2
 
 
 @dataclass(frozen=True)
@@ -185,51 +176,23 @@ def l2_patch_transition_inverse(zt: complex, et: complex, ut: complex):
 # closest-point map
 # ---------------------------------------------------------------------------
 
-def closest_point_euc(eta: complex, zeta: complex) -> np.ndarray:
-    """Point of the line (eta, zeta) closest to the origin:
-    Re{conj(eta) (1 - zeta^2, i (1 + zeta^2), 2 zeta)} / (1 + |zeta|^2)^2.
-
-    Its norm is |eta| / (1 + |zeta|^2) identically.
-    """
-    zeta = complex(zeta)
-    eta = complex(eta)
-    v = np.array([1.0 - zeta ** 2, 1j * (1.0 + zeta ** 2), 2.0 * zeta])
-    return (np.conj(eta) * v).real / (1.0 + abs(zeta) ** 2) ** 2
-
-
 def closest_point_euc_polarized(eta, etab, zeta, zetab) -> np.ndarray:
-    """Analytic polarization of `closest_point_euc` in which eta, etabar,
-    zeta, zetabar are independent complex variables; restricting to the
-    real slice recovers the map.  Used for complex-step derivatives."""
+    """Analytic polarization, in independent complex variables eta, etabar,
+    zeta, zetabar, of the map sending the line (eta, zeta) to its point
+    closest to the origin, Re{conj(eta) (1 - zeta^2, i (1 + zeta^2), 2 zeta)}
+    / (1 + |zeta|^2)^2, of norm |eta| / (1 + |zeta|^2), its third axis reversed
+    against `minitwistor_of_line`'s; the real slice recovers the map.  Used for
+    complex-step derivatives."""
     v = np.array([1.0 - zeta ** 2, 1j * (1.0 + zeta ** 2), 2.0 * zeta])
     vb = np.array([1.0 - zetab ** 2, -1j * (1.0 + zetab ** 2), 2.0 * zetab])
     return (etab * v + eta * vb) / (2.0 * (1.0 + zeta * zetab) ** 2)
 
 
-# ---------------------------------------------------------------------------
-# lines as base point + direction (the convention matching charge1_curve)
-# ---------------------------------------------------------------------------
-
-def direction_of(zeta: complex) -> np.ndarray:
-    """Unit direction of the lines with chart value zeta, in the
-    convention for which charge1_curve(p) consists of lines through p."""
-    m = abs(zeta) ** 2
-    return np.array([2 * zeta.real, 2 * zeta.imag, 1.0 - m]) / (1.0 + m)
-
-
-def line_from_minitwistor(p: MiniTwistorPoint):
-    """Base point (closest to the origin) and unit direction of the line."""
-    u = direction_of(complex(p.zeta))
-    f = closest_point_euc(p.eta, p.zeta)
-    base = np.array([f[0], f[1], -f[2]])
-    base = base - np.dot(base, u) * u
-    return base, u
-
-
 def minitwistor_of_line(point, direction) -> MiniTwistorPoint:
     """Chart coordinates of the oriented line through `point` with unit
-    `direction`; inverse of `line_from_minitwistor` up to base-point
-    sliding along the line."""
+    `direction`, in the convention for which charge1_curve(p) consists of
+    the lines through p: zeta is the stereographic chart value of the
+    direction seen from its south pole."""
     u = np.asarray(direction, dtype=float)
     u = u / np.linalg.norm(u)
     if u[2] <= -1 + 1e-14:

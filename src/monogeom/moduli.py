@@ -49,7 +49,6 @@ __all__ = [
     "nijenhuis_residual",
     "abelian_charge",
     "hodge_identity_residuals",
-    "conformal_gauge_factor",
     "dirac_curvature_residual",
 ]
 
@@ -336,30 +335,3 @@ def hodge_identity_residuals(V: MultiCenterPotential, conn: DiracConnection,
         defects.append(lhs - rhs)
     return float(np.max(np.abs(defects)))
 
-
-def conformal_gauge_factor(u1: BoundaryPoint, u2: BoundaryPoint,
-                           V: MultiCenterPotential, conn: DiracConnection,
-                           p4) -> tuple[float, float]:
-    """Conformal factor between two boundary gauges at a point, with the
-    residual of the matrix identity g_{u1} = factor * g_{u2}.
-
-    The factor is exp(2 (b_{u1} - b_{u2})) from the Busemann closed
-    forms; each metric is built independently by reading the gauge's
-    height through the exact Lorentz transport, so the residual checks
-    transport against the closed forms.
-    """
-    p4 = np.asarray(p4, dtype=float)
-    base = PointUHS.from_array(p4[:3])
-    b1 = hyp.busemann(u1, hyp.ORIGIN, base)
-    b2 = hyp.busemann(u2, hyp.ORIGIN, base)
-    factor = math.exp(2.0 * (b1 - b2))
-    gh = gibbons_hawking_metric(V, conn)(p4)
-
-    def height(u: BoundaryPoint) -> float:
-        L = hyp.rotation_to_infinity(u)
-        return hyp.apply_lorentz(L, base).z
-
-    g1 = height(u1) ** 2 * gh
-    g2 = height(u2) ** 2 * gh
-    resid = float(np.max(np.abs(g1 - factor * g2)) / np.max(np.abs(g1)))
-    return factor, resid

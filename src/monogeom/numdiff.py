@@ -23,8 +23,8 @@ The sampler contract: a sampler maps a (..., d) array of points to a
 (..., *shape) array of values, one value per row, and a single (d,)
 point to one plain value.  `pointwise` turns a sampler written for one
 point at a time into one that keeps the contract, by a loop over rows;
-the scalar helpers (`wirtinger`, `holo_partial`, `hyperbolic.laplacian`)
-apply it to the functions they are given.
+the scalar helpers (`holo_partial`, `hyperbolic.laplacian`) apply it to
+the functions they are given.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "Jet",
     "derivatives",
     "pointwise",
-    "wirtinger",
     "holo_partial",
 ]
 
@@ -177,18 +176,6 @@ def derivatives(f, x, h: float, second: str | None = None, order: int = 4) -> Je
     d = parts[0] if len(parts) == 1 else (16.0 * parts[1] - parts[0]) / 15.0
     d = d.reshape((len(plan.den),) + values.shape[1:])
     return Jet(values[plan.center], d[:n], None if plan.d2 is None else d[plan.d2])
-
-
-def wirtinger(f, z, h=1e-4, var="z"):
-    """Wirtinger derivative of a smooth (not necessarily holomorphic) map.
-
-    f maps a complex number to a scalar or array; returns df/dz or
-    df/dzbar at z from the order-6 derivatives in the two real
-    directions.
-    """
-    z = complex(z)
-    fx, fy = derivatives(pointwise(lambda p: f(complex(*p))), (z.real, z.imag), h, order=6).d1
-    return (fx - 1j * fy) / 2.0 if var == "z" else (fx + 1j * fy) / 2.0
 
 
 def holo_partial(f, args, k, h=1e-3):

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["ExtendedComplex", "INFINITY", "tau", "chordal_homogeneous", "roots_of_unity",
+__all__ = ["ExtendedComplex", "INFINITY", "chordal_homogeneous", "roots_of_unity",
            "node_powers", "polyval"]
 
 
@@ -60,22 +60,8 @@ class ExtendedComplex:
         """Chordal closeness on P^1 (well behaved near infinity)."""
         return chordal_distance(self, other) < tol
 
-    def __repr__(self):
-        return "ExtendedComplex(inf)" if self.at_infinity else f"ExtendedComplex({self.value})"
-
 
 INFINITY = ExtendedComplex(0j, at_infinity=True)
-
-
-def tau(v):
-    """Antipodal map on chart values: complex -> complex, 0 <-> infinity.
-
-    Accepts and returns plain complex numbers for use in numeric inner
-    loops; use ExtendedComplex.antipode for chart-safe code.
-    """
-    if isinstance(v, ExtendedComplex):
-        return v.antipode()
-    return -1.0 / (v.conjugate() if isinstance(v, (int, float, complex)) and v != 0 else np.conj(v))
 
 
 def chordal_distance(p: ExtendedComplex, q: ExtendedComplex) -> float:

@@ -81,16 +81,12 @@ class FieldSampler:
     """Evaluates the scattering system along one fixed geodesic.
 
     Subclasses provide ode_matrix(t), the 2x2 complex right-hand side of
-    s' = M(t) s, and higgs_norm(t).  Both take a batch: a float t gives
-    one (2, 2) matrix or one float, and an (n,) array of times gives
-    (n, 2, 2) matrices or (n,) floats.  M must be traceless (M11 =
+    s' = M(t) s, on a batch: a float t gives one (2, 2) matrix and an
+    (n,) array of times (n, 2, 2) matrices.  M must be traceless (M11 =
     -M00); the propagator refuses a traced M with ValueError.
     """
 
     def ode_matrix(self, t) -> np.ndarray:
-        raise NotImplementedError
-
-    def higgs_norm(self, t):
         raise NotImplementedError
 
 
@@ -280,10 +276,6 @@ class PSField(FieldSampler):
         t = np.asarray(t, dtype=float)
         x, y, z = px + t * ux, py + t * uy, pz + t * uz
         return x, y, z, np.sqrt(x * x + y * y + z * z)
-
-    def higgs_norm(self, t):
-        r = self._offset(t)[3]
-        return 0.5 * _ps_radial(r)[0] * r
 
     def ode_matrix(self, t) -> np.ndarray:
         x, y, z, r = self._offset(t)

@@ -24,7 +24,6 @@ from . import hyperbolic as hyp
 from .hyperbolic import MultiCenterPotential, OrientedGeodesic, PointUHS
 from .projective import (INFINITY, ExtendedComplex, chordal_homogeneous, node_powers,
                          roots_of_unity)
-from .twistor import CHART_ROTATIONS
 
 __all__ = [
     "QuadraticRestriction",
@@ -38,8 +37,18 @@ __all__ = [
     "factor",
     "lift_twistor_line",
     "genus_of_spectral_curve",
-    "antipodal_conjugate",
+    "CHART_ROTATIONS",
 ]
+
+# Fixed SU(2) rotations about O, tried in turn by `lift_twistor_line` wherever a
+# root lands on a chart pole (the identity first); g acts on the Hermitian matrix
+# of a point by X -> g X g^dagger.  Rotations by three angles about one axis n
+# send three distinct antipodal pairs to {0, inf}, so one of the four charts
+# suits any three centers.  The axis matrix is n . sigma, n = (0.36, 0.48, 0.8).
+_AXIS = np.array([[0.8, 0.36 - 0.48j], [0.36 + 0.48j, -0.8]])
+CHART_ROTATIONS = (np.eye(2, dtype=complex),) + tuple(
+    math.cos(a / 2) * np.eye(2, dtype=complex) - 1j * math.sin(a / 2) * _AXIS
+    for a in (0.7345, 1.4261, 2.0393))
 
 
 class DegenerateRestrictionError(ValueError):
@@ -152,18 +161,11 @@ def restrict_to_line(center: PointUHS, q: PointUHS,
     return chart.quadratics(center.as_array()[None])[0]
 
 
-def antipodal_conjugate(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of p*(zeta) = conj(p(tau(zeta))) zeta^l for a
-    degree-l polynomial p; the chart weight convention is +zeta^l."""
-    c = np.asarray(coeffs, dtype=complex)
-    l = len(c) - 1
-    return ((-1.0) ** (l - np.arange(l + 1))) * np.conj(c[::-1])
-
-
 @dataclass(frozen=True)
 class FactorPair:
     """Factorization x(zeta) y(zeta) of a product of quadratics with x = y*
-    (antipodal conjugate), up to the U(1) gauge `phase`, held in root form:
+    (the antipodal conjugate y*(zeta) = conj(y(tau(zeta))) zeta^l), up to the
+    U(1) gauge `phase`, held in root form:
     x = lead_x prod (zeta - alpha_i)^{l_i}, y = lead_y prod (zeta - beta_i)^{l_i},
     accurate at high degree where coefficients round.  x and y are built on first read."""
 

@@ -28,7 +28,6 @@ __all__ = [
     "omega_D_contour",
     "rho_form",
     "patch_jacobian",
-    "fiber_coordinates",
     "random_marked_tangent",
 ]
 
@@ -220,28 +219,6 @@ def patch_jacobian(zeta: complex, eta: complex, u: complex) -> np.ndarray:
         [-2.0 * eta / zeta ** 3, 1.0 / zeta ** 2, 0.0],
         [-t * u * eta / zeta ** 2, t * u / zeta, t],
     ], dtype=complex)
-
-
-def fiber_coordinates(curve, trivialization, zeta_star: complex,
-                      branch_tol: float = 1e-8):
-    """Intersection points (eta, u) of a lifted curve with the fiber over
-    zeta_star.
-
-    `curve` is a CurveO2k; `trivialization` maps (zeta, eta) to u and for
-    k = 1 may be None, in which case the closed-form charge-1
-    trivialization is used.  Fails on (near-)branch fibers, where the
-    intersection has multiplicity.
-    """
-    etas = np.asarray(curve.sheets_over(zeta_star))
-    if len(etas) > 1:
-        d = np.abs(etas[:, None] - etas[None, :]) + np.eye(len(etas))
-        if float(np.min(d)) < branch_tol:
-            raise ValueError("fiber over a branch point: multiple intersection")
-    if trivialization is None:
-        from .minitwistor import l2_trivialization
-        u0, _ = l2_trivialization(curve)
-        return [(complex(e), complex(u0(zeta_star))) for e in etas]
-    return [(complex(e), complex(trivialization(zeta_star, e))) for e in etas]
 
 
 def random_marked_tangent(k: int, zeta0: complex, rng, degree: int = 3) -> TangentVector:

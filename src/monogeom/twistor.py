@@ -11,7 +11,11 @@ sigma(z, w) = (tau(w), tau(z)).
 The set of geodesics through a point x is cut out by a bidegree-(1,1)
 polynomial section with an exact coefficient formula in terms of the
 hyperboloid coordinates of x; products of those sections are the
-multi-center sections used by the spectral-data machinery.
+multi-center sections, sigma-real (the check `twistor.ptilde-sigma-real`).
+The distance from O to the geodesic (z, w) has a closed form in the
+endpoints (the check `twistor.closest-point-distance`).  In the library
+only the check table uses this module, and `monogeom` loads it on first
+access.
 """
 
 from __future__ import annotations
@@ -28,20 +32,14 @@ from .projective import _LEGENDRE_16, ExtendedComplex
 __all__ = [
     "TwistorPoint",
     "BiDegreeSection",
-    "from_geodesic",
     "to_geodesic",
     "sigma",
     "theta01",
     "twistor_line_section",
     "ptilde",
-    "closest_point",
-    "closest_point_chart",
     "closest_point_wirtinger",
     "cosh_rho_endpoints",
     "gamma_L_integral",
-    "point_matrix",
-    "matrix_point",
-    "CHART_ROTATIONS",
 ]
 
 
@@ -62,14 +60,6 @@ class TwistorPoint:
     def of(z, w) -> "TwistorPoint":
         return TwistorPoint(ExtendedComplex.of(z), ExtendedComplex.of(w))
 
-    @property
-    def finite(self) -> bool:
-        return self.z.finite and self.w.finite
-
-
-def from_geodesic(g: OrientedGeodesic) -> TwistorPoint:
-    return TwistorPoint(g.end, g.start.antipode())
-
 
 def to_geodesic(p: TwistorPoint) -> OrientedGeodesic:
     return OrientedGeodesic(start=p.w.antipode(), end=p.z)
@@ -79,39 +69,6 @@ def sigma(p: TwistorPoint) -> TwistorPoint:
     """Orientation reversal: (z, w) -> (tau(w), tau(z)).  Involution,
     no fixed points, maps every set of geodesics through a point to itself."""
     return TwistorPoint(p.w.antipode(), p.z.antipode())
-
-
-# ---------------------------------------------------------------------------
-# spinor-style 2x2 matrix coordinates on the hyperboloid
-# ---------------------------------------------------------------------------
-
-def point_matrix(X: np.ndarray) -> np.ndarray:
-    """Hermitian 2x2 matrix of a Minkowski 4-vector, det = -<X,X>;
-    (..., 4) arrays map to (..., 2, 2) stacks."""
-    X = np.asarray(X)
-    M = np.empty(X.shape[:-1] + (2, 2), dtype=complex)
-    M[..., 0, 0] = X[..., 0] + X[..., 3]
-    M[..., 0, 1] = X[..., 1] - 1j * X[..., 2]
-    M[..., 1, 0] = X[..., 1] + 1j * X[..., 2]
-    M[..., 1, 1] = X[..., 0] - X[..., 3]
-    return M
-
-
-def matrix_point(M: np.ndarray) -> np.ndarray:
-    """Inverse of `point_matrix`."""
-    return np.array([(M[0, 0].real + M[1, 1].real) / 2, M[0, 1].real,
-                     -M[0, 1].imag, (M[0, 0].real - M[1, 1].real) / 2])
-
-
-# Fixed SU(2) rotations about O, tried in turn by `spectral.lift_twistor_line`
-# wherever a root lands on a chart pole (the identity first); g acts on point
-# matrices by X -> g X g^dagger.  Rotations by three angles about one axis n
-# send three distinct antipodal pairs to {0, inf}, so one of the four charts
-# suits any three centers.
-CHART_ROTATIONS = (np.eye(2, dtype=complex),) + tuple(
-    math.cos(a / 2) * np.eye(2, dtype=complex)
-    - 1j * math.sin(a / 2) * point_matrix(np.array([0.0, 0.36, 0.48, 0.8]))
-    for a in (0.7345, 1.4261, 2.0393))
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +89,6 @@ class BiDegreeSection:
     @property
     def degrees(self) -> tuple[int, int]:
         return self.coeffs.shape[0] - 1, self.coeffs.shape[1] - 1
-
-    def __call__(self, z, w):
-        zp = np.vander(np.atleast_1d(np.asarray(z, dtype=complex)),
-                       self.coeffs.shape[0], increasing=True)
-        wp = np.vander(np.atleast_1d(np.asarray(w, dtype=complex)),
-                       self.coeffs.shape[1], increasing=True)
-        out = np.einsum("ij,jk,ik->i", zp, self.coeffs, wp)
-        return out[0] if np.isscalar(z) and np.isscalar(w) else out
 
     def __mul__(self, other: "BiDegreeSection") -> "BiDegreeSection":
         a1, b1 = self.degrees
@@ -232,32 +181,11 @@ def theta01(z: complex, w: complex) -> tuple[complex, complex]:
 # closest-point map
 # ---------------------------------------------------------------------------
 
-def closest_point_chart(z: complex, w: complex) -> PointUHS:
-    """Finite-chart formula for the point of the geodesic (z, w) closest
-    to O: mu ((1+|w|^2) z - (1+|z|^2) w, sqrt((1+|z|^2)(1+|w|^2)) |1+z wbar|)
-    with mu = 1/(1 + 2|w|^2 + |z w|^2)."""
-    z = complex(z)
-    w = complex(w)
-    mu = 1.0 / (1.0 + 2.0 * abs(w) ** 2 + abs(z * w) ** 2)
-    horiz = mu * ((1 + abs(w) ** 2) * z - (1 + abs(z) ** 2) * w)
-    vert = mu * math.sqrt((1 + abs(z) ** 2) * (1 + abs(w) ** 2)) * abs(1 + z * np.conj(w))
-    return PointUHS(horiz.real, horiz.imag, vert)
-
-
-def closest_point(p: TwistorPoint) -> PointUHS:
-    """Point of the geodesic p closest to O.
-
-    Uses the finite-chart closed form; a geodesic with a coordinate at
-    infinity gets the foot of the perpendicular from O through
-    `hyperbolic.geodesic_point` at t = 0.
-    """
-    if p.finite:
-        return closest_point_chart(p.z.value, p.w.value)
-    return hyp.geodesic_point(to_geodesic(p), hyp.ORIGIN, 0.0)
-
-
 def closest_point_wirtinger(z: complex, w: complex, h: float = 1e-3) -> np.ndarray:
-    """Wirtinger Jacobian of the closest-point map in the finite chart.
+    """Wirtinger Jacobian of the closest-point map in the finite chart,
+    which sends (z, w) to the point of its geodesic closest to O:
+    mu ((1+|w|^2) z - (1+|z|^2) w, sqrt((1+|z|^2)(1+|w|^2)) |1+z wbar|)
+    with mu = 1/(1 + 2|w|^2 + |z w|^2).
 
     Returns a (3, 4) array: rows are the components (x, y, height) of
     the map, columns the derivatives with respect to (z, zbar, w, wbar),

@@ -139,9 +139,10 @@ def test_accept_07_atiyah_integral():
 def test_accept_08_closest_point_derivatives():
     w_euc = measure("minitwistor.euclidean-closest-point", 108, 6)
     w_hyp = measure("twistor.a2-plus-a4", 108, 6)
-    ok = w_euc < 1e-8 and w_hyp < 1e-8
+    w_dist = measure("twistor.closest-point-distance", 108, 100)
+    ok = w_euc < 1e-8 and w_hyp < 1e-8 and w_dist < 6e-15
     report(8, "closest-point-derivatives", ok,
-           f"euclidean {w_euc:.1e}, hyperbolic {w_hyp:.1e}")
+           f"euclidean {w_euc:.1e}, hyperbolic {w_hyp:.1e}, cosh-distance {w_dist:.1e}")
 
 
 def test_accept_09_symplectic_form():
@@ -191,3 +192,12 @@ def test_accept_13_genus():
 def test_accept_14_rho_chart_covariance():
     worst = measure("symplectic.rho-chart-covariance", 114, 20)
     report(14, "rho-chart-covariance", worst < 1e-10, f"defect {worst:.1e}")
+
+
+def test_accept_15_real_structures():
+    lines = random_lines(115, 8, max_centers=4, max_charge=3, moduli=True)
+    w_section = measure("twistor.ptilde-sigma-real", 115, lines=lines)
+    w_curve = measure("minitwistor.curve-reality", 115, 100)
+    ok = w_section < 3e-11 and w_curve < 2e-13
+    report(15, "real-structures", ok,
+           f"multi-center section {w_section:.1e}, curve of real lines {w_curve:.1e}")

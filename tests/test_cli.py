@@ -474,9 +474,10 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_neither_checks_nor_numpy_polynomial():
     # only verify and symplectic use the check table, and the library's
     # polynomial evaluation, roots and quadrature table need no numpy.polynomial;
-    # minitwistor loads on first access to monogeom.minitwistor
-    code = ("import sys, monogeom.cli; print(sorted(m for m in sys.modules if m in "
-            "('monogeom.checks', 'monogeom.minitwistor') "
+    # minitwistor and twistor load on first access, and only the check table uses them
+    code = ("import sys, monogeom.cli, monogeom.moduli, monogeom.scattering, monogeom.spectral, "
+            "monogeom.symplectic; print(sorted(m for m in sys.modules if m in "
+            "('monogeom.checks', 'monogeom.minitwistor', 'monogeom.twistor') "
             "or m.split('.')[:2] == ['numpy', 'polynomial']))")
     assert _no_scipy_run(code)[-1] == "[]"
 

@@ -12,13 +12,13 @@ from scipy.optimize import brentq
 
 from monogeom.checks import measure
 from monogeom.hyperbolic import (ORIGIN, MultiCenterPotential, OrientedGeodesic,
-                                 PointUHS, busemann, dist, dist_to_geodesic, embed,
-                                 geodesic_point, geodesic_tangent, green,
-                                 green_from_distance, horospherical_height,
+                                 PointUHS, busemann, dist, embed,
+                                 geodesic_point, green, horospherical_height,
                                  is_geodesically_trapped, mdot, point_at,
                                  rotation_to_infinity, apply_lorentz,
                                  tangent_toward_boundary)
 from monogeom.projective import INFINITY, ExtendedComplex
+from oracles import dist_to_geodesic
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,8 @@ def test_dist_to_geodesic_at_known_distance():
         g = OrientedGeodesic(ExtendedComplex(start), ExtendedComplex(end))
         for t in (-1.0, 0.0, 1.0):
             foot = geodesic_point(g, ORIGIN, t)
-            P, T = embed(foot), geodesic_tangent(g, ORIGIN, t)
+            # the unit tangent of g at foot points along the ray to its end
+            P, T = embed(foot), tangent_toward_boundary(foot, g.end)
             n = rng.normal(size=4)
             n = n + mdot(n, P) * P - mdot(n, T) * T
             n = n / math.sqrt(mdot(n, n))
@@ -267,8 +268,14 @@ def test_horospherical_height_is_z_after_rotation():
 # Green's function and potentials
 # ---------------------------------------------------------------------------
 
+def green_on_axis(rhos):
+    """G_O at the points (0, 0, e^rho) of the axis, at distance rho from O."""
+    rhos = np.asarray(rhos, dtype=float)
+    return green(ORIGIN, np.stack([0 * rhos, 0 * rhos, np.exp(rhos)], axis=-1))
+
+
 def test_green_value_at_log2():
-    assert green_from_distance(math.log(2.0)) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert green_on_axis(math.log(2.0)) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
 def test_green_is_harmonic():
@@ -280,14 +287,14 @@ def test_green_pole_and_decay():
     with pytest.raises(ZeroDivisionError):
         green(p, p)
     rhos = np.array([1.0, 2.0, 4.0])
-    vals = green_from_distance(rhos)
+    vals = green_on_axis(rhos)
     assert np.all(vals > 0)
     assert vals[2] * math.exp(2 * rhos[2]) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_green_short_distance_limit():
     rhos = np.array([1e-3, 1e-4, 1e-5])
-    assert np.allclose(2 * rhos * green_from_distance(rhos), 1.0, atol=2e-3)
+    assert np.allclose(2 * rhos * green_on_axis(rhos), 1.0, atol=2e-3)
 
 
 def test_potential_values():

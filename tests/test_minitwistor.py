@@ -7,7 +7,7 @@ import pytest
 
 from monogeom import minitwistor as mt
 from monogeom.checks import measure
-from monogeom.numdiff import wirtinger
+from monogeom.projective import ExtendedComplex
 
 
 # ---------------------------------------------------------------------------
@@ -47,26 +47,6 @@ def test_chart_swap_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# the 1-form
-# ---------------------------------------------------------------------------
-
-def test_theta_T_values():
-    assert mt.theta01_T(0.3 + 0.2j, 0j) == 0
-    assert mt.theta01_T(0j, 1.0 + 0j) == 2.0
-
-
-def test_theta_T_dbar_closed():
-    # the only potential obstruction is an etabar dependence of the
-    # dzetabar coefficient, measured by a Wirtinger derivative
-    rng = np.random.default_rng(1)
-    for _ in range(6):
-        zeta = complex(rng.normal(), rng.normal())
-        eta = complex(rng.normal(), rng.normal())
-        d = wirtinger(lambda e: mt.theta01_T(zeta, e), eta, var="zbar")
-        assert abs(d) < 1e-8
-
-
-# ---------------------------------------------------------------------------
 # charge-1 curves
 # ---------------------------------------------------------------------------
 
@@ -94,27 +74,39 @@ def test_reality_defect_keeps_a_nan():
     assert math.isnan(c.reality_defect())
 
 
+def direction_of(zeta: complex) -> np.ndarray:
+    """Unit direction of the lines with chart value zeta: the unit-sphere
+    image of zeta reflected in the equator (zeta = 0 points up)."""
+    n = ExtendedComplex(zeta).unit_sphere()
+    return np.array([n[0], n[1], -n[2]])
+
+
 def test_charge1_curve_lines_pass_through_point():
+    # the line through p with the direction of zeta has the fiber value eta
+    # of p's curve over zeta
     rng = np.random.default_rng(3)
     for _ in range(8):
         p = rng.normal(size=3)
         c = mt.charge1_curve(p)
         zeta = complex(rng.normal(), rng.normal())
-        eta = mt.curve_eta(c, zeta)
-        base, u = mt.line_from_minitwistor(mt.MiniTwistorPoint(zeta, eta))
-        assert np.linalg.norm(np.cross(p - base, u)) < 1e-10
+        line = mt.minitwistor_of_line(p, direction_of(zeta))
+        assert abs(line.zeta - zeta) < 1e-12 * max(1.0, abs(zeta))
+        assert abs(line.eta - mt.curve_eta(c, zeta)) < 1e-10 * max(1.0, abs(zeta) ** 2)
 
 
 def test_minitwistor_of_line_roundtrip():
+    # the direction comes back from zeta, and sliding the point along the
+    # line or scaling the direction leaves (zeta, eta) as it is
     rng = np.random.default_rng(4)
     for _ in range(8):
         point = rng.normal(size=3)
         direction = rng.normal(size=3)
         tp = mt.minitwistor_of_line(point, direction)
-        base, u = mt.line_from_minitwistor(tp)
-        direction = direction / np.linalg.norm(direction)
-        assert np.allclose(u, direction, atol=1e-12)
-        assert np.linalg.norm(np.cross(point - base, u)) < 1e-10
+        u = direction / np.linalg.norm(direction)
+        assert np.allclose(direction_of(tp.zeta), u, atol=1e-12)
+        moved = mt.minitwistor_of_line(point + rng.normal() * u, 2.5 * direction)
+        assert abs(moved.zeta - tp.zeta) < 1e-12 * max(1.0, abs(tp.zeta))
+        assert abs(moved.eta - tp.eta) < 1e-10 * max(1.0, abs(tp.zeta) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +202,16 @@ def test_sheets_and_coefficients_match_numpy_polynomial_bitwise():
 # closest point
 # ---------------------------------------------------------------------------
 
+def real_slice(eta, zeta):
+    """The Euclidean closest-point map: the polarized map on its real slice."""
+    f = mt.closest_point_euc_polarized(eta, np.conj(eta), zeta, np.conj(zeta))
+    assert np.max(np.abs(f.imag)) <= 1e-15 * max(1.0, np.max(np.abs(f)))
+    return f.real
+
+
 def test_closest_point_euc_values():
-    assert np.allclose(mt.closest_point_euc(0j, 0.8 - 0.3j), 0.0)
-    assert np.allclose(mt.closest_point_euc(1.0 + 0j, 0j), [1.0, 0.0, 0.0])
+    assert np.allclose(real_slice(0j, 0.8 - 0.3j), 0.0)
+    assert np.allclose(real_slice(1.0 + 0j, 0j), [1.0, 0.0, 0.0])
 
 
 def test_closest_point_euc_norm_identity():
@@ -220,18 +219,28 @@ def test_closest_point_euc_norm_identity():
     for _ in range(20):
         eta = complex(rng.normal(), rng.normal())
         zeta = complex(rng.normal(), rng.normal())
-        f = mt.closest_point_euc(eta, zeta)
+        f = real_slice(eta, zeta)
         assert np.linalg.norm(f) == pytest.approx(
             abs(eta) / (1 + abs(zeta) ** 2), rel=1e-12)
 
 
 def test_closest_point_euc_polarization_consistent():
-    eta, zeta = 1.3 - 0.2j, 0.5 + 0.9j
-    pol = mt.closest_point_euc_polarized(eta, np.conj(eta), zeta, np.conj(zeta))
-    assert np.allclose(pol.imag, 0.0, atol=1e-14)
-    assert np.allclose(pol.real, mt.closest_point_euc(eta, zeta))
+    # against the point of the line nearest the origin, found in R^3: the
+    # map reads it with the third axis reversed
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        point, u = rng.normal(size=3), rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        line = mt.minitwistor_of_line(point, u)
+        nearest = point - np.dot(point, u) * u
+        assert np.allclose(real_slice(line.eta, line.zeta), nearest * [1, 1, -1],
+                           atol=1e-12)
 
 
 def test_dfdzetabar_vanishes_on_zero_section():
     # complex-step derivative of the polarized map in the zetabar slot
     assert measure("minitwistor.euclidean-closest-point", 7, 8) < 1e-10
+
+
+def test_curve_reality_check():
+    assert measure("minitwistor.curve-reality", 9, 200) < 2e-13

@@ -8,7 +8,7 @@ import pytest
 
 from monogeom import diffgeo
 from monogeom import moduli as md
-from monogeom.hyperbolic import ORIGIN, MultiCenterPotential, PointUHS
+from monogeom.hyperbolic import MultiCenterPotential, PointUHS
 from monogeom.numdiff import pointwise
 from monogeom.projective import INFINITY, ExtendedComplex
 
@@ -673,18 +673,3 @@ def test_residuals_keep_a_nan():
         return Om
     assert math.isnan(md.dOmega_residual(nan_in_dtheta, p4))
 
-
-def test_conformal_gauge_factor():
-    V = ONE_CENTER
-    conn = md.DiracConnection(V)
-    p4 = sample_point(V, RNG)
-    u1 = ExtendedComplex(0.3 + 0.5j)
-    u2 = ExtendedComplex(-1.2 + 0.1j)
-    same, resid = md.conformal_gauge_factor(u1, u1, V, conn, p4)
-    assert same == pytest.approx(1.0, abs=1e-14)
-    assert resid < 1e-12
-    factor, resid = md.conformal_gauge_factor(u1, u2, V, conn, p4)
-    b1 = md.hyp.busemann(u1, ORIGIN, PointUHS.from_array(p4[:3]))
-    b2 = md.hyp.busemann(u2, ORIGIN, PointUHS.from_array(p4[:3]))
-    assert factor == pytest.approx(math.exp(2 * (b1 - b2)), rel=1e-12)
-    assert resid < 1e-10

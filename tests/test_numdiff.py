@@ -10,7 +10,8 @@ from monogeom import hyperbolic as hyp
 from monogeom import moduli as md
 from monogeom import numdiff
 from monogeom.hyperbolic import MultiCenterPotential, PointUHS
-from monogeom.numdiff import WEIGHTS, Jet, derivatives, holo_partial, pointwise, wirtinger
+from monogeom.numdiff import WEIGHTS, Jet, derivatives, holo_partial, pointwise
+from oracles import wirtinger
 from monogeom.projective import INFINITY
 
 

@@ -147,9 +147,6 @@ def test_fundamental_semigroup_property():
         def ode_matrix(self, t):
             return f.ode_matrix(t)
 
-        def higgs_norm(self, t):
-            return f.higgs_norm(t)
-
     tail = sc.integrate_fundamental(Shifted(), t_mid, 3.0, tol=tol)
     lhs = tail.mats[-1] @ sol.mats[j]
     lhs_ls = tail.logscales[-1] + sol.logscales[j]
@@ -323,9 +320,10 @@ def test_batched_ode_matrix_matches_scalar_calls(name):
     assert one.shape == batch.shape
     assert np.all(np.abs(batch - one) <= 1e-15 * np.abs(one).max(axis=(1, 2), keepdims=True))
     assert np.array_equal(batch[:, 1, 1], -batch[:, 0, 0])   # traceless, exactly
-    norms = f.higgs_norm(ts)
-    assert norms.shape == ts.shape
-    assert np.all(np.abs(norms - [f.higgs_norm(t) for t in ts]) <= 1e-15 * np.abs(norms))
+    if not isinstance(f, sc.PSField):     # the abelian samplers read M off |Phi|
+        norms = f.higgs_norm(ts)
+        assert norms.shape == ts.shape
+        assert np.all(np.abs(norms - [f.higgs_norm(t) for t in ts]) <= 1e-15 * np.abs(norms))
 
 
 @pytest.mark.parametrize("steps", ([(1.0, 0.7)], [(1e-3, 0.7)],
@@ -570,12 +568,15 @@ def test_ps_matrix_matches_pauli_sum():
 
 def test_ps_matrix_traceless_with_higgs_hermitian_part():
     # the connection enters M anti-Hermitian, so the Hermitian part is
-    # -phi . sigma / 2, with eigenvalues +-|phi|/2
+    # -phi . sigma / 2, with eigenvalues +-|phi|/2, |phi| = 2 coth 2r - 1/r
     for f, t in ps_samples():
         M = f.ode_matrix(t)
         assert M[0, 0] + M[1, 1] == 0
         top = np.linalg.eigvalsh(0.5 * (M + M.conj().T))[-1]
-        assert abs(top - f.higgs_norm(t)) <= 1e-14 * max(f.higgs_norm(t), 1e-300)
+        r = mpmath.mpf(float(np.linalg.norm(f.x0 - f.center + t * f.u)))
+        with mpmath.workdps(40):
+            want = float(mpmath.coth(2 * r) - 1 / (2 * r)) if r else 0.0
+        assert abs(top - want) <= 1e-14 * max(want, 1e-300)
 
 
 def test_ps_field_is_immutable():
@@ -683,9 +684,6 @@ class ShearField(sc.FieldSampler):
         M = np.zeros(np.shape(t) + (2, 2), dtype=complex)
         M[..., 0, 1] = self.p
         return M
-
-    def higgs_norm(self, t):
-        return np.zeros(np.shape(t))[()]
 
 
 def test_gapless_shear_passes_once_its_growth_reaches_tol():
@@ -816,9 +814,6 @@ class ConjugatedTrivialField(sc.FieldSampler):
 
     def ode_matrix(self, t):
         return self.U @ sc.TrivialU1Field().ode_matrix(t) @ self.U.conj().T
-
-    def higgs_norm(self, t):
-        return sc.TrivialU1Field().higgs_norm(t)
 
 
 def test_orthogonal_complex_decaying_lines_have_unit_norm():

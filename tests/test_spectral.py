@@ -12,12 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monogeom import spectral as sp
-from monogeom.hyperbolic import (ORIGIN, MultiCenterPotential, PointUHS,
-                                 boundary_chart_of_null, dist_to_geodesic, embed,
+from monogeom.hyperbolic import (ORIGIN, MultiCenterPotential, PointUHS, embed,
                                  null_vector, orthonormal_frame_at, point_at)
 from monogeom.projective import (INFINITY, ExtendedComplex, chordal_distance, node_powers,
-                                 roots_of_unity, tau)
-from monogeom.twistor import CHART_ROTATIONS, matrix_point, point_matrix
+                                 roots_of_unity)
+from monogeom.spectral import CHART_ROTATIONS
+from oracles import antipodal_conjugate, dist_to_geodesic, point_matrix
+
+
+def tau(v: complex) -> complex:
+    """The antipodal map -1/conj(v) on a finite nonzero chart value."""
+    return ExtendedComplex(v).antipode().value
 
 
 def random_config(rng, n, lmax=3, mass=None):
@@ -391,7 +396,7 @@ def test_antipodal_conjugate_squares_to_degree_sign():
     rng = np.random.default_rng(6)
     for deg in (2, 3):
         c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        twice = sp.antipodal_conjugate(sp.antipodal_conjugate(c))
+        twice = antipodal_conjugate(antipodal_conjugate(c))
         assert np.allclose(twice, (-1.0) ** deg * c)
 
 
@@ -426,6 +431,17 @@ def _reference_endpoint(Ainv, u):
     return ExtendedComplex(complex(np.conj(N[0, 1] / N[1, 1])))
 
 
+def test_chart_rotations_match_the_point_matrix_formula():
+    # the axis matrix is written out: bit for bit the point matrix of (0, n)
+    axis = point_matrix(np.array([0.0, 0.36, 0.48, 0.8]))
+    formula = (np.eye(2, dtype=complex),) + tuple(
+        math.cos(a / 2) * np.eye(2, dtype=complex) - 1j * math.sin(a / 2) * axis
+        for a in (0.7345, 1.4261, 2.0393))
+    assert len(CHART_ROTATIONS) == len(formula)
+    for got, want in zip(CHART_ROTATIONS, formula):
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("rotation", range(len(CHART_ROTATIONS)))
 def test_line_chart_quadratics_match_per_center_reference(rotation):
     rng = np.random.default_rng(40 + rotation)
@@ -438,10 +454,11 @@ def test_line_chart_quadratics_match_per_center_reference(rotation):
         quads = sp.LineChart(q, su2).quadratics(centers)
         assert len(quads) == n
         for quad, c in zip(quads, centers):
-            X = matrix_point(A @ point_matrix(embed(c)) @ A.conj().T)
-            scale = max(1.0, float(np.max(np.abs(X))))
-            assert abs(quad.a - complex(X[1], -X[2])) < 1e-14 * scale
-            assert abs(quad.b + X[3]) < 1e-14 * scale
+            # the transported point's matrix [[X0 + X3, X1 - i X2], [X1 + i X2, X0 - X3]]
+            M = A @ point_matrix(embed(c)) @ A.conj().T
+            scale = max(1.0, float(np.max(np.abs(M))))
+            assert abs(quad.a - M[0, 1]) < 1e-14 * scale
+            assert abs(quad.b + (M[0, 0] - M[1, 1]).real / 2) < 1e-14 * scale
 
 
 @pytest.mark.parametrize("rotation", range(len(CHART_ROTATIONS)))
@@ -451,9 +468,10 @@ def test_line_chart_geodesics_match_per_root_reference(rotation):
     for n in (1, 2, 3, 4):
         q = PointUHS(rng.normal(), rng.normal(), rng.uniform(0.4, 2.0))
         A = _reference_transport(q, su2)
-        # the chart value whose geodesic ends at the ambient chart pole
-        pole = boundary_chart_of_null(matrix_point(
-            A @ point_matrix(np.array([1.0, 0.0, 0.0, 1.0])) @ A.conj().T)).value
+        # the chart value whose geodesic ends at the ambient chart pole: the
+        # transported null ray N of the pole has chart (N1 + i N2) / (N0 - N3)
+        N = A @ point_matrix(np.array([1.0, 0.0, 0.0, 1.0])) @ A.conj().T
+        pole = complex(N[1, 0] / N[1, 1].real)
         zetas = [0j, pole] + list(rng.normal(size=n) + 1j * rng.normal(size=n))
         Ainv = np.linalg.inv(A)
         got = sp.LineChart(q, su2).geodesics(zetas)
@@ -622,7 +640,7 @@ def test_node_powers_grow_within_the_new_table_plus_64_kib():
 
 def _coefficient_reality_defect(pair, n=128):
     # the coefficient form: the rows x and x - antipodal_conjugate(y) at the nodes
-    C = np.stack([pair.x, pair.x - sp.antipodal_conjugate(pair.y)])
+    C = np.stack([pair.x, pair.x - antipodal_conjugate(pair.y)])
     vals = np.abs(C @ node_powers(n, C.shape[1] - 1))
     return float(vals[1].max()) / max(float(vals[0].max()), 1e-300)
 
@@ -707,11 +725,11 @@ def test_lift_and_its_checks_expand_no_coefficients(monkeypatch):
     # the lift, product, reality and doubling checks stay in root form; the
     # coefficients are expanded once, on first read
     calls = Counter()
-    for name in ("_poly_from_roots", "antipodal_conjugate"):
-        def counted(*args, _f=getattr(sp, name), _name=name):
-            calls[_name] += 1
-            return _f(*args)
-        monkeypatch.setattr(sp, name, counted)
+
+    def counted(*args, _f=sp._poly_from_roots):
+        calls["_poly_from_roots"] += 1
+        return _f(*args)
+    monkeypatch.setattr(sp, "_poly_from_roots", counted)
     data = _two_center_lift((2, 3))
     data.product_residual(n=64)
     data.pair.reality_defect()
@@ -759,10 +777,7 @@ def test_chordal_distance_matches_unit_sphere(p):
 
 def test_tau_and_antipode_on_python_scalars():
     for v in (0.3 - 0.7j, -2.0, 3):
-        assert tau(v) == -1.0 / complex(v).conjugate()
+        assert ExtendedComplex(v).antipode().value == -1.0 / complex(v).conjugate()
         assert type(ExtendedComplex(v).antipode().value) is complex
-    assert type(tau(0.3 - 0.7j)) is complex
-    zs = np.array([1.0 + 1.0j, -0.5j])
-    assert np.array_equal(tau(zs), -1.0 / np.conj(zs))
     assert ExtendedComplex(0j).antipode() is INFINITY
-    assert tau(INFINITY) == ExtendedComplex(0j)
+    assert INFINITY.antipode() == ExtendedComplex(0j)

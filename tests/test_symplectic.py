@@ -155,47 +155,6 @@ def test_patch_jacobian_consistency():
 
 
 # ---------------------------------------------------------------------------
-# fiber coordinates
-# ---------------------------------------------------------------------------
-
-def test_fiber_coordinates_origin_curve():
-    curve = mt.charge1_curve([0.0, 0.0, 0.0])
-    for zs in (0.3 + 0.1j, -1.2j):
-        pts = sy.fiber_coordinates(curve, None, zs)
-        assert pts == [(0j, 1 + 0j)]
-
-
-def test_fiber_coordinates_axis_point():
-    x3 = 0.6
-    curve = mt.charge1_curve([0.0, 0.0, x3])
-    zs = 0.4 - 0.2j
-    (eta, u), = sy.fiber_coordinates(curve, None, zs)
-    assert eta == pytest.approx(-2 * x3 * zs, rel=1e-12)
-    u0, _ = mt.l2_trivialization(curve)
-    assert u == pytest.approx(complex(u0(zs)), rel=1e-12)
-
-
-def test_fiber_coordinates_k2_synthetic_roots():
-    rng = np.random.default_rng(9)
-    r1 = np.array([0.3 + 0.4j, -0.2, 0.1j])        # degree 2 coefficients
-    r2 = np.array([-1.1, 0.5j, 0.2, 0.0, -0.05])   # degree 4 coefficients
-    curve = mt.CurveO2k(2, (r1, r2))
-    zs = 0.7 - 0.3j
-    poly = curve.eta_poly_at(zs)
-    want = sorted(np.polynomial.polynomial.polyroots(poly), key=lambda v: (v.real, v.imag))
-    pts = sy.fiber_coordinates(curve, lambda z, e: 1.0 + 0j, zs)
-    got = sorted((e for e, _ in pts), key=lambda v: (v.real, v.imag))
-    assert np.allclose(got, want, atol=1e-10)
-
-
-def test_fiber_coordinates_branch_error():
-    # eta^2 = 0 over every fiber: all fibers are branch fibers
-    curve = mt.CurveO2k(2, (np.zeros(3), np.zeros(5)))
-    with pytest.raises(ValueError):
-        sy.fiber_coordinates(curve, lambda z, e: 1.0, 0.3 + 0j)
-
-
-# ---------------------------------------------------------------------------
 # the contour evaluation
 # ---------------------------------------------------------------------------
 

@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval2d
 from scipy.optimize import minimize_scalar
 
 from monogeom import twistor as tw
-from monogeom.checks import measure
+from monogeom.checks import Setting, measure
 from monogeom.hyperbolic import (ORIGIN, MultiCenterPotential, OrientedGeodesic,
-                                 PointUHS, dist, dist_to_geodesic, geodesic_point)
-from monogeom.numdiff import wirtinger
+                                 PointUHS, dist, geodesic_point)
+from monogeom.numdiff import derivatives, pointwise
 from monogeom.projective import _LEGENDRE_16, INFINITY, ExtendedComplex
+from oracles import closest_point_chart, dist_to_geodesic, wirtinger
 
 
 def dist_to_geodesic_oracle(x: PointUHS, g: OrientedGeodesic) -> float:
@@ -61,8 +63,9 @@ def test_sigma_diagonal_stays_diagonal():
 
 
 def test_sigma_reverses_orientation_of_axis():
-    g = OrientedGeodesic(start=ExtendedComplex(0j), end=INFINITY)
-    p = tw.from_geodesic(g)
+    # the axis from 0 to inf: z = inf and w = tau(0) = inf
+    p = tw.TwistorPoint.of(INFINITY, INFINITY)
+    assert tw.to_geodesic(p) == OrientedGeodesic(start=ExtendedComplex(0j), end=INFINITY)
     back = tw.to_geodesic(tw.sigma(p))
     assert back.start.at_infinity
     assert back.end.value == 0 and back.end.finite
@@ -80,7 +83,7 @@ def test_sigma_preserves_twistor_lines():
         z = -(c[0, 1] * w + c[0, 0]) / denom
         p = tw.TwistorPoint.of(z, w)
         s = tw.sigma(p)
-        val = sec(s.z.value, s.w.value)
+        val = polyval2d(s.z.value, s.w.value, sec.coeffs)
         assert abs(val) < 1e-10
 
 
@@ -153,8 +156,8 @@ def test_section_axis_points():
     assert (-c[1, 0] / c[0, 1]) == pytest.approx(math.exp(2 * rho), rel=1e-12)
     # zero sets: z - e^{+-2 rho} w
     w = 0.37 - 0.11j
-    assert abs(above(math.exp(2 * rho) * w, w)) < 1e-12
-    assert abs(below(math.exp(-2 * rho) * w, w)) < 1e-12
+    assert abs(polyval2d(math.exp(2 * rho) * w, w, above.coeffs)) < 1e-12
+    assert abs(polyval2d(math.exp(-2 * rho) * w, w, below.coeffs)) < 1e-12
 
 
 def test_section_zero_set_is_incidence():
@@ -179,9 +182,11 @@ def test_section_sigma_real():
 def test_section_nonincident_nonzero():
     x = PointUHS(0.6, 0.3, 0.9)
     sec = tw.twistor_line_section(x)
-    g = OrientedGeodesic(start=ExtendedComplex(5.0 + 0j), end=ExtendedComplex(6.0 + 0j))
-    p = tw.from_geodesic(g)
-    assert abs(sec(p.z.value, p.w.value)) > 1e-3
+    # the geodesic from 5 to 6: z = 6 and w = tau(5) = -0.2
+    p = tw.TwistorPoint.of(6.0, -0.2)
+    g = tw.to_geodesic(p)
+    assert g == OrientedGeodesic(start=ExtendedComplex(5.0 + 0j), end=ExtendedComplex(6.0 + 0j))
+    assert abs(polyval2d(p.z.value, p.w.value, sec.coeffs)) > 1e-3
     assert dist_to_geodesic_oracle(x, g) > 0.5
 
 
@@ -192,7 +197,8 @@ def test_chart_swaps_are_involutive_and_consistent():
     sw = tw.BiDegreeSection(sec.coeffs[::-1, :])
     z, w = 1.7 - 0.4j, 0.2 + 0.9j
     a, _ = sec.degrees
-    assert sw(1.0 / z, w) * z ** a == pytest.approx(sec(z, w), rel=1e-12)
+    assert polyval2d(1.0 / z, w, sw.coeffs) * z ** a == pytest.approx(
+        polyval2d(z, w, sec.coeffs), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +249,12 @@ def test_ptilde_two_centers_roots_incident():
 # ---------------------------------------------------------------------------
 
 def test_closest_point_diagonal():
-    p = tw.closest_point(tw.TwistorPoint.of(0.8 + 0.1j, 0.8 + 0.1j))
+    p = closest_point_chart(0.8 + 0.1j, 0.8 + 0.1j)
     assert (p.x, p.y, p.z) == pytest.approx((0.0, 0.0, 1.0), abs=1e-14)
 
 
 def test_closest_point_example():
-    p = tw.closest_point(tw.TwistorPoint.of(1.0 + 0j, 0j))
+    p = closest_point_chart(1.0 + 0j, 0j)
     assert (p.x, p.y) == pytest.approx((1.0, 0.0), abs=1e-14)
     assert p.z == pytest.approx(math.sqrt(2.0), rel=1e-14)
     assert tw.cosh_rho_endpoints(1.0, 0.0) == pytest.approx(math.sqrt(2.0), rel=1e-14)
@@ -259,7 +265,7 @@ def test_closest_point_agrees_with_distance():
     rng = np.random.default_rng(7)
     for _ in range(25):
         p = random_twistor(rng)
-        f = tw.closest_point(p)
+        f = closest_point_chart(p.z.value, p.w.value)
         assert math.cosh(dist(f, ORIGIN)) == pytest.approx(
             tw.cosh_rho_endpoints(p.z.value, p.w.value), rel=1e-10)
 
@@ -269,27 +275,28 @@ def test_closest_point_lies_on_geodesic_and_minimizes():
     for _ in range(10):
         p = random_twistor(rng)
         g = tw.to_geodesic(p)
-        f = tw.closest_point(p)
+        f = closest_point_chart(p.z.value, p.w.value)
         assert geodesic_point(g, ORIGIN, 0.0).as_array() == pytest.approx(
             f.as_array(), abs=1e-12)
         assert dist_to_geodesic_oracle(f, g) < 1e-7
 
 
 def test_closest_point_infinite_chart():
-    # independent of geodesic_point, which closest_point calls here: the
-    # point lies on the geodesic, at the distance from O that the endpoint
-    # closed form gives, for (inf, v), (v, inf) and (inf, inf), 1e-3 <= |v| <= 1e3
+    # off the finite chart the closest point is geodesic_point's at t = 0: it
+    # lies on the geodesic, at the distance from O that the endpoint closed
+    # form gives, for (inf, v), (v, inf) and (inf, inf), 1e-3 <= |v| <= 1e3
     rng = np.random.default_rng(18)
     vs = 10.0 ** rng.uniform(-3, 3, 500) * np.exp(2j * math.pi * rng.uniform(size=500))
     cases = [tw.TwistorPoint.of(INFINITY, INFINITY)] + [
         tw.TwistorPoint.of(*pair) for v in vs for pair in ((INFINITY, v), (v, INFINITY))]
     for p in cases:
-        assert not p.finite
-        f = tw.closest_point(p)
+        g = tw.to_geodesic(p)
+        f = geodesic_point(g, ORIGIN, 0.0)
         assert abs(dist(f, ORIGIN) - math.acosh(tw.cosh_rho_endpoints(p.z, p.w))) <= 1e-9
-        assert dist_to_geodesic(f, tw.to_geodesic(p)) <= 1e-9
-    g = OrientedGeodesic(start=ExtendedComplex(0j), end=INFINITY)
-    assert tw.closest_point(tw.from_geodesic(g)).as_array() == pytest.approx(
+        assert dist_to_geodesic(f, g) <= 1e-9
+    # the axis from 0 to inf passes through O
+    axis = tw.to_geodesic(tw.TwistorPoint.of(INFINITY, INFINITY))
+    assert geodesic_point(axis, ORIGIN, 0.0).as_array() == pytest.approx(
         ORIGIN.as_array(), abs=1e-12)
 
 
@@ -297,6 +304,18 @@ def test_cosh_rho_endpoints_values():
     assert tw.cosh_rho_endpoints(0j, 0j) == pytest.approx(1.0)
     with pytest.raises(ZeroDivisionError):
         tw.cosh_rho_endpoints(INFINITY, ExtendedComplex(0j))
+
+
+def test_closest_point_distance_check():
+    assert measure("twistor.closest-point-distance", 19, 200) < 6e-15
+
+
+def test_ptilde_sigma_real_check():
+    V = MultiCenterPotential.for_su2_charge1(
+        [PointUHS(0.5, 0.0, 1.0), PointUHS(-0.4, 0.6, 1.5), PointUHS(0.1, -0.9, 0.7)],
+        [1, 2, 3], mass=0.4)
+    lines = ((V, ORIGIN), (MultiCenterPotential(0.0, (ORIGIN,), (1,)), ORIGIN))
+    assert measure("twistor.ptilde-sigma-real", 20, setting=Setting(lines=lines)) < 3e-11
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +328,22 @@ def test_diagonal_jacobian_matches_printed_matrix():
 
 def test_a2_plus_a4_vanishes():
     assert measure("twistor.a2-plus-a4", 10, 8) < 1e-8
+
+
+def test_closest_point_wirtinger_off_the_diagonal():
+    # the Jacobian in (z, zbar, w, wbar) against order-6 derivatives of the
+    # chart formula along the real and imaginary directions of z and w
+    rng = np.random.default_rng(21)
+    for _ in range(6):
+        p = random_twistor(rng)
+        z, w = p.z.value, p.w.value
+        J = tw.closest_point_wirtinger(z, w)
+        d1 = derivatives(pointwise(lambda x: closest_point_chart(
+            complex(x[0], x[1]), complex(x[2], x[3])).as_array()),
+            (z.real, z.imag, w.real, w.imag), 1e-3, order=6).d1
+        want = np.stack([J[:, 0] + J[:, 1], 1j * (J[:, 0] - J[:, 1]),
+                         J[:, 2] + J[:, 3], 1j * (J[:, 2] - J[:, 3])])
+        assert np.max(np.abs(d1 - want)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
