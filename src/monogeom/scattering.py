@@ -34,6 +34,8 @@ by about exp(-G(t)), G the gap 2 |Re mu| of M = [[d, p], [q, -d]] (mu^2 = d^2 +
 pq) integrated from 0 to t, an exponential dichotomy (Coppel, Dichotomies in
 Stability Theory, LNM 629, 1978).  So each step's step-doubling difference is
 weighted by exp(-G/2) at its end nearer 0, and far steps are taken longer.
+`DecayingData.of` keeps its last result in one module-level slot, keyed by the sampler
+object (`is`) and an equal horizon and tol: one line's indicator and ||M_gamma|| share one run.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ __all__ = [
     "abelian_growth_exponent",
 ]
 
+_last_decaying: tuple = (None, None, None, None)   # DecayingData.of's (fields, t_horizon, tol, data)
+
 
 class IllPosedError(ValueError):
     """A horizon too short for the decaying direction: its own error
@@ -80,10 +84,10 @@ class PoleOnGeodesicError(ValueError):
 class FieldSampler:
     """Evaluates the scattering system along one fixed geodesic.
 
-    Subclasses provide ode_matrix(t), the 2x2 complex right-hand side of
-    s' = M(t) s, on a batch: a float t gives one (2, 2) matrix and an
-    (n,) array of times (n, 2, 2) matrices.  M must be traceless (M11 =
-    -M00); the propagator refuses a traced M with ValueError.
+    Subclasses provide ode_matrix(t), the 2x2 complex right-hand side of s' = M(t) s, on a
+    batch: a float t gives one (2, 2) matrix and an (n,) array of times (n, 2, 2) matrices.
+    M must be traceless (M11 = -M00); the propagator refuses a traced M with ValueError.  A
+    sampler is an immutable value, so the same object always gives the same M(t).
     """
 
     def ode_matrix(self, t) -> np.ndarray:
@@ -227,8 +231,8 @@ def _ps_radial(r):
     return h.reshape(r.shape), k.reshape(r.shape)
 
 
-def _read_only(v) -> np.ndarray:
-    v = np.array(v, dtype=float)
+def _read_only(v, dtype=float) -> np.ndarray:
+    v = np.array(v, dtype=dtype)
     v.flags.writeable = False
     return v
 
@@ -627,20 +631,31 @@ def decaying_solution(fields: FieldSampler, end: int, t_horizon: float,
 @dataclass(frozen=True)
 class DecayingData:
     """Unit directions at t = 0 of the solutions decaying at the two
-    ends, with their symplectic pairing det[s0 s0']."""
+    ends, with their symplectic pairing det[s0 s0'], as read-only copies."""
 
     s0: np.ndarray        # decays as t -> +infinity
     s0_prime: np.ndarray  # decays as t -> -infinity
     pairing: complex
 
+    def __post_init__(self):
+        for name in ("s0", "s0_prime"):
+            object.__setattr__(self, name, _read_only(getattr(self, name), complex))
+
     @staticmethod
     def of(fields: FieldSampler, t_horizon: float = 40.0,
            tol: float = 1e-10) -> "DecayingData":
         """Both ends from one propagation of two runs out from 0, with
-        `tol` the accuracy of the directions at t = 0 (`decaying_solution`)."""
+        `tol` the accuracy of the directions at t = 0 (`decaying_solution`).  The last
+        result is kept: the same sampler object (`is`) with an equal horizon and tol
+        returns it unpropagated, and a refusal raises before the slot is written."""
+        global _last_decaying
+        last_fields, last_horizon, last_tol, data = _last_decaying
+        if last_fields is fields and last_horizon == t_horizon and last_tol == tol:
+            return data
         s0, s0p = _decaying(fields, (+1, -1), t_horizon, tol)
-        det = s0[0] * s0p[1] - s0[1] * s0p[0]
-        return DecayingData(s0, s0p, complex(det))
+        data = DecayingData(s0, s0p, complex(s0[0] * s0p[1] - s0[1] * s0p[0]))
+        _last_decaying = (fields, t_horizon, tol, data)
+        return data
 
     def indicator(self) -> float:
         """|pairing| of unit directions: in [0, 1], zero exactly on
