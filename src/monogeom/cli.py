@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import hashlib
 import json
 import sys
 import time
@@ -261,6 +259,7 @@ def _complex_list(arr):
 # ---------------------------------------------------------------------------
 
 def cmd_symplectic(cfg: RunConfig) -> int:
+    import hashlib   # here: at the top it costs every CLI start about 3 ms and 3.5 MB
     from . import checks
     rng = np.random.default_rng(cfg.seed)
     k = cfg.symplectic_sheets
@@ -293,6 +292,7 @@ def _emit_json(payload, out: str | None):
 
 
 def _emit_csv(header, rows, out: str | None):
+    import csv
     with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)

@@ -18,14 +18,12 @@ from .projective import polyval
 __all__ = [
     "MiniTwistorPoint",
     "CurveO2k",
-    "LPatchBundle",
     "tau_T",
     "charge1_curve",
     "l2_trivialization",
     "closest_point_euc_polarized",
     "l2_patch_transition",
     "l2_patch_transition_inverse",
-    "minitwistor_of_line",
 ]
 
 
@@ -110,21 +108,8 @@ def curve_eta(curve: CurveO2k, zeta: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# the exponential line bundle and its square
+# the square of the exponential line bundle
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LPatchBundle:
-    """Real power L^s of the exponential line bundle: transition factor
-    exp(-s eta / zeta) between the two charts of the base."""
-
-    s: float
-
-    def transition(self, zeta: complex, eta: complex) -> complex:
-        if zeta == 0:
-            raise ZeroDivisionError("transition evaluated at the chart pole")
-        return np.exp(-self.s * eta / zeta)
-
 
 def l2_trivialization(curve: CurveO2k):
     """Nonvanishing holomorphic chart functions (u0, u1) trivializing the
@@ -179,26 +164,10 @@ def l2_patch_transition_inverse(zt: complex, et: complex, ut: complex):
 def closest_point_euc_polarized(eta, etab, zeta, zetab) -> np.ndarray:
     """Analytic polarization, in independent complex variables eta, etabar,
     zeta, zetabar, of the map sending the line (eta, zeta) to its point
-    closest to the origin, Re{conj(eta) (1 - zeta^2, i (1 + zeta^2), 2 zeta)}
-    / (1 + |zeta|^2)^2, of norm |eta| / (1 + |zeta|^2), its third axis reversed
-    against `minitwistor_of_line`'s; the real slice recovers the map.  Used for
-    complex-step derivatives."""
-    v = np.array([1.0 - zeta ** 2, 1j * (1.0 + zeta ** 2), 2.0 * zeta])
-    vb = np.array([1.0 - zetab ** 2, -1j * (1.0 + zetab ** 2), 2.0 * zetab])
+    closest to the origin, Re{conj(eta) (1 - zeta^2, i (1 + zeta^2), -2 zeta)}
+    / (1 + |zeta|^2)^2, of norm |eta| / (1 + |zeta|^2), in the axes of
+    `charge1_curve`: the real slice is the nearest point of the line whose
+    fiber value over zeta is eta.  Used for complex-step derivatives."""
+    v = np.array([1.0 - zeta ** 2, 1j * (1.0 + zeta ** 2), -2.0 * zeta])
+    vb = np.array([1.0 - zetab ** 2, -1j * (1.0 + zetab ** 2), -2.0 * zetab])
     return (etab * v + eta * vb) / (2.0 * (1.0 + zeta * zetab) ** 2)
-
-
-def minitwistor_of_line(point, direction) -> MiniTwistorPoint:
-    """Chart coordinates of the oriented line through `point` with unit
-    `direction`, in the convention for which charge1_curve(p) consists of
-    the lines through p: zeta is the stereographic chart value of the
-    direction seen from its south pole."""
-    u = np.asarray(direction, dtype=float)
-    u = u / np.linalg.norm(u)
-    if u[2] <= -1 + 1e-14:
-        raise ZeroDivisionError("direction at the chart pole")
-    zeta = complex(u[0], u[1]) / (1.0 + u[2])
-    p = np.asarray(point, dtype=float)
-    v = p - np.dot(p, u) * u
-    eta = (v[0] + 1j * v[1]) - 2.0 * v[2] * zeta - (v[0] - 1j * v[1]) * zeta ** 2
-    return MiniTwistorPoint(zeta, eta)

@@ -60,7 +60,6 @@ __all__ = [
     "IllPosedError",
     "PoleOnGeodesicError",
     "integrate_fundamental",
-    "decaying_solution",
     "spectral_indicator",
     "m_gamma_norm",
     "abelian_growth_exponent",
@@ -237,7 +236,7 @@ def _read_only(v, dtype=float) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PSField(FieldSampler):
     """Unit-mass charge-1 Euclidean monopole (the standard closed-form
     hedgehog solution) sampled along the line x0 + t u; x0 should be the
@@ -252,15 +251,16 @@ class PSField(FieldSampler):
     phi = h(r) p and the connection a = k(r) u x p = k(r) u x (x0 -
     center), and M = w . sigma with w = -(phi + i a)/2, traceless.  The
     line is held in read-only copies and cached as float tuples; a zero or
-    non-finite u, or a non-finite x0 or center, raises ValueError.
+    non-finite u, or a non-finite x0 or center, raises ValueError.  Two lines
+    compare, and hash, by identity, as `DecayingData.of` keys them.
     """
 
     x0: np.ndarray
     u: np.ndarray
     center: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    _p0: tuple = field(init=False, repr=False, compare=False)    # x0 - center
-    _dir: tuple = field(init=False, repr=False, compare=False)   # u
-    _cross: tuple = field(init=False, repr=False, compare=False)  # u x (x0 - center)
+    _p0: tuple = field(init=False, repr=False)    # x0 - center
+    _dir: tuple = field(init=False, repr=False)   # u
+    _cross: tuple = field(init=False, repr=False)  # u x (x0 - center)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -597,41 +597,11 @@ def integrate_fundamental(fields: FieldSampler, t0: float, t1: float,
     return FundamentalSolution(ts, *_propagate(fields, [ts], tol)[0])
 
 
-def _decaying(fields: FieldSampler, ends, t_horizon: float, tol: float) -> list:
-    """Unit directions at t = 0 of the solutions decaying at each of `ends`
-    (+1 or -1), from one propagation out from 0 under `_mesh`'s `damped`
-    control: the least right singular vector of Phi(end T, 0), (r1, -r0)/|r|
-    for the longer row r of its unit end matrix, within exp(-2 logscale) of
-    the exact one.  A horizon or tol that is not finite and > 0 raises
-    ValueError before any sampling."""
-    if any(end not in (+1, -1) for end in ends):
-        raise ValueError("end must be +1 or -1")
-    if not 0.0 < t_horizon < math.inf:    # a NaN compares False
-        raise ValueError(f"horizon must be finite and positive, got {t_horizon}")
-    out = []
-    for mats, logscales in _propagate(fields, [np.array([0.0, end * t_horizon]) for end in ends],
-                                      tol, damped=True):
-        if (error := math.exp(-2.0 * logscales[-1])) > tol:
-            raise IllPosedError(f"horizon {t_horizon:g}: exp(-2 logscale) = {error:.2g} > tol {tol:g}")
-        r = max(mats[-1], key=np.linalg.norm)
-        out.append(np.array([r[1], -r[0]]) / np.linalg.norm(r))
-    return out
-
-
-def decaying_solution(fields: FieldSampler, end: int, t_horizon: float,
-                      tol: float = 1e-10) -> np.ndarray:
-    """Unit direction at t = 0 of the solution decaying at the chosen end
-    (+1 or -1), read off one run out from 0 to the horizon (finite and > 0, as `tol`
-    is, else ValueError; IllPosedError if too short for `tol`).  `tol` is the
-    accuracy of that direction: a step at t may err by exp(G(t)/2) tol, G
-    the gap of M integrated from 0 to t (module docstring)."""
-    return _decaying(fields, (end,), t_horizon, tol)[0]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecayingData:
     """Unit directions at t = 0 of the solutions decaying at the two
-    ends, with their symplectic pairing det[s0 s0'], as read-only copies."""
+    ends, with their symplectic pairing det[s0 s0'], as read-only copies.
+    Compared, like the samplers `of` keys on, by identity."""
 
     s0: np.ndarray        # decays as t -> +infinity
     s0_prime: np.ndarray  # decays as t -> -infinity
@@ -644,15 +614,28 @@ class DecayingData:
     @staticmethod
     def of(fields: FieldSampler, t_horizon: float = 40.0,
            tol: float = 1e-10) -> "DecayingData":
-        """Both ends from one propagation of two runs out from 0, with
-        `tol` the accuracy of the directions at t = 0 (`decaying_solution`).  The last
-        result is kept: the same sampler object (`is`) with an equal horizon and tol
-        returns it unpropagated, and a refusal raises before the slot is written."""
+        """Both ends from one propagation of two runs out from 0 under `_mesh`'s `damped`
+        control, each the least right singular vector of Phi(+-T, 0), (r1, -r0)/|r| for the
+        longer row r of its unit end matrix.  `tol` is the accuracy of the directions at t = 0
+        (module docstring).  ValueError for a horizon or tol not finite and > 0, before any
+        sampling; IllPosedError for a horizon too short for `tol`.  The last result is kept: the
+        same sampler object (`is`) with an equal horizon and tol returns it unpropagated, and a
+        refusal raises before the slot is written."""
         global _last_decaying
         last_fields, last_horizon, last_tol, data = _last_decaying
         if last_fields is fields and last_horizon == t_horizon and last_tol == tol:
             return data
-        s0, s0p = _decaying(fields, (+1, -1), t_horizon, tol)
+        if not 0.0 < t_horizon < math.inf:    # a NaN compares False
+            raise ValueError(f"horizon must be finite and positive, got {t_horizon}")
+        ends = []
+        for mats, logscales in _propagate(fields, [np.array([0.0, t_horizon]),
+                                                   np.array([0.0, -t_horizon])], tol, damped=True):
+            if (error := math.exp(-2.0 * logscales[-1])) > tol:
+                raise IllPosedError(f"horizon {t_horizon:g}: exp(-2 logscale) = {error:.2g} "
+                                    f"> tol {tol:g}")
+            r = max(mats[-1], key=np.linalg.norm)
+            ends.append(np.array([r[1], -r[0]]) / np.linalg.norm(r))
+        s0, s0p = ends
         data = DecayingData(s0, s0p, complex(s0[0] * s0p[1] - s0[1] * s0p[0]))
         _last_decaying = (fields, t_horizon, tol, data)
         return data
@@ -662,17 +645,10 @@ class DecayingData:
         spectral lines (one solution decaying at both ends)."""
         return float(abs(self.pairing))
 
-    def splitting_reflection(self) -> np.ndarray:
-        """The reflection through the two decaying subspaces: +1 on the
-        forward one, -1 on the backward one."""
-        if abs(self.pairing) < 1e-12:
-            raise ZeroDivisionError("spectral line: splitting degenerates")
-        S = np.column_stack([self.s0, self.s0_prime])
-        return S @ np.diag([1.0, -1.0]) @ np.linalg.inv(S)
-
     def reflection_norm(self) -> float:
-        """||splitting_reflection()||_2 = cot(theta/2) = (1 + cos theta) / sin theta, with sin theta
-        the indicator and cos theta = |<s0, s0'>|, where nothing cancels.  ZeroDivisionError below 1e-12."""
+        """||M_gamma||_2 of the reflection +1 on s0, -1 on s0': cot(theta/2) = (1 + cos theta) /
+        sin theta, with sin theta the indicator and cos theta = |<s0, s0'>|, where nothing
+        cancels.  ZeroDivisionError below 1e-12."""
         delta = self.indicator()
         if delta < 1e-12:
             raise ZeroDivisionError("spectral line: splitting degenerates")

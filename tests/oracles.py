@@ -1,13 +1,15 @@
 """Second methods the tests hold the library against, which no subcommand,
 check or benchmark needs: the twistor closest-point chart formula, the
 point-to-geodesic distance, the Wirtinger derivative, the antipodal
-conjugate of a polynomial and the Hermitian matrix of a 4-vector."""
+conjugate of a polynomial, the Hermitian matrix of a 4-vector, the
+splitting reflection of decaying data and the mini-twistor chart of a line."""
 
 import math
 
 import numpy as np
 
 from monogeom.hyperbolic import OrientedGeodesic, PointUHS, _geodesic_null_pair, embed, mdot
+from monogeom.minitwistor import MiniTwistorPoint
 from monogeom.numdiff import derivatives, pointwise
 
 
@@ -59,3 +61,26 @@ def point_matrix(X: np.ndarray) -> np.ndarray:
     M[..., 1, 0] = X[..., 1] + 1j * X[..., 2]
     M[..., 1, 1] = X[..., 0] - X[..., 3]
     return M
+
+
+def splitting_reflection(data) -> np.ndarray:
+    """The reflection through the two decaying lines of a `DecayingData`, +1 on
+    the forward one, -1 on the backward one: its 2-norm is `reflection_norm`."""
+    S = np.column_stack([data.s0, data.s0_prime])
+    return S @ np.diag([1.0, -1.0]) @ np.linalg.inv(S)
+
+
+def minitwistor_of_line(point, direction) -> MiniTwistorPoint:
+    """Chart coordinates of the oriented line through `point` with
+    `direction`, in the convention for which `charge1_curve(p)` consists of
+    the lines through p: zeta is the stereographic chart value of the
+    direction seen from its south pole, and that pole raises ZeroDivisionError."""
+    u = np.asarray(direction, dtype=float)
+    u = u / np.linalg.norm(u)
+    if u[2] <= -1 + 1e-14:
+        raise ZeroDivisionError("direction at the chart pole")
+    zeta = complex(u[0], u[1]) / (1.0 + u[2])
+    p = np.asarray(point, dtype=float)
+    v = p - np.dot(p, u) * u
+    eta = (v[0] + 1j * v[1]) - 2.0 * v[2] * zeta - (v[0] - 1j * v[1]) * zeta ** 2
+    return MiniTwistorPoint(zeta, eta)

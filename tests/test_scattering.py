@@ -17,6 +17,7 @@ from monogeom import hyperbolic as hyp
 from monogeom import scattering as sc
 from monogeom.checks import measure
 from monogeom.hyperbolic import MultiCenterPotential, PointUHS
+from oracles import splitting_reflection
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,7 @@ def test_traced_field_refused():
         with pytest.raises(ValueError, match="traceless"):
             sc.integrate_fundamental(Traced(trace=trace), -1.0, 1.0)
         with pytest.raises(ValueError, match="traceless"):
-            sc.decaying_solution(Traced(trace=trace), +1, 10.0)
+            sc.DecayingData.of(Traced(trace=trace), 10.0)
     sol = sc.integrate_fundamental(Traced(trace=1e-14), -1.0, 1.0)
     assert abs(sol.log_norm_final() - 2.0) < 1e-9
 
@@ -219,8 +220,7 @@ def test_unworkable_horizon_refused_before_sampling(horizon):
             raise AssertionError("sampled")
 
     f = Unsampled(mass=1.0)
-    for run in (sc.DecayingData.of, sc.spectral_indicator, sc.m_gamma_norm,
-                lambda f, horizon: sc.decaying_solution(f, +1, horizon)):
+    for run in (sc.DecayingData.of, sc.spectral_indicator, sc.m_gamma_norm):
         with pytest.raises(ValueError, match="horizon must be finite and positive"):
             run(f, horizon)
 
@@ -242,12 +242,11 @@ _TRIVIAL = sc.TrivialU1Field(mass=1.0)
       for n in (0, 1, 2.5, True)),
     *((lambda tol=tol: sc.DecayingData.of(_TRIVIAL, 10.0, tol=tol), "tol must")
       for tol in (-1.0, 0.0, math.nan, math.inf)),
-    (lambda: sc.decaying_solution(_TRIVIAL, +1, 10.0, tol=-1.0), "tol must"),
     (lambda: sc.abelian_growth_exponent(_GROWTH_V, 0, math.inf, [1e-3, 1e-2]), "need finite t0")],
     ids=[*(f"fundamental-tol-{v}" for v in ("negative", "zero", "nan", "inf")),
          "t0-nan", "t0-minus-inf", "t1-inf", *(f"checkpoints-{v}" for v in (0, 1, 2.5, True)),
          *(f"decaying-data-tol-{v}" for v in ("negative", "zero", "nan", "inf")),
-         "decaying-solution-tol-negative", "growth-delta-inf"])
+         "growth-delta-inf"])
 def test_unworkable_tol_times_or_checkpoints_refused_before_sampling(monkeypatch, call, match):
     # tol -1e-9 was accepted, every step passing at the initial mesh, so a PS
     # line over [-10, 10] read log_norm_final 8.3e-8 relative off tol 1e-9's;
@@ -290,7 +289,7 @@ def test_pole_off_base_point_fails_fast():
     with pytest.raises(sc.PoleOnGeodesicError):
         sc.integrate_fundamental(bad, -1.0, 1.0)
     with pytest.raises(sc.PoleOnGeodesicError):
-        sc.decaying_solution(bad, +1, 10.0)
+        sc.DecayingData.of(bad, 10.0)
     assert time.perf_counter() - t0 < 1.0
     near = sc.AbelianField.from_impact(V, 0, 1e-6)
     assert math.isfinite(near.higgs_norm(0.0))
@@ -551,7 +550,7 @@ def test_ps_far_out_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         M = f.ode_matrix(400.0)
-        s = sc.decaying_solution(f, +1, 400.0)
+        s = sc.DecayingData.of(f, 400.0).s0
     p, r = np.array([3.0, 0.0, 400.0]), math.hypot(3.0, 400.0)
     w = -0.5 * ((2.0 - 1.0 / r) / r * p + 1j / (r * r) * np.cross(f.u, p))
     want = sum(w[j] * PAULI[j] for j in range(3))
@@ -598,15 +597,15 @@ def test_ps_field_is_immutable():
 
 def test_trivial_decaying_directions_exact():
     f = sc.TrivialU1Field(mass=0.9)
-    s_plus = sc.decaying_solution(f, +1, 20.0)
-    s_minus = sc.decaying_solution(f, -1, 20.0)
+    data = sc.DecayingData.of(f, 20.0)
+    s_plus, s_minus = data.s0, data.s0_prime
     assert abs(abs(s_plus[1]) - 1.0) < 1e-10
     assert abs(abs(s_minus[0]) - 1.0) < 1e-10
 
 
 def test_decaying_direction_scheme_independent():
     f = sc.PSField(x0=[0.8, 0.0, 0.0], u=[0.0, 0.0, 1.0])
-    a = sc.decaying_solution(f, +1, 30.0)
+    a = sc.DecayingData.of(f, 30.0).s0
     # reference: RK45 on the plain linear system from the same seed
     lam, vecs = np.linalg.eig(f.ode_matrix(30.0))
     seed = vecs[:, np.argmin(lam.real)]
@@ -619,8 +618,8 @@ def test_decaying_direction_scheme_independent():
 
 def test_decaying_direction_horizon_stable():
     f = sc.PSField(x0=[1.2, 0.0, 0.0], u=[0.0, 0.0, 1.0])
-    a = sc.decaying_solution(f, +1, 25.0)
-    b = sc.decaying_solution(f, +1, 50.0)
+    a = sc.DecayingData.of(f, 25.0).s0
+    b = sc.DecayingData.of(f, 50.0).s0
     assert 1.0 - abs(np.vdot(a, b)) < 1e-8
 
 
@@ -629,8 +628,8 @@ def test_decaying_direction_far_horizon_in_blocks():
     # the two seeds' phases differ, so the directions are compared after
     # aligning them
     f = sc.PSField(x0=[1.0, 0.5, 0.0], u=[0.3, -0.6, 0.0])
-    for end in (+1, -1):
-        a, b = sc.decaying_solution(f, end, 40.0), sc.decaying_solution(f, end, 400.0)
+    near, far = sc.DecayingData.of(f, 40.0), sc.DecayingData.of(f, 400.0)
+    for a, b in ((near.s0, far.s0), (near.s0_prime, far.s0_prime)):
         phase = np.vdot(b, a) / abs(np.vdot(b, a))
         assert np.abs(a - phase * b).max() <= 1e-14
 
@@ -644,14 +643,15 @@ class CountedPS(sc.PSField):
 @pytest.mark.parametrize("b", (0.0, 0.5, 3.0))
 def test_decaying_data_matches_one_end_at_a_time(b):
     # both ends share the refinement rounds: the same nodes in fewer
-    # sampler calls, and the same directions
+    # sampler calls, and the same directions, each annihilated by the unit
+    # end matrix of its end propagated alone
     f = CountedPS(x0=[b, 0.0, 0.0], u=[0.0, 0.6, 0.8])
     object.__setattr__(f, "calls", [])
     data = sc.DecayingData.of(f)
     joint, f.calls[:] = list(f.calls), []
-    s0, s0p = sc.decaying_solution(f, +1, 40.0), sc.decaying_solution(f, -1, 40.0)
-    assert np.abs(data.s0 - s0).max() <= 1e-15
-    assert np.abs(data.s0_prime - s0p).max() <= 1e-15
+    for end, s in ((+1, data.s0), (-1, data.s0_prime)):
+        mats, _ = sc._propagate(f, [np.array([0.0, end * 40.0])], 1e-10, damped=True)[0]
+        assert np.abs(mats[-1] @ s).max() <= 1e-15
     assert sum(joint) == sum(f.calls)
     assert len(joint) < len(f.calls)
 
@@ -751,9 +751,26 @@ def test_kept_decaying_data_is_bit_for_bit_a_fresh_run():
     f = sc.PSField(x0=[2.0, 0.0, 0.0], u=[0.0, 0.6, 0.8])
     sc.DecayingData.of(f)
     data = sc.DecayingData.of(f)
-    s0, s0p = sc._decaying(f, (+1, -1), 40.0, 1e-10)
-    assert data.s0.tobytes() == s0.tobytes() and data.s0_prime.tobytes() == s0p.tobytes()
-    assert data.pairing == complex(s0[0] * s0p[1] - s0[1] * s0p[0])
+    sc.DecayingData.of(_TRIVIAL, 15.0)   # replaces the kept entry
+    fresh = sc.DecayingData.of(f)
+    assert fresh is not data
+    assert data.s0.tobytes() == fresh.s0.tobytes()
+    assert data.s0_prime.tobytes() == fresh.s0_prime.tobytes()
+    s0, s0p = data.s0, data.s0_prime
+    assert data.pairing == fresh.pairing == complex(s0[0] * s0p[1] - s0[1] * s0p[0])
+
+
+def test_lines_and_decaying_data_compare_by_identity():
+    # the dataclass __eq__ compared the array fields as one tuple, so == between
+    # two equal lines or their decaying data raised ValueError (an array's truth
+    # value is ambiguous); they compare, and hash, by identity, as the kept entry
+    # is found
+    f, g = (sc.PSField(x0=[1.0, 0.0, 0.0], u=[0.0, 0.0, 1.0]) for _ in range(2))
+    a, b = sc.DecayingData.of(f), sc.DecayingData.of(g)
+    assert a.s0.tobytes() == b.s0.tobytes()
+    for x, y in ((f, g), (a, b)):
+        assert x == x and x != y
+        assert len({x, y, x}) == 2
 
 
 def test_decaying_data_directions_are_read_only():
@@ -772,7 +789,7 @@ def test_decaying_data_directions_are_read_only():
 def test_no_gap_is_ill_posed():
     f = sc.TrivialU1Field(mass=0.0)
     with pytest.raises(sc.IllPosedError):
-        sc.decaying_solution(f, +1, 10.0)
+        sc.DecayingData.of(f, 10.0)
 
 
 class ShearField(sc.FieldSampler):
@@ -854,7 +871,7 @@ def test_decaying_data_within_1e12_of_a_tight_reference(seed):
                 got.reflection_norm()
             continue
         assert abs(got.indicator() / ref.indicator() - 1.0) <= 1e-12
-        norms = [np.linalg.norm(d.splitting_reflection(), 2) for d in (got, ref)]
+        norms = [np.linalg.norm(splitting_reflection(d), 2) for d in (got, ref)]
         assert abs(norms[0] / norms[1] - 1.0) <= 1e-12
         assert abs(got.reflection_norm() / norms[0] - 1.0) <= 1e-13
 
@@ -929,7 +946,7 @@ def test_orthogonal_complex_decaying_lines_have_unit_norm():
         indicators.append(data.indicator())
         assert data.reflection_norm() == pytest.approx(1.0, abs=1e-10)
         assert data.reflection_norm() == pytest.approx(
-            np.linalg.norm(data.splitting_reflection(), 2), rel=1e-13)
+            np.linalg.norm(splitting_reflection(data), 2), rel=1e-13)
     assert max(indicators) > 1.0
 
 
@@ -950,7 +967,7 @@ def test_decaying_data_record():
     assert np.linalg.norm(data.s0) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(data.s0_prime) == pytest.approx(1.0, abs=1e-12)
     assert abs(data.pairing) == pytest.approx(data.indicator())
-    M = data.splitting_reflection()
+    M = splitting_reflection(data)
     assert np.allclose(M @ data.s0, data.s0, atol=1e-10)
     assert np.allclose(M @ data.s0_prime, -data.s0_prime, atol=1e-10)
 
