@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .numdiff import derivatives, pointwise
-from .projective import ExtendedComplex
+from .projective import ExtendedComplex, chordal_distance
 
 __all__ = [
     "PointUHS",
@@ -152,8 +152,9 @@ def dist(p, q):
 
 
 def _geodesic_null_pair(g: OrientedGeodesic):
+    """Null vectors (1, n) of end and start, <Ne, Ns> = -chordal^2 / 2 (-1 + ne . ns cancels)."""
     Ne, Ns = null_vector(g.end), null_vector(g.start)
-    ip = mdot(Ne, Ns)
+    ip = -0.5 * chordal_distance(g.end, g.start) ** 2
     if ip >= -1e-15:
         raise ValueError("degenerate geodesic: coincident endpoints")
     return Ne, Ns, ip

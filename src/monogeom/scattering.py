@@ -19,10 +19,10 @@ at most `_MAX_STEP`.  The steps between output times are multiplied in blocks
 of at most 64 by pairwise products, and each path's blocks in order into one
 running product, rescaled exactly by a power of two after each block, so
 growing solutions stay in floating range over any horizon.  M is traceless, as
-an su(2) monopole's scattering equation is (M11 = -M00 in every sampler; |tr M|
-> 1e-12 |M| raises ValueError), so each Magnus step and H lie in SL(2, C)
-(Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numer. 9 (2000) 215-365): sigma_2
-= 1 / sigma_1, one log growth rate.  Every reader takes H's dominant part, the
+an su(2) monopole's scattering equation is: samplers give its (d, p, q), M = [[d,
+p], [q, -d]], so each Magnus step and H lie in SL(2, C) (Iserles, Munthe-Kaas,
+Norsett & Zanna, Acta Numer. 9 (2000) 215-365): sigma_2 = 1 / sigma_1, one log
+growth rate.  Every reader takes H's dominant part, the
 part the rescaled product resolves: its norm, and the direction at t = 0 of the
 solution decaying as t -> +-infinity, the least right singular vector of
 Phi(+-T, 0) (Greene & Kim, Physica D 24 (1987) 213-225), read off a run out from
@@ -83,22 +83,20 @@ class PoleOnGeodesicError(ValueError):
 class FieldSampler:
     """Evaluates the scattering system along one fixed geodesic.
 
-    Subclasses provide ode_matrix(t), the 2x2 complex right-hand side of s' = M(t) s, on a
-    batch: a float t gives one (2, 2) matrix and an (n,) array of times (n, 2, 2) matrices.
-    M must be traceless (M11 = -M00); the propagator refuses a traced M with ValueError.  A
-    sampler is an immutable value, so the same object always gives the same M(t).
+    Subclasses provide ode_components(t), the right-hand side M(t) = [[d, p], [q, -d]] of s' =
+    M(t) s by its components on a batch: complex (3,) for a float t and (3, n) for an (n,)
+    array of times, (d, p, q) along the first axis; the propagator refuses any other shape with
+    ValueError.  A sampler is an immutable value: the same object always gives the same M(t).
     """
 
-    def ode_matrix(self, t) -> np.ndarray:
+    def ode_components(self, t) -> np.ndarray:
         raise NotImplementedError
 
 
 def _diagonal(v) -> np.ndarray:
-    """diag(v, -v) for each entry of v, as complex (..., 2, 2)."""
-    v = np.asarray(v, dtype=float)
-    M = np.zeros(v.shape + (2, 2), dtype=complex)
-    M[..., 0, 0], M[..., 1, 1] = v, -v
-    return M
+    """Components (v, 0, 0) of diag(v, -v) for each entry of v, as complex (3, ...)."""
+    zero = np.zeros(np.shape(v), dtype=complex)
+    return np.array([v, zero, zero])
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ class TrivialU1Field(FieldSampler):
 
     mass: float = 1.0
 
-    def ode_matrix(self, t):
+    def ode_components(self, t):
         return _diagonal(self.higgs_norm(t))
 
     def higgs_norm(self, t):
@@ -127,12 +125,14 @@ class AbelianField(FieldSampler):
     A geodesic whose closest approach has s below about 1.4e-7 runs
     through a center, and sampling it anywhere raises
     PoleOnGeodesicError, even where the sampled window stays clear of
-    the crossing."""
+    the crossing.  A non-finite x0 or u raises ValueError."""
 
     def __init__(self, V: MultiCenterPotential, x0: np.ndarray, u: np.ndarray):
         self.V = V
         self.x0 = np.asarray(x0, dtype=float)   # hyperboloid point, t = 0
         self.u = np.asarray(u, dtype=float)     # unit tangent there
+        if not np.isfinite([self.x0, self.u]).all():
+            raise ValueError("abelian line needs finite x0 and u")
         terms = []                              # (l, a, b, s^2) per center
         for P, l in zip(V.centers, V.charges):
             P = hyp.embed(P)
@@ -163,7 +163,7 @@ class AbelianField(FieldSampler):
         w = self._b * np.cosh(t) + self._a * np.sinh(t)
         return self.V.lam + np.sum(self._l * hyp.green_from_sinh2(self._s2 + w * w), axis=-1)
 
-    def ode_matrix(self, t) -> np.ndarray:
+    def ode_components(self, t) -> np.ndarray:
         return _diagonal(self.higgs_norm(t))
 
     def log_growth(self, t0: float, t1: float) -> float:
@@ -281,18 +281,17 @@ class PSField(FieldSampler):
         x, y, z = px + t * ux, py + t * uy, pz + t * uz
         return x, y, z, np.sqrt(x * x + y * y + z * z)
 
-    def ode_matrix(self, t) -> np.ndarray:
+    def ode_components(self, t) -> np.ndarray:
         x, y, z, r = self._offset(t)
         h, k = (-0.5 * v for v in _ps_radial(r))
         cx, cy, cz = self._cross
         hx, hy, kx, ky = h * x, h * y, k * cx, k * cy
-        M = np.empty(r.shape + (2, 2), dtype=complex)
-        re, im = M.real, M.imag   # [[w2, w0 - i w1], [w0 + i w1, -w2]]
-        re[..., 0, 0], im[..., 0, 0] = h * z, k * cz
-        re[..., 0, 1], im[..., 0, 1] = hx + ky, kx - hy
-        re[..., 1, 0], im[..., 1, 0] = hx - ky, kx + hy
-        M[..., 1, 1] = -M[..., 0, 0]
-        return M
+        C = np.empty((3,) + r.shape, dtype=complex)
+        re, im = C.real, C.imag   # (w2, w0 - i w1, w0 + i w1)
+        re[0], im[0] = h * z, k * cz
+        re[1], im[1] = hx + ky, kx - hy
+        re[2], im[2] = hx - ky, kx + hy
+        return C
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +336,7 @@ class FundamentalSolution:
 # covers all nine
 _GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 _NODES = np.array([_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS]).T
+_SUBSTEPS = np.array([[1.0], [0.5], [0.5]])   # their lengths as fractions of the step
 _MAX_STEP = 2.0          # longest step of the initial mesh
 _MAX_MESH = 100_000      # most steps in a round (node matrices: 58 MB); more raise ValueError
 MAX_HORIZON = _MAX_MESH * _MAX_STEP / 4   # longest T whose [-T, T] meshes fit, checkpoints too
@@ -358,26 +358,23 @@ def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[X, Y] for traceless 2x2 matrices given by components (d, p, q)
     along the first axis, X = [[d, p], [q, -d]]."""
     (dx, px, qx), (dy, py, qy) = x, y
-    return np.array([px * qy - py * qx, 2.0 * (dx * py - dy * px), 2.0 * (dy * qx - dx * qy)])
+    out = np.empty(np.shape(x), dtype=complex)
+    out[0], out[1], out[2] = px * qy - py * qx, 2.0 * (dx * py - dy * px), 2.0 * (dy * qx - dx * qy)
+    return out
 
 
-def _magnus_steps(A: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Sixth-order Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep.
-    470 (2009), the three-node Gauss scheme) of lengths h (...), from
-    traceless M at each step's Gauss nodes, A (3, ..., 2, 2): exp Omega
-    by its components (E00, E01, E10, E11) along the first axis.
+def _magnus_steps(C: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Sixth-order Magnus steps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009), the
+    three-node Gauss scheme) of lengths h (...), from M = [[d, p], [q, -d]] at each step's
+    Gauss nodes, C (3 components, 3 nodes, ...): exp Omega by its (E00, E01, E10, E11).
 
-    Omega is traceless, so each matrix is carried as (d, p, q) with d = (X00 - X11)/2, p = X01,
-    q = X10, and exp Omega is in SL(2, C) and in closed form: Omega^2 = mu^2 I and exp Omega =
-    cosh mu I + (sinh mu / mu) Omega, both factors by series only at |mu^2| < _SERIES_MU2, written
-    in place into one array: (sinh mu / mu) (d, p, q), E11 = cosh mu - E00, then E00 += cosh mu.
-    The steps run flattened, so a lone step takes the same array arithmetic as a batch's."""
+    Each traceless matrix is carried as its (d, p, q), from X = h C at the nodes, and exp Omega
+    is in SL(2, C) and in closed form: Omega^2 = mu^2 I and exp Omega = cosh mu I + (sinh mu /
+    mu) Omega, both factors by series only at |mu^2| < _SERIES_MU2, written in place into one
+    array: (sinh mu / mu) (d, p, q), E11 = cosh mu - E00, then E00 += cosh mu.  The steps run
+    flattened, so a lone step takes the same array arithmetic as a batch's."""
     shape, h = np.shape(h), np.reshape(h, -1)
-    A = A.reshape((3, -1, 2, 2))
-    X = np.empty((3, 3, h.size), dtype=complex)   # (d, p, q) at each node
-    np.multiply(0.5 * h, A[..., 0, 0] - A[..., 1, 1], out=X[0])
-    np.multiply(h, A[..., 0, 1], out=X[1])
-    np.multiply(h, A[..., 1, 0], out=X[2])
+    X = h * C.reshape((3, 3, -1))   # (d, p, q) at each node
     a1 = X[:, 1]
     a2 = (math.sqrt(15.0) / 3.0) * (X[:, 2] - X[:, 0])
     a3 = (10.0 / 3.0) * (X[:, 2] - 2.0 * X[:, 1] + X[:, 0])
@@ -430,15 +427,15 @@ def _edges(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return a, b, n
 
 
-def _damping(A: np.ndarray, a: np.ndarray, b: np.ndarray, bounds: list,
+def _damping(C: np.ndarray, a: np.ndarray, b: np.ndarray, bounds: list,
              signs: np.ndarray) -> list:
     """Per run i with steps, a[bounds[i]:bounds[i + 1]], (i, sign t, G) at
     the edges of its whole first-round mesh, sign t increasing for
     np.interp, with G(t) = int 2 |Re mu| from the run's first time to t.
     The frozen gap 2 |Re mu| of M = [[d, p], [q, -d]], mu^2 = d^2 + pq, is
-    read at each step's middle Gauss node, A (m, 2, 2), and held over it."""
-    d = 0.5 * (A[:, 0, 0] - A[:, 1, 1])
-    c = 2.0 * np.sqrt(d * d + A[:, 0, 1] * A[:, 1, 0]).real * np.abs(b - a)
+    read at each step's middle Gauss node, C (3, m), and held over it."""
+    d, p, q = C
+    c = 2.0 * np.sqrt(d * d + p * q).real * np.abs(b - a)
     tables = []
     for i, (sign, lo, hi) in enumerate(zip(signs, bounds[:-1], bounds[1:])):
         if hi > lo:
@@ -456,13 +453,14 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
     A run's initial mesh is its output times, each interval between them
     cut into steps of at most _MAX_STEP.  Each step carries its run's
     index, and each round samples every node of every pending step in
-    one ode_matrix call.  With P = E_{h/2} E_{h/2} and err = ||P - E_h|| /
+    one ode_components call, (3 components, 3 nodes, 3 sub-steps, steps).
+    With P = E_{h/2} E_{h/2} and err = ||P - E_h|| /
     (_ACCEPT tol ||P||) (Frobenius), a step passes when err <= 1 and both
     ||P||^2 and ||S||^2 <= _MAX_NORM2, and contributes S = P + (P - E_h)/63;
     a failing step is cut into ceil(1.2 err^{1/7}) equal pieces (more if it
     grows too much), and only those are checked in the next round, until one
-    passes them all.  A sampled M with |tr M| above 1e-12 |M| raises ValueError,
-    and so does, before any sampling, a tol that is not finite and > 0.
+    passes them all.  A call of another shape raises ValueError before any
+    Magnus step, as, before sampling, does a tol that is not finite and > 0.
 
     `damped` is for runs whose only output is the least amplified
     direction at their first time (module docstring): err is weighted by
@@ -484,12 +482,12 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
     while a.size:
         h = b - a
         nodes = a + h * _NODES[..., None]
-        A = np.asarray(fields.ode_matrix(nodes.ravel())).reshape(3, 3, -1, 2, 2)
-        trace = A[..., 0, 0] + A[..., 1, 1]
-        if np.any(trace) and np.any(np.abs(trace) > 1e-12 * np.linalg.norm(A, axis=(-2, -1))):
-            raise ValueError("M(t) must be traceless: the propagator keeps H in SL(2, C)")
+        C = np.asarray(fields.ode_components(nodes.ravel()), dtype=complex)
+        if C.shape != (3, nodes.size):
+            raise ValueError(f"ode_components gave shape {C.shape}, not (3, {nodes.size})")
+        C = C.reshape(3, 3, 3, -1)
         with np.errstate(over="ignore", invalid="ignore"):
-            E = _magnus_steps(A, h * np.array([[1.0], [0.5], [0.5]]))
+            E = _magnus_steps(C, h * _SUBSTEPS)
             half = _product(E[:, 2], E[:, 1])
             diff = half - E[:, 0]
             step = half + diff / 63.0
@@ -498,7 +496,7 @@ def _mesh(fields: FieldSampler, runs: list, tol: float, damped: bool = False):
             if damped:   # steps stay grouped by run, so each run's are one slice
                 bounds = np.searchsorted(run, np.arange(len(runs) + 1)).tolist()
                 if tables is None:   # the first round covers every run whole
-                    tables = _damping(A[1, 0], a, b, bounds, signs)
+                    tables = _damping(C[:, 1, 0], a, b, bounds, signs)
                 for i, edges, G in tables:
                     mine = slice(bounds[i], bounds[i + 1])
                     err[mine] *= np.exp(-0.5 * np.interp(signs[i] * a[mine], edges, G))
@@ -579,7 +577,7 @@ def _propagate(fields: FieldSampler, runs: list, tol: float, damped: bool = Fals
             path.append((h00, h01, h10, h11))
             ns.append(n)
         H = np.array(path).reshape(-1, 2, 2)
-        norms = np.linalg.norm(H, axis=(1, 2))
+        norms = np.sqrt(np.add.reduce((H.conj() * H).real, axis=(1, 2)))
         out.append((H / norms[:, None, None], math.log(2.0) * np.array(ns) + np.log(norms)))
     return out
 
@@ -588,7 +586,7 @@ def integrate_fundamental(fields: FieldSampler, t0: float, t1: float,
                           tol: float = 1e-10, checkpoints: int = 17) -> FundamentalSolution:
     """Fundamental matrix of s' = M(t) s with H(t0) = I at `checkpoints`
     evenly spaced times, log ||H|| within about `tol` (module docstring).
-    M must be traceless (ValueError otherwise), so H is in SL(2, C).  A t0 or t1 not finite,
+    M is traceless by its components, so H is in SL(2, C).  A t0 or t1 not finite,
     checkpoints not an integer >= 2 or tol not finite and > 0 raise ValueError before sampling."""
     if not (math.isfinite(t0) and math.isfinite(t1)
             and isinstance(checkpoints, (int, np.integer)) and checkpoints >= 2):
@@ -633,7 +631,7 @@ class DecayingData:
             if (error := math.exp(-2.0 * logscales[-1])) > tol:
                 raise IllPosedError(f"horizon {t_horizon:g}: exp(-2 logscale) = {error:.2g} "
                                     f"> tol {tol:g}")
-            r = max(mats[-1], key=np.linalg.norm)
+            r = max(mats[-1], key=_norm2)   # the longer row by squared moduli, the first on a tie
             ends.append(np.array([r[1], -r[0]]) / np.linalg.norm(r))
         s0, s0p = ends
         data = DecayingData(s0, s0p, complex(s0[0] * s0p[1] - s0[1] * s0p[0]))

@@ -2,7 +2,8 @@
 check or benchmark needs: the twistor closest-point chart formula, the
 point-to-geodesic distance, the Wirtinger derivative, the antipodal
 conjugate of a polynomial, the Hermitian matrix of a 4-vector, the
-splitting reflection of decaying data and the mini-twistor chart of a line."""
+splitting reflection of decaying data, the mini-twistor chart of a line and
+the 2x2 matrix of a scattering sampler's components."""
 
 import math
 
@@ -61,6 +62,13 @@ def point_matrix(X: np.ndarray) -> np.ndarray:
     M[..., 1, 0] = X[..., 1] + 1j * X[..., 2]
     M[..., 1, 1] = X[..., 0] - X[..., 3]
     return M
+
+
+def traceless_matrix(c) -> np.ndarray:
+    """M = [[d, p], [q, -d]] from components (d, p, q) along the first axis, as (..., 2, 2):
+    the matrix a scattering sampler's `ode_components` gives."""
+    d, p, q = np.asarray(c)
+    return np.stack([np.stack([d, p], axis=-1), np.stack([q, -d], axis=-1)], axis=-2)
 
 
 def splitting_reflection(data) -> np.ndarray:

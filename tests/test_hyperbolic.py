@@ -221,6 +221,23 @@ def test_geodesic_point_is_unit_speed():
         assert dist(a, b) == pytest.approx(dt, rel=1e-9)
 
 
+def test_geodesic_point_far_from_its_base_point():
+    # endpoints a and b that nearly meet give a geodesic far from O: cosh rho = 2 / their
+    # chordal distance, here from about 4 to 1e6, at 40 digits.  <Ne, Ns> taken as -1 +
+    # n_e . n_s cancelled there and read up to 5e-11 cosh rho relative; the bound is 1e-15
+    rng = np.random.default_rng(35)
+    with mpmath.workdps(40):
+        for _ in range(300):
+            a = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-1.0, 1.0)
+            chord = 10.0 ** rng.uniform(-5.7, -0.4)
+            b = a + 0.5 * chord * (1.0 + abs(a) ** 2) * np.exp(2j * math.pi * rng.uniform())
+            g = OrientedGeodesic(start=ExtendedComplex(a), end=ExtendedComplex(b))
+            got = math.cosh(dist(ORIGIN, geodesic_point(g, ORIGIN, 0.0)))
+            am, bm = mpmath.mpc(a), mpmath.mpc(b)
+            want = float(mpmath.sqrt((1 + abs(am) ** 2) * (1 + abs(bm) ** 2)) / abs(am - bm))
+            assert abs(got / want - 1.0) <= 1e-15 * want
+
+
 # ---------------------------------------------------------------------------
 # Busemann functions
 # ---------------------------------------------------------------------------

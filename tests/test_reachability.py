@@ -21,7 +21,7 @@ RUNS = (["verify"], ["metric"], ["scatter"], ["scatter", "--experiment", "ps_sca
 OPS = 10    # ops of each workload after its warm-up
 
 ALLOWED = {
-    "scattering.py:FieldSampler.ode_matrix": "abstract: every sampler overrides it",
+    "scattering.py:FieldSampler.ode_components": "abstract: every sampler overrides it",
     "symplectic.py:SheetData.u_zero_modulus": "reserved for the contour's node count "
                                               "(ROADMAP item 3)",
 }

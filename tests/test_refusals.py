@@ -21,14 +21,14 @@ _ONE, _ZERO = (sy.Series([1.0]),), (sy.Series([0.0]),)
 class _Pole(sc.FieldSampler):
     """diag(v, -v), v = 1 / |t - 0.3|: log ||H|| diverges at t = 0.3, so no step there passes."""
 
-    def ode_matrix(self, t):
+    def ode_components(self, t):
         return sc._diagonal(1.0 / np.abs(np.asarray(t) - 0.3))
 
 
 class _SquaredPole(sc.FieldSampler):
     """diag(v, -v), v = 1 / |t - 0.3|^2: the steps next to t = 0.3 are split past the round cap."""
 
-    def ode_matrix(self, t):
+    def ode_components(self, t):
         return sc._diagonal(1.0 / np.abs(np.asarray(t) - 0.3) ** 2)
 
 
@@ -38,6 +38,9 @@ _REFUSALS = {
     "mesh-round-cap-names-t": (
         lambda: sc.integrate_fundamental(_SquaredPole(), -1.0, 1.0, tol=1e-9), ValueError,
         r"a round of \d+ steps over t in \[0\.29995, 0\.30005\]: more than the cap of 100000"),
+    "abelian-line-not-finite": (lambda: sc.AbelianField(_V, [np.nan, 0.0, 0.0, 1.0],
+                                                        [0.0, 1.0, 0.0, 0.0]),
+                                ValueError, "finite x0 and u"),
     "splitting-on-spectral-line": (
         lambda: sc.DecayingData.of(sc.PSField(x0=[0.0, 0.0, 0.0], u=[0.0, 0.0, 1.0]))
         .reflection_norm(), ZeroDivisionError, "spectral line"),

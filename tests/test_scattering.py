@@ -17,7 +17,7 @@ from monogeom import hyperbolic as hyp
 from monogeom import scattering as sc
 from monogeom.checks import measure
 from monogeom.hyperbolic import MultiCenterPotential, PointUHS
-from oracles import splitting_reflection
+from oracles import splitting_reflection, traceless_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +145,8 @@ def test_fundamental_semigroup_property():
     t_mid = float(sol.ts[j])
 
     class Shifted(sc.FieldSampler):
-        def ode_matrix(self, t):
-            return f.ode_matrix(t)
+        def ode_components(self, t):
+            return f.ode_components(t)
 
     tail = sc.integrate_fundamental(Shifted(), t_mid, 3.0, tol=tol)
     lhs = tail.mats[-1] @ sol.mats[j]
@@ -167,7 +167,7 @@ def test_pole_on_geodesic():
 
 def test_initial_mesh_beyond_the_cap_raises_before_sampling():
     class Unsampled(sc.TrivialU1Field):
-        def ode_matrix(self, t):
+        def ode_components(self, t):
             raise AssertionError("sampled")
 
     t0 = time.perf_counter()
@@ -192,23 +192,24 @@ def test_refinement_round_beyond_the_cap_raises():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_traced_field_refused():
-    # the propagator keeps H in SL(2, C), so a user sampler with a trace
-    # is refused rather than integrated; rounding-sized traces pass
-    @dataclasses.dataclass(frozen=True)
-    class Traced(sc.TrivialU1Field):
-        trace: complex = 0.0
+@pytest.mark.parametrize("shape", ("matrices", "transposed", "flat", "scalar"))
+def test_sampler_of_another_shape_refused_before_any_magnus_step(monkeypatch, shape):
+    # samplers give M's components (d, p, q), (3, n) for n times, so a trace cannot be
+    # expressed; (n, 2, 2) matrices, M as samplers gave it before, or any other shape
+    # would be read as wrong components, and are refused with the method named
+    class Reshaped(sc.TrivialU1Field):
+        def ode_components(self, t):
+            C = super().ode_components(t)
+            return {"matrices": traceless_matrix(C), "transposed": C.T, "flat": C.ravel(),
+                    "scalar": C[0]}[shape]
 
-        def ode_matrix(self, t):
-            return super().ode_matrix(t) + self.trace * np.eye(2)
-
-    for trace in (0.3, 1e-6j):
-        with pytest.raises(ValueError, match="traceless"):
-            sc.integrate_fundamental(Traced(trace=trace), -1.0, 1.0)
-        with pytest.raises(ValueError, match="traceless"):
-            sc.DecayingData.of(Traced(trace=trace), 10.0)
-    sol = sc.integrate_fundamental(Traced(trace=1e-14), -1.0, 1.0)
-    assert abs(sol.log_norm_final() - 2.0) < 1e-9
+    def unstepped(*args):
+        raise AssertionError("stepped")
+    monkeypatch.setattr(sc, "_magnus_steps", unstepped)
+    for run in (lambda f: sc.integrate_fundamental(f, -1.0, 1.0),
+                lambda f: sc.DecayingData.of(f, 10.0)):
+        with pytest.raises(ValueError, match=r"ode_components gave shape \(\d+"):
+            run(Reshaped(mass=1.0))
 
 
 @pytest.mark.parametrize("horizon", (-40.0, 0.0, math.inf, math.nan))
@@ -216,7 +217,7 @@ def test_unworkable_horizon_refused_before_sampling(horizon):
     # -40 returned the direction decaying at the other end, 0 the seed
     # itself, and inf and NaN ended in IllPosedError after a RuntimeWarning
     class Unsampled(sc.TrivialU1Field):
-        def ode_matrix(self, t):
+        def ode_components(self, t):
             raise AssertionError("sampled")
 
     f = Unsampled(mass=1.0)
@@ -253,8 +254,8 @@ def test_unworkable_tol_times_or_checkpoints_refused_before_sampling(monkeypatch
     # tol 0 divided by zero, and a NaN tol ran to the refinement cap; a
     # negative tol in decaying data ended in IllPosedError; checkpoints 0
     # raised IndexError and t1 = inf an initial mesh of nan steps
-    monkeypatch.setattr(sc.TrivialU1Field, "ode_matrix", _unsampled)
-    monkeypatch.setattr(sc.AbelianField, "ode_matrix", _unsampled)
+    monkeypatch.setattr(sc.TrivialU1Field, "ode_components", _unsampled)
+    monkeypatch.setattr(sc.AbelianField, "ode_components", _unsampled)
     with pytest.raises(ValueError, match=match) as raised:
         call()
     assert not isinstance(raised.value, sc.IllPosedError)
@@ -314,11 +315,10 @@ def test_batched_ode_matrix_matches_scalar_calls(name):
     # calls (radii on both sides of the PS series switch at r = 0.4)
     f = sampler_fixtures()[name]
     ts = np.concatenate([np.linspace(-3.0, 3.0, 41), [0.0, 1e-6, -0.2, 0.3999999, 0.4000001]])
-    batch, one = f.ode_matrix(ts), np.array([f.ode_matrix(t) for t in ts])
-    assert batch.shape == (len(ts), 2, 2) and batch.dtype == complex
-    assert one.shape == batch.shape
-    assert np.all(np.abs(batch - one) <= 1e-15 * np.abs(one).max(axis=(1, 2), keepdims=True))
-    assert np.array_equal(batch[:, 1, 1], -batch[:, 0, 0])   # traceless, exactly
+    batch, one = f.ode_components(ts), np.array([f.ode_components(t) for t in ts]).T
+    assert batch.shape == (3, len(ts)) and batch.dtype == complex
+    assert one.shape == batch.shape and f.ode_components(0.5).shape == (3,)
+    assert np.all(np.abs(batch - one) <= 1e-15 * np.abs(one).max(axis=0, keepdims=True))
     if not isinstance(f, sc.PSField):     # the abelian samplers read M off |Phi|
         norms = f.higgs_norm(ts)
         assert norms.shape == ts.shape
@@ -334,17 +334,16 @@ def test_magnus_step_of_constant_matrix_is_expm(steps):
     # batch mixing both scales and zero steps takes the series at some
     # entries only, and each of its steps must equal that step alone
     from scipy.linalg import expm
-    Ms = []
+    Cs = []
     for scale, _ in steps:
         rng = np.random.default_rng(5)
-        M = scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        Ms.append(M - 0.5 * np.trace(M) * np.eye(2))
+        Cs.append(scale * _random_complex(rng, 3))
     hs = np.array([h for _, h in steps])
-    batch = sc._magnus_steps(np.broadcast_to(np.array(Ms), (3, len(steps), 2, 2)), hs)
-    for i, (M, h) in enumerate(zip(Ms, hs)):
-        E = sc._magnus_steps(np.broadcast_to(M, (3, 2, 2)), h)
+    batch = sc._magnus_steps(np.broadcast_to(np.array(Cs).T[:, None], (3, 3, len(steps))), hs)
+    for i, (C, h) in enumerate(zip(Cs, hs)):
+        E = sc._magnus_steps(np.broadcast_to(C[:, None], (3, 3)), h)
         assert np.array_equal(batch[:, i], E)
-        want = expm(h * M)
+        want = expm(h * traceless_matrix(C))
         assert np.linalg.norm(E.reshape(2, 2) - want) <= 1e-14 * np.linalg.norm(want)
 
 
@@ -370,8 +369,9 @@ def test_product_by_broadcasting_matches_eight_products_bitwise(shape):
 
 
 def _magnus_steps_by_stacks(A, h):
-    # the Magnus step with Omega's components and exp Omega assembled by
-    # np.array stacks, the form the in-place one must reproduce bit for bit
+    # the Magnus step from traceless matrices A (3, ..., 2, 2), with Omega's
+    # components and exp Omega assembled by np.array stacks, the form the in-place
+    # one, reading the components, must reproduce bit for bit
     a00, a01, a10, a11 = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
     X = np.array([(0.5 * h) * (a00 - a11), h * a01, h * a10])
     a1 = X[:, 1]
@@ -398,15 +398,14 @@ def test_magnus_steps_in_place_match_stacked_assembly_bitwise():
     # entries on both sides of the series switch, and one 0-d step
     rng = np.random.default_rng(12)
     scale = np.where(np.arange(40) % 3 == 0, 1e-4, 1.0)   # every third by series
-    M = scale[:, None, None] * _random_complex(rng, 3, 3, 40, 2, 2)
-    M[..., 1, 1] = -M[..., 0, 0]
-    h = rng.uniform(0.1, 1.5, size=40) * np.array([[1.0], [0.5], [0.5]])
-    got, want = sc._magnus_steps(M, h), _magnus_steps_by_stacks(M, h)
+    C = scale * _random_complex(rng, 3, 3, 3, 40)
+    h = rng.uniform(0.1, 1.5, size=40) * sc._SUBSTEPS
+    got, want = sc._magnus_steps(C, h), _magnus_steps_by_stacks(traceless_matrix(C), h)
     mu2 = np.abs(want[0] + want[3]) ** 2 / 4.0 - 1.0   # cosh^2 mu - 1, about mu^2 where small
     assert np.any(np.abs(mu2) < 1e-3) and np.any(np.abs(mu2) > 1e-2)
     assert got.shape == (4, 3, 40) and got.tobytes() == want.tobytes()
-    one = M[:, 0, 0]
-    got, want = sc._magnus_steps(one, 0.7), _magnus_steps_by_stacks(one, 0.7)
+    one = C[:, :, 0, 0]
+    got, want = sc._magnus_steps(one, 0.7), _magnus_steps_by_stacks(traceless_matrix(one), 0.7)
     assert got.shape == (4,) and got.tobytes() == want.tobytes()
 
 
@@ -414,21 +413,21 @@ def test_lone_magnus_step_matches_its_round_bitwise():
     # a lone step's commutators must run on arrays as a round's do: on numpy
     # complex scalars, whose products are not fused, they read a few last bits off
     rng = np.random.default_rng(13)
-    M = _random_complex(rng, 3, 3, 50, 2, 2)
-    M[..., 1, 1] = -M[..., 0, 0]
-    h = rng.uniform(0.1, 1.5, size=50) * np.array([[1.0], [0.5], [0.5]])
-    batch = sc._magnus_steps(M, h)
+    C = _random_complex(rng, 3, 3, 3, 50)
+    h = rng.uniform(0.1, 1.5, size=50) * sc._SUBSTEPS
+    batch = sc._magnus_steps(C, h)
     for j, i in np.ndindex(h.shape):
-        assert sc._magnus_steps(M[:, j, i], h[j, i]).tobytes() == batch[:, j, i].tobytes()
+        assert sc._magnus_steps(C[:, :, j, i], h[j, i]).tobytes() == batch[:, j, i].tobytes()
 
 
 def test_fundamental_matches_dop853_reference():
     # reference: DOP853 at tolerance 1e-12 on the plain linear system
     f = sc.PSField(x0=[1.0, 0.0, 0.0], u=[0.0, 0.0, 1.0])
     sol = sc.integrate_fundamental(f, -40.0, 40.0, tol=1e-9)
-    ref = solve_ivp(lambda t, y: (f.ode_matrix(t) @ y.reshape(2, 2)).ravel(), (-40.0, 40.0),
-                    np.eye(2, dtype=complex).ravel(), method="DOP853", t_eval=sol.ts,
-                    rtol=1e-12, atol=1e-12)
+    def rhs(t, y):
+        return (traceless_matrix(f.ode_components(t)) @ y.reshape(2, 2)).ravel()
+    ref = solve_ivp(rhs, (-40.0, 40.0), np.eye(2, dtype=complex).ravel(), method="DOP853",
+                    t_eval=sol.ts, rtol=1e-12, atol=1e-12)
     Hs = ref.y.T.reshape(-1, 2, 2)
     for M, ls, H in zip(sol.mats, sol.logscales, Hs):
         assert np.linalg.norm(math.exp(ls) * M - H) <= 1e-9 * np.linalg.norm(H)
@@ -549,7 +548,7 @@ def test_ps_far_out_raises_no_warning():
     f = sc.PSField(x0=[3.0, 0.0, 0.0], u=[0.0, 0.0, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        M = f.ode_matrix(400.0)
+        M = traceless_matrix(f.ode_components(400.0))
         s = sc.DecayingData.of(f, 400.0).s0
     p, r = np.array([3.0, 0.0, 400.0]), math.hypot(3.0, 400.0)
     w = -0.5 * ((2.0 - 1.0 / r) / r * p + 1j / (r * r) * np.cross(f.u, p))
@@ -560,7 +559,7 @@ def test_ps_far_out_raises_no_warning():
 
 def test_ps_matrix_matches_pauli_sum():
     for f, t in ps_samples():
-        M, ref = f.ode_matrix(t), ps_matrix_reference(f, t)
+        M, ref = traceless_matrix(f.ode_components(t)), ps_matrix_reference(f, t)
         assert M.shape == (2, 2) and M.dtype == complex
         assert np.linalg.norm(M - ref) <= 1e-14 * np.linalg.norm(ref)
 
@@ -569,8 +568,7 @@ def test_ps_matrix_traceless_with_higgs_hermitian_part():
     # the connection enters M anti-Hermitian, so the Hermitian part is
     # -phi . sigma / 2, with eigenvalues +-|phi|/2, |phi| = 2 coth 2r - 1/r
     for f, t in ps_samples():
-        M = f.ode_matrix(t)
-        assert M[0, 0] + M[1, 1] == 0
+        M = traceless_matrix(f.ode_components(t))
         top = np.linalg.eigvalsh(0.5 * (M + M.conj().T))[-1]
         r = mpmath.mpf(float(np.linalg.norm(f.x0 - f.center + t * f.u)))
         with mpmath.workdps(40):
@@ -580,14 +578,14 @@ def test_ps_matrix_traceless_with_higgs_hermitian_part():
 
 def test_ps_field_is_immutable():
     f = sc.PSField(x0=[1.0, 0.0, 0.0], u=[0.0, 0.0, 2.0])
-    before = f.ode_matrix(0.7)
+    before = f.ode_components(0.7)
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.x0 = np.array([5.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         f.x0[0] = 5.0
     with pytest.raises(ValueError):
         f.u[2] = 1.0
-    assert np.array_equal(f.ode_matrix(0.7), before)
+    assert np.array_equal(f.ode_components(0.7), before)
     assert np.array_equal(f.u, [0.0, 0.0, 1.0])
 
 
@@ -607,9 +605,9 @@ def test_decaying_direction_scheme_independent():
     f = sc.PSField(x0=[0.8, 0.0, 0.0], u=[0.0, 0.0, 1.0])
     a = sc.DecayingData.of(f, 30.0).s0
     # reference: RK45 on the plain linear system from the same seed
-    lam, vecs = np.linalg.eig(f.ode_matrix(30.0))
+    lam, vecs = np.linalg.eig(traceless_matrix(f.ode_components(30.0)))
     seed = vecs[:, np.argmin(lam.real)]
-    ref = solve_ivp(lambda t, s: f.ode_matrix(t) @ s, (30.0, 0.0),
+    ref = solve_ivp(lambda t, s: traceless_matrix(f.ode_components(t)) @ s, (30.0, 0.0),
                     seed.astype(complex), method="RK45", rtol=1e-11, atol=1e-11)
     b = ref.y[:, -1] / np.linalg.norm(ref.y[:, -1])
     align = abs(np.vdot(a, b))
@@ -635,9 +633,9 @@ def test_decaying_direction_far_horizon_in_blocks():
 
 
 class CountedPS(sc.PSField):
-    def ode_matrix(self, t):
+    def ode_components(self, t):
         self.calls.append(np.size(t))
-        return super().ode_matrix(t)
+        return super().ode_components(t)
 
 
 @pytest.mark.parametrize("b", (0.0, 0.5, 3.0))
@@ -720,9 +718,9 @@ class UnhashableTrivial(sc.FieldSampler):
     mass: float = 1.0
     calls: int = 0
 
-    def ode_matrix(self, t):
+    def ode_components(self, t):
         self.calls += 1
-        return sc.TrivialU1Field(self.mass).ode_matrix(t)
+        return sc.TrivialU1Field(self.mass).ode_components(t)
 
 
 def test_decaying_data_keeps_an_unhashable_sampler():
@@ -798,10 +796,10 @@ class ShearField(sc.FieldSampler):
     def __init__(self, p):
         self.p = p
 
-    def ode_matrix(self, t):
-        M = np.zeros(np.shape(t) + (2, 2), dtype=complex)
-        M[..., 0, 1] = self.p
-        return M
+    def ode_components(self, t):
+        C = np.zeros((3,) + np.shape(t), dtype=complex)
+        C[1] = self.p
+        return C
 
 
 def test_gapless_shear_passes_once_its_growth_reaches_tol():
@@ -902,7 +900,7 @@ def test_ps_scan_pass_samples_at_most_33000_nodes():
     # one pass of the benchmark's ps_scan: per line the indicator, the
     # splitting norm off the spectral line, both from one kept decaying
     # data, and the fundamental matrix over [-40, 40] at tol 1e-9: 32,076
-    # nodes in 38 sampler calls.  Uniform step control sampled 80,782 nodes
+    # nodes in 38 ode_components calls.  Uniform step control sampled 80,782 nodes
     # here, 58,138 of them in decaying data; seeding each decaying run at the
     # horizon took 72 sampler calls a pass, and a decaying data per reading
     # 40,896 nodes in 55 calls
@@ -931,8 +929,9 @@ class ConjugatedTrivialField(sc.FieldSampler):
     def __init__(self, U):
         self.U = U
 
-    def ode_matrix(self, t):
-        return self.U @ sc.TrivialU1Field().ode_matrix(t) @ self.U.conj().T
+    def ode_components(self, t):
+        M = self.U @ traceless_matrix(sc.TrivialU1Field().ode_components(t)) @ self.U.conj().T
+        return np.array([0.5 * (M[..., 0, 0] - M[..., 1, 1]), M[..., 0, 1], M[..., 1, 0]])
 
 
 def test_orthogonal_complex_decaying_lines_have_unit_norm():
@@ -1048,7 +1047,7 @@ def test_growth_fit_makes_no_propagation(monkeypatch, tmp_path):
     # log ||H|| is in closed form, so neither the library fit, its check nor
     # the CLI experiment samples M(t)
     from monogeom.cli import main
-    monkeypatch.setattr(sc.AbelianField, "ode_matrix", _unsampled)
+    monkeypatch.setattr(sc.AbelianField, "ode_components", _unsampled)
     fit = sc.abelian_growth_exponent(_THREE_V, 0, delta=0.1, z_samples=np.geomspace(1e-5, 1e-2, 6))
     assert abs(fit.slope - 1.0) < 0.05
     assert measure("scattering.growth-slope", 0) < 0.05
