@@ -451,6 +451,20 @@ def _growth_slope(s, rng):
     return _worst(defect(l) for l in (1, 2, 3))
 
 
+@check("scattering.ps-through-center", "closed-form PS growth on a line through the center",
+       1e-13)
+def _ps_through_center(s, rng):
+    # log ||Phi(T, 0)|| against g(T) = (1/2) log(sinh 2T / 2T) on a random line through the
+    # center, relative: 1.5e-14 at worst on four lines (T = 0.1, where g = 0.0067, is left out:
+    # the stored matrices' rounding alone reads 1.8e-13 relative there)
+    f = sc.PSField(x0=[0.0, 0.0, 0.0], u=rng.normal(size=3))
+
+    def defect(T):
+        want = 0.5 * math.log(math.sinh(2.0 * T) / (2.0 * T))
+        return abs(sc.integrate_fundamental(f, 0.0, T, tol=1e-12).log_norm_final() / want - 1.0)
+    return _worst(map(defect, (0.5, 2.0, 10.0, 40.0)))
+
+
 check("scattering.indicator-through-center", "line through the center is spectral", 1e-6,
       lambda s, rng: sc.spectral_indicator(_ps_line(0.0), 40.0))
 check("scattering.indicator-off-center", "line at impact 1 is not spectral", 0.9,

@@ -18,7 +18,12 @@ structure and Kahler form map a (..., 4) array of points to (..., 4, 4)
 values, the connection a (..., 3) array to (..., 3), and a single point
 to one plain value.  Each is thin algebra on the local data (V, omega, z) of
 its batch from one pass over the Dirac frame, whose |e| = sinh rho gives V; the
-Kahler form is v (dy (x) dx - dx (x) dy) + z (omega (x) dz - dz (x) omega).  A
+Kahler form is v (dy (x) dx - dx (x) dy) + z (omega (x) dz - dz (x) omega).
+The samplers are S^1-invariant: they read (x, y, z) and never theta, as
+d/dtheta is Killing.  So the diagnostics `curvature`, `dOmega_residual` and
+`nijenhuis_residual` difference the base only (103, 7 and 13 sampled points),
+and the theta rows of their jets are exact zeros (`diffgeo.killing_jet`); a
+sampler that reads theta fails with IndexError on their (..., 3) points.  A
 connection's `extra` 1-form is a function of one (3,) point; the connection
 applies it row by row through `numdiff.pointwise`.  Samplers are immutable
 closures; evaluations at different points share no state and may run concurrently.
@@ -34,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import hyperbolic as hyp
-from .diffgeo import CurvatureReport, curvature_report, hodge_star
+from .diffgeo import CurvatureReport, curvature_report, hodge_star, killing_jet
 from .hyperbolic import BoundaryPoint, MultiCenterPotential, PointUHS
 from .numdiff import derivatives, pointwise
 
@@ -122,12 +127,17 @@ class DiracConnection:
         k, (e1, e2, e3) = self._frame(p)
         x, y, z, sign, coef, l = p[..., 0], p[..., 1], p[..., 2], k[12], k[13], k[14]
         sh = np.sqrt(e1 * e1 + e2 * e2 + e3 * e3)
-        den = sh * (sh - sign * e3)
+        sh2, den = sh * sh, sh * (sh - sign * e3)
         if (sh < 1e-14).any():    # sh = sinh rho: the pole of V and of A
-            raise ZeroDivisionError("connection pole: evaluation at a center")
-        if (den < 1e-14 * sh * sh).any():
-            raise ZeroDivisionError("point on a Dirac string; switch the patch")
-        v = self.V.lam + np.sum(l * hyp.green_from_sinh2(sh * sh), axis=0)
+            c, *at = np.argwhere(sh < 1e-14)[0]
+            raise ZeroDivisionError(f"connection pole: sample point {p[tuple(at)].tolist()} "
+                                    f"is at center {c}")
+        if (den < 1e-14 * sh2).any():
+            c, *at = np.argwhere(den < 1e-14 * sh2)[0]
+            raise ZeroDivisionError(f"sample point {p[tuple(at)].tolist()} is on the Dirac "
+                                    f"string of center {c} in patch {self.patches[c]:+d}; "
+                                    f"switch the patch")
+        v = self.V.lam + (l * hyp.green_from_sinh2(sh2)).sum(axis=0)
         f = coef / den
         w, a1, a2 = ((f * e1) * k[4:12:3] - (f * e2) * k[3:12:3]).sum(axis=1)  # (c, E_1, E_2)_j
         om = np.ones(w.shape + (4,))
@@ -257,31 +267,39 @@ def default_step(p4: np.ndarray) -> float:
 
 
 def curvature(metric, p4, step: float | None = None) -> CurvatureReport:
-    """Curvature report of a metric sampler at a point of the total
-    space; step defaults to 1e-3 scaled by the height."""
+    """Curvature report of an S^1-invariant metric sampler at a point of
+    the total space, differenced along the base (x, y, z) only (module
+    docstring); step defaults to 1e-3 scaled by the height."""
     p4 = np.asarray(p4, dtype=float)
-    return curvature_report(hyp.half_space_only(metric), p4,
+    return curvature_report(hyp.half_space_only(metric), p4[:3],
                             default_step(p4) if step is None else step)
 
 
+# flat indices into dOm (4, 4, 4) of the terms of d(Omega)_abc = dOm[a, b, c] + dOm[b, c, a]
+# + dOm[c, a, b], one column per triple a < b < c
+_A3, _B3, _C3 = np.array(list(itertools.combinations(range(4), 3))).T
+_CYCLIC = np.ravel_multi_index(([_A3, _B3, _C3], [_B3, _C3, _A3], [_C3, _A3, _B3]), (4, 4, 4))
+
+
 def dOmega_residual(omega_sampler, p4, step: float = 1e-4) -> float:
-    """Norm of the numerical exterior derivative of a 2-form sampler
-    (2nd-order differences, so the residual scales like step^2)."""
-    dOm = derivatives(hyp.half_space_only(omega_sampler), p4, step, order=2).d1
-    return float(np.max(np.abs([dOm[a, b, c] + dOm[b, c, a] + dOm[c, a, b]
-                                for a, b, c in itertools.combinations(range(4), 3)])))
+    """Norm of the numerical exterior derivative of an S^1-invariant
+    2-form sampler, differenced along the base (2nd-order differences, so
+    the residual scales like step^2)."""
+    dOm = killing_jet(hyp.half_space_only(omega_sampler), np.asarray(p4, dtype=float)[:3],
+                      step, order=2).d1
+    return float(np.max(np.abs(dOm.take(_CYCLIC).sum(axis=0))))
 
 
 def nijenhuis_residual(J_sampler, p4, step: float | None = None) -> float:
-    """Norm of the Nijenhuis tensor of an almost complex structure
-    sampler (4th-order differences on J)."""
+    """Norm of the Nijenhuis tensor of an S^1-invariant almost complex
+    structure sampler (4th-order differences on J along the base)."""
     p4 = np.asarray(p4, dtype=float)
     if step is None:
         step = default_step(p4)
-    J0, dJ, _ = derivatives(hyp.half_space_only(J_sampler), p4, step)
-    # N^k_ij = X^k_ij - X^k_ji with X^k_ij = J^l_i dJ[l][k,j] - J^k_l dJ[i][l,j]
-    X = np.einsum("li,lkj->kij", J0, dJ) - np.einsum("kl,ilj->kij", J0, dJ)
-    return float(np.linalg.norm(X - np.swapaxes(X, 1, 2)))
+    J0, dJ, _ = killing_jet(hyp.half_space_only(J_sampler), p4[:3], step)
+    # N^k_ij = X^k_ij - X^k_ji with X^k_ij = J^l_i dJ[l][k,j] - J^k_l dJ[i][l,j] = Y[i,k,j]
+    Y = (J0.T @ dJ.reshape(4, 16)).reshape(4, 4, 4) - J0 @ dJ
+    return float(np.linalg.norm(Y - Y.transpose(2, 1, 0)))
 
 
 def abelian_charge(V: MultiCenterPotential, i: int, rho0: float = 0.2,

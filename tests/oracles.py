@@ -2,11 +2,13 @@
 check or benchmark needs: the twistor closest-point chart formula, the
 point-to-geodesic distance, the Wirtinger derivative, the antipodal
 conjugate of a polynomial, the Hermitian matrix of a 4-vector, the
-splitting reflection of decaying data, the mini-twistor chart of a line and
-the 2x2 matrix of a scattering sampler's components."""
+splitting reflection of decaying data, the mini-twistor chart of a line,
+the 2x2 matrix of a scattering sampler's components and the PS growth
+through the center."""
 
 import math
 
+import mpmath
 import numpy as np
 
 from monogeom.hyperbolic import OrientedGeodesic, PointUHS, _geodesic_null_pair, embed, mdot
@@ -92,3 +94,13 @@ def minitwistor_of_line(point, direction) -> MiniTwistorPoint:
     v = p - np.dot(p, u) * u
     eta = (v[0] + 1j * v[1]) - 2.0 * v[2] * zeta - (v[0] - 1j * v[1]) * zeta ** 2
     return MiniTwistorPoint(zeta, eta)
+
+
+def ps_through_center_log_norm(T: float) -> float:
+    """log ||Phi(T, 0)|| of the unit-mass PS monopole on a line through its center,
+    g(T) = (1/2) log(sinh 2T / 2T), at 30 digits.  There M = -(1/2)(2 coth 2r - 1/r)
+    sign(t) (u . sigma), so Phi(T, 0) = diag(e^-g, e^g) in the eigenbasis of u . sigma,
+    and the +1 eigenvector decays at both ends."""
+    with mpmath.workdps(30):
+        T = mpmath.mpf(T)
+        return float(mpmath.log(mpmath.sinh(2 * T) / (2 * T)) / 2)

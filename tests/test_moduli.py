@@ -1,12 +1,15 @@
 """Moduli-space metrics: connection, curvature engine, Kahler gauges."""
 
 import math
+import re
+import time
+import zlib
 
 import mpmath
 import numpy as np
 import pytest
 
-from monogeom import diffgeo
+from monogeom import checks, diffgeo
 from monogeom import moduli as md
 from monogeom.hyperbolic import MultiCenterPotential, PointUHS
 from monogeom.numdiff import pointwise
@@ -400,6 +403,112 @@ def test_connection_next_to_centers_matches_mpmath():
     assert worst <= 1e-9
 
 
+def _near_center_pole():
+    # centers (0, 0, 1) of charge 1 and (0.5, 0, 1.2) of charge 2, mass 0.5, gauge 0.7 - 0.4i;
+    # p is 1e-3 z along x from transported center 0, so the stencil's -x point is that center
+    V = MultiCenterPotential.for_su2_charge1([PointUHS(0, 0, 1), PointUHS(0.5, 0, 1.2)], [1, 2],
+                                             mass=0.5)
+    gauge = md.kahler_structure(V, md.DiracConnection(V), ExtendedComplex(0.7 - 0.4j))
+    c = gauge.V.centers[0].as_array()
+    return gauge, np.append(c + [1e-3 * c[2], 0.0, 0.0], 0.3), c
+
+
+@pytest.mark.parametrize("diagnostic", ["curvature", "nijenhuis"])
+def test_pole_error_names_the_sample_point_and_center(diagnostic):
+    # these once said "evaluation at a center" of a point that is not one
+    gauge, p4, center = _near_center_pole()
+    call = {"curvature": lambda: md.curvature(gauge.metric, p4),
+            "nijenhuis": lambda: md.nijenhuis_residual(gauge.complex_structure, p4)}[diagnostic]
+    t0 = time.perf_counter()
+    with pytest.raises(ZeroDivisionError, match="at center 0") as err:
+        call()
+    assert time.perf_counter() - t0 < 0.05
+    named = np.array(re.search(r"sample point \[(.*?)\]", str(err.value))[1].split(", "), float)
+    assert np.max(np.abs(named - p4[:3])) > 1e-4        # a stencil point, not p
+    assert np.max(np.abs(named - center)) < 1e-12
+
+
+def test_dirac_string_error_names_the_sample_point_and_patch():
+    # (0, 0, 1.8) lies on the string of the center (0, 0, 1.25) in the patch turned away from O
+    V = MultiCenterPotential(1.0, (PointUHS(0, 0, 1.25),), (1,))
+    conn = md.DiracConnection(V).with_patches_for(np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ZeroDivisionError,
+                       match=r"sample point \[0\.0, 0\.0, 1\.8\] is on the Dirac string of "
+                             r"center 0 in patch \+1"):
+        conn(np.array([[0.1, 0.2, 1.0], [0.0, 0.0, 1.8]]))
+
+
+# ---------------------------------------------------------------------------
+# the diagnostics difference the base only: d/dtheta is Killing
+# ---------------------------------------------------------------------------
+
+_GAUGE = md.kahler_structure(TWO_CENTER, md.DiracConnection(TWO_CENTER),
+                             ExtendedComplex(0.7 - 0.4j))
+_P4 = np.array([0.4, -0.3, 1.2, 0.5])
+# name -> (the diagnostic, the gauge's sampler it reads)
+_DIAGNOSTICS = {"curvature": (md.curvature, _GAUGE.metric),
+                "dOmega": (md.dOmega_residual, _GAUGE.kahler_form),
+                "nijenhuis": (md.nijenhuis_residual, _GAUGE.complex_structure)}
+
+
+def test_theta_rows_of_the_jets_are_exact_zeros(monkeypatch):
+    jets, killing_jet = [], diffgeo.killing_jet
+
+    def recorded(*args, **kwargs):
+        jets.append(killing_jet(*args, **kwargs))
+        return jets[-1]
+    monkeypatch.setattr(md, "killing_jet", recorded)
+    monkeypatch.setattr(diffgeo, "killing_jet", recorded)
+    for name in sorted(_DIAGNOSTICS):
+        diagnostic, sampler = _DIAGNOSTICS[name]
+        diagnostic(sampler, _P4)
+    assert [jet.d2 is None for jet in jets] == [False, True, True]
+    for jet in jets:
+        assert jet.d1.shape[0] == 4 and np.all(jet.d1[3] == 0.0) and np.any(jet.d1[:3] != 0.0)
+    d2 = jets[0].d2
+    assert d2.shape[:2] == (4, 4) and np.all(d2[3] == 0.0) and np.all(d2[:, 3] == 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(_DIAGNOSTICS))
+def test_sampler_that_reads_theta_raises(name):
+    # the diagnostics hand the sampler base points (..., 3): a sampler that is not
+    # S^1-invariant cannot be differenced as if it were
+    diagnostic, sampler = _DIAGNOSTICS[name]
+
+    def reads_theta(p):
+        return sampler(p) * np.cos(np.asarray(p)[..., 3])[..., None, None]
+    with pytest.raises(IndexError):
+        diagnostic(reads_theta, _P4)
+
+
+def _acceptance_06_points():
+    """(metric, point) of acceptance criterion 06: two points in each gauge of each of its three
+    configurations, and one in each configuration's Gibbons-Hawking metric."""
+    configs = (ONE_CENTER, TWO_CENTER, THREE_CENTER)
+    setting = checks.Setting(connections=tuple(md.DiracConnection(V) for V in configs))
+    rng = np.random.default_rng([106, zlib.crc32(b"metric.scalar-flat")])
+    points = [(g.metric, p) for _ in range(2) for g, p in checks._gauge_points(setting, rng)]
+    rng = np.random.default_rng([106, zlib.crc32(b"metric.weyl-asd")])
+    return points + [(md.gibbons_hawking_metric(c.V, c), p)
+                     for c, p in checks._connection_points(setting, rng)]
+
+
+def test_base_curvature_agrees_with_the_four_dimensional_path():
+    # the 4-dimensional report differences theta too, where the derivatives are rounding;
+    # the base report stays within that report's own h vs h/2 difference (0.19 of it at worst)
+    def fields(rep):
+        return np.array([rep.scalar, rep.ricci_norm, rep.weyl_sd_norm, rep.weyl_asd_norm,
+                         rep.riemann_norm])
+    points = _acceptance_06_points()
+    assert len(points) == 39
+    for metric, p4 in points:
+        h = md.default_step(p4)
+        base = fields(md.curvature(metric, p4))
+        full, half = (fields(diffgeo.curvature_report(md.hyp.half_space_only(metric), p4, s))
+                      for s in (h, h / 2))
+        assert np.max(np.abs(base - full)) <= np.max(np.abs(full - half))
+
+
 def test_gauge_independence_of_curvature():
     V = ONE_CENTER
     p4 = np.array([1.2, 0.3, 1.4, 0.5])
@@ -488,7 +597,7 @@ def test_frame_norms_match_four_index_contraction():
         W = Rf - 0.5 * kulkarni_nomizu(ricci, eye) + scal / 12.0 * kulkarni_nomizu(eye, eye)
         sd, asd = (0.5 * np.linalg.norm(compose(compose(p, W), p)) for p in proj)
         want = (np.linalg.norm(ricci), sd, asd, np.linalg.norm(Rf))
-        got = diffgeo._frame_norms(g, R[rows[:, None], cols[:, None], rows, cols])
+        got = diffgeo._frame_norms(F, R[rows[:, None], cols[:, None], rows, cols])
         assert got[0] == pytest.approx(scal, rel=1e-13, abs=1e-13 * want[-1])
         assert got[1:] == pytest.approx(want, rel=1e-13)
 
@@ -583,6 +692,22 @@ def test_scalar_flat_and_closed_over_gauges():
             assert abs(rep.scalar) < 1e-4
             assert md.dOmega_residual(gauge.kahler_form, p4) < 1e-6
             assert md.nijenhuis_residual(gauge.complex_structure, p4) < 1e-6
+
+
+def test_nijenhuis_matches_the_index_formula():
+    # J affine in the base coordinates, so its stencil derivatives are exact to rounding:
+    # the residual against N^k_ij = X^k_ij - X^k_ji, X^k_ij = J^l_i d_l J^k_j - J^k_l d_i J^l_j,
+    # summed index by index with einsum (theta's row of dJ is 0)
+    rng = np.random.default_rng(23)
+    J0, A = rng.normal(size=(4, 4)), rng.normal(size=(3, 4, 4))
+    p4 = np.array([0.3, -0.7, 1.4, 2.0])
+
+    def J(p):
+        return J0 + np.tensordot(np.asarray(p), A, axes=(-1, 0))
+    dJ = np.concatenate([A, np.zeros((1, 4, 4))])
+    X = np.einsum("li,lkj->kij", J(p4[:3]), dJ) - np.einsum("kl,ilj->kij", J(p4[:3]), dJ)
+    want = np.linalg.norm(X - X.swapaxes(1, 2))
+    assert md.nijenhuis_residual(J, p4) == pytest.approx(want, rel=1e-10)
 
 
 def test_flat_gauge_closed_and_integrable_tight():
