@@ -455,8 +455,8 @@ def _growth_slope(s, rng):
        1e-13)
 def _ps_through_center(s, rng):
     # log ||Phi(T, 0)|| against g(T) = (1/2) log(sinh 2T / 2T) on a random line through the
-    # center, relative: 1.5e-14 at worst on four lines (T = 0.1, where g = 0.0067, is left out:
-    # the stored matrices' rounding alone reads 1.8e-13 relative there)
+    # center, relative: 1.7e-14 at worst on four lines.  T = 0.1, where g = 0.0067, is left
+    # out: there the step matrices' own rounding reads up to 1.8e-13 (ROADMAP item 17)
     f = sc.PSField(x0=[0.0, 0.0, 0.0], u=rng.normal(size=3))
 
     def defect(T):

@@ -137,7 +137,7 @@ class DiracConnection:
             raise ZeroDivisionError(f"sample point {p[tuple(at)].tolist()} is on the Dirac "
                                     f"string of center {c} in patch {self.patches[c]:+d}; "
                                     f"switch the patch")
-        v = self.V.lam + (l * hyp.green_from_sinh2(sh2)).sum(axis=0)
+        v = self.V.lam + np.sum(l * hyp.green_from_sinh2(sh2), axis=0)
         f = coef / den
         w, a1, a2 = ((f * e1) * k[4:12:3] - (f * e2) * k[3:12:3]).sum(axis=1)  # (c, E_1, E_2)_j
         om = np.ones(w.shape + (4,))

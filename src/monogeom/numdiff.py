@@ -168,9 +168,7 @@ def derivatives(f, x, h: float, second: str | None = None, order: int = 4) -> Je
     x = np.asarray(x, dtype=float)
     n = len(x)
     plan = _plan(n, order, second)
-    points = x + plan.K * h     # x itself on the unmoved axes, but for the sign of a zero
-    if not x.all():             # so a zero coordinate is copied
-        points = np.where(plan.moved, points, x)
+    points = np.where(plan.moved, x + plan.K * h, x)
     values = np.asarray(f(points))
     s = np.array(steps)[:, None]
     scale = plan.den * s              # one row per step

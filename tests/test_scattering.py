@@ -976,27 +976,40 @@ def test_ps_through_center_is_spectral():
     assert sc.spectral_indicator(f, 40.0) < 1e-6
 
 
-@pytest.mark.parametrize("line", range(4))
-def test_ps_through_center_matches_closed_form(line):
-    # three random directions through a center at the origin, one through a center elsewhere:
-    # log ||Phi(T, 0)|| against g(T) within 1e-13 relative.  The 10 eps absolute floor decides
-    # only at T = 0.1, where g = 0.0067 and the stored matrices carry about 1.2e-15 of rounding
-    # (1.8e-13 relative); from T = 0.5 on the relative term is the larger
+def _ps_through_center_line(line):
+    # three random directions through a center at the origin, one through a center elsewhere
     rng = np.random.default_rng([17, line])
     center = np.array([0.4, -1.1, 0.7]) if line == 3 else np.zeros(3)
-    u = rng.normal(size=3)
-    f = sc.PSField(x0=center, u=u, center=center)
-    for T in (0.1, 0.5, 2.0, 10.0, 40.0):
-        want = ps_through_center_log_norm(T)
-        got = sc.integrate_fundamental(f, 0.0, T, tol=1e-12).log_norm_final()
-        assert abs(got - want) <= 1e-13 * want + 10 * np.finfo(float).eps, T
+    return sc.PSField(x0=center, u=rng.normal(size=3), center=center)
+
+
+def _ps_through_center_defect(f, T):
+    want = ps_through_center_log_norm(T)
+    return abs(sc.integrate_fundamental(f, 0.0, T, tol=1e-12).log_norm_final() / want - 1.0)
+
+
+@pytest.mark.parametrize("line", range(4))
+def test_ps_through_center_matches_closed_form(line):
+    # log ||Phi(T, 0)|| against g(T) within 1e-13 relative (T = 0.1 below)
+    f = _ps_through_center_line(line)
+    for T in (0.5, 2.0, 10.0, 40.0):
+        assert _ps_through_center_defect(f, T) <= 1e-13, T
     # both decaying directions are the +1 eigenvector of u . sigma, so the indicator is 0
-    u = u / np.linalg.norm(u)
+    u = f.u
     u_sigma = np.array([[u[2], u[0] - 1j * u[1]], [u[0] + 1j * u[1], -u[2]]])
     data = sc.DecayingData.of(f, 40.0, tol=1e-12)
     for s in (data.s0, data.s0_prime):
         assert np.max(np.abs(u_sigma @ s - s)) <= 1e-14
     assert data.indicator() <= 1e-15
+
+
+@pytest.mark.xfail(strict=True, reason="each step matrix is stored as floats of order 1 near "
+                   "the identity, so 16 steps leave about 1e-15 absolute in g(0.1) = 0.0067")
+def test_ps_through_center_matches_closed_form_at_small_growth():
+    # the same bound at T = 0.1, worst of the four lines: 1.8e-13.  The exact product of the
+    # float step matrices reads 1.6e-13 too, so the loss is in the steps, not in the readout
+    assert max(_ps_through_center_defect(_ps_through_center_line(line), 0.1)
+               for line in range(4)) <= 1e-13
 
 
 def test_ps_off_center_is_not_spectral():
